@@ -7,6 +7,15 @@ Bags are recorded so out-of-bag membership stays recoverable; the OOB vote
 fraction for the true class gives a per-point confidence whose class-wise
 mean is the assignment threshold. A prediction is withdrawn when the
 winning vote fraction falls below an adjustable ratio of that threshold.
+
+Inference never walks node objects. On first use a forest is flattened
+into one set of node arrays (``feature``, ``threshold``, ``left``,
+``right``, the leaf vote ``argmax(class_counts)`` and each tree's root
+offset), kept on the forest instance. Leaves route to themselves. One
+batch router moves a block of (row, tree) pairs down all trees at once
+until every pair sits at a leaf, and votes are counted block by block, so
+no rows x trees matrix of votes is ever built. Votes, prediction and the
+OOB thresholds all go through it.
 """
 
 from __future__ import annotations
@@ -15,11 +24,12 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, LabeledDataset
+from .dataset import Dataset, LabeledDataset, ParseError
 from .xmurf.forest import tree_rng
 
 __all__ = [
@@ -33,12 +43,14 @@ __all__ = [
     "forest_votes",
     "predict_with_threshold",
     "predict_detail",
+    "predict_batch",
     "assignment_rate",
     "save_model",
     "load_model",
 ]
 
 UNASSIGNED = "UNASSIGNED"
+_BLOCK_PAIRS = 8192  # (row, tree) pairs routed per block
 
 
 @dataclass
@@ -72,6 +84,40 @@ class SupervisedForest:
     @property
     def n_trees(self) -> int:
         return len(self.trees)
+
+    @cached_property
+    def _flat(self) -> _FlatForest:
+        """Node arrays of all trees, built on first use; the trees must not
+        change after that."""
+        return _flatten(self.trees)
+
+
+@dataclass(frozen=True)
+class _FlatForest:
+    """All trees' nodes in preorder, tree after tree, indexed globally."""
+
+    feature: np.ndarray  # split feature; 0 at leaves
+    threshold: np.ndarray  # go left when x[feature] <= threshold; 0.0 at leaves
+    left: np.ndarray  # global child index; a leaf points at itself
+    right: np.ndarray
+    vote: np.ndarray  # leaf label index, argmax(class_counts): ties to the lowest label
+    root: np.ndarray  # global index of each tree's root
+
+
+def _flatten(trees: list[ClassTree]) -> _FlatForest:
+    nodes, root = [], []  # (feature, threshold, left, right, vote) per node
+    for tree in trees:
+        offset = len(nodes)
+        root.append(offset)
+        for i, n in enumerate(tree.nodes):
+            if n.is_leaf:
+                counts = n.class_counts
+                nodes.append((0, 0.0, offset + i, offset + i, max(range(len(counts)), key=counts.__getitem__)))
+            else:
+                nodes.append((n.feature, n.threshold, offset + n.left, offset + n.right, 0))
+    dtypes = (np.int64, np.float64, np.int64, np.int64, np.int64)
+    columns = (np.array(col, dtype=t) for col, t in zip(zip(*nodes), dtypes))
+    return _FlatForest(*columns, root=np.array(root, dtype=np.int64))
 
 
 @dataclass
@@ -165,19 +211,45 @@ def fit_classifier(d: LabeledDataset, b_trees: int, seed: int) -> SupervisedFore
     return SupervisedForest(trees=trees, labels=labels, q=q, seed=seed, feature_names=list(d.base.feature_names))
 
 
-def _tree_vote(tree: ClassTree, x: np.ndarray) -> int:
-    node = tree.nodes[0]
-    while not node.is_leaf:
-        node = tree.nodes[node.left if x[node.feature] <= node.threshold else node.right]
-    return int(np.argmax(node.class_counts))  # ties: lowest label order
+def _route(flat: _FlatForest, x: np.ndarray, rows: np.ndarray, trees: np.ndarray) -> np.ndarray:
+    """Leaf votes of the (row, tree) pairs: row x[rows[p]] routed down tree
+    trees[p]. Each step moves every pair not yet at a leaf one level down."""
+    node = flat.root[trees]
+    live = np.nonzero(flat.left[node] != node)[0]
+    while live.size:
+        at = node[live]
+        go_left = x[rows[live], flat.feature[at]] <= flat.threshold[at]
+        at = np.where(go_left, flat.left[at], flat.right[at])
+        node[live] = at
+        live = live[flat.left[at] != at]
+    return flat.vote[node]
+
+
+def _count_votes(f: SupervisedForest, x: np.ndarray, voting: np.ndarray | None = None) -> np.ndarray:
+    """(N, L) vote counts for the rows of an (N, Q) array, in blocks of
+    about _BLOCK_PAIRS (row, tree) pairs. ``voting`` is an optional (N, B)
+    mask of the pairs that vote; by default every tree votes on every row."""
+    n, b, n_labels = x.shape[0], f.n_trees, len(f.labels)
+    votes = np.zeros((n, n_labels), dtype=np.int64)
+    step = max(1, _BLOCK_PAIRS // b)
+    for r0 in range(0, n, step):
+        r1 = min(n, r0 + step)
+        if voting is None:
+            rows, trees = np.divmod(np.arange((r1 - r0) * b), b)
+        else:
+            rows, trees = np.nonzero(voting[r0:r1])
+        leaf_vote = _route(f._flat, x[r0:r1], rows, trees)
+        counts = np.bincount(rows * n_labels + leaf_vote, minlength=(r1 - r0) * n_labels)
+        votes[r0:r1] = counts.reshape(r1 - r0, n_labels)
+    return votes
 
 
 def forest_votes(f: SupervisedForest, x: np.ndarray) -> np.ndarray:
-    """Vote counts per label (sorted label order) over all trees."""
-    votes = np.zeros(len(f.labels), dtype=np.int64)
-    for tree in f.trees:
-        votes[_tree_vote(tree, x)] += 1
-    return votes
+    """Vote counts per label (sorted label order) over all trees: shape (L,)
+    for one row (Q,), or (N, L) for rows (N, Q)."""
+    x = np.asarray(x)
+    votes = _count_votes(f, np.atleast_2d(x))
+    return votes[0] if x.ndim == 1 else votes
 
 
 def oob_thresholds(f: SupervisedForest, d: LabeledDataset) -> ClassThresholds:
@@ -190,22 +262,15 @@ def oob_thresholds(f: SupervisedForest, d: LabeledDataset) -> ClassThresholds:
     """
     x = d.base.values
     m = x.shape[0]
+    out_of_bag = np.ones((m, f.n_trees), dtype=bool)
+    for b, tree in enumerate(f.trees):
+        out_of_bag[tree.bag, b] = False
+    oob_votes = _count_votes(f, x, out_of_bag)
     label_index = {c: k for k, c in enumerate(f.labels)}
-    oob_votes = np.zeros((m, len(f.labels)), dtype=np.int64)
-    oob_count = np.zeros(m, dtype=np.int64)
-    for tree in f.trees:
-        in_bag = np.zeros(m, dtype=bool)
-        in_bag[np.unique(tree.bag)] = True
-        for i in np.nonzero(~in_bag)[0]:
-            oob_votes[i, _tree_vote(tree, x[i])] += 1
-            oob_count[i] += 1
-    kappas: list = []
-    for i in range(m):
-        if oob_count[i] == 0:
-            kappas.append(None)
-            continue
-        true_k = label_index[d.labels[i]]
-        kappas.append(float(oob_votes[i, true_k] / oob_count[i]))
+    true_k = np.array([label_index[c] for c in d.labels], dtype=np.int64)
+    correct = oob_votes[np.arange(m), true_k].tolist()
+    oob_count = out_of_bag.sum(axis=1).tolist()
+    kappas: list = [c / n if n else None for c, n in zip(correct, oob_count)]
     never = [d.base.ids[i] for i in range(m) if kappas[i] is None]
     if never:
         warnings.warn(f"{len(never)} datapoint(s) never out-of-bag, excluded from thresholds: {never[:5]}")
@@ -218,16 +283,24 @@ def oob_thresholds(f: SupervisedForest, d: LabeledDataset) -> ClassThresholds:
     return ClassThresholds(kappa_bar=kappa_bar, kappas=kappas)
 
 
-def predict_detail(f: SupervisedForest, th: ClassThresholds, x: np.ndarray, ratio: float):
-    """Return (label or None, winning vote fraction, threshold used)."""
+def predict_batch(f: SupervisedForest, th: ClassThresholds, x: np.ndarray, ratio: float) -> list[tuple]:
+    """predict_detail for every row of an (N, Q) array, in row order."""
     if ratio < 0:
         raise ValueError("ratio must be nonnegative")
-    votes = forest_votes(f, x)
-    k = int(np.argmax(votes))
-    winner = f.labels[k]
-    fraction = float(votes[k] / f.n_trees)
-    threshold = ratio * th.kappa_bar[winner]
-    return (winner if fraction >= threshold else None), fraction, threshold
+    votes = _count_votes(f, np.asarray(x))
+    result = []
+    for k, top in zip(votes.argmax(axis=1).tolist(), votes.max(axis=1).tolist()):
+        winner = f.labels[k]
+        fraction = top / f.n_trees
+        threshold = ratio * th.kappa_bar[winner]
+        result.append((winner if fraction >= threshold else None, fraction, threshold))
+    return result
+
+
+def predict_detail(f: SupervisedForest, th: ClassThresholds, x: np.ndarray, ratio: float):
+    """Return (label or None, winning vote fraction, threshold used) for one
+    row (Q,)."""
+    return predict_batch(f, th, np.asarray(x)[None, :], ratio)[0]
 
 
 def predict_with_threshold(f: SupervisedForest, th: ClassThresholds, x: np.ndarray, ratio: float):
@@ -237,9 +310,7 @@ def predict_with_threshold(f: SupervisedForest, th: ClassThresholds, x: np.ndarr
 
 
 def assignment_rate(f: SupervisedForest, th: ClassThresholds, data: Dataset, ratio: float) -> float:
-    assigned = sum(
-        1 for i in range(data.n_rows) if predict_with_threshold(f, th, data.values[i], ratio) is not None
-    )
+    assigned = sum(label is not None for label, _, _ in predict_batch(f, th, data.values, ratio))
     return assigned / data.n_rows
 
 
@@ -276,30 +347,87 @@ def save_model(f: SupervisedForest, th: ClassThresholds | None, path) -> None:
     Path(path).write_text(json.dumps(_model_dict(f, th)) + "\n")
 
 
-def load_model(path):
-    """Load (forest, thresholds-or-None) from a model JSON."""
-    d = json.loads(Path(path).read_text())
-    trees = [
-        ClassTree(
-            nodes=[
-                ClassNode(
-                    node_id=n["id"],
-                    feature=n["feature"],
-                    threshold=n["threshold"],
-                    left=n["left"],
-                    right=n["right"],
-                    class_counts=n["class_counts"],
-                )
-                for n in t["nodes"]
-            ],
-            bag=np.array(t["bag"], dtype=np.int64),
-        )
-        for t in d["trees"]
-    ]
-    forest = SupervisedForest(
-        trees=trees, labels=d["labels"], q=d["Q"], seed=d["seed"], feature_names=d.get("feature_names")
+_MODEL_KEYS = ("seed", "Q", "labels", "trees")
+_TREE_KEYS = ("bag", "nodes")
+_NODE_KEYS = ("id", "feature", "threshold", "left", "right", "class_counts")
+
+
+def _require(obj, keys, path, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: {where or 'top level'}: expected an object")
+    for key in keys:
+        if key not in obj:
+            raise ParseError(f"{path}: {where}{key}: missing key")
+
+
+def _load_node(n, i: int, size: int, q: int, n_labels: int, path, where: str) -> ClassNode:
+    """The node at preorder position i of a tree of ``size`` nodes. Children
+    must come after their parent inside the tree, so that routing always ends."""
+    _require(n, _NODE_KEYS, path, where)
+    if n["id"] != i:
+        raise ParseError(f"{path}: {where}id: {n['id']!r} is not its preorder position {i}")
+    counts = n["class_counts"]
+    if not isinstance(counts, list) or len(counts) != n_labels or {*map(type, counts)} != {int}:
+        raise ParseError(f"{path}: {where}class_counts: expected {n_labels} integer counts, one per label")
+    if n["feature"] is not None:
+        if type(n["feature"]) is not int or not 0 <= n["feature"] < q:
+            raise ParseError(f"{path}: {where}feature: {n['feature']!r} is not a feature index below Q={q}")
+        if type(n["threshold"]) not in (int, float):
+            raise ParseError(f"{path}: {where}threshold: {n['threshold']!r} is not a number")
+        for side in ("left", "right"):
+            if type(n[side]) is not int or not i < n[side] < size:
+                raise ParseError(f"{path}: {where}{side}: {n[side]!r} is not a node id in ({i}, {size})")
+    return ClassNode(
+        node_id=i, feature=n["feature"], threshold=n["threshold"], left=n["left"], right=n["right"], class_counts=counts
     )
+
+
+def _load_tree(t, k: int, q: int, n_labels: int, path) -> ClassTree:
+    where = f"trees[{k}]."
+    _require(t, _TREE_KEYS, path, where)
+    nodes = t["nodes"]
+    if not isinstance(nodes, list) or not nodes:
+        raise ParseError(f"{path}: {where}nodes: expected a non-empty list")
+    try:
+        bag = np.array(t["bag"], dtype=np.int64)
+    except (TypeError, ValueError):
+        raise ParseError(f"{path}: {where}bag: expected a list of row indices") from None
+    size = len(nodes)
+    return ClassTree(
+        nodes=[_load_node(n, i, size, q, n_labels, path, f"{where}nodes[{i}].") for i, n in enumerate(nodes)],
+        bag=bag,
+    )
+
+
+def load_model(path):
+    """Load (forest, thresholds-or-None) from a model JSON.
+
+    Raises ParseError naming the file and the key path of the first entry
+    that is missing or malformed.
+    """
+    try:
+        d = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    _require(d, _MODEL_KEYS, path, "")
+    labels, q = d["labels"], d["Q"]
+    if not isinstance(labels, list) or len(labels) < 2 or not all(isinstance(c, str) for c in labels):
+        raise ParseError(f"{path}: labels: expected a list of at least 2 label strings")
+    if type(q) is not int or q < 1:
+        raise ParseError(f"{path}: Q: {q!r} is not a positive feature count")
+    if not isinstance(d["trees"], list) or not d["trees"]:
+        raise ParseError(f"{path}: trees: expected a non-empty list")
+    trees = [_load_tree(t, k, q, len(labels), path) for k, t in enumerate(d["trees"])]
+    names = d.get("feature_names")
+    if names is not None and not (
+        isinstance(names, list) and len(names) == q and all(isinstance(c, str) for c in names)
+    ):
+        raise ParseError(f"{path}: feature_names: expected Q={q} name strings")
+    forest = SupervisedForest(trees=trees, labels=labels, q=q, seed=d["seed"], feature_names=names)
     th = None
-    if d.get("kappa_bar") is not None:
-        th = ClassThresholds(kappa_bar=d["kappa_bar"], kappas=d.get("kappas"))
+    kappa_bar = d.get("kappa_bar")
+    if kappa_bar is not None:
+        if not isinstance(kappa_bar, dict) or not all(isinstance(kappa_bar.get(c), (int, float)) for c in labels):
+            raise ParseError(f"{path}: kappa_bar: expected a number for every label")
+        th = ClassThresholds(kappa_bar=kappa_bar, kappas=d.get("kappas"))
     return forest, th

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -90,7 +91,13 @@ def cmd_simulate(cfg: dict, args) -> int:
     road = RoadConfig(**cfg["road"])
     sim_cfg = cfg["sim"]
     master = _master_seed(cfg, args, "sim")
-    for k in range(int(sim_cfg["runs"])):
+    runs = int(sim_cfg["runs"])
+    # extract reads every trace in the workdir: drop those of an earlier, longer run
+    for stale in [*out.glob("trace_*.jsonl"), *out.glob("trace_*.meta.json")]:
+        k = stale.name.split(".")[0][len("trace_"):]
+        if k.isdigit() and int(k) >= runs:
+            stale.unlink()
+    for k in range(runs):
         params = SimParams(
             dt=float(sim_cfg["dt"]),
             duration=float(sim_cfg["duration"]),
@@ -180,25 +187,38 @@ def cmd_train(cfg: dict, args) -> int:
     return EXIT_OK
 
 
+def _check_features(path, names: list[str], forest: clf.SupervisedForest) -> None:
+    """Raise ParseError naming the first feature column that differs from the
+    model's (only the count is known for a model without feature names)."""
+    expected = forest.feature_names
+    if expected is None:
+        if len(names) != forest.q:
+            raise ParseError(f"{path}: {len(names)} feature columns, the model expects Q={forest.q}")
+        return
+    for k, (got, want) in enumerate(itertools.zip_longest(names, expected)):
+        if got != want:
+            got, want = ("missing" if v is None else repr(v) for v in (got, want))
+            raise ParseError(f"{path}: feature column {k + 1} is {got}, the model expects {want}")
+
+
 def cmd_classify(cfg: dict, args) -> int:
     out = _workdir(cfg, args)
     forest, thresholds = clf.load_model(args.model or out / "model.json")
     if thresholds is None:
         print("model file carries no thresholds; retrain first", file=sys.stderr)
         return EXIT_CONFIG
-    dataset = load_dataset(args.input or out / "scenarios.csv")
+    in_path = args.input or out / "scenarios.csv"
+    dataset = load_dataset(in_path)
+    _check_features(in_path, dataset.feature_names, forest)
     ratio = float(args.ratio if args.ratio is not None else cfg["classify"]["ratio"])
     out_path = Path(args.output) if args.output else out / "predictions.csv"
+    predictions = clf.predict_batch(forest, thresholds, dataset.values, ratio)
     n_assigned = 0
     with open(out_path, "w", newline="\n") as fh:
         fh.write("id,label,vote_fraction,threshold_used\n")
-        for i in range(dataset.n_rows):
-            label, fraction, threshold = clf.predict_detail(forest, thresholds, dataset.values[i], ratio)
+        for rid, (label, fraction, threshold) in zip(dataset.ids, predictions):
             n_assigned += label is not None
-            fh.write(
-                f"{dataset.ids[i]},{label if label is not None else clf.UNASSIGNED},"
-                f"{fraction:.17g},{threshold:.17g}\n"
-            )
+            fh.write(f"{rid},{label if label is not None else clf.UNASSIGNED},{fraction:.17g},{threshold:.17g}\n")
     print(f"assigned {n_assigned}/{dataset.n_rows} at ratio {ratio}")
     return EXIT_OK
 
@@ -214,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="scenforest", description=__doc__)
     parser.add_argument("--config", help="JSON config file (defaults built in)")
     parser.add_argument("--seed", type=int, help="master seed overriding configured stage seeds")
-    parser.add_argument("--threads", type=int, default=1, help="reserved; stages run deterministically")
     parser.add_argument("--out", help="working directory for pipeline artifacts")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,21 +1,37 @@
 """Supervised forest, OOB thresholds, and the withdraw rule."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scenforest.classify import (
+    ClassNode,
     ClassThresholds,
+    ClassTree,
     SupervisedForest,
     assignment_rate,
     fit_classifier,
     forest_votes,
     load_model,
     oob_thresholds,
+    predict_batch,
     predict_detail,
     predict_with_threshold,
     save_model,
 )
-from scenforest.dataset import Dataset, LabeledDataset
+from scenforest.dataset import Dataset, LabeledDataset, ParseError
+
+
+def walk_vote(tree, x):
+    """Oracle: walk one tree's node objects for one row; the leaf votes
+    argmax(class_counts), ties to the lowest label."""
+    node = tree.nodes[0]
+    while node.feature is not None:
+        node = tree.nodes[node.left if x[node.feature] <= node.threshold else node.right]
+    return int(np.argmax(node.class_counts))
 
 
 def blobs(rng, n=30, sep=8.0):
@@ -74,8 +90,6 @@ def test_oob_vote_uses_only_out_of_bag_trees():
     f = fit_classifier(d, 12, seed=5)
     m = d.base.n_rows
     # recount kappas independently from the recorded bags
-    from scenforest.classify import _tree_vote
-
     th = oob_thresholds(f, d)
     label_index = {c: k for k, c in enumerate(f.labels)}
     for i in range(m):
@@ -84,15 +98,13 @@ def test_oob_vote_uses_only_out_of_bag_trees():
             assert th.kappas[i] is None
             continue
         correct = sum(
-            1 for t in oob_trees if _tree_vote(t, d.base.values[i]) == label_index[d.labels[i]]
+            1 for t in oob_trees if walk_vote(t, d.base.values[i]) == label_index[d.labels[i]]
         )
         assert th.kappas[i] == pytest.approx(correct / len(oob_trees), abs=0)
 
 
 def leaf_tree(vote_index, bag):
     """Single-leaf tree voting a fixed class; bag controls OOB membership."""
-    from scenforest.classify import ClassNode, ClassTree
-
     counts = [0, 0]
     counts[vote_index] = 1
     return ClassTree(nodes=[ClassNode(node_id=0, class_counts=counts)], bag=np.array(bag))
@@ -241,3 +253,140 @@ def test_model_round_trip(tmp_path):
     assert th2.kappa_bar == th.kappa_bar
     x = d.base.values[3]
     assert predict_detail(f, th, x, 0.5) == predict_detail(f2, th2, x, 0.5)
+
+
+# values and thresholds share one small grid, so rows land exactly on split points
+GRID = [-1.0, -0.5, 0.0, 0.5, 1.0]
+
+
+def assert_votes_match_walk(f, x):
+    votes = forest_votes(f, x)
+    assert votes.shape == (x.shape[0], len(f.labels))
+    for i in range(x.shape[0]):
+        expected = np.zeros(len(f.labels), dtype=np.int64)
+        for tree in f.trees:
+            expected[walk_vote(tree, x[i])] += 1
+        np.testing.assert_array_equal(votes[i], expected)
+        np.testing.assert_array_equal(forest_votes(f, x[i]), expected)
+
+
+@st.composite
+def hand_tree(draw, q, n_labels):
+    """A random preorder tree with tie-prone class counts (all zero included)."""
+    nodes = []
+
+    def grow(depth):
+        node = ClassNode(node_id=len(nodes))
+        nodes.append(node)
+        if depth < 4 and draw(st.booleans()):
+            node.feature = draw(st.integers(0, q - 1))
+            node.threshold = draw(st.sampled_from(GRID))
+            node.left = grow(depth + 1)
+            node.right = grow(depth + 1)
+        node.class_counts = draw(st.lists(st.integers(0, 2), min_size=n_labels, max_size=n_labels))
+        return node.node_id
+
+    grow(0)
+    return ClassTree(nodes=nodes, bag=np.zeros(1, dtype=np.int64))
+
+
+@st.composite
+def hand_forest_and_rows(draw):
+    q = draw(st.integers(1, 3))
+    n_labels = draw(st.integers(2, 4))
+    b = 2 * draw(st.integers(1, 4))  # even B, so label votes can tie too
+    trees = [draw(hand_tree(q, n_labels)) for _ in range(b)]
+    f = SupervisedForest(trees=trees, labels=[f"c{k}" for k in range(n_labels)], q=q, seed=0)
+    n = draw(st.integers(1, 12))
+    x = np.array(draw(st.lists(st.sampled_from(GRID), min_size=n * q, max_size=n * q))).reshape(n, q)
+    return f, x
+
+
+@settings(max_examples=60, deadline=None)
+@given(hand_forest_and_rows())
+def test_votes_equal_hand_walk_on_hand_trees(case):
+    f, x = case
+    assert_votes_match_walk(f, x)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    m=st.integers(4, 24),
+    q=st.integers(1, 3),
+    b=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_votes_equal_hand_walk_on_fitted_forests(m, q, b, seed, data):
+    values = data.draw(st.lists(st.sampled_from(GRID), min_size=m * q, max_size=m * q))
+    labels = data.draw(st.lists(st.sampled_from("abc"), min_size=m, max_size=m).filter(lambda v: len(set(v)) >= 2))
+    base = Dataset([f"f{k}" for k in range(q)], [f"r{i}" for i in range(m)], np.array(values).reshape(m, q))
+    f = fit_classifier(LabeledDataset(base, labels), b, seed=seed)
+    rows = np.array(data.draw(st.lists(st.sampled_from(GRID), min_size=5 * q, max_size=5 * q))).reshape(5, q)
+    assert_votes_match_walk(f, np.vstack([base.values, rows]))
+
+
+def test_batch_across_blocks_equals_hand_walk_and_predict_detail():
+    rng = np.random.default_rng(10)
+    d = blobs(rng, n=20, sep=2.0)
+    f = fit_classifier(d, 16, seed=4)
+    th = oob_thresholds(f, d)
+    x = rng.normal(1.0, 2.0, (300, 2))  # 4800 (row, tree) pairs: more than one routing block
+    assert_votes_match_walk(f, x)
+    assert predict_batch(f, th, x, 0.75) == [predict_detail(f, th, x[i], 0.75) for i in range(300)]
+
+
+@pytest.fixture()
+def model_dict(tmp_path):
+    d = blobs(np.random.default_rng(12), n=10)
+    f = fit_classifier(d, 8, seed=6)
+    path = tmp_path / "model.json"
+    save_model(f, oob_thresholds(f, d), path)
+    return json.loads(path.read_text()), path
+
+
+def internal_node(model):
+    """(tree index, node) of the first split node of the model dict."""
+    for t, tree in enumerate(model["trees"]):
+        for n in tree["nodes"]:
+            if n["feature"] is not None:
+                return t, n
+    raise AssertionError("model has no split node")
+
+
+def assert_load_rejects(model, path, match):
+    path.write_text(json.dumps(model))
+    with pytest.raises(ParseError, match=match):
+        load_model(path)
+
+
+def test_load_model_rejects_missing_top_level_key(model_dict):
+    model, path = model_dict
+    del model["labels"]
+    assert_load_rejects(model, path, r"model\.json: labels: missing key")
+
+
+def test_load_model_rejects_missing_node_key(model_dict):
+    model, path = model_dict
+    del model["trees"][1]["nodes"][0]["left"]
+    assert_load_rejects(model, path, r"model\.json: trees\[1\]\.nodes\[0\]\.left: missing key")
+
+
+def test_load_model_rejects_class_counts_length(model_dict):
+    model, path = model_dict
+    model["trees"][0]["nodes"][0]["class_counts"].append(0)
+    assert_load_rejects(model, path, r"trees\[0\]\.nodes\[0\]\.class_counts")
+
+
+def test_load_model_rejects_child_before_parent(model_dict):
+    model, path = model_dict
+    t, node = internal_node(model)
+    node["right"] = node["id"]  # a cycle: the node routes back to itself
+    assert_load_rejects(model, path, rf"trees\[{t}\]\.nodes\[{node['id']}\]\.right")
+
+
+def test_load_model_rejects_child_outside_tree(model_dict):
+    model, path = model_dict
+    t, node = internal_node(model)
+    node["left"] = len(model["trees"][t]["nodes"])
+    assert_load_rejects(model, path, rf"trees\[{t}\]\.nodes\[{node['id']}\]\.left")

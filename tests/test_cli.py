@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from scenforest import cli
+from scenforest.classify import UNASSIGNED, load_model, predict_detail
 from scenforest.dataset import load_dataset, load_matrix
 from scenforest.scenarios import FEATURE_NAMES
 
@@ -60,6 +61,19 @@ def test_simulate_rerun_byte_identical(pipeline, tmp_path):
         a = (out / f"trace_{k}.jsonl").read_bytes()
         b = (out2 / f"trace_{k}.jsonl").read_bytes()
         assert a == b
+
+
+def test_simulate_removes_traces_beyond_runs(tmp_path, capsys):
+    out = tmp_path / "o"
+    for runs in (3, 2):
+        cfg = write_config(tmp_path, {"sim": {"duration": 120.0, "runs": runs}})
+        assert cli.main(["--config", str(cfg), "--seed", "11", "--out", str(out), "simulate"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "trace_0.jsonl", "trace_0.meta.json", "trace_1.jsonl", "trace_1.meta.json"
+    ]
+    capsys.readouterr()
+    assert cli.main(["--out", str(out), "extract"]) == 0
+    assert "from 2 trace(s)" in capsys.readouterr().out
 
 
 def test_invalid_lane_count_exits_2(tmp_path):
@@ -163,6 +177,39 @@ def test_classify_outputs_and_ratio_monotonicity(pipeline):
         unassigned[0.0] <= unassigned[0.25] <= unassigned[0.5]
         <= unassigned[0.75] <= unassigned[1.0]
     )
+
+
+def test_classify_matches_predict_detail_row_by_row(pipeline, tmp_path):
+    _, out, base, _ = pipeline
+    dest = tmp_path / "pred.csv"
+    assert cli.main(base + ["classify", "--ratio", "0.75", "--output", str(dest)]) == 0
+    forest, th = load_model(out / "model.json")
+    ds = load_dataset(out / "scenarios.csv")
+    expected = ["id,label,vote_fraction,threshold_used"]
+    for rid, row in zip(ds.ids, ds.values):
+        label, fraction, threshold = predict_detail(forest, th, row, 0.75)
+        expected.append(f"{rid},{label or UNASSIGNED},{fraction:.17g},{threshold:.17g}")
+    assert dest.read_text().splitlines() == expected
+
+
+@pytest.mark.parametrize(
+    "edit, column",
+    [
+        (lambda header: header[:10], "10"),  # too few columns: the first missing one
+        (lambda header: header + ["extra"], "48"),  # one column too many
+        (lambda header: header[:5] + ["x"] + header[6:], "5"),  # a renamed column
+    ],
+    ids=["too-few", "too-many", "renamed"],
+)
+def test_classify_rejects_feature_columns_unlike_the_model(pipeline, tmp_path, capsys, edit, column):
+    _, out, base, _ = pipeline
+    ds = load_dataset(out / "scenarios.csv")
+    header = edit(["id"] + list(ds.feature_names))
+    bad = tmp_path / "bad.csv"
+    bad.write_text(",".join(header) + "\n" + ",".join(["r0"] + ["0.5"] * (len(header) - 1)) + "\n")
+    capsys.readouterr()
+    assert cli.main(base + ["classify", "--input", str(bad), "--output", str(tmp_path / "p.csv")]) == 2
+    assert f"feature column {column} is" in capsys.readouterr().err
 
 
 def test_render_standalone(pipeline, tmp_path):
