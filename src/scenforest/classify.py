@@ -3,6 +3,11 @@ class-adaptive confidence thresholds.
 
 Training is standard CART bagging: bootstrap bags, Gini splits over the
 real class labels, floor(sqrt(Q)) features per node, fully grown trees.
+A node's split search scores every candidate of every sampled feature in
+one pass: one stable argsort of the ``(features, rows)`` block, the
+candidates laid out feature-major (features ascending, then thresholds
+ascending), and one argmax over their gains, so ties go to the lowest
+feature and then the lowest threshold.
 Bags are recorded so out-of-bag membership stays recoverable; the OOB vote
 fraction for the true class gives a per-point confidence whose class-wise
 mean is the assignment threshold. A prediction is withdrawn when the
@@ -29,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, LabeledDataset, ParseError
+from .dataset import Dataset, LabeledDataset, ParseError, require_keys
 from .xmurf.forest import tree_rng
 
 __all__ = [
@@ -133,32 +138,36 @@ def _gini_from_counts(counts: np.ndarray) -> np.ndarray:
 
 
 def _best_split_supervised(x: np.ndarray, y: np.ndarray, rows: np.ndarray, features: np.ndarray, n_classes: int):
-    """Best Gini split over candidate midpoints (ties: lowest feature, then
-    lowest threshold)."""
+    """Best CART Gini split of the node's rows over the sampled features, in
+    one pass.
+
+    The ``(features, rows)`` block is stably argsorted along the rows once,
+    and cumulative class counts are taken in that order. Candidates are the
+    boundaries between consecutive distinct sorted values, laid out
+    feature-major (features ascending, as sampled) and, within a feature,
+    by ascending threshold; the threshold is the midpoint of the two values.
+    Returns (gain, feature, threshold), or None if every sampled feature is
+    constant in the node. One global argmax takes the first maximum, so
+    ties go to the lowest feature and then the lowest threshold.
+    """
     m = len(rows)
     counts_parent = np.bincount(y[rows], minlength=n_classes).astype(np.float64)
     g_parent = float(_gini_from_counts(counts_parent))
-    best = None
-    for q in features:
-        vals = x[rows, q]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        if sv[0] == sv[-1]:
-            continue
-        onehot = np.zeros((m, n_classes))
-        onehot[np.arange(m), y[rows][order]] = 1.0
-        cum = np.cumsum(onehot, axis=0)
-        boundaries = np.nonzero(sv[1:] != sv[:-1])[0]  # split after sorted position b
-        left_counts = cum[boundaries]
-        right_counts = counts_parent - left_counts
-        n_left = left_counts.sum(axis=1)
-        n_right = m - n_left
-        gains = g_parent - (n_left * _gini_from_counts(left_counts) + n_right * _gini_from_counts(right_counts)) / m
-        k = int(np.argmax(gains))
-        if best is None or gains[k] > best[0]:
-            tau = float((sv[boundaries[k]] + sv[boundaries[k] + 1]) / 2.0)
-            best = (float(gains[k]), int(q), tau)
-    return best
+    block = x.T[features[:, None], rows]
+    order = np.argsort(block, axis=1, kind="stable")
+    sv = np.take_along_axis(block, order, axis=1)
+    f_idx, pos = np.nonzero(sv[:, 1:] != sv[:, :-1])  # split after sorted position pos
+    if not f_idx.size:
+        return None
+    cum = np.cumsum(y[rows][order][..., None] == np.arange(n_classes), axis=1, dtype=np.float64)
+    left_counts = cum[f_idx, pos]
+    right_counts = counts_parent - left_counts
+    n_left = pos + 1.0
+    n_right = m - n_left
+    gains = g_parent - (n_left * _gini_from_counts(left_counts) + n_right * _gini_from_counts(right_counts)) / m
+    k = int(np.argmax(gains))
+    f, b = f_idx[k], pos[k]
+    return float(gains[k]), int(features[f]), float((sv[f, b] + sv[f, b + 1]) / 2.0)
 
 
 def fit_classifier(d: LabeledDataset, b_trees: int, seed: int) -> SupervisedForest:
@@ -352,18 +361,10 @@ _TREE_KEYS = ("bag", "nodes")
 _NODE_KEYS = ("id", "feature", "threshold", "left", "right", "class_counts")
 
 
-def _require(obj, keys, path, where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{path}: {where or 'top level'}: expected an object")
-    for key in keys:
-        if key not in obj:
-            raise ParseError(f"{path}: {where}{key}: missing key")
-
-
 def _load_node(n, i: int, size: int, q: int, n_labels: int, path, where: str) -> ClassNode:
     """The node at preorder position i of a tree of ``size`` nodes. Children
     must come after their parent inside the tree, so that routing always ends."""
-    _require(n, _NODE_KEYS, path, where)
+    require_keys(n, _NODE_KEYS, path, where)
     if n["id"] != i:
         raise ParseError(f"{path}: {where}id: {n['id']!r} is not its preorder position {i}")
     counts = n["class_counts"]
@@ -384,7 +385,7 @@ def _load_node(n, i: int, size: int, q: int, n_labels: int, path, where: str) ->
 
 def _load_tree(t, k: int, q: int, n_labels: int, path) -> ClassTree:
     where = f"trees[{k}]."
-    _require(t, _TREE_KEYS, path, where)
+    require_keys(t, _TREE_KEYS, path, where)
     nodes = t["nodes"]
     if not isinstance(nodes, list) or not nodes:
         raise ParseError(f"{path}: {where}nodes: expected a non-empty list")
@@ -409,7 +410,7 @@ def load_model(path):
         d = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from None
-    _require(d, _MODEL_KEYS, path, "")
+    require_keys(d, _MODEL_KEYS, path, "")
     labels, q = d["labels"], d["Q"]
     if not isinstance(labels, list) or len(labels) < 2 or not all(isinstance(c, str) for c in labels):
         raise ParseError(f"{path}: labels: expected a list of at least 2 label strings")

@@ -38,8 +38,25 @@ class ParseError(ValueError):
     """An input file does not conform to the expected format."""
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
+def require_keys(obj, keys, path, where: str) -> None:
+    """Raise ParseError unless ``obj`` is a JSON object holding every key.
+
+    ``where`` is the key path of ``obj`` inside the file, ending in ``.``
+    (empty at the top level), so messages read ``path: trees[0].bag: ...``.
+    """
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: {where.rstrip('.') or 'top level'}: expected an object")
+    for key in keys:
+        if key not in obj:
+            raise ParseError(f"{path}: {where}{key}: missing key")
+
+
+def _row_format(n: int, head: str = "", tail: str = "") -> str:
+    """printf format of one CSV line holding n floats between ``head`` and
+    ``tail``. Each float prints as format(v, ".17g") does. Lines are written
+    one row at a time: a whole-matrix tolist() would hold every value as a
+    Python float at once."""
+    return head + ",".join(["%.17g"] * n) + tail + "\n"
 
 
 @dataclass
@@ -181,8 +198,9 @@ def save_dataset(d: Dataset, path) -> None:
         raise ValueError("empty schema: dataset has no feature columns")
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(["id"] + list(d.feature_names)) + "\n")
+        line = _row_format(d.n_features, head="%s,")
         for rid, row in zip(d.ids, d.values):
-            fh.write(rid + "," + ",".join(_fmt(v) for v in row) + "\n")
+            fh.write(line % (rid, *row.tolist()))
 
 
 def load_labeled_dataset(path) -> LabeledDataset:
@@ -223,8 +241,9 @@ def save_labeled_dataset(d: LabeledDataset, path) -> None:
         raise ValueError("empty schema: dataset has no feature columns")
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(["id"] + list(d.base.feature_names) + [LABEL_COLUMN]) + "\n")
+        line = _row_format(d.base.n_features, head="%s,", tail=",%s")
         for rid, row, label in zip(d.base.ids, d.base.values, d.labels):
-            fh.write(rid + "," + ",".join(_fmt(v) for v in row) + "," + label + "\n")
+            fh.write(line % (rid, *row.tolist(), label))
 
 
 def save_matrix(p: ProximityMatrix, path, fmt: str = "csv") -> None:
@@ -238,8 +257,9 @@ def save_matrix(p: ProximityMatrix, path, fmt: str = "csv") -> None:
     if fmt == "csv":
         with open(path, "w", newline="\n") as fh:
             fh.write(",".join(p.ids) + "\n")
+            line = _row_format(p.size)
             for row in p.values:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+                fh.write(line % tuple(row.tolist()))
     elif fmt == "raw":
         path.write_bytes(p.values.astype("<f8").tobytes(order="C"))
         sidecar = {"M": p.size, "ids": list(p.ids)}

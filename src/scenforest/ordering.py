@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, LabeledDataset, ProximityMatrix
+from .dataset import Dataset, LabeledDataset, ParseError, ProximityMatrix, require_keys
 
 __all__ = [
     "Dendrogram",
@@ -223,8 +223,27 @@ def render_heatmap(p: ProximityMatrix, path) -> None:
 
 
 def load_cluster_ranges(path) -> list[ClusterRange]:
-    raw = json.loads(Path(path).read_text())
-    return [ClusterRange(int(r["start"]), int(r["end"]), str(r["label"])) for r in raw]
+    """Read a range file: a JSON list of {"start", "end", "label"} objects
+    with integer positions.
+
+    Raises ParseError naming the file and the entry, as in
+    ``ranges.json: [0].end: missing key``, or the line of invalid JSON.
+    """
+    try:
+        raw = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    if not isinstance(raw, list):
+        raise ParseError(f"{path}: top level: expected a list of ranges")
+    ranges = []
+    for i, r in enumerate(raw):
+        where = f"[{i}]."
+        require_keys(r, ("start", "end", "label"), path, where)
+        for key in ("start", "end"):
+            if type(r[key]) is not int:
+                raise ParseError(f"{path}: {where}{key}: {r[key]!r} is not an integer")
+        ranges.append(ClusterRange(r["start"], r["end"], str(r["label"])))
+    return ranges
 
 
 def _check_ranges(ranges: list[ClusterRange], m: int) -> None:

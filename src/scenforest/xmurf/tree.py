@@ -4,6 +4,13 @@ Trees are grown fully (no pruning): splitting stops only when a node holds
 one bagged datapoint or all sampled features are constant within the node.
 Node ids are assigned in preorder so a serialized tree rebuilds
 identically.
+
+The split search handles all sampled features of a node at once, in the
+manner of array-based presorted trees (Louppe 2014): one sort of the
+node's ``(features, rows)`` block, every candidate threshold of every
+feature in one feature-major array (features ascending, then thresholds
+ascending), and one argmax over their gains, so ties go to the lowest
+feature and then the lowest threshold.
 """
 
 from __future__ import annotations
@@ -43,40 +50,51 @@ class Tree:
 
 
 def _best_split(x: np.ndarray, rows: np.ndarray, features: np.ndarray, kind: str):
-    """Scan all candidate thresholds of the sampled features.
+    """Best split of the node's rows over the sampled features, in one pass.
 
-    Candidates are midpoints between consecutive sorted unique values.
-    Returns (gain, feature, threshold) of the best split or None if every
-    sampled feature is degenerate. Ties resolve to the lowest feature index
-    (features are scanned in ascending order) and then the lowest threshold
-    (argmax picks the first of equal gains on an ascending threshold grid).
+    The ``(features, rows)`` block is sorted along the rows once. Candidates
+    are the midpoints between consecutive distinct sorted values, laid out
+    feature-major (features ascending, as sampled) and, within a feature,
+    by ascending threshold. Constant features have no candidate, so no
+    zero-width interval is standardised. Returns (gain, feature,
+    threshold), or None if every sampled feature is constant in the node.
+    One global argmax takes the first maximum, so ties go to the lowest
+    feature and then the lowest threshold.
     """
     m = len(rows)
-    best = None
-    for q in features:
-        vals = np.sort(x[rows, q])
-        lo, hi = vals[0], vals[-1]
-        if hi == lo:
-            continue
-        uniq = np.unique(vals)
-        thresholds = (uniq[:-1] + uniq[1:]) / 2.0
-        real_left = np.searchsorted(vals, thresholds, side="right").astype(np.float64)
-        real_right = m - real_left
-        z = (thresholds - (hi + lo) / 2.0) / ((hi - lo) / 6.0)
-        p = noise_cdf(kind, np.clip(z, -3.0, 3.0))
-        noise_left = m * p
-        noise_right = m - noise_left
-        # parent impurity is exactly 0.5: the assumed noise mass equals the
-        # real count, so the node is perfectly balanced before the split
-        total_left = real_left + noise_left
-        total_right = real_right + noise_right
-        r_left = 2.0 * real_left * noise_left / (total_left * total_left)
-        r_right = 2.0 * real_right * noise_right / (total_right * total_right)
-        gains = 0.5 - (total_left * r_left + total_right * r_right) / (2.0 * m)
-        k = int(np.argmax(gains))
-        if best is None or gains[k] > best[0]:
-            best = (float(gains[k]), int(q), float(thresholds[k]))
-    return best
+    sv = np.sort(x.T[features[:, None], rows], axis=1)
+    f_idx, pos = np.nonzero(sv[:, 1:] != sv[:, :-1])  # split after sorted position pos
+    if not f_idx.size:
+        return None
+    above = sv[f_idx, pos + 1]
+    thresholds = (sv[f_idx, pos] + above) / 2.0
+    # the midpoint of two adjacent doubles can round up to the upper value;
+    # every copy of it then falls left as well, up to the feature's next
+    # boundary (or all m rows past its last one)
+    nxt = np.append(pos[1:], m - 1)
+    nxt[np.nonzero(f_idx[1:] != f_idx[:-1])[0]] = m - 1
+    real_left = np.where(thresholds == above, nxt, pos) + 1.0
+    real_right = m - real_left
+    lo, hi = sv[f_idx, 0], sv[f_idx, -1]
+    z = (thresholds - (hi + lo) / 2.0) / ((hi - lo) / 6.0)
+    p = noise_cdf(kind, np.clip(z, -3.0, 3.0))
+    noise_left = m * p
+    noise_right = m - noise_left
+    # parent impurity is exactly 0.5: the assumed noise mass equals the
+    # real count, so the node is perfectly balanced before the split
+    total_left = real_left + noise_left
+    total_right = real_right + noise_right
+    r_left = 2.0 * real_left * noise_left / (total_left * total_left)
+    r_right = 2.0 * real_right * noise_right / (total_right * total_right)
+    gains = 0.5 - (total_left * r_left + total_right * r_right) / (2.0 * m)
+    k = int(np.argmax(gains))  # the first NaN, if any
+    if np.isnan(gains[k]) and f_idx[k] != f_idx[0]:
+        # a gain is 0/0 when a midpoint rounds up to the feature's maximum
+        # (an empty right side) or a subnormal width's sixth is 0. Only the
+        # first feature keeps such a gain; any later feature holding one is
+        # passed over whole.
+        k = int(np.argmax(np.where(np.isin(f_idx, f_idx[np.isnan(gains)]), -np.inf, gains)))
+    return float(gains[k]), int(features[f_idx[k]]), float(thresholds[k])
 
 
 def grow_tree(x: np.ndarray, bag: np.ndarray, n_features_split: int, rng: np.random.Generator) -> Tree:

@@ -1,7 +1,8 @@
-"""Shared builders for hand-crafted traces."""
+"""Shared builders for hand-crafted traces and split-search inputs."""
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from scenforest.sim import RoadConfig, Trace, VehicleState
 from scenforest.sim.engine import _fill_index_slice
@@ -45,3 +46,30 @@ def build_trace(x, v, lane, dt=0.1, road=None, collisions=None):
 @pytest.fixture
 def trace_builder():
     return build_trace
+
+
+def adjacent_doubles(start, n):
+    """``start`` and the n - 1 doubles right above it."""
+    out = [start]
+    for _ in range(n - 1):
+        out.append(float(np.nextafter(out[-1], np.inf)))
+    return out
+
+
+@st.composite
+def split_block(draw, max_rows=10):
+    """(x, rows, features) for a split search: values from a small pool
+    (ties), a run of adjacent doubles (midpoints that round up), and an
+    optional constant column; rows is a bag with repeats."""
+    m = draw(st.integers(2, max_rows))
+    q = draw(st.integers(1, 5))
+    start = draw(st.sampled_from([1.0, float(np.nextafter(1.0, 2.0)), -0.5, 0.1, 5e-324, 1e300]))
+    pool = adjacent_doubles(start, 3)
+    pool += draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False), max_size=3))
+    x = np.array(draw(st.lists(st.sampled_from(pool), min_size=m * q, max_size=m * q))).reshape(m, q)
+    constant = draw(st.integers(0, q))
+    if constant < q:
+        x[:, constant] = pool[0]
+    rows = np.array(draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2 * m)))
+    features = np.array(sorted(draw(st.sets(st.integers(0, q - 1), min_size=1))))
+    return x, rows, features

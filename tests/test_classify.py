@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import split_block
+from scenforest import classify
 from scenforest.classify import (
     ClassNode,
     ClassThresholds,
@@ -334,6 +336,65 @@ def test_batch_across_blocks_equals_hand_walk_and_predict_detail():
     x = rng.normal(1.0, 2.0, (300, 2))  # 4800 (row, tree) pairs: more than one routing block
     assert_votes_match_walk(f, x)
     assert predict_batch(f, th, x, 0.75) == [predict_detail(f, th, x[i], 0.75) for i in range(300)]
+
+
+def loop_best_split_supervised(x, y, rows, features, n_classes):
+    """Reference CART split search: one feature at a time, in ascending
+    order, with a stable argsort and cumulative one-hot class counts; a
+    later feature replaces the best only on a strictly larger gain.
+    Production must return exactly the same tuple."""
+    m = len(rows)
+    counts_parent = np.bincount(y[rows], minlength=n_classes).astype(np.float64)
+    g_parent = float(classify._gini_from_counts(counts_parent))
+    best = None
+    for q in features:
+        vals = x[rows, q]
+        order = np.argsort(vals, kind="stable")
+        sv = vals[order]
+        if sv[0] == sv[-1]:
+            continue
+        onehot = np.zeros((m, n_classes))
+        onehot[np.arange(m), y[rows][order]] = 1.0
+        cum = np.cumsum(onehot, axis=0)
+        boundaries = np.nonzero(sv[1:] != sv[:-1])[0]
+        left_counts = cum[boundaries]
+        right_counts = counts_parent - left_counts
+        n_left = left_counts.sum(axis=1)
+        n_right = m - n_left
+        gains = g_parent - (
+            n_left * classify._gini_from_counts(left_counts) + n_right * classify._gini_from_counts(right_counts)
+        ) / m
+        k = int(np.argmax(gains))
+        if best is None or gains[k] > best[0]:
+            tau = float((sv[boundaries[k]] + sv[boundaries[k] + 1]) / 2.0)
+            best = (float(gains[k]), int(q), tau)
+    return best
+
+
+@st.composite
+def supervised_split_inputs(draw):
+    """(x, y, rows, features, n_classes) with up to 10 classes, so the sums
+    of squared class fractions run over 8 or more terms."""
+    x, rows, features = draw(split_block(max_rows=12))
+    n_classes = draw(st.integers(2, 10))
+    y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=len(x), max_size=len(x))), dtype=np.int64)
+    return x, y, rows, features, n_classes
+
+
+@settings(max_examples=300, deadline=None)
+@given(supervised_split_inputs())
+def test_best_split_supervised_equals_loop_oracle(case):
+    assert classify._best_split_supervised(*case) == loop_best_split_supervised(*case)
+
+
+def test_fit_with_loop_oracle_gives_same_model(monkeypatch):
+    rng = np.random.default_rng(9)
+    values = np.round(rng.normal(size=(80, 9)), 1)  # one decimal: many tied values
+    labels = [f"c{k}" for k in rng.integers(0, 4, size=80)]
+    d = LabeledDataset(Dataset([f"f{k}" for k in range(9)], [f"r{i}" for i in range(80)], values), labels)
+    want = classify._model_dict(fit_classifier(d, 6, seed=3), None)
+    monkeypatch.setattr(classify, "_best_split_supervised", loop_best_split_supervised)
+    assert classify._model_dict(fit_classifier(d, 6, seed=3), None) == want
 
 
 @pytest.fixture()

@@ -161,6 +161,15 @@ def test_label_overlap_rejected(pipeline, tmp_path):
     assert cli.main(base + ["label", "--ranges", str(rp)]) == 2
 
 
+def test_label_range_without_end_exits_2(pipeline, tmp_path, capsys):
+    _, _, base, _ = pipeline
+    rp = tmp_path / "ranges.json"
+    rp.write_text(json.dumps([{"start": 0, "label": "a"}]))
+    assert cli.main(base + ["label", "--ranges", str(rp)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {rp}: [0].end: missing key\n"
+
+
 def test_classify_outputs_and_ratio_monotonicity(pipeline):
     _, out, base, _ = pipeline
     ds = load_dataset(out / "scenarios.csv")

@@ -122,6 +122,43 @@ def test_matrix_csv_format(tmp_path):
     np.testing.assert_array_equal(p2.values, p.values)
 
 
+EDGE_VALUES = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324, float(np.nextafter(1.0, 0.0)), 0.1]
+
+
+def per_cell(values):
+    return ",".join(format(v, ".17g") for v in values)
+
+
+def test_csv_writers_match_per_cell_format_on_edge_values(tmp_path):
+    # the writers never check values: set them past the constructors' checks
+    n = len(EDGE_VALUES)
+    p = ProximityMatrix(np.ones((n, n)), [f"s{i}" for i in range(n)])
+    p.values = np.array([np.roll(EDGE_VALUES, k) for k in range(n)])
+    save_matrix(p, tmp_path / "m.csv", fmt="csv")
+    expected = [",".join(p.ids)] + [per_cell(row) for row in p.values]
+    assert (tmp_path / "m.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
+
+    d = Dataset([f"f{k}" for k in range(n)], ["a", "b%s"], np.zeros((2, n)))
+    d.values = np.array([EDGE_VALUES, EDGE_VALUES[::-1]])
+    save_dataset(d, tmp_path / "d.csv")
+    save_labeled_dataset(LabeledDataset(d, ["x", "y%d"]), tmp_path / "l.csv")
+    header = "id," + ",".join(d.feature_names)
+    rows = [per_cell(EDGE_VALUES), per_cell(EDGE_VALUES[::-1])]
+    assert (tmp_path / "d.csv").read_text() == f"{header}\na,{rows[0]}\nb%s,{rows[1]}\n"
+    assert (tmp_path / "l.csv").read_text() == f"{header},label\na,{rows[0]},x\nb%s,{rows[1]},y%d\n"
+
+
+def test_matrix_csv_round_trip_bit_exact(tmp_path):
+    small = [5e-324, float(np.nextafter(1.0, 0.0)), 0.1, float(np.nextafter(0.1, 1.0))]
+    v = np.ones((5, 5))
+    iu = np.triu_indices(5, 1)
+    v[iu] = np.resize(small, len(iu[0]))
+    v.T[iu] = v[iu]
+    p = ProximityMatrix(v, [f"s{i}" for i in range(5)])
+    save_matrix(p, tmp_path / "m.csv", fmt="csv")
+    assert load_matrix(tmp_path / "m.csv", fmt="csv").values.tobytes() == p.values.tobytes()
+
+
 def test_matrix_raw_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     m = 7

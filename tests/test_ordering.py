@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from scenforest.dataset import Dataset, ProximityMatrix
+from scenforest.dataset import Dataset, ParseError, ProximityMatrix
 from scenforest.ordering import (
     ClusterRange,
     apply_cluster_ranges,
@@ -231,3 +231,23 @@ def test_load_ranges_and_report(tmp_path):
     report = range_report(p, ranges)
     assert report[0]["size"] == 2
     assert report[0]["mean_similarity"] == pytest.approx(0.6)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('[{"start": 0, "label": "a"}]', r"ranges\.json: \[0\]\.end: missing key"),
+        ('[{"start": 0, "end": 1}]', r"ranges\.json: \[0\]\.label: missing key"),
+        ('{"start": 0, "end": 1, "label": "a"}', r"ranges\.json: top level: expected a list"),
+        ('[{"start": 0, "end": 1, "label": "a"}, 3]', r"ranges\.json: \[1\]: expected an object"),
+        ('[{"start": "0", "end": 1, "label": "a"}]', r"ranges\.json: \[0\]\.start: '0' is not an integer"),
+        ('[{"start": 0, "end": 1.5, "label": "a"}]', r"ranges\.json: \[0\]\.end: 1\.5 is not an integer"),
+        ('[{"start": 0, "end": true, "label": "a"}]', r"ranges\.json: \[0\]\.end: True is not an integer"),
+        ('[{"start": 0,\n "end": 1,', r"ranges\.json:2: "),
+    ],
+)
+def test_load_ranges_rejects_malformed(tmp_path, text, message):
+    path = tmp_path / "ranges.json"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message):
+        load_cluster_ranges(path)

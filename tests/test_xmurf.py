@@ -5,8 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import adjacent_doubles, split_block
 from scenforest.dataset import Dataset
+from scenforest.xmurf import tree as tree_module
 from scenforest.xmurf import (
     NOISE_KINDS,
     Forest,
@@ -225,6 +229,94 @@ def test_root_split_matches_brute_force_scan():
         assert feat == tree.root.feature
         assert tau == pytest.approx(tree.root.threshold, abs=0)
         assert gain > 0
+
+
+def loop_best_split(x, rows, features, kind):
+    """Reference split search: one feature at a time, in ascending order.
+
+    Per feature: the sorted values, midpoints of consecutive unique values,
+    real counts by searchsorted, noise by the CDF, gains, and the first
+    argmax; a later feature replaces the best only on a strictly larger
+    gain. Production must return exactly the same tuple.
+    """
+    m = len(rows)
+    best = None
+    for q in features:
+        vals = np.sort(x[rows, q])
+        lo, hi = vals[0], vals[-1]
+        if hi == lo:
+            continue
+        uniq = np.unique(vals)
+        thresholds = (uniq[:-1] + uniq[1:]) / 2.0
+        real_left = np.searchsorted(vals, thresholds, side="right").astype(np.float64)
+        real_right = m - real_left
+        z = (thresholds - (hi + lo) / 2.0) / ((hi - lo) / 6.0)
+        p = noise_cdf(kind, np.clip(z, -3.0, 3.0))
+        noise_left = m * p
+        noise_right = m - noise_left
+        total_left = real_left + noise_left
+        total_right = real_right + noise_right
+        r_left = 2.0 * real_left * noise_left / (total_left * total_left)
+        r_right = 2.0 * real_right * noise_right / (total_right * total_right)
+        gains = 0.5 - (total_left * r_left + total_right * r_right) / (2.0 * m)
+        k = int(np.argmax(gains))
+        if best is None or gains[k] > best[0]:
+            best = (float(gains[k]), int(q), float(thresholds[k]))
+    return best
+
+
+# 1 + ulp has an odd significand, so the midpoint of it and the next double
+# rounds up to that next double: every copy of the upper value falls left
+A, B = adjacent_doubles(float(np.nextafter(1.0, 2.0)), 2)
+
+
+def assert_same_split(x, rows, features, kind):
+    """Production equals the loop exactly. A NaN gain (an empty right side, or
+    a subnormal interval width whose sixth is 0) must be NaN on both, at the
+    same feature and threshold."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        got = tree_module._best_split(x, rows, features, kind)
+        want = loop_best_split(x, rows, features, kind)
+    if want is not None and math.isnan(want[0]):
+        assert got is not None and math.isnan(got[0]) and got[1:] == want[1:]
+    else:
+        assert got == want
+    return want
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_block(), st.sampled_from(NOISE_KINDS))
+def test_best_split_equals_loop_oracle(case, kind):
+    assert_same_split(*case, kind)
+
+
+@pytest.mark.parametrize(
+    "x, kind, want",
+    [
+        # the midpoint rounds up to B: both copies of B fall left, real_left = 3
+        ([[A], [B], [B], [5.0]], "normal", (0, B)),
+        # ... and B is the maximum: the right side holds only noise
+        ([[A], [B], [A], [B]], "normal", (0, B)),
+        # with the uniform CDF that side is empty, its gain 0/0; the first
+        # feature keeps the NaN gain
+        ([[0.0, 0.0], [0.0, 0.0], [A, 1.0], [B, 1.0]], "uniform", (0, B)),
+        # a later feature holding one is passed over whole, although its other
+        # candidate (4 real against 3 noise on the left) beats feature 0's zero
+        ([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, A], [1.0, B]], "uniform", (0, 0.5)),
+    ],
+)
+def test_best_split_midpoint_rounding(x, kind, want):
+    x = np.array(x)
+    rows, features = np.arange(len(x)), np.arange(x.shape[1])
+    assert assert_same_split(x, rows, features, kind)[1:] == want
+
+
+def test_fit_with_loop_oracle_gives_same_forest(monkeypatch):
+    rng = np.random.default_rng(8)
+    d = make_dataset(np.round(rng.normal(size=(60, 9)), 1))  # one decimal: many tied values
+    want = forest_to_dict(fit(d, 4, seed=7))
+    monkeypatch.setattr(tree_module, "_best_split", loop_best_split)
+    assert forest_to_dict(fit(d, 4, seed=7)) == want
 
 
 def test_separated_blobs_split_apart_at_root():
