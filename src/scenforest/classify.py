@@ -13,14 +13,15 @@ fraction for the true class gives a per-point confidence whose class-wise
 mean is the assignment threshold. A prediction is withdrawn when the
 winning vote fraction falls below an adjustable ratio of that threshold.
 
-Inference never walks node objects. On first use a forest is flattened
-into one set of node arrays (``feature``, ``threshold``, ``left``,
-``right``, the leaf vote ``argmax(class_counts)`` and each tree's root
-offset), kept on the forest instance. Leaves route to themselves. One
-batch router moves a block of (row, tree) pairs down all trees at once
-until every pair sits at a leaf, and votes are counted block by block, so
-no rows x trees matrix of votes is ever built. Votes, prediction and the
-OOB thresholds all go through it.
+Trees are ``xmurf.tree.Tree`` node arrays with a ``class_counts`` column,
+grown by the same loop as the unsupervised forest and written and read by
+the same JSON node codec. On first use the forest's node arrays are
+concatenated into one, with each tree's child ids shifted by its root
+offset, and kept on the forest instance. Leaves point at themselves, so
+one batch router moves a block of (row, tree) pairs down all trees at once
+until every pair sits at a leaf, whose vote is ``argmax(class_counts)``.
+Votes are counted block by block, so no rows x trees matrix of votes is
+ever built. Votes, prediction and the OOB thresholds all go through it.
 """
 
 from __future__ import annotations
@@ -28,19 +29,18 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import Dataset, LabeledDataset, ParseError, require_keys
 from .xmurf.forest import tree_rng
+from .xmurf.tree import Tree, grow_tree, node_dicts, read_nodes
 
 __all__ = [
     "UNASSIGNED",
-    "ClassNode",
-    "ClassTree",
     "SupervisedForest",
     "ClassThresholds",
     "fit_classifier",
@@ -59,28 +59,8 @@ _BLOCK_PAIRS = 8192  # (row, tree) pairs routed per block
 
 
 @dataclass
-class ClassNode:
-    node_id: int
-    feature: int | None = None
-    threshold: float | None = None
-    left: int | None = None
-    right: int | None = None
-    class_counts: list[int] = field(default_factory=list)
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-
-@dataclass
-class ClassTree:
-    nodes: list[ClassNode]
-    bag: np.ndarray  # bootstrap row indices, with repeats
-
-
-@dataclass
 class SupervisedForest:
-    trees: list[ClassTree]
+    trees: list[Tree]
     labels: list[str]  # sorted label set; vote vectors index into it
     q: int
     seed: int
@@ -94,35 +74,35 @@ class SupervisedForest:
     def _flat(self) -> _FlatForest:
         """Node arrays of all trees, built on first use; the trees must not
         change after that."""
-        return _flatten(self.trees)
+        sizes = [len(t.nodes) for t in self.trees]
+        root = np.cumsum([0] + sizes[:-1])
+        nodes = np.concatenate([t.nodes for t in self.trees])
+        offset = np.repeat(root, sizes)
+        return _FlatForest(
+            nodes["feature"], nodes["threshold"], nodes["left"] + offset, nodes["right"] + offset,
+            nodes["class_counts"].argmax(axis=1), root,
+        )
 
 
 @dataclass(frozen=True)
 class _FlatForest:
     """All trees' nodes in preorder, tree after tree, indexed globally."""
 
-    feature: np.ndarray  # split feature; 0 at leaves
-    threshold: np.ndarray  # go left when x[feature] <= threshold; 0.0 at leaves
+    feature: np.ndarray  # split feature; -1 at leaves
+    threshold: np.ndarray  # go left when x[feature] <= threshold
     left: np.ndarray  # global child index; a leaf points at itself
     right: np.ndarray
-    vote: np.ndarray  # leaf label index, argmax(class_counts): ties to the lowest label
+    vote: np.ndarray  # argmax(class_counts), read at leaves: ties to the lowest label
     root: np.ndarray  # global index of each tree's root
 
 
-def _flatten(trees: list[ClassTree]) -> _FlatForest:
-    nodes, root = [], []  # (feature, threshold, left, right, vote) per node
-    for tree in trees:
-        offset = len(nodes)
-        root.append(offset)
-        for i, n in enumerate(tree.nodes):
-            if n.is_leaf:
-                counts = n.class_counts
-                nodes.append((0, 0.0, offset + i, offset + i, max(range(len(counts)), key=counts.__getitem__)))
-            else:
-                nodes.append((n.feature, n.threshold, offset + n.left, offset + n.right, 0))
-    dtypes = (np.int64, np.float64, np.int64, np.int64, np.int64)
-    columns = (np.array(col, dtype=t) for col, t in zip(zip(*nodes), dtypes))
-    return _FlatForest(*columns, root=np.array(root, dtype=np.int64))
+def _class_columns(n_labels: int) -> dict:
+    """The supervised forest's own node column, in the format of ``xmurf.tree.NOISE_COLUMNS``."""
+
+    def valid(v):
+        return isinstance(v, list) and len(v) == n_labels and {*map(type, v)} == {int}
+
+    return {"class_counts": ((np.int64, (n_labels,)), valid, f"{n_labels} integer counts, one per label", None)}
 
 
 @dataclass
@@ -170,6 +150,20 @@ def _best_split_supervised(x: np.ndarray, y: np.ndarray, rows: np.ndarray, featu
     return float(gains[k]), int(features[f]), float((sv[f, b] + sv[f, b + 1]) / 2.0)
 
 
+def _cart_rule(x: np.ndarray, y: np.ndarray, n_classes: int, q_split: int, rng: np.random.Generator, rows):
+    """The supervised forest's split rule; ``grow_tree`` gets it with all
+    but ``rows`` bound. Per impure node of two or more rows the rng draws
+    ``q_split`` distinct features (no noise draw here)."""
+    own = (np.bincount(y[rows], minlength=n_classes),)
+    if len(rows) <= 1 or int(np.count_nonzero(own[0])) <= 1:
+        return own, None
+    features = np.sort(rng.choice(x.shape[1], size=min(q_split, x.shape[1]), replace=False))
+    best = _best_split_supervised(x, y, rows, features, n_classes)
+    if best is None or best[0] <= 0.0:
+        return own, None
+    return own, (best[1], best[2], own)
+
+
 def fit_classifier(d: LabeledDataset, b_trees: int, seed: int) -> SupervisedForest:
     """Fit the bagged CART ensemble; deterministic per seed.
 
@@ -187,36 +181,12 @@ def fit_classifier(d: LabeledDataset, b_trees: int, seed: int) -> SupervisedFore
     y = np.array([label_index[c] for c in d.labels], dtype=np.int64)
     n_classes = len(labels)
     q_split = max(1, math.isqrt(q))
+    columns = _class_columns(n_classes)
     trees = []
     for b in range(b_trees):
         rng = tree_rng(seed, b)
         bag = rng.integers(0, m, size=m)
-        nodes: list[ClassNode] = []
-        stack = [(np.asarray(bag), None, False)]
-        while stack:
-            rows, parent_id, is_left = stack.pop()
-            node_id = len(nodes)
-            counts = np.bincount(y[rows], minlength=n_classes)
-            node = ClassNode(node_id=node_id, class_counts=counts.tolist())
-            nodes.append(node)
-            if parent_id is not None:
-                if is_left:
-                    nodes[parent_id].left = node_id
-                else:
-                    nodes[parent_id].right = node_id
-            if len(rows) <= 1 or int(np.count_nonzero(counts)) <= 1:
-                continue
-            features = np.sort(rng.choice(q, size=min(q_split, q), replace=False))
-            best = _best_split_supervised(x, y, rows, features, n_classes)
-            if best is None or best[0] <= 0.0:
-                continue
-            _, feat, tau = best
-            node.feature = feat
-            node.threshold = tau
-            mask = x[rows, feat] <= tau
-            stack.append((rows[~mask], node_id, False))
-            stack.append((rows[mask], node_id, True))
-        trees.append(ClassTree(nodes=nodes, bag=np.asarray(bag)))
+        trees.append(grow_tree(x, bag, partial(_cart_rule, x, y, n_classes, q_split, rng), columns))
     return SupervisedForest(trees=trees, labels=labels, q=q, seed=seed, feature_names=list(d.base.feature_names))
 
 
@@ -324,6 +294,7 @@ def assignment_rate(f: SupervisedForest, th: ClassThresholds, data: Dataset, rat
 
 
 def _model_dict(f: SupervisedForest, th: ClassThresholds | None) -> dict:
+    columns = _class_columns(len(f.labels))
     return {
         "seed": f.seed,
         "B": f.n_trees,
@@ -332,23 +303,7 @@ def _model_dict(f: SupervisedForest, th: ClassThresholds | None) -> dict:
         "feature_names": f.feature_names,
         "kappa_bar": None if th is None else th.kappa_bar,
         "kappas": None if th is None else th.kappas,
-        "trees": [
-            {
-                "bag": t.bag.tolist(),
-                "nodes": [
-                    {
-                        "id": n.node_id,
-                        "feature": n.feature,
-                        "threshold": n.threshold,
-                        "left": n.left,
-                        "right": n.right,
-                        "class_counts": n.class_counts,
-                    }
-                    for n in t.nodes
-                ],
-            }
-            for t in f.trees
-        ],
+        "trees": [{"bag": t.bag.tolist(), "nodes": node_dicts(t.nodes, columns)} for t in f.trees],
     }
 
 
@@ -356,48 +311,14 @@ def save_model(f: SupervisedForest, th: ClassThresholds | None, path) -> None:
     Path(path).write_text(json.dumps(_model_dict(f, th)) + "\n")
 
 
-_MODEL_KEYS = ("seed", "Q", "labels", "trees")
-_TREE_KEYS = ("bag", "nodes")
-_NODE_KEYS = ("id", "feature", "threshold", "left", "right", "class_counts")
-
-
-def _load_node(n, i: int, size: int, q: int, n_labels: int, path, where: str) -> ClassNode:
-    """The node at preorder position i of a tree of ``size`` nodes. Children
-    must come after their parent inside the tree, so that routing always ends."""
-    require_keys(n, _NODE_KEYS, path, where)
-    if n["id"] != i:
-        raise ParseError(f"{path}: {where}id: {n['id']!r} is not its preorder position {i}")
-    counts = n["class_counts"]
-    if not isinstance(counts, list) or len(counts) != n_labels or {*map(type, counts)} != {int}:
-        raise ParseError(f"{path}: {where}class_counts: expected {n_labels} integer counts, one per label")
-    if n["feature"] is not None:
-        if type(n["feature"]) is not int or not 0 <= n["feature"] < q:
-            raise ParseError(f"{path}: {where}feature: {n['feature']!r} is not a feature index below Q={q}")
-        if type(n["threshold"]) not in (int, float):
-            raise ParseError(f"{path}: {where}threshold: {n['threshold']!r} is not a number")
-        for side in ("left", "right"):
-            if type(n[side]) is not int or not i < n[side] < size:
-                raise ParseError(f"{path}: {where}{side}: {n[side]!r} is not a node id in ({i}, {size})")
-    return ClassNode(
-        node_id=i, feature=n["feature"], threshold=n["threshold"], left=n["left"], right=n["right"], class_counts=counts
-    )
-
-
-def _load_tree(t, k: int, q: int, n_labels: int, path) -> ClassTree:
+def _load_tree(t, k: int, q: int, columns: dict, path) -> Tree:
     where = f"trees[{k}]."
-    require_keys(t, _TREE_KEYS, path, where)
-    nodes = t["nodes"]
-    if not isinstance(nodes, list) or not nodes:
-        raise ParseError(f"{path}: {where}nodes: expected a non-empty list")
+    require_keys(t, ("bag", "nodes"), path, where)
     try:
         bag = np.array(t["bag"], dtype=np.int64)
     except (TypeError, ValueError):
         raise ParseError(f"{path}: {where}bag: expected a list of row indices") from None
-    size = len(nodes)
-    return ClassTree(
-        nodes=[_load_node(n, i, size, q, n_labels, path, f"{where}nodes[{i}].") for i, n in enumerate(nodes)],
-        bag=bag,
-    )
+    return Tree(nodes=read_nodes(t["nodes"], q, columns, path, where), bag=bag)
 
 
 def load_model(path):
@@ -410,7 +331,7 @@ def load_model(path):
         d = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from None
-    require_keys(d, _MODEL_KEYS, path, "")
+    require_keys(d, ("seed", "Q", "labels", "trees"), path, "")
     labels, q = d["labels"], d["Q"]
     if not isinstance(labels, list) or len(labels) < 2 or not all(isinstance(c, str) for c in labels):
         raise ParseError(f"{path}: labels: expected a list of at least 2 label strings")
@@ -418,7 +339,8 @@ def load_model(path):
         raise ParseError(f"{path}: Q: {q!r} is not a positive feature count")
     if not isinstance(d["trees"], list) or not d["trees"]:
         raise ParseError(f"{path}: trees: expected a non-empty list")
-    trees = [_load_tree(t, k, q, len(labels), path) for k, t in enumerate(d["trees"])]
+    columns = _class_columns(len(labels))
+    trees = [_load_tree(t, k, q, columns, path) for k, t in enumerate(d["trees"])]
     names = d.get("feature_names")
     if names is not None and not (
         isinstance(names, list) and len(names) == q and all(isinstance(c, str) for c in names)

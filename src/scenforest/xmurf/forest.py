@@ -5,9 +5,10 @@ Per-tree randomness comes from counter-based seed substreams
 identical regardless of evaluation order.
 
 The pairwise proximity exploits that two root-to-leaf paths share exactly
-their common prefix: while routing all datapoints through a tree, every
-internal node where index sets diverge contributes the Jaccard term for all
-left x right pairs at once, which keeps the M x M accumulation vectorized.
+their common prefix: while routing all datapoints through a tree's node
+array, every internal node where index sets diverge contributes the Jaccard
+term for all left x right pairs at once, and every leaf adds 1 for all
+pairs it holds, which keeps the M x M accumulation vectorized.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from ..dataset import Dataset, ProximityMatrix
-from .tree import Tree, TreeNode, grow_tree
+from ..dataset import Dataset, ParseError, ProximityMatrix, require_keys
+from .tree import NOISE_COLUMNS, Tree, grow_tree, node_dicts, noise_rule, read_nodes
 
 __all__ = ["Forest", "fit", "proximity_matrix", "save_forest", "load_forest", "tree_rng"]
 
@@ -65,46 +67,37 @@ def fit(data: Dataset, b_trees: int, seed: int) -> Forest:
     for b in range(b_trees):
         rng = tree_rng(seed, b)
         bag = rng.integers(0, m, size=m)
-        trees.append(grow_tree(data.values, bag, q_split, rng))
+        trees.append(grow_tree(data.values, bag, partial(noise_rule, data.values, q_split, rng), NOISE_COLUMNS))
     return Forest(trees=trees, q=q, seed=seed, feature_names=list(data.feature_names))
 
 
 def _tree_accumulate(tree: Tree, x: np.ndarray, diverging: np.ndarray, same_leaf: np.ndarray) -> None:
-    """Add one tree's pairwise Jaccard terms to the accumulators.
+    """Add one tree's pairwise Jaccard terms to the accumulators, in one walk.
 
     ``diverging`` receives the (i left, j right) orientation only;
-    ``same_leaf`` receives full symmetric blocks including the diagonal.
+    ``same_leaf`` receives full symmetric blocks including the diagonal:
+    every pair that lands in the same leaf has identical paths, Jaccard 1.
     """
     m = x.shape[0]
     path_len = np.zeros(m, dtype=np.int64)
     splits = []  # (shared prefix length, left indices, right indices)
     stack = [(0, np.arange(m), 0)]
     while stack:
-        node_id, idx, depth = stack.pop()
-        node = tree.nodes[node_id]
-        if node.is_leaf:
+        i, idx, depth = stack.pop()
+        feature, threshold, left, right = tree.nodes[i].item()[:4]
+        if left == i:
             path_len[idx] = depth + 1
-            continue
-        mask = x[idx, node.feature] <= node.threshold
-        li, ri = idx[mask], idx[~mask]
-        splits.append((depth + 1, li, ri))
-        stack.append((node.right, ri, depth + 1))
-        stack.append((node.left, li, depth + 1))
-    for shared, li, ri in splits:
-        if len(li) and len(ri):
-            diverging[np.ix_(li, ri)] += shared / (path_len[li][:, None] + path_len[ri][None, :] - shared)
-    # identical paths: every pair that lands in the same leaf has Jaccard 1
-    stack = [(0, np.arange(m))]
-    while stack:
-        node_id, idx = stack.pop()
-        node = tree.nodes[node_id]
-        if node.is_leaf:
             if len(idx):
                 same_leaf[np.ix_(idx, idx)] += 1.0
             continue
-        mask = x[idx, node.feature] <= node.threshold
-        stack.append((node.right, idx[~mask]))
-        stack.append((node.left, idx[mask]))
+        mask = x[idx, feature] <= threshold
+        li, ri = idx[mask], idx[~mask]
+        splits.append((depth + 1, li, ri))
+        stack.append((right, ri, depth + 1))
+        stack.append((left, li, depth + 1))
+    for shared, li, ri in splits:
+        if len(li) and len(ri):
+            diverging[np.ix_(li, ri)] += shared / (path_len[li][:, None] + path_len[ri][None, :] - shared)
 
 
 def proximity_matrix(forest: Forest, data: Dataset) -> ProximityMatrix:
@@ -124,37 +117,13 @@ def proximity_matrix(forest: Forest, data: Dataset) -> ProximityMatrix:
     return ProximityMatrix(values=values, ids=list(data.ids))
 
 
-def _node_dict(n: TreeNode) -> dict:
-    return {
-        "id": n.node_id,
-        "feature": n.feature,
-        "threshold": n.threshold,
-        "left": n.left,
-        "right": n.right,
-        "real_count": n.real_count,
-        "noise_kind": n.noise_kind,
-    }
-
-
-def _node_from_dict(d: dict) -> TreeNode:
-    return TreeNode(
-        node_id=d["id"],
-        feature=d["feature"],
-        threshold=d["threshold"],
-        left=d["left"],
-        right=d["right"],
-        real_count=d["real_count"],
-        noise_kind=d["noise_kind"],
-    )
-
-
 def forest_to_dict(forest: Forest) -> dict:
     return {
         "seed": forest.seed,
         "B": forest.n_trees,
         "Q": forest.q,
         "feature_names": forest.feature_names,
-        "trees": [{"nodes": [_node_dict(n) for n in t.nodes]} for t in forest.trees],
+        "trees": [{"nodes": node_dicts(t.nodes, NOISE_COLUMNS)} for t in forest.trees],
     }
 
 
@@ -163,6 +132,20 @@ def save_forest(forest: Forest, path) -> None:
 
 
 def load_forest(path) -> Forest:
-    d = json.loads(Path(path).read_text())
-    trees = [Tree(nodes=[_node_from_dict(n) for n in t["nodes"]]) for t in d["trees"]]
-    return Forest(trees=trees, q=d["Q"], seed=d["seed"], feature_names=d.get("feature_names"))
+    """Load a forest JSON. Raises ParseError naming the file and the key
+    path of the first entry that is missing or malformed."""
+    try:
+        d = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    require_keys(d, ("seed", "Q", "trees"), path, "")
+    q = d["Q"]
+    if type(q) is not int or q < 1:
+        raise ParseError(f"{path}: Q: {q!r} is not a positive feature count")
+    if not isinstance(d["trees"], list) or not d["trees"]:
+        raise ParseError(f"{path}: trees: expected a non-empty list")
+    trees = []
+    for k, t in enumerate(d["trees"]):
+        require_keys(t, ("nodes",), path, f"trees[{k}].")
+        trees.append(Tree(nodes=read_nodes(t["nodes"], q, NOISE_COLUMNS, path, f"trees[{k}].")))
+    return Forest(trees=trees, q=q, seed=d["seed"], feature_names=d.get("feature_names"))

@@ -47,7 +47,8 @@ def gini_gain(parent: tuple, left: tuple, right: tuple) -> float:
     """Impurity decrease of a split; counts are (real, noise) per node.
 
     Requires class-wise conservation: child real counts must sum exactly to
-    the parent's, noise counts within 1e-9.
+    the parent's, noise counts within 1e-9. The split search orders its
+    operations differently, so this scalar form serves as the tests' oracle.
     """
     if left[0] + right[0] != parent[0]:
         raise ValueError(f"real counts not conserved: {left[0]} + {right[0]} != {parent[0]}")
@@ -63,10 +64,11 @@ def gini_gain(parent: tuple, left: tuple, right: tuple) -> float:
     )
 
 
-def standardize(tau: float, node_min: float, node_max: float) -> float:
+def standardize(tau, node_min, node_max):
     """Map a threshold to z-units of the node interval: mean at the interval
-    midpoint, sigma at one sixth of the width, so the interval covers +-3 sigma."""
-    if not node_max > node_min:
+    midpoint, sigma at one sixth of the width, so the interval covers +-3 sigma.
+    Takes scalars, or arrays with one candidate threshold per element."""
+    if not np.greater(node_max, node_min).all():
         raise ValueError(f"degenerate feature interval [{node_min}, {node_max}]")
     mu = (node_max + node_min) / 2.0
     sigma = (node_max - node_min) / 6.0
@@ -95,7 +97,7 @@ def noise_cdf(kind: str, z):
     all three kinds.
     """
     z = np.asarray(z, dtype=np.float64)
-    if np.any(z < -3.0) or np.any(z > 3.0):
+    if (z < -3.0).any() or (z > 3.0).any():
         warnings.warn("standardized threshold outside [-3, 3]; clamping", stacklevel=2)
         z = np.clip(z, -3.0, 3.0)
     if kind == "uniform":
@@ -119,7 +121,7 @@ def estimate_noise_children(m_real_node: int, p) -> tuple:
     if m_real_node < 1:
         raise ValueError("node must hold at least one real datapoint")
     p = np.asarray(p, dtype=np.float64)
-    if np.any(p < 0.0) or np.any(p > 1.0):
+    if (p < 0.0).any() or (p > 1.0).any():
         raise ValueError("split fraction outside [0, 1]")
     left = m_real_node * p
     right = m_real_node - left

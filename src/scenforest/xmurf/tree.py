@@ -1,52 +1,87 @@
-"""Single-tree construction and path extraction for the unsupervised forest.
+"""The node-array tree of both forests, and the unsupervised split rule.
 
-Trees are grown fully (no pruning): splitting stops only when a node holds
-one bagged datapoint or all sampled features are constant within the node.
-Node ids are assigned in preorder so a serialized tree rebuilds
-identically.
+A tree is one preorder record array ``nodes`` (array-based trees, Louppe
+2014): the fields ``feature``, ``threshold``, ``left`` and ``right`` (go
+left iff value <= threshold), then the forest's own columns, ``real_count``
+and ``noise_kind`` (an index into ``NOISE_CODES``) or ``class_counts``.
+A leaf points at itself (``left == right == i``) and has feature -1.
+Children come after their parent, so every walk ends at a leaf, and node
+ids are preorder positions, so a serialized tree rebuilds identically.
+Both forests share the grow loop, the JSON node writer and the validated
+node reader below.
 
-The split search handles all sampled features of a node at once, in the
-manner of array-based presorted trees (Louppe 2014): one sort of the
-node's ``(features, rows)`` block, every candidate threshold of every
-feature in one feature-major array (features ascending, then thresholds
-ascending), and one argmax over their gains, so ties go to the lowest
-feature and then the lowest threshold.
+Trees are grown fully (no pruning). The unsupervised split search handles
+all sampled features of a node at once: one sort of the node's
+``(features, rows)`` block, every candidate threshold of every feature in
+one feature-major array (features ascending, then thresholds ascending),
+and one argmax over their gains, so ties go to the lowest feature and then
+the lowest threshold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import NOISE_KINDS, noise_cdf
+from ..dataset import ParseError, require_keys
+from .noise import NOISE_KINDS, estimate_noise_children, noise_cdf, standardize
 
-__all__ = ["TreeNode", "Tree", "grow_tree", "path", "path_proximity_tree"]
+__all__ = ["Tree", "grow_tree", "noise_rule", "node_dicts", "read_nodes", "path", "path_proximity_tree"]
 
+SPLIT_FIELDS = [("feature", np.int64), ("threshold", np.float64), ("left", np.int64), ("right", np.int64)]
 
-@dataclass
-class TreeNode:
-    node_id: int
-    feature: int | None = None      # split feature index, None for leaves
-    threshold: float | None = None  # go left iff value <= threshold
-    left: int | None = None
-    right: int | None = None
-    real_count: int = 0             # bagged datapoints reaching this node
-    noise_kind: str | None = None   # CDF drawn for this node's split search
+NOISE_CODES = (None, *NOISE_KINDS)  # noise_kind is stored as an index into this; a leaf has 0
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+# A forest's own columns: name -> (record dtype, check of a JSON value, what the check wants, and
+# for a column stored as codes, the JSON value of each code)
+NOISE_COLUMNS = {
+    "real_count": (np.int64, lambda v: type(v) is int, "an integer", None),
+    "noise_kind": (np.int8, lambda v: v in NOISE_CODES, f"null or one of {', '.join(NOISE_KINDS)}", NOISE_CODES),
+}
 
 
 @dataclass
 class Tree:
-    nodes: list[TreeNode] = field(default_factory=list)
-    bag: np.ndarray | None = None   # bootstrap row indices (with repeats)
+    nodes: np.ndarray              # preorder record array, see the module docstring
+    bag: np.ndarray | None = None  # bootstrap row indices (with repeats)
 
-    @property
-    def root(self) -> TreeNode:
-        return self.nodes[0]
+
+def _dtype(columns: dict) -> np.dtype:
+    return np.dtype(SPLIT_FIELDS + [(name, spec[0]) for name, spec in columns.items()])
+
+
+def grow_tree(x: np.ndarray, bag: np.ndarray, rule, columns: dict) -> Tree:
+    """Grow one fully-grown tree on the bagged rows of the data matrix.
+
+    ``rule(rows)`` makes all of a node's rng draws and returns the node's
+    own columns as a leaf, and its split: None, or (feature, threshold, own
+    columns as a split node). A split that leaves a side empty makes the
+    node a leaf: a midpoint of two adjacent doubles can round up to the node
+    maximum, and the child holding every row would split there forever.
+    """
+    bag = np.asarray(bag)
+    records = []
+    # preorder DFS; a left child is always its parent's id + 1, so the stack
+    # holds (rows, id of the parent whose right child this is, or -1)
+    stack = [(bag, -1)]
+    while stack:
+        rows, right_of = stack.pop()
+        i = len(records)
+        if right_of >= 0:
+            records[right_of][3] = i
+        own, split = rule(rows)
+        record = [-1, 0.0, i, i, *own]
+        if split is not None:
+            feature, tau, split_own = split
+            mask = x[rows, feature] <= tau
+            if 0 < np.count_nonzero(mask) < len(rows):
+                record = [feature, tau, i + 1, -1, *split_own]
+                # push right first so the left child is created (and numbered) first
+                stack.append((rows[~mask], i))
+                stack.append((rows[mask], -1))
+        records.append(record)
+    return Tree(nodes=np.array([tuple(r) for r in records], dtype=_dtype(columns)), bag=bag)
 
 
 def _best_split(x: np.ndarray, rows: np.ndarray, features: np.ndarray, kind: str):
@@ -75,11 +110,8 @@ def _best_split(x: np.ndarray, rows: np.ndarray, features: np.ndarray, kind: str
     nxt[np.nonzero(f_idx[1:] != f_idx[:-1])[0]] = m - 1
     real_left = np.where(thresholds == above, nxt, pos) + 1.0
     real_right = m - real_left
-    lo, hi = sv[f_idx, 0], sv[f_idx, -1]
-    z = (thresholds - (hi + lo) / 2.0) / ((hi - lo) / 6.0)
-    p = noise_cdf(kind, np.clip(z, -3.0, 3.0))
-    noise_left = m * p
-    noise_right = m - noise_left
+    z = standardize(thresholds, sv[f_idx, 0], sv[f_idx, -1])
+    noise_left, noise_right = estimate_noise_children(m, noise_cdf(kind, np.clip(z, -3.0, 3.0)))
     # parent impurity is exactly 0.5: the assumed noise mass equals the
     # real count, so the node is perfectly balanced before the split
     total_left = real_left + noise_left
@@ -97,56 +129,87 @@ def _best_split(x: np.ndarray, rows: np.ndarray, features: np.ndarray, kind: str
     return float(gains[k]), int(features[f_idx[k]]), float(thresholds[k])
 
 
-def grow_tree(x: np.ndarray, bag: np.ndarray, n_features_split: int, rng: np.random.Generator) -> Tree:
-    """Grow one fully-grown tree on the bagged rows of the data matrix.
-
-    Per node the rng draws, in order: the noise-CDF kind, then
-    ``n_features_split`` distinct feature indices.
+def noise_rule(x: np.ndarray, n_features_split: int, rng: np.random.Generator, rows: np.ndarray):
+    """The unsupervised forest's split rule; ``grow_tree`` gets it with all
+    but ``rows`` bound. Per node of two or more rows the rng draws, in
+    order: the noise-CDF kind, then ``n_features_split`` distinct features.
     """
-    q_total = x.shape[1]
-    tree = Tree(bag=np.asarray(bag))
-    # preorder DFS; stack holds (rows, parent_id, is_left), root has no parent
-    stack = [(np.asarray(bag), None, False)]
-    while stack:
-        rows, parent_id, is_left = stack.pop()
-        node_id = len(tree.nodes)
-        node = TreeNode(node_id=node_id, real_count=len(rows))
-        tree.nodes.append(node)
-        if parent_id is not None:
-            if is_left:
-                tree.nodes[parent_id].left = node_id
-            else:
-                tree.nodes[parent_id].right = node_id
-        if len(rows) <= 1:
+    leaf = (len(rows), 0)
+    if len(rows) <= 1:
+        return leaf, None
+    kind = NOISE_KINDS[rng.integers(len(NOISE_KINDS))]
+    features = np.sort(rng.choice(x.shape[1], size=min(n_features_split, x.shape[1]), replace=False))
+    best = _best_split(x, rows, features, kind)
+    # a perfectly balanced candidate scores exactly zero against the
+    # balanced virtual noise; trees still split there (fully grown down
+    # to singleton or degenerate leaves), and negative gain cannot occur
+    if best is None or best[0] < 0.0:
+        return leaf, None
+    return leaf, (best[1], best[2], (len(rows), NOISE_CODES.index(kind)))
+
+
+def node_dicts(nodes: np.ndarray, columns: dict) -> list[dict]:
+    """The JSON objects of a tree's nodes, in preorder: ``id``, the split
+    fields (null at a leaf), then the forest's own columns."""
+    names, leaf, out = nodes.dtype.names, (None,) * len(SPLIT_FIELDS), []
+    values = [nodes[name].tolist() for name in names]
+    for k, (*_, codes) in enumerate(columns.values(), len(SPLIT_FIELDS)):
+        if codes:
+            values[k] = [codes[c] for c in values[k]]
+    for i, record in enumerate(zip(*values)):
+        d = {"id": i}
+        d.update(zip(names, record if record[2] != i else leaf + record[4:]))
+        out.append(d)
+    return out
+
+
+def read_nodes(nodes, q: int, columns: dict, path, where: str) -> np.ndarray:
+    """The record array of a tree's JSON node list at key path ``where``.
+
+    Raises ParseError naming the file and the key path of the first node
+    entry that is missing or malformed. Node i must have id i, and a split
+    node's feature must be below Q and its children must come after it
+    inside the tree, so that every walk ends at a leaf.
+    """
+    if not isinstance(nodes, list) or not nodes:
+        raise ParseError(f"{path}: {where}nodes: expected a non-empty list")
+    size, records = len(nodes), []
+    keys = ["id", *(name for name, _ in SPLIT_FIELDS), *columns]
+    for i, n in enumerate(nodes):
+        at = f"{where}nodes[{i}]."
+        require_keys(n, keys, path, at)
+        if n["id"] != i:
+            raise ParseError(f"{path}: {at}id: {n['id']!r} is not its preorder position {i}")
+        for name, (_, valid, want, _) in columns.items():
+            if not valid(n[name]):
+                raise ParseError(f"{path}: {at}{name}: expected {want}")
+        own = [n[name] if codes is None else codes.index(n[name]) for name, (*_, codes) in columns.items()]
+        if n["feature"] is None:
+            records.append((-1, 0.0, i, i, *own))
             continue
-        kind = NOISE_KINDS[rng.integers(len(NOISE_KINDS))]
-        features = np.sort(rng.choice(q_total, size=min(n_features_split, q_total), replace=False))
-        best = _best_split(x, rows, features, kind)
-        # a perfectly balanced candidate scores exactly zero against the
-        # balanced virtual noise; trees still split there (fully grown down
-        # to singleton or degenerate leaves), and negative gain cannot occur
-        if best is None or best[0] < 0.0:
-            continue
-        _, q, tau = best
-        node.feature = q
-        node.threshold = tau
-        node.noise_kind = kind
-        mask = x[rows, q] <= tau
-        # push right first so the left child is created (and numbered) first
-        stack.append((rows[~mask], node_id, False))
-        stack.append((rows[mask], node_id, True))
-    return tree
+        if type(n["feature"]) is not int or not 0 <= n["feature"] < q:
+            raise ParseError(f"{path}: {at}feature: {n['feature']!r} is not a feature index below Q={q}")
+        if type(n["threshold"]) not in (int, float):
+            raise ParseError(f"{path}: {at}threshold: {n['threshold']!r} is not a number")
+        for side in ("left", "right"):
+            if type(n[side]) is not int or not i < n[side] < size:
+                raise ParseError(f"{path}: {at}{side}: {n[side]!r} is not a node id in ({i}, {size})")
+        records.append((n["feature"], n["threshold"], n["left"], n["right"], *own))
+    try:
+        return np.array(records, dtype=_dtype(columns))
+    except OverflowError:
+        raise ParseError(f"{path}: {where}nodes: a number is out of range") from None
 
 
 def path(x: np.ndarray, tree: Tree) -> set:
     """Node ids visited by one datapoint from the root to its leaf."""
-    visited = set()
-    node = tree.root
+    i, visited = 0, {0}
     while True:
-        visited.add(node.node_id)
-        if node.is_leaf:
+        feature, threshold, left, right = tree.nodes[i].item()[:4]
+        if left == i:
             return visited
-        node = tree.nodes[node.left if x[node.feature] <= node.threshold else node.right]
+        i = left if x[feature] <= threshold else right
+        visited.add(i)
 
 
 def path_proximity_tree(p1: set, p2: set) -> float:

@@ -1,9 +1,11 @@
-"""Shared builders for hand-crafted traces and split-search inputs."""
+"""Shared builders for hand-crafted traces, split-search inputs and small
+tie-heavy datasets."""
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from scenforest.dataset import Dataset
 from scenforest.sim import RoadConfig, Trace, VehicleState
 from scenforest.sim.engine import _fill_index_slice
 
@@ -57,10 +59,9 @@ def adjacent_doubles(start, n):
 
 
 @st.composite
-def split_block(draw, max_rows=10):
-    """(x, rows, features) for a split search: values from a small pool
-    (ties), a run of adjacent doubles (midpoints that round up), and an
-    optional constant column; rows is a bag with repeats."""
+def value_matrix(draw, max_rows=10):
+    """(M, Q) values from a small pool (ties), a run of adjacent doubles
+    (midpoints that round up), and an optional constant column."""
     m = draw(st.integers(2, max_rows))
     q = draw(st.integers(1, 5))
     start = draw(st.sampled_from([1.0, float(np.nextafter(1.0, 2.0)), -0.5, 0.1, 5e-324, 1e300]))
@@ -70,6 +71,25 @@ def split_block(draw, max_rows=10):
     constant = draw(st.integers(0, q))
     if constant < q:
         x[:, constant] = pool[0]
+    return x
+
+
+@st.composite
+def split_block(draw, max_rows=10):
+    """(x, rows, features) for a split search: a value matrix, and rows
+    drawn as a bag with repeats."""
+    x = draw(value_matrix(max_rows))
+    m, q = x.shape
     rows = np.array(draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2 * m)))
     features = np.array(sorted(draw(st.sets(st.integers(0, q - 1), min_size=1))))
     return x, rows, features
+
+
+@st.composite
+def tie_heavy_dataset(draw, max_rows=10):
+    """A Dataset over a value matrix, some of whose rows are copies of others."""
+    x = draw(value_matrix(max_rows))
+    m, q = x.shape
+    for dst, src in draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)), max_size=3)):
+        x[dst] = x[src]
+    return Dataset([f"f{k}" for k in range(q)], [f"r{i}" for i in range(m)], x)

@@ -1,18 +1,18 @@
 """Supervised forest, OOB thresholds, and the withdraw rule."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import split_block
+from conftest import adjacent_doubles, split_block, tie_heavy_dataset
 from scenforest import classify
 from scenforest.classify import (
-    ClassNode,
     ClassThresholds,
-    ClassTree,
     SupervisedForest,
     assignment_rate,
     fit_classifier,
@@ -25,15 +25,22 @@ from scenforest.classify import (
     save_model,
 )
 from scenforest.dataset import Dataset, LabeledDataset, ParseError
+from scenforest.xmurf.tree import Tree, read_nodes
 
 
 def walk_vote(tree, x):
-    """Oracle: walk one tree's node objects for one row; the leaf votes
-    argmax(class_counts), ties to the lowest label."""
-    node = tree.nodes[0]
-    while node.feature is not None:
-        node = tree.nodes[node.left if x[node.feature] <= node.threshold else node.right]
-    return int(np.argmax(node.class_counts))
+    """Oracle: walk one tree's node array for one row, node by node; the
+    leaf votes argmax(class_counts), ties to the lowest label."""
+    i = 0
+    while tree.nodes[i]["left"] != i:
+        node = tree.nodes[i]
+        i = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
+    return int(np.argmax(tree.nodes[i]["class_counts"]))
+
+
+def class_tree(nodes, q, n_labels, bag):
+    """A tree from node dicts, read by the production reader."""
+    return Tree(nodes=read_nodes(nodes, q, classify._class_columns(n_labels), "hand", ""), bag=np.array(bag))
 
 
 def blobs(rng, n=30, sep=8.0):
@@ -58,9 +65,8 @@ def test_fit_deterministic():
     f2 = fit_classifier(d, 10, seed=7)
     for t1, t2 in zip(f1.trees, f2.trees):
         np.testing.assert_array_equal(t1.bag, t2.bag)
-        assert [(n.feature, n.threshold, n.class_counts) for n in t1.nodes] == [
-            (n.feature, n.threshold, n.class_counts) for n in t2.nodes
-        ]
+        for field in ("feature", "threshold", "class_counts"):
+            np.testing.assert_array_equal(t1.nodes[field], t2.nodes[field])
 
 
 def test_single_class_rejected():
@@ -78,13 +84,13 @@ def test_label_permutation_keeps_structure():
     for t1, t2 in zip(f1.trees, f2.trees):
         np.testing.assert_array_equal(t1.bag, t2.bag)
         for n1, n2 in zip(t1.nodes, t2.nodes):
-            assert (n1.feature, n1.threshold, n1.left, n1.right) == (
-                n2.feature,
-                n2.threshold,
-                n2.left,
-                n2.right,
+            assert (n1["feature"], n1["threshold"], n1["left"], n1["right"]) == (
+                n2["feature"],
+                n2["threshold"],
+                n2["left"],
+                n2["right"],
             )
-            assert n1.class_counts == n2.class_counts[::-1]  # relabeled majorities
+            assert n1["class_counts"].tolist() == n2["class_counts"][::-1].tolist()  # relabeled majorities
 
 
 def test_oob_vote_uses_only_out_of_bag_trees():
@@ -109,7 +115,8 @@ def leaf_tree(vote_index, bag):
     """Single-leaf tree voting a fixed class; bag controls OOB membership."""
     counts = [0, 0]
     counts[vote_index] = 1
-    return ClassTree(nodes=[ClassNode(node_id=0, class_counts=counts)], bag=np.array(bag))
+    leaf = {"id": 0, "feature": None, "threshold": None, "left": None, "right": None, "class_counts": counts}
+    return class_tree([leaf], 1, 2, bag)
 
 
 def test_kappa_counting_hand_model():
@@ -278,18 +285,18 @@ def hand_tree(draw, q, n_labels):
     nodes = []
 
     def grow(depth):
-        node = ClassNode(node_id=len(nodes))
+        node = {"id": len(nodes), "feature": None, "threshold": None, "left": None, "right": None}
         nodes.append(node)
         if depth < 4 and draw(st.booleans()):
-            node.feature = draw(st.integers(0, q - 1))
-            node.threshold = draw(st.sampled_from(GRID))
-            node.left = grow(depth + 1)
-            node.right = grow(depth + 1)
-        node.class_counts = draw(st.lists(st.integers(0, 2), min_size=n_labels, max_size=n_labels))
-        return node.node_id
+            node["feature"] = draw(st.integers(0, q - 1))
+            node["threshold"] = draw(st.sampled_from(GRID))
+            node["left"] = grow(depth + 1)
+            node["right"] = grow(depth + 1)
+        node["class_counts"] = draw(st.lists(st.integers(0, 2), min_size=n_labels, max_size=n_labels))
+        return node["id"]
 
     grow(0)
-    return ClassTree(nodes=nodes, bag=np.zeros(1, dtype=np.int64))
+    return class_tree(nodes, q, n_labels, [0])
 
 
 @st.composite
@@ -451,3 +458,40 @@ def test_load_model_rejects_child_outside_tree(model_dict):
     t, node = internal_node(model)
     node["left"] = len(model["trees"][t]["nodes"])
     assert_load_rejects(model, path, rf"trees\[{t}\]\.nodes\[{node['id']}\]\.left")
+
+
+def test_fit_classifier_stops_at_split_with_empty_side():
+    # the best boundary lies between 1+ulp and 1+2ulp, but their midpoint
+    # rounds up to 1+2ulp, the node maximum: the split sends every row left
+    _, a, b = adjacent_doubles(1.0, 3)
+    base = Dataset(["f"], ["r0", "r1", "r2", "r3"], [[0.0], [a], [a], [b]])
+    f = fit_classifier(LabeledDataset(base, ["x", "x", "x", "y"]), 5, seed=1)
+    for tree in f.trees:
+        count = tree.nodes["class_counts"].sum(axis=1)
+        internal = tree.nodes["left"] != np.arange(len(tree.nodes))
+        left, right = tree.nodes["left"][internal], tree.nodes["right"][internal]
+        assert np.all(count[left] > 0) and np.all(count[right] > 0)
+        np.testing.assert_array_equal(count[left] + count[right], count[internal])
+
+
+@st.composite
+def tie_heavy_labeled(draw):
+    d = draw(tie_heavy_dataset())
+    labels = st.lists(st.sampled_from("abc"), min_size=d.n_rows, max_size=d.n_rows)
+    return LabeledDataset(d, draw(labels.filter(lambda v: len(set(v)) >= 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tie_heavy_labeled(), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_fit_classifier_deterministic_and_model_json_round_trips(d, b, seed):
+    f = fit_classifier(d, b, seed=seed)
+    assert classify._model_dict(f, None) == classify._model_dict(fit_classifier(d, b, seed=seed), None)
+    try:
+        th = oob_thresholds(f, d)
+    except ValueError:  # a class without out-of-bag rows: save the forest alone
+        th = None
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.json", Path(tmp) / "b.json"
+        save_model(f, th, first)
+        save_model(*load_model(first), second)
+        assert first.read_bytes() == second.read_bytes()

@@ -2,20 +2,21 @@
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import adjacent_doubles, split_block
-from scenforest.dataset import Dataset
+from conftest import adjacent_doubles, split_block, tie_heavy_dataset
+from scenforest.dataset import Dataset, ParseError
 from scenforest.xmurf import tree as tree_module
 from scenforest.xmurf import (
     NOISE_KINDS,
     Forest,
     Tree,
-    TreeNode,
     estimate_noise_children,
     fit,
     forest_to_dict,
@@ -40,6 +41,11 @@ def make_dataset(values, names=None):
         ids=[f"r{i}" for i in range(values.shape[0])],
         values=values,
     )
+
+
+def is_leaf(tree):
+    """Per node: True at a leaf, which points at itself."""
+    return tree.nodes["left"] == np.arange(len(tree.nodes))
 
 
 # ---------------------------------------------------------------- split math
@@ -146,7 +152,7 @@ def test_fit_minimal_two_rows():
     d = make_dataset([[0.0], [1.0]])
     f = fit(d, 1, seed=5)
     tree = f.trees[0]
-    internal = [n for n in tree.nodes if not n.is_leaf]
+    internal = np.nonzero(~is_leaf(tree))[0]
     # bootstrap may draw one row twice; with two distinct rows in the bag the
     # tree is exactly root + two leaves
     if len(set(tree.bag.tolist())) == 2:
@@ -159,7 +165,7 @@ def test_fit_two_distinct_rows_splits():
         f = fit(d, 1, seed=seed)
         tree = f.trees[0]
         if len(set(tree.bag.tolist())) == 2:
-            assert not tree.root.is_leaf
+            assert not is_leaf(tree)[0]
             assert len(tree.nodes) == 3
             return
     pytest.fail("no seed produced a two-row bag")
@@ -180,7 +186,7 @@ def test_fit_degenerate_dataset_warns():
     with pytest.warns(UserWarning, match="identical"):
         f = fit(d, 3, seed=0)
     for tree in f.trees:
-        assert len(tree.nodes) == 1 and tree.root.is_leaf
+        assert len(tree.nodes) == 1 and is_leaf(tree)[0]
 
 
 def test_fit_validates_inputs():
@@ -224,10 +230,11 @@ def test_root_split_matches_brute_force_scan():
         np.testing.assert_array_equal(bag, tree.bag)
         kind = NOISE_KINDS[rng_replay.integers(len(NOISE_KINDS))]
         feats = np.sort(rng_replay.choice(2, size=q_split, replace=False))
-        assert kind == tree.root.noise_kind
+        root = tree.nodes[0]
+        assert kind == tree_module.NOISE_CODES[root["noise_kind"]]
         gain, feat, tau = scan_best_split(x, bag, feats, kind)
-        assert feat == tree.root.feature
-        assert tau == pytest.approx(tree.root.threshold, abs=0)
+        assert feat == root["feature"]
+        assert tau == pytest.approx(root["threshold"], abs=0)
         assert gain > 0
 
 
@@ -330,7 +337,7 @@ def test_separated_blobs_split_apart_at_root():
     separated = 0
     for tree in f.trees:
         blob = tree.bag >= 50
-        left = x[tree.bag, tree.root.feature] <= tree.root.threshold
+        left = x[tree.bag, tree.nodes[0]["feature"]] <= tree.nodes[0]["threshold"]
         blob0_left = int(np.sum(left & ~blob)) > int(np.sum(~left & ~blob))
         blob1_right = int(np.sum(~left & blob)) > int(np.sum(left & blob))
         if blob0_left == blob1_right:
@@ -340,21 +347,26 @@ def test_separated_blobs_split_apart_at_root():
 
 # ------------------------------------------------------------ paths, Jaccard
 
-def test_path_single_node_tree():
-    tree = Tree(nodes=[TreeNode(node_id=0, real_count=3)])
-    assert path(np.array([1.0]), tree) == {0}
-
-
-def leaf(i, n=1):
-    return TreeNode(node_id=i, real_count=n)
+def hand_tree(*nodes):
+    """A one-feature tree from node dicts, read by the production reader."""
+    return Tree(nodes=tree_module.read_nodes(list(nodes), 1, tree_module.NOISE_COLUMNS, "hand", ""))
 
 
 def split(i, feat, tau, l, r, n=2):
-    return TreeNode(node_id=i, feature=feat, threshold=tau, left=l, right=r, real_count=n)
+    return {"id": i, "feature": feat, "threshold": tau, "left": l, "right": r, "real_count": n, "noise_kind": None}
+
+
+def leaf(i, n=1):
+    return split(i, None, None, None, None, n)
+
+
+def test_path_single_node_tree():
+    tree = hand_tree(leaf(0, n=3))
+    assert path(np.array([1.0]), tree) == {0}
 
 
 def test_path_depth_one():
-    tree = Tree(nodes=[split(0, 0, 0.5, 1, 2), leaf(1), leaf(2)])
+    tree = hand_tree(split(0, 0, 0.5, 1, 2), leaf(1), leaf(2))
     assert path(np.array([0.0]), tree) == {0, 1}
     assert path(np.array([1.0]), tree) == {0, 2}
 
@@ -365,10 +377,10 @@ def test_path_length_is_depth_plus_one():
     f = fit(d, 3, seed=8)
     for tree in f.trees:
         depth = {0: 0}
-        for n in tree.nodes:
-            if not n.is_leaf:
-                depth[n.left] = depth[n.node_id] + 1
-                depth[n.right] = depth[n.node_id] + 1
+        for i, n in enumerate(tree.nodes):
+            if n["left"] != i:
+                depth[n["left"]] = depth[i] + 1
+                depth[n["right"]] = depth[i] + 1
         for i in range(d.n_rows):
             p = path(d.values[i], tree)
             reached = max(p, key=lambda nid: depth[nid])
@@ -412,27 +424,23 @@ def test_proximity_feature_mismatch():
 def test_proximity_two_tree_average_matches_paper_arithmetic():
     # tree A gives the pair Jaccard 2/5, tree B gives 3/5; the forest value
     # is the plain average 0.5
-    tree_a = Tree(
-        nodes=[
-            split(0, 0, 0.0, 1, 2),
-            split(1, 0, -2.0, 3, 4),
-            leaf(2),
-            leaf(3),
-            split(4, 0, -1.0, 5, 6),
-            leaf(5),
-            leaf(6),
-        ]
+    tree_a = hand_tree(
+        split(0, 0, 0.0, 1, 2),
+        split(1, 0, -2.0, 3, 4),
+        leaf(2),
+        leaf(3),
+        split(4, 0, -1.0, 5, 6),
+        leaf(5),
+        leaf(6),
     )
-    tree_b = Tree(
-        nodes=[
-            split(0, 0, 0.0, 1, 2),
-            split(1, 0, -1.0, 3, 4),
-            leaf(2),
-            split(3, 0, -2.0, 5, 6),
-            leaf(4),
-            leaf(5),
-            leaf(6),
-        ]
+    tree_b = hand_tree(
+        split(0, 0, 0.0, 1, 2),
+        split(1, 0, -1.0, 3, 4),
+        leaf(2),
+        split(3, 0, -2.0, 5, 6),
+        leaf(4),
+        leaf(5),
+        leaf(6),
     )
     x = np.array([[-3.0], [-1.5]])
     pa = [path(x[i], tree_a) for i in (0, 1)]
@@ -514,3 +522,86 @@ def test_forest_serialization_round_trip(tmp_path):
     assert set(blob) == {"seed", "B", "Q", "feature_names", "trees"}
     node = blob["trees"][0]["nodes"][0]
     assert set(node) == {"id", "feature", "threshold", "left", "right", "real_count", "noise_kind"}
+
+
+# ------------------------------------------------ degenerate splits, JSON reader
+
+def test_fit_stops_at_split_with_empty_side():
+    # the midpoint of 1+ulp and 1+2ulp rounds up to 1+2ulp, the node maximum:
+    # that split would send every row left, again and again
+    _, a, b = adjacent_doubles(1.0, 3)
+    with np.errstate(invalid="ignore"):  # that split's gain is 0/0
+        f = fit(make_dataset([[0.0], [0.0], [a], [b]]), 20, seed=3)
+    for tree in f.trees:
+        count = tree.nodes["real_count"]
+        internal = ~is_leaf(tree)
+        left, right = tree.nodes["left"][internal], tree.nodes["right"][internal]
+        assert np.all(count[left] > 0) and np.all(count[right] > 0)
+        np.testing.assert_array_equal(count[left] + count[right], count[internal])
+
+
+def set_root(key, value):
+    def corrupt(blob):
+        assert blob["trees"][0]["nodes"][0]["feature"] is not None
+        blob["trees"][0]["nodes"][0][key] = value
+        return json.dumps(blob)
+
+    return corrupt
+
+
+def drop_key(blob):
+    del blob["trees"][1]["nodes"][0]["left"]
+    return json.dumps(blob)
+
+
+@pytest.mark.parametrize(
+    "corrupt, match",
+    [
+        (lambda blob: json.dumps(blob)[:-2], r"forest\.json:1: "),
+        (drop_key, r"forest\.json: trees\[1\]\.nodes\[0\]\.left: missing key"),
+        (set_root("right", 0), r"trees\[0\]\.nodes\[0\]\.right: 0 is not a node id"),
+        (set_root("feature", 2), r"trees\[0\]\.nodes\[0\]\.feature: 2 is not a feature index below Q=2"),
+        (set_root("noise_kind", "triangular"), r"trees\[0\]\.nodes\[0\]\.noise_kind: expected null or one of"),
+        (set_root("real_count", 2.5), r"trees\[0\]\.nodes\[0\]\.real_count: expected an integer"),
+    ],
+    ids=["invalid-json", "missing-key", "child-not-after-parent", "feature-not-below-q", "noise-kind", "real-count"],
+)
+def test_load_forest_rejects(tmp_path, corrupt, match):
+    path = tmp_path / "forest.json"
+    save_forest(fit(make_dataset(np.random.default_rng(14).normal(size=(15, 2))), 3, seed=55), path)
+    path.write_text(corrupt(json.loads(path.read_text())))
+    with pytest.raises(ParseError, match=match):
+        load_forest(path)
+
+
+# ------------------------------------------------ properties on tie-heavy data
+
+FOREST_CASES = (tie_heavy_dataset(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(*FOREST_CASES)
+def test_proximity_invariants_on_tie_heavy_data(d, b, seed):
+    with np.errstate(invalid="ignore", divide="ignore"):
+        f = fit(d, b, seed=seed)
+    p = proximity_matrix(f, d).values
+    assert np.array_equal(p, p.T)
+    assert np.all(np.diagonal(p) == 1.0)
+    lengths = np.array([[len(path(d.values[i], t)) for i in range(d.n_rows)] for t in f.trees])
+    bound = (1.0 / (lengths[:, :, None] + lengths[:, None, :] - 1.0)).mean(axis=0)
+    assert np.all(p >= bound - 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(*FOREST_CASES)
+def test_fit_deterministic_and_forest_json_round_trips(d, b, seed):
+    with np.errstate(invalid="ignore", divide="ignore"):
+        f1, f2 = fit(d, b, seed=seed), fit(d, b, seed=seed)
+    assert forest_to_dict(f1) == forest_to_dict(f2)
+    for t1, t2 in zip(f1.trees, f2.trees):
+        np.testing.assert_array_equal(t1.bag, t2.bag)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.json", Path(tmp) / "b.json"
+        save_forest(f1, first)
+        save_forest(load_forest(first), second)
+        assert first.read_bytes() == second.read_bytes()
