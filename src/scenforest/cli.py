@@ -55,18 +55,37 @@ def stage_seed(master: int, label: str, k: int | None = None) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _config_type(key: str, default):
+    """(accepted value types, what the message says is expected) of a
+    config key: the default's type, any number for a float, and an integer
+    or null for a seed. A bool is never a number."""
+    if key == "seed":
+        return (int, type(None)), "an integer or null"
+    if type(default) is float:
+        return (int, float), "a number"
+    return (type(default),), {int: "an integer", bool: "true or false", str: "a string"}[type(default)]
+
+
 def load_config(path: str | None) -> dict:
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path:
-        user = json.loads(Path(path).read_text())
+        try:
+            user = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from None
+        if not isinstance(user, dict):
+            raise ParseError(f"{path}: expected an object of config sections")
         for section, values in user.items():
             if section not in cfg:
-                raise ValueError(f"unknown config section {section!r}")
+                raise ParseError(f"{path}: unknown config section {section!r}")
             if not isinstance(values, dict):
-                raise ValueError(f"config section {section!r} must be an object")
+                raise ParseError(f"{path}: {section}: config section must be an object")
             for key, val in values.items():
                 if key not in cfg[section]:
-                    raise ValueError(f"unknown config key {section}.{key}")
+                    raise ParseError(f"{path}: unknown config key {section}.{key}")
+                types, want = _config_type(key, cfg[section][key])
+                if type(val) not in types:
+                    raise ParseError(f"{path}: {section}.{key}: expected {want}, got {json.dumps(val)}")
                 cfg[section][key] = val
     return cfg
 

@@ -268,6 +268,22 @@ def save_matrix(p: ProximityMatrix, path, fmt: str = "csv") -> None:
         raise ValueError(f"unknown matrix format {fmt!r}")
 
 
+def _matrix_row(rec: list, ids: list, path, lineno: int) -> list:
+    """The floats of one matrix CSV row; ParseError names the line and the
+    column of a ragged row or a non-numeric cell."""
+    if len(rec) != len(ids):
+        raise ParseError(f"{path}:{lineno}: expected {len(ids)} cells, got {len(rec)}")
+    try:
+        return [float(c) for c in rec]
+    except ValueError:
+        for col, cell in enumerate(rec):
+            try:
+                float(cell)
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: non-numeric cell {cell!r} in column {col + 1} ({ids[col]!r})") from None
+        raise
+
+
 def load_matrix(path, fmt: str = "csv") -> ProximityMatrix:
     path = Path(path)
     if fmt == "csv":
@@ -277,8 +293,8 @@ def load_matrix(path, fmt: str = "csv") -> ProximityMatrix:
                 ids = next(reader)
             except StopIteration:
                 raise ParseError(f"{path}: no header") from None
-            rows = [[float(c) for c in rec] for rec in reader if rec]
-        values = np.array(rows, dtype=np.float64)
+            rows = [_matrix_row(rec, ids, path, lineno) for lineno, rec in enumerate(reader, start=2) if rec]
+        values = np.array(rows, dtype=np.float64).reshape(len(rows), len(ids))
     elif fmt == "raw":
         sidecar = json.loads(Path(str(path) + ".json").read_text())
         ids = sidecar["ids"]

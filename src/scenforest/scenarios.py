@@ -13,7 +13,6 @@ plus scalar descriptors of the whole window.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +43,7 @@ __all__ = [
 THW_TRIGGER = 1.0   # s, scenario opens at THW <= trigger
 THW_KEEP = 0.8      # s, scenario kept iff min THW <= keep
 MERGE_GAP_S = 1.0   # s, same-ego windows closer than this merge
-NO_THREAT = math.inf  # THW sentinel when the ego is (almost) standing
+NO_THREAT = np.inf  # THW sentinel when the ego is (almost) standing
 
 V_EGO_MIN = 0.1        # m/s, below this THW is the no-threat sentinel
 ZONE_HORIZON_S = 2.0   # s, zone extent per unit ego speed
@@ -102,45 +101,49 @@ class ZoneOccupancy:
         return [z for z in ZONES if self.slots.get(z) is not None]
 
 
-def compute_thw(d_rel: float, v_ego: float) -> float:
-    """Time headway: relative distance over ego speed; the no-threat
-    sentinel (inf) for a near-standing ego."""
-    if d_rel < 0:
-        raise ValueError(f"negative relative distance {d_rel}")
-    if v_ego < V_EGO_MIN:
-        return NO_THREAT
-    return d_rel / v_ego
+def compute_thw(d_rel, v_ego):
+    """Time headway: relative distance over ego speed, elementwise over
+    floats or arrays; the no-threat sentinel (inf) for a near-standing ego."""
+    d_rel, v_ego = np.asarray(d_rel, dtype=np.float64), np.asarray(v_ego, dtype=np.float64)
+    if np.any(d_rel < 0):
+        raise ValueError(f"negative relative distance {d_rel.min()}")
+    out = np.full(np.broadcast(d_rel, v_ego).shape, NO_THREAT)
+    return np.divide(d_rel, v_ego, out=out, where=v_ego >= V_EGO_MIN)[()]
 
 
-def zone_extent(v_ego: float) -> float:
-    """Longitudinal zone reach, adapted to the ego speed."""
-    return min(max(v_ego * ZONE_HORIZON_S, ZONE_MIN_M), ZONE_MAX_M)
+def zone_extent(v_ego):
+    """Longitudinal zone reach, adapted to the ego speed (a float or an array)."""
+    return np.clip(v_ego * ZONE_HORIZON_S, ZONE_MIN_M, ZONE_MAX_M)
 
 
-def _leader_of(step: list, ego: int) -> int | None:
-    best, best_dx = None, math.inf
-    ego_s = step[ego]
-    for j, s in enumerate(step):
-        if j == ego or s.lane != ego_s.lane:
-            continue
-        dx = s.x - ego_s.x
-        if 0.0 < dx < best_dx:
-            best, best_dx = j, dx
-    return best
+_SIDES = {"ahead": np.greater, "front": np.greater_equal, "rear": np.less}
+
+
+def _nearest(trace: Trace, ego: int, steps, offset: int, side: str, reach=None):
+    """The nearest other vehicle at each of ``steps`` (a slice or a list of
+    timesteps) on the lane ``offset`` lanes left of the ego's, and on
+    ``side`` of it by the center distance dx: "ahead" (dx > 0, a leader),
+    "front" (dx >= 0) or "rear" (dx < 0); with ``reach``, only within
+    |dx| <= reach of that step. The nearest wins, and the lowest id on equal
+    distance. Returns (column or -1, |dx| or inf), one entry per step.
+    """
+    dx = trace.x[steps] - trace.x[steps, ego][:, None]
+    found = _SIDES[side](dx, 0.0) & (trace.lane[steps] - trace.lane[steps, ego][:, None] == offset)
+    found[:, ego] = False
+    dist = np.abs(dx)
+    if reach is not None:
+        found &= dist <= np.reshape(reach, (-1, 1))
+    dist = np.where(found, dist, np.inf)
+    j = np.argmin(dist, axis=1)
+    d = dist[np.arange(len(j)), j]
+    return np.where(d < np.inf, j, -1), d
 
 
 def thw_series(trace: Trace, ego_id: int) -> np.ndarray:
-    """Per-timestep THW of one ego to its current leader (inf if none)."""
-    ego = ego_id - 1
-    out = np.empty(trace.n_ts)
-    for t, step in enumerate(trace.states):
-        leader = _leader_of(step, ego)
-        if leader is None:
-            out[t] = NO_THREAT
-        else:
-            gap = max(step[leader].x - step[ego].x - VEHICLE_LENGTH, 0.0)
-            out[t] = compute_thw(gap, step[ego].v)
-    return out
+    """Per-timestep THW of one ego to its current leader (inf if none: the
+    gap to no leader is inf)."""
+    _, dx = _nearest(trace, ego_id - 1, slice(None), 0, "ahead")
+    return compute_thw(np.maximum(dx - VEHICLE_LENGTH, 0.0), trace.v[:, ego_id - 1])
 
 
 def find_trigger_windows(thw: np.ndarray, dt: float) -> list:
@@ -151,19 +154,9 @@ def find_trigger_windows(thw: np.ndarray, dt: float) -> list:
     window survives iff its minimum THW <= keep level.
     """
     thw = np.asarray(thw, dtype=np.float64)
-    triggered = thw <= THW_TRIGGER
-    runs = []
-    start = None
-    for t, on in enumerate(triggered):
-        if on and start is None:
-            start = t
-        elif not on and start is not None:
-            runs.append((start, t - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(thw) - 1))
+    edges = np.diff((thw <= THW_TRIGGER).astype(np.int8), prepend=0, append=0)
     merged = []
-    for run in runs:
+    for run in zip(np.flatnonzero(edges == 1).tolist(), (np.flatnonzero(edges == -1) - 1).tolist()):
         if merged and (run[0] - merged[-1][1] - 1) * dt < MERGE_GAP_S:
             merged[-1] = (merged[-1][0], run[1])
         else:
@@ -178,17 +171,21 @@ def detect_scenarios(trace: Trace) -> list:
         series = thw_series(trace, ego_id)
         for t0, t1 in find_trigger_windows(series, trace.dt):
             window = series[t0 : t1 + 1]
-            t_min = t0 + int(np.argmin(window))
-            out.append(
-                Scenario(
-                    ego_id=ego_id,
-                    t_start=t0,
-                    t_end=t1,
-                    thw_series=window.copy(),
-                    thw_min=float(np.min(window)),
-                    t_changepoint=t_min,
-                )
-            )
+            out.append(Scenario(ego_id, t0, t1, window.copy(), float(np.min(window)), t0 + int(np.argmin(window))))
+    return out
+
+
+_LANE_OFFSETS = {"left": 1, "right": -1}  # a zone name's lane prefix -> lanes left of the ego's
+
+
+def _zones(trace: Trace, ego: int, steps) -> dict:
+    """zone -> (column or -1, |dx|, relative speed) at each of ``steps``."""
+    reach = zone_extent(trace.v[steps, ego])
+    rows = np.arange(len(reach))
+    out = {}
+    for zone in ZONES:
+        j, dist = _nearest(trace, ego, steps, _LANE_OFFSETS.get(zone.split("_")[0], 0), zone.split("_")[-1], reach)
+        out[zone] = (j, dist, trace.v[steps][rows, j] - trace.v[steps, ego])
     return out
 
 
@@ -199,25 +196,8 @@ def assign_zones(trace: Trace, ego_id: int, t: int) -> ZoneOccupancy:
     of the longitudinal center distance; reach is the speed-adapted extent.
     Every vehicle falls into at most one zone.
     """
-    step = trace.states[t]
-    ego = step[ego_id - 1]
-    extent = zone_extent(ego.v)
-    slots: dict = {z: None for z in ZONES}
-    for j, s in enumerate(step):
-        if j == ego_id - 1:
-            continue
-        offset = s.lane - ego.lane
-        if offset not in (-1, 0, 1):
-            continue
-        dx = s.x - ego.x
-        if abs(dx) > extent:
-            continue
-        side = {0: "", 1: "left_", -1: "right_"}[offset]
-        zone = side + ("front" if dx >= 0 else "rear")
-        prev = slots[zone]
-        if prev is None or abs(dx) < prev[1]:
-            slots[zone] = (j + 1, abs(dx), s.v - ego.v)
-    return ZoneOccupancy(slots=slots)
+    zones = _zones(trace, ego_id - 1, [t]).items()
+    return ZoneOccupancy({z: (int(j[0]) + 1, float(d[0]), float(r[0])) if j[0] >= 0 else None for z, (j, d, r) in zones})
 
 
 def dtw_distance(s1, s2) -> float:
@@ -247,17 +227,22 @@ def _resample(series: np.ndarray, n: int) -> np.ndarray:
 
 
 def _gap_curves(trace: Trace, sc: Scenario):
-    actual, desired = [], []
-    for t in range(sc.t_start, sc.t_end + 1):
-        step = trace.states[t]
-        ego = step[sc.ego_id - 1]
-        leader = _leader_of(step, sc.ego_id - 1)
-        if leader is None:
-            actual.append(zone_extent(ego.v))
-        else:
-            actual.append(max(step[leader].x - ego.x - VEHICLE_LENGTH, 0.0))
-        desired.append(ego.v * DESIRED_THW_S)
-    return np.array(actual), np.array(desired)
+    """The bumper gap to the leader (the zone extent without one) and the
+    desired gap, over the scenario window."""
+    steps = slice(sc.t_start, sc.t_end + 1)
+    _, dx = _nearest(trace, sc.ego_id - 1, steps, 0, "ahead")
+    v = trace.v[steps, sc.ego_id - 1]
+    actual = np.where(dx < np.inf, np.maximum(dx - VEHICLE_LENGTH, 0.0), zone_extent(v))
+    return actual, v * DESIRED_THW_S
+
+
+def _cut_in(trace: Trace, sc: Scenario) -> bool:
+    """Whether, after the window's first step, the front-zone vehicle was
+    on another lane than the ego's one step earlier."""
+    ego, t = sc.ego_id - 1, np.arange(sc.t_start + 1, sc.t_end + 1)
+    front, _ = _nearest(trace, ego, t, 0, "front", zone_extent(trace.v[t, ego]))
+    t, front = t[front >= 0], front[front >= 0]
+    return bool(np.any(trace.lane[t - 1, front] != trace.lane[t, ego]))
 
 
 def extract_features(sc: Scenario, trace: Trace) -> np.ndarray:
@@ -266,34 +251,16 @@ def extract_features(sc: Scenario, trace: Trace) -> np.ndarray:
     Absent zone neighbors encode as the zone-extent ceiling at that instant
     with zero relative speed; all outputs are finite.
     """
-    instants = (sc.t_start, sc.t_changepoint, sc.t_end)
-    occ = [assign_zones(trace, sc.ego_id, t) for t in instants]
+    ego = sc.ego_id - 1
+    instants = [sc.t_start, sc.t_changepoint, sc.t_end]
+    ceiling = zone_extent(trace.v[instants, ego])
     dists, relvs = [], []
-    for zone in ZONES:
-        for k, t in enumerate(instants):
-            ego_v = trace.states[t][sc.ego_id - 1].v
-            slot = occ[k].slots[zone]
-            if slot is None:
-                dists.append(zone_extent(ego_v))
-                relvs.append(0.0)
-            else:
-                dists.append(slot[1])
-                relvs.append(slot[2])
+    for j, dist, relv in _zones(trace, ego, instants).values():
+        dists += np.where(j >= 0, dist, ceiling).tolist()
+        relvs += np.where(j >= 0, relv, 0.0).tolist()
     actual, desired = _gap_curves(trace, sc)
     dtw = dtw_distance(_resample(actual, DTW_MAX_SAMPLES), _resample(desired, DTW_MAX_SAMPLES))
-    ego_lanes = [trace.states[t][sc.ego_id - 1].lane for t in range(sc.t_start, sc.t_end + 1)]
-    lane_changes = sum(1 for a, b in zip(ego_lanes, ego_lanes[1:]) if a != b)
-    cut_in = 0.0
-    for t in range(sc.t_start + 1, sc.t_end + 1):
-        front = assign_zones(trace, sc.ego_id, t).slots["front"]
-        if front is None:
-            continue
-        vid = front[0]
-        prev_lane = trace.states[t - 1][vid - 1].lane
-        ego_lane_now = trace.states[t][sc.ego_id - 1].lane
-        if prev_lane != ego_lane_now and trace.states[t][vid - 1].lane == ego_lane_now:
-            cut_in = 1.0
-            break
+    ego_lanes = trace.lane[sc.t_start : sc.t_end + 1, ego]
     collision = float(
         any(sc.t_start <= t <= sc.t_end and sc.ego_id in pair for t, pair in trace.collisions)
     )
@@ -304,14 +271,14 @@ def extract_features(sc: Scenario, trace: Trace) -> np.ndarray:
             sc.thw_min,
             (sc.t_end - sc.t_start) * trace.dt,
             dtw,
-            float(ego_lanes[0]),
-            float(trace.states[sc.t_changepoint][sc.ego_id - 1].lane),
-            float(ego_lanes[-1]),
-            float(trace.road.n_l),
-            float(lane_changes),
-            cut_in,
+            ego_lanes[0],
+            trace.lane[sc.t_changepoint, ego],
+            ego_lanes[-1],
+            trace.road.n_l,
+            np.count_nonzero(np.diff(ego_lanes)),
+            float(_cut_in(trace, sc)),
             collision,
-            trace.states[sc.t_changepoint][sc.ego_id - 1].v,
+            trace.v[sc.t_changepoint, ego],
         ]
     )
     return np.array(features, dtype=np.float64)
@@ -329,15 +296,6 @@ def scenarios_to_dataset(traces_with_names) -> tuple:
             sid = f"{name}_s{k}"
             ids.append(sid)
             rows.append(extract_features(sc, trace))
-            meta.append(
-                {
-                    "id": sid,
-                    "trace": name,
-                    "ego_id": sc.ego_id,
-                    "t_start": sc.t_start,
-                    "t_end": sc.t_end,
-                    "thw_min": sc.thw_min,
-                }
-            )
+            meta.append(dict(id=sid, trace=name, ego_id=sc.ego_id, t_start=sc.t_start, t_end=sc.t_end, thw_min=sc.thw_min))
     values = np.array(rows, dtype=np.float64).reshape(len(rows), len(FEATURE_NAMES))
     return Dataset(feature_names=list(FEATURE_NAMES), ids=ids, values=values), meta

@@ -7,12 +7,13 @@ reaction time: controllers see the world as it was round(reaction/dt)
 steps ago. Collisions are recorded and the involved vehicles freeze in
 place; the run continues.
 
-Vehicle ids are 1-based; 0 marks an empty slot in the lane index array.
+Vehicle ids are 1-based: column i of every trace array is vehicle i + 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .dynamics import (
 )
 
 __all__ = [
+    "CHANNELS",
     "Trace",
     "LaneChangeState",
     "init_scene",
@@ -61,26 +63,34 @@ V_TARGET_STD = 4.0
 V_TARGET_MIN = 5.0
 
 
+CHANNELS = ("x", "y", "v", "a", "psi")  # the float channels of a Trace; lane is the int one
+
+
 @dataclass
 class Trace:
-    """Full record of one run: per-step states of all vehicles, the lane
-    index array A (n_l x n_vpl x n_ts, 0 = empty), and collision events."""
+    """Full record of one run: one (n_ts, n_v) array per channel, row t
+    holding timestep t and column i vehicle i + 1 (x, y, v, a and psi as
+    float64, lane as int64), plus collision events and run diagnostics."""
 
     dt: float
     road: RoadConfig
-    states: list  # [t][vehicle_id - 1] -> VehicleState
-    index_array: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    v: np.ndarray
+    a: np.ndarray
+    psi: np.ndarray
+    lane: np.ndarray
     collisions: list  # (timestep, (id_a, id_b)) with id_a < id_b
     lane_change_starts: list = field(default_factory=list)  # (timestep, id, target_lane)
     ay_warning_steps: int = 0
 
     @property
     def n_ts(self) -> int:
-        return len(self.states)
+        return self.x.shape[0]
 
     @property
     def n_vehicles(self) -> int:
-        return len(self.states[0]) if self.states else 0
+        return self.x.shape[1]
 
 
 @dataclass
@@ -131,9 +141,7 @@ def _init_scene(road: RoadConfig, rng: np.random.Generator, spawn_span: float | 
         raise SimConfigError(f"vehicle-count bounds empty: [{lo}, {hi}]")
     n_v = int(rng.integers(lo, hi + 1))
     slots = rng.choice(road.n_l * road.n_vpl, size=n_v, replace=False)
-    lane_counts = [0] * road.n_l
-    for s in slots:
-        lane_counts[int(s) // road.n_vpl] += 1
+    lane_counts = np.bincount(slots // road.n_vpl, minlength=road.n_l).tolist()
     if spawn_span is None:
         spawn_span = road.n_vpl * 2.0 * VEHICLE_LENGTH + 40.0
     states = []
@@ -306,16 +314,12 @@ def _lane_occupancy(states: list, lcs: list) -> dict:
     return occ
 
 
-def _fill_index_slice(a: np.ndarray, t: int, states: list, road: RoadConfig) -> None:
-    for lane in range(1, road.n_l + 1):
-        ids = sorted(
-            (i + 1 for i, s in enumerate(states) if s.lane == lane),
-            key=lambda vid: states[vid - 1].x,
-        )
-        if len(ids) > road.n_vpl:
-            raise RuntimeError(f"lane {lane} over capacity at step {t}: {ids}")
-        for slot, vid in enumerate(ids):
-            a[lane - 1, slot, t] = vid
+def lane_overflow(lane: np.ndarray, road: RoadConfig):
+    """(step, lane, count) of the first step at which a lane holds more
+    than n_vpl vehicles (the lowest such lane), or None."""
+    counts = np.stack([np.count_nonzero(lane == k, axis=1) for k in range(1, road.n_l + 1)], axis=1)
+    over = np.argwhere(counts > road.n_vpl).tolist()
+    return (over[0][0], over[0][1] + 1, int(counts[tuple(over[0])])) if over else None
 
 
 def run_scene(road: RoadConfig, params: SimParams, states0: list, profiles: list, rng: np.random.Generator | None = None) -> Trace:
@@ -330,29 +334,36 @@ def run_scene(road: RoadConfig, params: SimParams, states0: list, profiles: list
     lcs = [LaneChangeState() for _ in range(n_v)]
     frozen = [False] * n_v
     next_redraw = [float(rng.exponential(params.target_resample_mean)) for _ in range(n_v)]
-    index_array = np.zeros((road.n_l, road.n_vpl, n_ts), dtype=np.int64)
-    states = [list(states0)]
-    _fill_index_slice(index_array, 0, states0, road)
+    channels = np.empty((len(CHANNELS), n_ts, n_v))
+    lane = np.empty((n_ts, n_v), dtype=np.int64)
+
+    def record(t: int, step: list) -> None:
+        for k, name in enumerate(CHANNELS):
+            channels[k, t] = [getattr(s, name) for s in step]
+        lane[t] = [s.lane for s in step]
+
+    # the perception snapshots: the last max(delay) + 1 steps, newest last
+    history = deque([list(states0)], maxlen=max(delay, default=0) + 1)
+    record(0, states0)
     collisions: list = []
     lc_starts: list = []
     ay_steps = 0
 
     for t in range(n_ts - 1):
-        cur = states[t]
+        cur = history[-1]
         occupancy = _lane_occupancy(cur, lcs)
         new: list = [None] * n_v
         ay_this_step = False
         for i in range(n_v):
             if frozen[i]:
-                s = cur[i]
-                new[i] = VehicleState(x=s.x, y=s.y, v=0.0, a=0.0, psi=s.psi, delta=s.delta, lane=s.lane)
+                new[i] = replace(cur[i], v=0.0, a=0.0)
                 continue
             profile = profiles[i]
             now = t * dt
             while next_redraw[i] <= now:
                 profile.v_target = _draw_v_target(rng, road)
                 next_redraw[i] += float(rng.exponential(params.target_resample_mean))
-            snap = states[max(0, t - delay[i])]
+            snap = history[-1 - min(t, delay[i])]  # the step max(0, t - delay)
             lc = lcs[i]
             decision = lane_change_decision(i, snap, lc, profile, road, rng, dt, occupancy)
             if decision in ("change-left", "change-right"):
@@ -386,10 +397,7 @@ def run_scene(road: RoadConfig, params: SimParams, states0: list, profiles: list
                     for k in (i, j):
                         if not frozen[k]:
                             frozen[k] = True
-                            new[k] = VehicleState(
-                                x=new[k].x, y=new[k].y, v=0.0, a=0.0,
-                                psi=new[k].psi, delta=new[k].delta, lane=new[k].lane,
-                            )
+                            new[k] = replace(new[k], v=0.0, a=0.0)
                             lcs[k] = LaneChangeState()
         for i in range(n_v):
             lc = lcs[i]
@@ -400,14 +408,18 @@ def run_scene(road: RoadConfig, params: SimParams, states0: list, profiles: list
                 )
                 if done:
                     lcs[i] = LaneChangeState()
-        _fill_index_slice(index_array, t + 1, new, road)
-        states.append(new)
+        record(t + 1, new)
+        history.append(new)
 
+    overflow = lane_overflow(lane, road)
+    if overflow:
+        t, k, count = overflow
+        raise RuntimeError(f"lane {k} over capacity at step {t}: {count} vehicles")
     return Trace(
         dt=dt,
         road=road,
-        states=states,
-        index_array=index_array,
+        **dict(zip(CHANNELS, channels)),
+        lane=lane,
         collisions=collisions,
         lane_change_starts=lc_starts,
         ay_warning_steps=ay_steps,

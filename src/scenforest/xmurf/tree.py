@@ -168,12 +168,14 @@ def read_nodes(nodes, q: int, columns: dict, path, where: str) -> np.ndarray:
 
     Raises ParseError naming the file and the key path of the first node
     entry that is missing or malformed. Node i must have id i, and a split
-    node's feature must be below Q and its children must come after it
-    inside the tree, so that every walk ends at a leaf.
+    node's feature must be below Q, its left child must be node i + 1 and
+    its right child must come after it inside the tree, so that every walk
+    ends at a leaf; and every node but the root must be the child of exactly
+    one node, so that the list is one preorder tree.
     """
     if not isinstance(nodes, list) or not nodes:
         raise ParseError(f"{path}: {where}nodes: expected a non-empty list")
-    size, records = len(nodes), []
+    size, records, parent = len(nodes), [], {}
     keys = ["id", *(name for name, _ in SPLIT_FIELDS), *columns]
     for i, n in enumerate(nodes):
         at = f"{where}nodes[{i}]."
@@ -194,7 +196,15 @@ def read_nodes(nodes, q: int, columns: dict, path, where: str) -> np.ndarray:
         for side in ("left", "right"):
             if type(n[side]) is not int or not i < n[side] < size:
                 raise ParseError(f"{path}: {at}{side}: {n[side]!r} is not a node id in ({i}, {size})")
+            if n[side] in parent:
+                raise ParseError(f"{path}: {at}{side}: node {n[side]} is already the child of node {parent[n[side]]}")
+            parent[n[side]] = i
+        if n["left"] != i + 1:
+            raise ParseError(f"{path}: {at}left: {n['left']} is not the next node id {i + 1}")
         records.append((n["feature"], n["threshold"], n["left"], n["right"], *own))
+    orphan = next((j for j in range(1, size) if j not in parent), None)
+    if orphan is not None:
+        raise ParseError(f"{path}: {where}nodes[{orphan}]: not the child of any node")
     try:
         return np.array(records, dtype=_dtype(columns))
     except OverflowError:

@@ -6,41 +6,24 @@ import pytest
 from hypothesis import strategies as st
 
 from scenforest.dataset import Dataset
-from scenforest.sim import RoadConfig, Trace, VehicleState
-from scenforest.sim.engine import _fill_index_slice
+from scenforest.sim import RoadConfig, Trace
 
 
 def build_trace(x, v, lane, dt=0.1, road=None, collisions=None):
-    """Trace from per-step arrays x[t][i], v[t][i], lane[t][i]."""
+    """Trace from per-step arrays x[t][i], v[t][i], lane[t][i]; every
+    vehicle sits on its lane center, heading straight, not accelerating."""
     road = road or RoadConfig(n_l=3, n_vpl=8)
     x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    lane = np.asarray(lane, dtype=int)
-    n_ts, n_v = x.shape
-    states = []
-    for t in range(n_ts):
-        states.append(
-            [
-                VehicleState(
-                    x=float(x[t, i]),
-                    y=road.lane_center(int(lane[t, i])),
-                    v=float(v[t, i]),
-                    a=0.0,
-                    psi=0.0,
-                    delta=0.0,
-                    lane=int(lane[t, i]),
-                )
-                for i in range(n_v)
-            ]
-        )
-    index_array = np.zeros((road.n_l, road.n_vpl, n_ts), dtype=np.int64)
-    for t in range(n_ts):
-        _fill_index_slice(index_array, t, states[t], road)
+    lane = np.asarray(lane, dtype=np.int64)
     return Trace(
         dt=dt,
         road=road,
-        states=states,
-        index_array=index_array,
+        x=x,
+        y=(lane - 0.5) * road.lane_width,
+        v=np.asarray(v, dtype=float),
+        a=np.zeros_like(x),
+        psi=np.zeros_like(x),
+        lane=lane,
         collisions=list(collisions or []),
     )
 

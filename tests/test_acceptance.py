@@ -270,10 +270,7 @@ def test_criterion_7_simulator_physics():
     trace = run_simulation(road, SimParams(dt=0.05, duration=60.0, seed=seed))
     assert trace.n_vehicles == 12
     bound = GRAVITY * trace.dt**2
-    for t in range(trace.n_ts - 1):
-        for i in range(trace.n_vehicles):
-            s0, s1 = trace.states[t][i], trace.states[t + 1][i]
-            assert abs(s1.x - s0.x - s0.v * trace.dt) <= bound
+    assert np.all(np.abs(trace.x[1:] - trace.x[:-1] - trace.v[:-1] * trace.dt) <= bound)
 
     collided = {}
     for t, pair in trace.collisions:
@@ -282,14 +279,13 @@ def test_criterion_7_simulator_physics():
     swaps = 0
     for t in range(trace.n_ts - 1):
         seen |= collided.get(t + 1, set())
-        cur, nxt = trace.states[t], trace.states[t + 1]
-        for i in range(12):
-            for j in range(i + 1, 12):
-                if not (cur[i].lane == cur[j].lane == nxt[i].lane == nxt[j].lane):
-                    continue
-                if (cur[i].x - cur[j].x) * (nxt[i].x - nxt[j].x) < 0:
-                    swaps += 1
-                    assert i + 1 in seen or j + 1 in seen, "unexplained lane-order swap"
+        lane, x = trace.lane[t : t + 2], trace.x[t : t + 2]
+        stay = lane[0] == lane[1]
+        same_lane = stay[:, None] & stay & (lane[0][:, None] == lane[0])
+        swapped = np.subtract.outer(x[0], x[0]) * np.subtract.outer(x[1], x[1]) < 0
+        for i, j in np.argwhere(np.triu(same_lane & swapped, 1)).tolist():
+            swaps += 1
+            assert i + 1 in seen or j + 1 in seen, "unexplained lane-order swap"
     elapsed = time.time() - t0
     assert elapsed < 30.0
     report(

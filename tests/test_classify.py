@@ -460,6 +460,16 @@ def test_load_model_rejects_child_outside_tree(model_dict):
     assert_load_rejects(model, path, rf"trees\[{t}\]\.nodes\[{node['id']}\]\.left")
 
 
+def test_load_model_rejects_left_equal_to_right(model_dict):
+    model, path = model_dict
+    t, node = internal_node(model)
+    assert node["left"] == node["id"] + 1
+    node["right"] = node["left"]  # both branches lead to one subtree; the right one is cut off
+    assert_load_rejects(
+        model, path, rf"trees\[{t}\]\.nodes\[{node['id']}\]\.right: node {node['left']} is already the child of node {node['id']}"
+    )
+
+
 def test_fit_classifier_stops_at_split_with_empty_side():
     # the best boundary lies between 1+ulp and 1+2ulp, but their midpoint
     # rounds up to 1+2ulp, the node maximum: the split sends every row left

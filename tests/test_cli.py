@@ -1,5 +1,6 @@
 """Subcommand contracts: files in, files out, exit codes, determinism."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -241,3 +242,132 @@ def test_stage_seed_stability():
     assert a != cli.stage_seed(42, "sim", 1)
     assert a != cli.stage_seed(42, "xmurf")
     assert cli.stage_seed(42, "xmurf") != cli.stage_seed(43, "xmurf")
+
+
+# ------------------------------------------------------- malformed inputs
+
+@pytest.fixture(scope="module")
+def small_trace(tmp_path_factory):
+    """(jsonl text, sidecar text) of one 5 s run on a 2-lane road holding at
+    most 2 vehicles per lane."""
+    root = tmp_path_factory.mktemp("small_trace")
+    cfg = write_config(root, {"road": {"n_l": 2, "n_vpl": 2}, "sim": {"duration": 5.0, "runs": 1}})
+    assert cli.main(["--config", str(cfg), "--seed", "11", "--out", str(root), "simulate"]) == 0
+    return (root / "trace_0.jsonl").read_text(), (root / "trace_0.meta.json").read_text()
+
+
+def edit_line(k, edit):
+    """A corruption of line k (1-based) of the trace, given as parsed JSON."""
+    def corrupt(lines, meta):
+        rec = json.loads(lines[k - 1])
+        edit(rec)
+        lines[k - 1] = json.dumps(rec)
+        return lines, meta
+    return corrupt
+
+
+def edit_meta(edit):
+    def corrupt(lines, meta):
+        return lines, edit(meta)
+    return corrupt
+
+
+def set_vehicle(k, key, value):
+    return edit_line(2, lambda rec: rec["vehicles"][k].__setitem__(key, value))
+
+
+def all_in_lane_1(rec):
+    for v in rec["vehicles"]:
+        v["lane"] = 1
+
+
+@pytest.mark.parametrize(
+    "corrupt, where, message",
+    [
+        (lambda lines, meta: (lines[:-1] + [lines[-1][:40]], meta), ".jsonl:100", "invalid JSON"),
+        (edit_line(3, lambda rec: rec["vehicles"][0].pop("lane")), ".jsonl:3", "vehicles[0].lane: missing key"),
+        (edit_line(3, lambda rec: rec.pop("collisions")), ".jsonl:3", "collisions: missing key"),
+        (edit_line(2, lambda rec: rec.__setitem__("t", 5)), ".jsonl:2", "t: 5 is not the line's index 1"),
+        (set_vehicle(0, "id", 99), ".jsonl:2", "vehicles[0].id: 99 is not a new vehicle id"),
+        (set_vehicle(1, "id", 1), ".jsonl:2", "vehicles[1].id: 1 is not a new vehicle id"),
+        (set_vehicle(0, "x", "12.5"), ".jsonl:2", "vehicles[0].x: '12.5' is not a number"),
+        (set_vehicle(0, "lane", 3), ".jsonl:2", "vehicle 1: lane 3 is not in [1, 2]"),
+        (edit_line(2, all_in_lane_1), ".jsonl:2", "lane 1 holds"),
+        (lambda lines, meta: (lines[:-1], meta), ".jsonl", "99 steps, the sidecar says n_ts=100"),
+        (edit_meta(lambda meta: meta[:-3]), ".meta.json", "invalid JSON"),
+        (edit_meta(lambda meta: meta.replace('"n_ts"', '"steps"')), ".meta.json", "n_ts: missing key"),
+        (edit_meta(lambda meta: meta.replace('"n_l": 2', '"n_l": 5')), ".meta.json", "road: lane count must be 2 or 3"),
+    ],
+    ids=[
+        "invalid-json", "missing-vehicle-key", "missing-line-key", "t-not-line-index", "id-out-of-range",
+        "id-repeated", "x-not-a-number", "lane-out-of-range", "lane-over-capacity", "step-count",
+        "meta-invalid-json", "meta-missing-key", "meta-bad-road",
+    ],
+)
+def test_extract_rejects_malformed_trace(small_trace, tmp_path, capsys, corrupt, where, message):
+    lines, meta = corrupt(small_trace[0].splitlines(), small_trace[1])
+    (tmp_path / "trace_0.jsonl").write_text("\n".join(lines) + "\n")
+    (tmp_path / "trace_0.meta.json").write_text(meta)
+    capsys.readouterr()
+    assert cli.main(["--out", str(tmp_path), "extract"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'trace_0'}{where}: ")
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"road": {"n_vpl": "x"}}, 'road.n_vpl: expected an integer, got "x"'),
+        ({"sim": {"runs": [2]}}, "sim.runs: expected an integer, got [2]"),
+        ({"sim": {"duration": True}}, "sim.duration: expected a number, got true"),
+    ],
+    ids=["string-for-int", "list-for-int", "bool-for-float"],
+)
+def test_wrongly_typed_config_value_exits_2(tmp_path, capsys, overrides, message):
+    cfg = write_config(tmp_path, overrides)
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "o"), "simulate"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg}: {message}\n"
+
+
+def test_config_accepts_int_for_float_and_int_or_null_seed(tmp_path):
+    cfg = write_config(tmp_path, {"sim": {"duration": 5, "runs": 1, "seed": 3}, "xmurf": {"seed": None}})
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "o"), "simulate"]) == 0
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a,b\n1,x\n0.5,1\n", ":2: non-numeric cell 'x' in column 2 ('b')"),
+        ("a,b\n1,0.5\n0.5\n", ":3: expected 2 cells, got 1"),
+    ],
+    ids=["non-numeric-cell", "ragged-row"],
+)
+def test_render_csv_locates_bad_cell(tmp_path, capsys, text, message):
+    matrix = tmp_path / "m.csv"
+    matrix.write_text(text)
+    code = cli.main(["render", "--matrix", str(matrix), "--format", "csv", "--output", str(tmp_path / "m.ppm")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {matrix}{message}\n"
+
+
+# ------------------------------------------------------- artifact pins
+
+# sha256 of the simulate + extract artifacts of a 2-run, 60 s config at
+# seed 4242: any byte change to the traces or the features shows here
+PINNED_SHA256 = {
+    "trace_0.jsonl": "90a9f15a1ac12216b530b2be466467cbce1d95859fa986796d01c36867667de7",
+    "trace_1.jsonl": "4be0da49184c959ba4d95892356b3560cf5ab21b355bafc763854b6cbd9bc22a",
+    "scenarios.csv": "4776cdd167ab549cc8e8fb1c70e552ae103e491b324da198877d824ac1f6ca92",
+}
+
+
+def test_simulate_extract_artifacts_pinned(tmp_path):
+    cfg = write_config(tmp_path, {"sim": {"duration": 60.0, "runs": 2}})
+    base = ["--config", str(cfg), "--seed", "4242", "--out", str(tmp_path / "out")]
+    assert cli.main(base + ["simulate"]) == 0
+    assert cli.main(base + ["extract"]) == 0
+    got = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() for name in PINNED_SHA256}
+    assert got == PINNED_SHA256

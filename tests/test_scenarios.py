@@ -4,13 +4,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import build_trace
 from scenforest.scenarios import (
+    DESIRED_THW_S,
     FEATURE_NAMES,
+    NO_THREAT,
     THW_KEEP,
     THW_TRIGGER,
+    ZONE_HORIZON_S,
+    ZONE_MAX_M,
+    ZONE_MIN_M,
     ZONES,
     Scenario,
+    _cut_in,
+    _gap_curves,
     assign_zones,
     compute_thw,
     detect_scenarios,
@@ -21,7 +31,7 @@ from scenforest.scenarios import (
     thw_series,
     zone_extent,
 )
-from scenforest.sim import VEHICLE_LENGTH
+from scenforest.sim import VEHICLE_LENGTH, RoadConfig
 
 
 # ------------------------------------------------------------------ THW
@@ -336,3 +346,118 @@ def test_cut_in_flag(trace_builder):
     )
     names = dict(zip(FEATURE_NAMES, extract_features(sc, trace)))
     assert names["cut_in"] == 1.0
+
+
+# ------------------------------------------- per-vehicle loops as oracles
+# The scans extraction ran before it went array-native, reading the trace
+# arrays one vehicle at a time.
+
+def loop_leader_of(trace, t, ego):
+    best, best_dx = None, math.inf
+    for j in range(trace.n_vehicles):
+        if j == ego or trace.lane[t, j] != trace.lane[t, ego]:
+            continue
+        dx = trace.x[t, j] - trace.x[t, ego]
+        if 0.0 < dx < best_dx:
+            best, best_dx = j, dx
+    return best
+
+
+def loop_thw_series(trace, ego_id):
+    ego = ego_id - 1
+    out = np.empty(trace.n_ts)
+    for t in range(trace.n_ts):
+        leader = loop_leader_of(trace, t, ego)
+        if leader is None:
+            out[t] = NO_THREAT
+        else:
+            gap = max(trace.x[t, leader] - trace.x[t, ego] - VEHICLE_LENGTH, 0.0)
+            out[t] = compute_thw(gap, trace.v[t, ego])
+    return out
+
+
+def loop_zone_extent(v_ego):
+    return min(max(v_ego * ZONE_HORIZON_S, ZONE_MIN_M), ZONE_MAX_M)
+
+
+def loop_assign_zones(trace, ego_id, t):
+    ego = ego_id - 1
+    extent = loop_zone_extent(trace.v[t, ego])
+    slots = {z: None for z in ZONES}
+    for j in range(trace.n_vehicles):
+        if j == ego:
+            continue
+        offset = trace.lane[t, j] - trace.lane[t, ego]
+        if offset not in (-1, 0, 1):
+            continue
+        dx = trace.x[t, j] - trace.x[t, ego]
+        if abs(dx) > extent:
+            continue
+        side = {0: "", 1: "left_", -1: "right_"}[offset]
+        zone = side + ("front" if dx >= 0 else "rear")
+        prev = slots[zone]
+        if prev is None or abs(dx) < prev[1]:
+            slots[zone] = (j + 1, abs(dx), trace.v[t, j] - trace.v[t, ego])
+    return slots
+
+
+def loop_gap_curves(trace, sc):
+    ego = sc.ego_id - 1
+    actual, desired = [], []
+    for t in range(sc.t_start, sc.t_end + 1):
+        leader = loop_leader_of(trace, t, ego)
+        if leader is None:
+            actual.append(loop_zone_extent(trace.v[t, ego]))
+        else:
+            actual.append(max(trace.x[t, leader] - trace.x[t, ego] - VEHICLE_LENGTH, 0.0))
+        desired.append(trace.v[t, ego] * DESIRED_THW_S)
+    return np.array(actual), np.array(desired)
+
+
+def loop_cut_in(trace, sc):
+    ego = sc.ego_id - 1
+    for t in range(sc.t_start + 1, sc.t_end + 1):
+        front = loop_assign_zones(trace, sc.ego_id, t)["front"]
+        if front is None:
+            continue
+        vid = front[0]
+        if trace.lane[t - 1, vid - 1] != trace.lane[t, ego] and trace.lane[t, vid - 1] == trace.lane[t, ego]:
+            return True
+    return False
+
+
+# Values that make ties: equal positions, neighbours at equal |dx| on both
+# sides, vehicles exactly one zone extent away (20 m at 10 m/s, 40 m at
+# 20 m/s, 120 m from 60 m/s), standing egos and the 0.1 m/s threshold.
+TIE_X = [0.0, 4.5, 5.0, -5.0, 9.5, 20.0, -20.0, 40.0, -40.0, 120.0, -120.0, 60.7]
+TIE_V = [0.0, 0.05, 0.1, 10.0, 20.0, 60.0, 75.0]
+
+
+@st.composite
+def tie_heavy_trace(draw):
+    n_ts = draw(st.integers(1, 6))
+    n_v = draw(st.integers(1, 6))
+    n_l = draw(st.sampled_from([2, 3]))
+
+    def grid(values):
+        return np.array(draw(st.lists(st.sampled_from(values), min_size=n_ts * n_v, max_size=n_ts * n_v))).reshape(
+            n_ts, n_v
+        )
+
+    return build_trace(grid(TIE_X), grid(TIE_V), grid(list(range(1, n_l + 1))), road=RoadConfig(n_l=n_l, n_vpl=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_trace(), st.data())
+def test_array_extraction_equals_vehicle_loops(trace, data):
+    for ego_id in range(1, trace.n_vehicles + 1):
+        np.testing.assert_array_equal(thw_series(trace, ego_id), loop_thw_series(trace, ego_id))
+        for t in range(trace.n_ts):
+            assert assign_zones(trace, ego_id, t).slots == loop_assign_zones(trace, ego_id, t)
+    t_start = data.draw(st.integers(0, trace.n_ts - 1))
+    t_end = data.draw(st.integers(t_start, trace.n_ts - 1))
+    ego_id = data.draw(st.integers(1, trace.n_vehicles))
+    sc = Scenario(ego_id, t_start, t_end, np.zeros(t_end - t_start + 1), 0.0, t_start)
+    for got, want in zip(_gap_curves(trace, sc), loop_gap_curves(trace, sc)):
+        assert got.tolist() == want.tolist()
+    assert _cut_in(trace, sc) == loop_cut_in(trace, sc)

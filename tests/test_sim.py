@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from scenforest.sim import (
+    CHANNELS,
     GRAVITY,
     WHEELBASE,
     BehaviorProfile,
@@ -270,7 +271,8 @@ def test_run_snapshot_count():
     road = RoadConfig(n_l=2, n_vpl=4)
     trace = run_simulation(road, SimParams(dt=0.05, duration=10.0, seed=1))
     assert trace.n_ts == 200
-    assert trace.index_array.shape == (2, 4, 200)
+    for name in (*CHANNELS, "lane"):
+        assert getattr(trace, name).shape == (200, trace.n_vehicles)
 
 
 def test_run_bit_identical_rerun():
@@ -278,36 +280,42 @@ def test_run_bit_identical_rerun():
     params = SimParams(dt=0.05, duration=30.0, seed=9)
     t1 = run_simulation(road, params)
     t2 = run_simulation(road, params)
-    assert t1.states == t2.states
+    for name in (*CHANNELS, "lane"):
+        np.testing.assert_array_equal(getattr(t1, name), getattr(t2, name))
     assert t1.collisions == t2.collisions
-    np.testing.assert_array_equal(t1.index_array, t2.index_array)
 
 
-def test_index_array_each_vehicle_once():
+def test_lanes_in_range_and_within_capacity():
     road = RoadConfig(n_l=2, n_vpl=6)
     trace = run_simulation(road, SimParams(dt=0.05, duration=30.0, seed=3))
+    assert trace.lane.dtype == np.int64
+    assert np.all((1 <= trace.lane) & (trace.lane <= road.n_l))
     for t in range(trace.n_ts):
-        ids = trace.index_array[:, :, t].ravel()
-        ids = sorted(ids[ids > 0].tolist())
-        assert ids == list(range(1, trace.n_vehicles + 1))
+        per_lane = np.bincount(trace.lane[t], minlength=road.n_l + 1)
+        assert per_lane.max() <= road.n_vpl
+
+
+def test_run_scene_rejects_lane_over_capacity():
+    road = RoadConfig(n_l=2, n_vpl=2)
+    states0 = [
+        VehicleState(x=20.0 * k, y=road.lane_center(1), v=10.0, a=0.0, psi=0.0, delta=0.0, lane=1)
+        for k in range(3)
+    ]
+    with pytest.raises(RuntimeError, match="lane 1 over capacity at step 0: 3 vehicles"):
+        run_scene(road, SimParams(duration=1.0), states0, [profile() for _ in states0])
 
 
 def test_accelerations_within_bounds():
     road = RoadConfig(n_l=2, n_vpl=6)
     trace = run_simulation(road, SimParams(dt=0.05, duration=30.0, seed=4))
-    for step in trace.states:
-        for s in step:
-            assert -GRAVITY - 1e-9 <= s.a <= 4.0 + 1e-9
+    assert np.all((-GRAVITY - 1e-9 <= trace.a) & (trace.a <= 4.0 + 1e-9))
 
 
 def test_kinematic_residual_bound():
     road = RoadConfig(n_l=3, n_vpl=5)
     trace = run_simulation(road, SimParams(dt=0.05, duration=30.0, seed=5))
     bound = GRAVITY * trace.dt**2
-    for t in range(trace.n_ts - 1):
-        for i in range(trace.n_vehicles):
-            s0, s1 = trace.states[t][i], trace.states[t + 1][i]
-            assert abs(s1.x - s0.x - s0.v * trace.dt) <= bound
+    assert np.all(np.abs(trace.x[1:] - trace.x[:-1] - trace.v[:-1] * trace.dt) <= bound)
 
 
 def test_single_vehicle_converges_and_changes_only_when_motivated():
@@ -316,20 +324,24 @@ def test_single_vehicle_converges_and_changes_only_when_motivated():
     p = profile(v_target=22.0, lc_rate=0.05, b=3.0, c=0.12)
     states0 = [VehicleState(x=0.0, y=road.lane_center(1), v=10.0, a=0, psi=0, delta=0, lane=1)]
     trace = run_scene(road, params, states0, [p])
-    final_v = trace.states[-1][0].v
+    final_v = trace.v[-1, 0]
     assert abs(final_v - 22.0) / 22.0 < 0.05
-    flips = sum(
-        1
-        for t in range(trace.n_ts - 1)
-        if trace.states[t][0].lane != trace.states[t + 1][0].lane
-    )
+    flip_steps = np.nonzero(trace.lane[:-1, 0] != trace.lane[1:, 0])[0]
+    flips = len(flip_steps)
     assert flips <= len(trace.lane_change_starts)
     if flips:
-        first_flip = next(
-            t for t in range(trace.n_ts - 1)
-            if trace.states[t][0].lane != trace.states[t + 1][0].lane
-        )
+        first_flip = flip_steps[0]
         assert any(ts <= first_flip for ts, _, _ in trace.lane_change_starts)
+
+
+def same_lane_swaps(trace, t):
+    """Pairs (i, j), i < j, that kept one shared lane from step t to t + 1
+    and swapped their longitudinal order."""
+    lane, x = trace.lane[t : t + 2], trace.x[t : t + 2]
+    stay = lane[0] == lane[1]
+    same_lane_both = stay[:, None] & stay[None, :] & (lane[0][:, None] == lane[0][None, :])
+    swapped = np.subtract.outer(x[0], x[0]) * np.subtract.outer(x[1], x[1]) < 0
+    return np.argwhere(np.triu(same_lane_both & swapped, 1)).tolist()
 
 
 def test_lane_order_changes_only_via_lane_change_or_collision():
@@ -342,17 +354,8 @@ def test_lane_order_changes_only_via_lane_change_or_collision():
     seen_collided = set()
     for t in range(trace.n_ts - 1):
         seen_collided |= by_step.get(t + 1, set())
-        cur, nxt = trace.states[t], trace.states[t + 1]
-        for i in range(trace.n_vehicles):
-            for j in range(i + 1, trace.n_vehicles):
-                same_lane_both = (
-                    cur[i].lane == cur[j].lane and nxt[i].lane == nxt[j].lane == cur[i].lane
-                )
-                if not same_lane_both:
-                    continue
-                swapped = (cur[i].x - cur[j].x) * (nxt[i].x - nxt[j].x) < 0
-                if swapped:
-                    assert i + 1 in seen_collided or j + 1 in seen_collided
+        for i, j in same_lane_swaps(trace, t):
+            assert i + 1 in seen_collided or j + 1 in seen_collided
 
 
 def test_collisions_freeze_vehicles():
@@ -363,8 +366,7 @@ def test_collisions_freeze_vehicles():
             continue
         t0, pair = trace.collisions[0]
         for vid in pair:
-            for t in range(t0 + 1, trace.n_ts):
-                s = trace.states[t][vid - 1]
-                assert s.v == 0.0 and s.x == trace.states[t0][vid - 1].x
+            assert np.all(trace.v[t0 + 1 :, vid - 1] == 0.0)
+            assert np.all(trace.x[t0 + 1 :, vid - 1] == trace.x[t0, vid - 1])
         return
     pytest.skip("no collision in the sampled seeds")

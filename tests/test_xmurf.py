@@ -360,6 +360,15 @@ def leaf(i, n=1):
     return split(i, None, None, None, None, n)
 
 
+def test_read_nodes_rejects_lists_that_are_not_one_preorder_tree():
+    # breadth-first numbering: node 1's left child is node 3, not node 2
+    with pytest.raises(ParseError, match=r"hand: nodes\[1\]\.left: 3 is not the next node id 2"):
+        hand_tree(split(0, 0, 0.0, 1, 2), split(1, 0, -2.0, 3, 4), leaf(2), leaf(3), leaf(4))
+    # node 2 hangs below no node
+    with pytest.raises(ParseError, match=r"hand: nodes\[2\]: not the child of any node"):
+        hand_tree(split(0, 0, 0.0, 1, 3), leaf(1), leaf(2), leaf(3))
+
+
 def test_path_single_node_tree():
     tree = hand_tree(leaf(0, n=3))
     assert path(np.array([1.0]), tree) == {0}
@@ -425,19 +434,19 @@ def test_proximity_two_tree_average_matches_paper_arithmetic():
     # tree A gives the pair Jaccard 2/5, tree B gives 3/5; the forest value
     # is the plain average 0.5
     tree_a = hand_tree(
-        split(0, 0, 0.0, 1, 2),
-        split(1, 0, -2.0, 3, 4),
+        split(0, 0, 0.0, 1, 6),
+        split(1, 0, -2.0, 2, 3),
         leaf(2),
-        leaf(3),
-        split(4, 0, -1.0, 5, 6),
+        split(3, 0, -1.0, 4, 5),
+        leaf(4),
         leaf(5),
         leaf(6),
     )
     tree_b = hand_tree(
-        split(0, 0, 0.0, 1, 2),
-        split(1, 0, -1.0, 3, 4),
-        leaf(2),
-        split(3, 0, -2.0, 5, 6),
+        split(0, 0, 0.0, 1, 6),
+        split(1, 0, -1.0, 2, 5),
+        split(2, 0, -2.0, 3, 4),
+        leaf(3),
         leaf(4),
         leaf(5),
         leaf(6),
@@ -563,8 +572,12 @@ def drop_key(blob):
         (set_root("feature", 2), r"trees\[0\]\.nodes\[0\]\.feature: 2 is not a feature index below Q=2"),
         (set_root("noise_kind", "triangular"), r"trees\[0\]\.nodes\[0\]\.noise_kind: expected null or one of"),
         (set_root("real_count", 2.5), r"trees\[0\]\.nodes\[0\]\.real_count: expected an integer"),
+        (set_root("right", 1), r"trees\[0\]\.nodes\[0\]\.right: node 1 is already the child of node 0"),
     ],
-    ids=["invalid-json", "missing-key", "child-not-after-parent", "feature-not-below-q", "noise-kind", "real-count"],
+    ids=[
+        "invalid-json", "missing-key", "child-not-after-parent", "feature-not-below-q", "noise-kind", "real-count",
+        "left-equals-right",
+    ],
 )
 def test_load_forest_rejects(tmp_path, corrupt, match):
     path = tmp_path / "forest.json"
