@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, LabeledDataset, ParseError, require_keys
+from .dataset import Dataset, LabeledDataset, ParseError, read_json, require_keys
 from .xmurf.forest import tree_rng
 from .xmurf.tree import Tree, grow_tree, node_dicts, read_nodes
 
@@ -327,10 +327,7 @@ def load_model(path):
     Raises ParseError naming the file and the key path of the first entry
     that is missing or malformed.
     """
-    try:
-        d = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    d = read_json(path)
     require_keys(d, ("seed", "Q", "labels", "trees"), path, "")
     labels, q = d["labels"], d["Q"]
     if not isinstance(labels, list) or len(labels) < 2 or not all(isinstance(c, str) for c in labels):

@@ -26,11 +26,22 @@ from .dataset import (
     load_dataset,
     load_labeled_dataset,
     load_matrix,
+    read_json,
     save_dataset,
     save_labeled_dataset,
     save_matrix,
 )
-from .sim import RoadConfig, SimConfigError, SimParams, run_simulation, save_trace, load_trace
+from .sim import (
+    RoadConfig,
+    SimConfigError,
+    SimParams,
+    load_trace,
+    meta_path,
+    run_simulation,
+    save_trace,
+    trace_path,
+    trace_paths,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -69,10 +80,7 @@ def _config_type(key: str, default):
 def load_config(path: str | None) -> dict:
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path:
-        try:
-            user = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from None
+        user = read_json(path)
         if not isinstance(user, dict):
             raise ParseError(f"{path}: expected an object of config sections")
         for section, values in user.items():
@@ -111,11 +119,12 @@ def cmd_simulate(cfg: dict, args) -> int:
     sim_cfg = cfg["sim"]
     master = _master_seed(cfg, args, "sim")
     runs = int(sim_cfg["runs"])
-    # extract reads every trace in the workdir: drop those of an earlier, longer run
-    for stale in [*out.glob("trace_*.jsonl"), *out.glob("trace_*.meta.json")]:
-        k = stale.name.split(".")[0][len("trace_"):]
-        if k.isdigit() and int(k) >= runs:
+    # extract reads every trace in the workdir: drop those this run does not write
+    current = {trace_path(out, k) for k in range(runs)}
+    for stale in trace_paths(out):
+        if stale not in current:
             stale.unlink()
+            meta_path(stale).unlink(missing_ok=True)
     for k in range(runs):
         params = SimParams(
             dt=float(sim_cfg["dt"]),
@@ -124,15 +133,14 @@ def cmd_simulate(cfg: dict, args) -> int:
             target_resample_mean=float(sim_cfg["target_resample_mean"]),
         )
         trace = run_simulation(road, params)
-        save_trace(trace, out / f"trace_{k}.jsonl")
+        save_trace(trace, trace_path(out, k))
     print(f"simulated {sim_cfg['runs']} run(s) into {out}")
     return EXIT_OK
 
 
 def cmd_extract(cfg: dict, args) -> int:
     out = _workdir(cfg, args)
-    trace_paths = sorted(out.glob("trace_*.jsonl"))
-    pairs = [(p.stem, load_trace(p)) for p in trace_paths]
+    pairs = [(p.stem, load_trace(p)) for p in trace_paths(out)]
     dataset, meta = scenarios.scenarios_to_dataset(pairs)
     if dataset.n_rows == 0:
         print("no scenarios found", file=sys.stderr)

@@ -51,6 +51,14 @@ def require_keys(obj, keys, path, where: str) -> None:
             raise ParseError(f"{path}: {where}{key}: missing key")
 
 
+def read_json(path):
+    """The parsed JSON of a file; ParseError names ``path:line`` of invalid JSON."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
+
+
 def _row_format(n: int, head: str = "", tail: str = "") -> str:
     """printf format of one CSV line holding n floats between ``head`` and
     ``tail``. Each float prints as format(v, ".17g") does. Lines are written
@@ -149,46 +157,62 @@ class ProximityMatrix:
         return len(self.ids)
 
 
-def load_dataset(path) -> Dataset:
-    """Read a feature CSV (header row, first column ``id``).
+def _read_csv(path, labeled: bool) -> tuple:
+    """(feature names, ids, (M, Q) values, labels) of a feature CSV: header
+    ``id,<features>``, plus a final ``label`` column when ``labeled``.
 
-    Raises ParseError naming the offending row/column for ragged rows,
-    non-numeric or non-finite cells, and duplicate ids.
+    Raises ParseError naming ``path:line`` for the first fault in reading
+    order: a ragged row, a duplicate id, or a non-numeric or non-finite
+    cell, which is also named with its column.
     """
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: no header") from None
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{path}: no header")
+        if labeled and (len(header) < 2 or header[0] != "id" or header[-1] != LABEL_COLUMN):
+            raise ParseError(f"{path}: expected header id,...,{LABEL_COLUMN}")
         if not header or header[0] != "id":
             raise ParseError(f"{path}: first header column must be 'id', got {header[:1]!r}")
-        names = header[1:]
+        end = len(header) - labeled
+        names = header[1:end]
         ids: list[str] = []
-        seen: set[str] = set()
+        labels: list[str] = []
         rows: list[list[float]] = []
+        seen: set[str] = set()
         for lineno, rec in enumerate(reader, start=2):
             if not rec:
                 continue
             if len(rec) != len(header):
                 raise ParseError(f"{path}:{lineno}: expected {len(header)} cells, got {len(rec)}")
-            rid = rec[0]
-            if rid in seen:
-                raise ParseError(f"{path}:{lineno}: duplicate id {rid!r}")
-            seen.add(rid)
-            parsed = []
-            for col, cell in zip(names, rec[1:]):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: non-numeric cell {cell!r} in column {col!r}") from None
-                if not math.isfinite(v):
-                    raise ParseError(f"{path}:{lineno}: non-finite cell {cell!r} in column {col!r}")
-                parsed.append(v)
-            ids.append(rid)
-            rows.append(parsed)
-    values = np.array(rows, dtype=np.float64).reshape(len(rows), len(names))
+            if rec[0] in seen:
+                raise ParseError(f"{path}:{lineno}: duplicate id {rec[0]!r}")
+            seen.add(rec[0])
+            try:
+                row = [float(cell) for cell in rec[1:end]]
+                ok = all(map(math.isfinite, row))
+            except ValueError:
+                ok = False
+            if not ok:
+                for col, cell in zip(names, rec[1:end]):
+                    try:
+                        finite = math.isfinite(float(cell))
+                    except ValueError:
+                        raise ParseError(f"{path}:{lineno}: non-numeric cell {cell!r} in column {col!r}") from None
+                    if not finite:
+                        raise ParseError(f"{path}:{lineno}: non-finite cell {cell!r} in column {col!r}")
+            ids.append(rec[0])
+            if labeled:
+                labels.append(rec[-1])
+            rows.append(row)
+    return names, ids, np.array(rows, dtype=np.float64).reshape(len(rows), len(names)), labels
+
+
+def load_dataset(path) -> Dataset:
+    """Read a feature CSV (header row, first column ``id``); see _read_csv
+    for the faults reported."""
+    names, ids, values, _ = _read_csv(path, labeled=False)
     return Dataset(feature_names=names, ids=ids, values=values)
 
 
@@ -205,34 +229,7 @@ def save_dataset(d: Dataset, path) -> None:
 
 def load_labeled_dataset(path) -> LabeledDataset:
     """Read a labeled CSV: feature columns plus a final ``label`` column."""
-    path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: no header") from None
-        if len(header) < 2 or header[0] != "id" or header[-1] != LABEL_COLUMN:
-            raise ParseError(f"{path}: expected header id,...,{LABEL_COLUMN}")
-        names = header[1:-1]
-        ids, labels, rows = [], [], []
-        seen: set[str] = set()
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != len(header):
-                raise ParseError(f"{path}:{lineno}: expected {len(header)} cells, got {len(rec)}")
-            if rec[0] in seen:
-                raise ParseError(f"{path}:{lineno}: duplicate id {rec[0]!r}")
-            seen.add(rec[0])
-            try:
-                row = [float(c) for c in rec[1:-1]]
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric feature cell") from None
-            ids.append(rec[0])
-            labels.append(rec[-1])
-            rows.append(row)
-    values = np.array(rows, dtype=np.float64).reshape(len(rows), len(names))
+    names, ids, values, labels = _read_csv(path, labeled=True)
     return LabeledDataset(Dataset(names, ids, values), labels)
 
 
@@ -285,6 +282,11 @@ def _matrix_row(rec: list, ids: list, path, lineno: int) -> list:
 
 
 def load_matrix(path, fmt: str = "csv") -> ProximityMatrix:
+    """Read a matrix written by save_matrix. Raises ParseError naming the
+    file: for ``raw``, a sidecar that is not {"M": non-negative int, "ids":
+    M strings} or a data file of other than 8 * M * M bytes; for ``csv``, a
+    ragged row or a non-numeric cell; for both, a matrix that is not a
+    valid ProximityMatrix."""
     path = Path(path)
     if fmt == "csv":
         with open(path, newline="") as fh:
@@ -296,10 +298,21 @@ def load_matrix(path, fmt: str = "csv") -> ProximityMatrix:
             rows = [_matrix_row(rec, ids, path, lineno) for lineno, rec in enumerate(reader, start=2) if rec]
         values = np.array(rows, dtype=np.float64).reshape(len(rows), len(ids))
     elif fmt == "raw":
-        sidecar = json.loads(Path(str(path) + ".json").read_text())
-        ids = sidecar["ids"]
-        m = int(sidecar["M"])
-        values = np.frombuffer(path.read_bytes(), dtype="<f8").reshape(m, m).copy()
+        sidecar_path = Path(str(path) + ".json")
+        sidecar = read_json(sidecar_path)
+        require_keys(sidecar, ("M", "ids"), sidecar_path, "")
+        m, ids = sidecar["M"], sidecar["ids"]
+        if type(m) is not int or m < 0:
+            raise ParseError(f"{sidecar_path}: M: {m!r} is not a non-negative integer")
+        if not (isinstance(ids, list) and len(ids) == m and all(type(i) is str for i in ids)):
+            raise ParseError(f"{sidecar_path}: ids: expected a list of M={m} strings")
+        size = path.stat().st_size
+        if size != 8 * m * m:
+            raise ParseError(f"{path}: {size} bytes, the sidecar's M={m} makes {8 * m * m}")
+        values = np.fromfile(path, dtype="<f8").reshape(m, m)
     else:
         raise ValueError(f"unknown matrix format {fmt!r}")
-    return ProximityMatrix(values=values, ids=ids)
+    try:
+        return ProximityMatrix(values=values, ids=ids)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None

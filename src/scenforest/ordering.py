@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, LabeledDataset, ParseError, ProximityMatrix, require_keys
+from .dataset import Dataset, LabeledDataset, ParseError, ProximityMatrix, read_json, require_keys
 
 __all__ = [
     "Dendrogram",
@@ -229,10 +229,7 @@ def load_cluster_ranges(path) -> list[ClusterRange]:
     Raises ParseError naming the file and the entry, as in
     ``ranges.json: [0].end: missing key``, or the line of invalid JSON.
     """
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    raw = read_json(path)
     if not isinstance(raw, list):
         raise ParseError(f"{path}: top level: expected a list of ranges")
     ranges = []
@@ -302,4 +299,16 @@ def save_permutation(perm, path) -> None:
 
 
 def load_permutation(path) -> np.ndarray:
-    return np.array(json.loads(Path(path).read_text()), dtype=np.int64)
+    """Read a JSON list of M integers, each in [0, M).
+
+    Raises ParseError naming the file and the first bad index, or the line
+    of invalid JSON. Whether the list is a permutation is checked where it
+    is applied.
+    """
+    perm = read_json(path)
+    if not isinstance(perm, list):
+        raise ParseError(f"{path}: top level: expected a list of integers")
+    for k, value in enumerate(perm):
+        if type(value) is not int or not 0 <= value < len(perm):
+            raise ParseError(f"{path}: [{k}]: {value!r} is not an integer in [0, {len(perm)})")
+    return np.array(perm, dtype=np.int64)

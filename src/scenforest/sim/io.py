@@ -1,30 +1,41 @@
-"""Trace persistence: JSON-lines states plus a small meta sidecar.
+"""Trace persistence: raw channel arrays plus a JSON sidecar.
 
-Each line is one timestep: {"t": step, "vehicles": [{"id", "x", "y", "v",
-"a", "psi", "lane"}, ...], "collisions": [[id_a, id_b], ...]}. Floats are
-written with Python repr, so a saved trace reloads bit-identically. The
-sidecar (<stem>.meta.json) carries dt, the vehicle and step counts, and the
-road configuration that the lanes are checked against on load.
+``trace_<k>.raw`` holds x, y, v, a and psi in CHANNELS order, each an
+(n_ts, n_vehicles) row-major block of little-endian float64, then the lanes
+as an int8 block of the same shape: 41 bytes per vehicle and step. The
+sidecar ``trace_<k>.meta.json`` holds dt, n_vehicles, n_ts, the road that
+the lanes are checked against on load, ``collisions`` as [[t, id_a, id_b],
+...], ``lane_change_starts`` as [[t, id, target_lane], ...] and
+``ay_warning_steps``. A saved trace reloads bit-identically.
 """
 
 from __future__ import annotations
 
 import json
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from ..dataset import ParseError, require_keys
+from ..dataset import ParseError, read_json, require_keys
 from .config import RoadConfig, SimConfigError
 from .engine import CHANNELS, Trace, lane_overflow
 
-__all__ = ["save_trace", "load_trace", "meta_path"]
+__all__ = ["save_trace", "load_trace", "meta_path", "trace_path", "trace_paths"]
 
-VEHICLE_KEYS = ("id", *CHANNELS, "lane")
+FLOAT, LANE = np.dtype("<f8"), np.dtype("i1")
+STEP_BYTES = len(CHANNELS) * FLOAT.itemsize + LANE.itemsize  # per vehicle and step
 ROAD_KEYS = ("n_l", "lane_width", "n_vpl", "speed_limit", "d_il_max")
 ROAD_INTS = ("n_l", "n_vpl")
-INTEGER, NUMBER = {int}, {int, float}  # the JSON value types accepted (a bool is neither)
+
+
+def trace_path(workdir, k: int) -> Path:
+    return Path(workdir) / f"trace_{k}.raw"
+
+
+def trace_paths(workdir) -> list[Path]:
+    """A workdir's traces in lexicographic order; each stem prefixes the ids
+    of the scenarios found in its trace."""
+    return sorted(Path(workdir).glob("trace_*.raw"))
 
 
 def meta_path(trace_path) -> Path:
@@ -33,140 +44,86 @@ def meta_path(trace_path) -> Path:
 
 def save_trace(trace: Trace, path) -> None:
     path = Path(path)
-    by_step: dict = {}
-    for t, pair in trace.collisions:
-        by_step.setdefault(t, []).append(list(pair))
-    channels = [getattr(trace, name) for name in VEHICLE_KEYS[1:]]
-    with open(path, "w", newline="\n") as fh:
-        for t in range(trace.n_ts):
-            rows = zip(*(c[t].tolist() for c in channels))
-            rec = {
-                "t": t,
-                "vehicles": [
-                    {"id": i, "x": x, "y": y, "v": v, "a": a, "psi": psi, "lane": lane}
-                    for i, (x, y, v, a, psi, lane) in enumerate(rows, 1)
-                ],
-                "collisions": by_step.get(t, []),
-            }
-            fh.write(json.dumps(rec) + "\n")
+    with open(path, "wb") as fh:
+        for name in CHANNELS:
+            getattr(trace, name).astype(FLOAT, copy=False).tofile(fh)
+        trace.lane.astype(LANE).tofile(fh)
     meta = {
         "dt": trace.dt,
         "n_vehicles": trace.n_vehicles,
         "n_ts": trace.n_ts,
         "road": {key: getattr(trace.road, key) for key in ROAD_KEYS},
+        "collisions": [[t, a, b] for t, (a, b) in trace.collisions],
+        "lane_change_starts": [list(event) for event in trace.lane_change_starts],
+        "ay_warning_steps": trace.ay_warning_steps,
     }
     meta_path(path).write_text(json.dumps(meta) + "\n")
 
 
-def _json(text: str, at: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{at}: invalid JSON: {exc.msg}") from None
-
-
-def _is_number(value, integer: bool = False) -> bool:
-    return type(value) in (INTEGER if integer else NUMBER)
-
-
-def _load_meta(path: Path):
-    """(dt, n_vehicles, n_ts, road) of a trace sidecar."""
-    meta = _json(path.read_text(), str(path))
-    require_keys(meta, ("dt", "n_vehicles", "n_ts", "road"), path, "")
-    require_keys(meta["road"], ROAD_KEYS, path, "road.")
-    if not _is_number(meta["dt"]) or not meta["dt"] > 0:
-        raise ParseError(f"{path}: dt: {meta['dt']!r} is not a positive number")
-    for key in ("n_vehicles", "n_ts"):
-        if not _is_number(meta[key], integer=True) or meta[key] < 1:
-            raise ParseError(f"{path}: {key}: {meta[key]!r} is not a positive integer")
-    road = {key: meta["road"][key] for key in ROAD_KEYS}
-    for key, value in road.items():
-        if not _is_number(value, integer=key in ROAD_INTS):
-            raise ParseError(f"{path}: road.{key}: {value!r} is not {'an integer' if key in ROAD_INTS else 'a number'}")
-    try:
-        return meta["dt"], meta["n_vehicles"], meta["n_ts"], RoadConfig(**road)
-    except SimConfigError as exc:
-        raise ParseError(f"{path}: road: {exc}") from None
-
-
-def _vehicle_rows(vehicles, n_v: int, at: str) -> list:
-    """The (id, x, y, v, a, psi, lane) columns of one line's vehicles, each a
-    tuple over the vehicles as listed."""
-    try:
-        rows = list(map(itemgetter(*VEHICLE_KEYS), vehicles))
-    except (KeyError, TypeError):
-        if not isinstance(vehicles, list):
-            raise ParseError(f"{at}: vehicles: expected a list") from None
-        for k, d in enumerate(vehicles):
-            require_keys(d, VEHICLE_KEYS, at, f"vehicles[{k}].")
-        raise
-    if len(rows) != n_v:
-        raise ParseError(f"{at}: vehicles: {len(rows)} entries, the sidecar says n_vehicles={n_v}")
-    columns = list(zip(*rows))
-    for name, column in zip(VEHICLE_KEYS, columns):
-        integer = name in ("id", "lane")
-        if not set(map(type, column)) <= (INTEGER if integer else NUMBER):
-            k = next(k for k, value in enumerate(column) if not _is_number(value, integer))
-            raise ParseError(f"{at}: vehicles[{k}].{name}: {column[k]!r} is not {'an integer' if integer else 'a number'}")
-    return columns
+def _events(meta: dict, key: str, fields: dict, path: Path) -> list:
+    """The sidecar's event list ``key`` as tuples; ``fields`` maps the name
+    of each entry field to its inclusive integer bounds."""
+    entries = meta[key]
+    if not isinstance(entries, list):
+        raise ParseError(f"{path}: {key}: expected a list")
+    for k, entry in enumerate(entries):
+        if not (isinstance(entry, list) and len(entry) == len(fields) and all(
+                type(value) is int and lo <= value <= hi for value, (lo, hi) in zip(entry, fields.values()))):
+            want = ", ".join(f"{name} in [{lo}, {hi}]" for name, (lo, hi) in fields.items())
+            raise ParseError(f"{path}: {key}[{k}]: {entry!r} is not [{', '.join(fields)}] with {want}")
+    return [tuple(entry) for entry in entries]
 
 
 def load_trace(path) -> Trace:
-    """Rebuild a Trace from a JSONL file and its meta sidecar.
+    """Rebuild a Trace, every field of it, from a raw file and its sidecar.
 
-    Lane-change start events and the ay warning count are not part of the
-    wire format; they reload as empty and zero. Raises ParseError naming
-    ``path:line`` (or the sidecar's key path) for invalid JSON, a missing
-    key, a value of the wrong type, a ``t`` other than the line's index, a
-    vehicle id outside [1, n_vehicles] or repeated, a lane outside [1, n_l]
-    or over n_vpl vehicles, and a step count other than the sidecar's.
+    Raises ParseError naming the sidecar, with a key path or the line of
+    invalid JSON, for a missing, mistyped (a bool is never a number) or
+    out-of-range value; and naming the raw file for a size other than the
+    sidecar's, a lane outside [1, n_l] (``path: step t, vehicle i``) or a
+    lane over n_vpl vehicles.
     """
-    path = Path(path)
-    dt, n_v, n_ts, road = _load_meta(meta_path(path))
-    channels = np.empty((len(CHANNELS), n_ts, n_v))
-    lane = np.empty((n_ts, n_v), dtype=np.int64)
-    in_order = tuple(range(1, n_v + 1))
-    collisions = []
-    count = 0
-    with open(path) as fh:
-        for t, line in enumerate(fh):
-            at = f"{path}:{t + 1}"
-            if t == n_ts:
-                raise ParseError(f"{at}: more steps than the sidecar's n_ts={n_ts}")
-            rec = _json(line, at)
-            require_keys(rec, ("t", "vehicles", "collisions"), at, "")
-            if type(rec["t"]) is not int or rec["t"] != t:
-                raise ParseError(f"{at}: t: {rec['t']!r} is not the line's index {t}")
-            ids, *floats, lanes = _vehicle_rows(rec["vehicles"], n_v, at)
-            cols = slice(None)
-            if ids != in_order:
-                seen: set = set()
-                for k, vid in enumerate(ids):
-                    if not 1 <= vid <= n_v or vid in seen:
-                        raise ParseError(f"{at}: vehicles[{k}].id: {vid} is not a new vehicle id in [1, {n_v}]")
-                    seen.add(vid)
-                cols = np.array(ids) - 1
-            try:
-                channels[:, t, cols] = floats
-                lane[t, cols] = lanes
-            except OverflowError:
-                raise ParseError(f"{at}: vehicles: a number is out of range") from None
-            pairs = rec["collisions"]
-            if not isinstance(pairs, list):
-                raise ParseError(f"{at}: collisions: expected a list")
-            for k, pair in enumerate(pairs):
-                if not (isinstance(pair, list) and len(pair) == 2 and all(_is_number(v, True) and 1 <= v <= n_v for v in pair)):
-                    raise ParseError(f"{at}: collisions[{k}]: {pair!r} is not a pair of vehicle ids")
-                collisions.append((t, (pair[0], pair[1])))
-            count = t + 1
-    if count != n_ts:
-        raise ParseError(f"{path}: {count} steps, the sidecar says n_ts={n_ts}")
+    path, sidecar = Path(path), meta_path(path)
+    meta = read_json(sidecar)
+    require_keys(meta, ("dt", "n_vehicles", "n_ts", "road", "collisions", "lane_change_starts", "ay_warning_steps"), sidecar, "")
+    require_keys(meta["road"], ROAD_KEYS, sidecar, "road.")
+    if type(meta["dt"]) not in (int, float) or not meta["dt"] > 0:
+        raise ParseError(f"{sidecar}: dt: {meta['dt']!r} is not a positive number")
+    for key, least in (("n_vehicles", 1), ("n_ts", 1), ("ay_warning_steps", 0)):
+        if type(meta[key]) is not int or meta[key] < least:
+            raise ParseError(f"{sidecar}: {key}: {meta[key]!r} is not an integer >= {least}")
+    road = {key: meta["road"][key] for key in ROAD_KEYS}
+    for key, value in road.items():
+        if type(value) not in ((int,) if key in ROAD_INTS else (int, float)):
+            raise ParseError(f"{sidecar}: road.{key}: {value!r} is not {'an integer' if key in ROAD_INTS else 'a number'}")
+    try:
+        road = RoadConfig(**road)
+    except SimConfigError as exc:
+        raise ParseError(f"{sidecar}: road: {exc}") from None
+    n_ts, n_v = meta["n_ts"], meta["n_vehicles"]
+    steps, ids = (0, n_ts - 1), (1, n_v)
+    collisions = _events(meta, "collisions", {"t": steps, "id_a": ids, "id_b": ids}, sidecar)
+    lc_starts = _events(meta, "lane_change_starts", {"t": steps, "id": ids, "target_lane": (1, road.n_l)}, sidecar)
+    size, n = path.stat().st_size, n_ts * n_v
+    if size != n * STEP_BYTES:  # checked before anything is allocated
+        raise ParseError(f"{path}: {size} bytes, the sidecar's n_ts={n_ts} and n_vehicles={n_v} make {n * STEP_BYTES}")
+    with open(path, "rb") as fh:
+        channels = {name: np.fromfile(fh, FLOAT, count=n).reshape(n_ts, n_v) for name in CHANNELS}
+        lane = np.fromfile(fh, LANE, count=n).reshape(n_ts, n_v).astype(np.int64)
     outside = np.argwhere((lane < 1) | (lane > road.n_l))
     if outside.size:
         t, i = outside[0].tolist()
-        raise ParseError(f"{path}:{t + 1}: vehicle {i + 1}: lane {lane[t, i]} is not in [1, {road.n_l}]")
+        raise ParseError(f"{path}: step {t}, vehicle {i + 1}: lane {lane[t, i]} is not in [1, {road.n_l}]")
     overflow = lane_overflow(lane, road)
     if overflow:
         t, k, held = overflow
-        raise ParseError(f"{path}:{t + 1}: lane {k} holds {held} vehicles, over n_vpl={road.n_vpl}")
-    return Trace(dt=dt, road=road, **dict(zip(CHANNELS, channels)), lane=lane, collisions=collisions)
+        raise ParseError(f"{path}: step {t}: lane {k} holds {held} vehicles, over n_vpl={road.n_vpl}")
+    return Trace(
+        dt=meta["dt"],
+        road=road,
+        **channels,
+        lane=lane,
+        collisions=[(t, (a, b)) for t, a, b in collisions],
+        lane_change_starts=lc_starts,
+        ay_warning_steps=meta["ay_warning_steps"],
+    )

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..dataset import Dataset, ParseError, ProximityMatrix, require_keys
+from ..dataset import Dataset, ParseError, ProximityMatrix, read_json, require_keys
 from .tree import NOISE_COLUMNS, Tree, grow_tree, node_dicts, noise_rule, read_nodes
 
 __all__ = ["Forest", "fit", "proximity_matrix", "save_forest", "load_forest", "tree_rng"]
@@ -134,10 +134,7 @@ def save_forest(forest: Forest, path) -> None:
 def load_forest(path) -> Forest:
     """Load a forest JSON. Raises ParseError naming the file and the key
     path of the first entry that is missing or malformed."""
-    try:
-        d = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    d = read_json(path)
     require_keys(d, ("seed", "Q", "trees"), path, "")
     q = d["Q"]
     if type(q) is not int or q < 1:

@@ -48,8 +48,8 @@ def pipeline(tmp_path_factory):
 
 def test_simulate_writes_named_traces(pipeline):
     _, out, _, _ = pipeline
-    assert (out / "trace_0.jsonl").exists()
-    assert (out / "trace_1.jsonl").exists()
+    assert (out / "trace_0.raw").exists()
+    assert (out / "trace_1.raw").exists()
     assert (out / "trace_0.meta.json").exists()
 
 
@@ -58,10 +58,8 @@ def test_simulate_rerun_byte_identical(pipeline, tmp_path):
     cfg = write_config(tmp_path, FAST_SIM)
     out2 = tmp_path / "out2"
     assert cli.main(["--config", str(cfg), "--seed", "11", "--out", str(out2), "simulate"]) == 0
-    for k in range(2):
-        a = (out / f"trace_{k}.jsonl").read_bytes()
-        b = (out2 / f"trace_{k}.jsonl").read_bytes()
-        assert a == b
+    for name in ("trace_0.raw", "trace_0.meta.json", "trace_1.raw", "trace_1.meta.json"):
+        assert (out / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_simulate_removes_traces_beyond_runs(tmp_path, capsys):
@@ -70,7 +68,7 @@ def test_simulate_removes_traces_beyond_runs(tmp_path, capsys):
         cfg = write_config(tmp_path, {"sim": {"duration": 120.0, "runs": runs}})
         assert cli.main(["--config", str(cfg), "--seed", "11", "--out", str(out), "simulate"]) == 0
     assert sorted(p.name for p in out.iterdir()) == [
-        "trace_0.jsonl", "trace_0.meta.json", "trace_1.jsonl", "trace_1.meta.json"
+        "trace_0.meta.json", "trace_0.raw", "trace_1.meta.json", "trace_1.raw"
     ]
     capsys.readouterr()
     assert cli.main(["--out", str(out), "extract"]) == 0
@@ -248,72 +246,125 @@ def test_stage_seed_stability():
 
 @pytest.fixture(scope="module")
 def small_trace(tmp_path_factory):
-    """(jsonl text, sidecar text) of one 5 s run on a 2-lane road holding at
-    most 2 vehicles per lane."""
+    """(raw bytes, sidecar text) of one 5 s run (100 steps, 3 vehicles) on a
+    2-lane road holding at most 2 vehicles per lane."""
     root = tmp_path_factory.mktemp("small_trace")
     cfg = write_config(root, {"road": {"n_l": 2, "n_vpl": 2}, "sim": {"duration": 5.0, "runs": 1}})
     assert cli.main(["--config", str(cfg), "--seed", "11", "--out", str(root), "simulate"]) == 0
-    return (root / "trace_0.jsonl").read_text(), (root / "trace_0.meta.json").read_text()
+    return (root / "trace_0.raw").read_bytes(), (root / "trace_0.meta.json").read_text()
 
 
-def edit_line(k, edit):
-    """A corruption of line k (1-based) of the trace, given as parsed JSON."""
-    def corrupt(lines, meta):
-        rec = json.loads(lines[k - 1])
-        edit(rec)
-        lines[k - 1] = json.dumps(rec)
-        return lines, meta
+def set_lanes(step, lanes):
+    """A corruption writing ``lanes`` (one per vehicle) into one step's lane row."""
+    def corrupt(data, meta):
+        n_v, n = json.loads(meta)["n_vehicles"], len(data) // 41
+        lane = bytearray(data[40 * n:])  # after the five float64 channels
+        lane[step * n_v:(step + 1) * n_v] = bytes(lanes(n_v))
+        return data[:40 * n] + bytes(lane), meta
     return corrupt
+
+
+def drop_last_step(data, meta):
+    """The file of the same run one step shorter, under the unchanged sidecar."""
+    n_v, n = json.loads(meta)["n_vehicles"], len(data) // 41
+    floats = np.frombuffer(data, "<f8", count=5 * n).reshape(5, -1, n_v)[:, :-1]
+    lane = np.frombuffer(data, "i1", offset=40 * n).reshape(-1, n_v)[:-1]
+    return floats.tobytes() + lane.tobytes(), meta
 
 
 def edit_meta(edit):
-    def corrupt(lines, meta):
-        return lines, edit(meta)
+    def corrupt(data, meta):
+        return data, edit(meta)
     return corrupt
 
 
-def set_vehicle(k, key, value):
-    return edit_line(2, lambda rec: rec["vehicles"][k].__setitem__(key, value))
+def set_meta(key, value):
+    def edit(meta):
+        return json.dumps({**json.loads(meta), key: value}) + "\n"
+    return edit_meta(edit)
 
 
-def all_in_lane_1(rec):
-    for v in rec["vehicles"]:
-        v["lane"] = 1
+def assert_exits_2_located(argv, where, message, capsys):
+    """The CLI exits 2 with one ``error: <where>: ...`` line naming ``message``
+    and no traceback."""
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: ")
+    assert message in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
     "corrupt, where, message",
     [
-        (lambda lines, meta: (lines[:-1] + [lines[-1][:40]], meta), ".jsonl:100", "invalid JSON"),
-        (edit_line(3, lambda rec: rec["vehicles"][0].pop("lane")), ".jsonl:3", "vehicles[0].lane: missing key"),
-        (edit_line(3, lambda rec: rec.pop("collisions")), ".jsonl:3", "collisions: missing key"),
-        (edit_line(2, lambda rec: rec.__setitem__("t", 5)), ".jsonl:2", "t: 5 is not the line's index 1"),
-        (set_vehicle(0, "id", 99), ".jsonl:2", "vehicles[0].id: 99 is not a new vehicle id"),
-        (set_vehicle(1, "id", 1), ".jsonl:2", "vehicles[1].id: 1 is not a new vehicle id"),
-        (set_vehicle(0, "x", "12.5"), ".jsonl:2", "vehicles[0].x: '12.5' is not a number"),
-        (set_vehicle(0, "lane", 3), ".jsonl:2", "vehicle 1: lane 3 is not in [1, 2]"),
-        (edit_line(2, all_in_lane_1), ".jsonl:2", "lane 1 holds"),
-        (lambda lines, meta: (lines[:-1], meta), ".jsonl", "99 steps, the sidecar says n_ts=100"),
-        (edit_meta(lambda meta: meta[:-3]), ".meta.json", "invalid JSON"),
+        (lambda data, meta: (data[:-1], meta), ".raw", "12299 bytes, the sidecar's n_ts=100 and n_vehicles=3 make 12300"),
+        (lambda data, meta: (data + b"\0", meta), ".raw", "12301 bytes"),
+        (drop_last_step, ".raw", "12177 bytes, the sidecar's n_ts=100"),
+        (set_lanes(2, lambda n_v: [3] + [1] * (n_v - 1)), ".raw", "step 2, vehicle 1: lane 3 is not in [1, 2]"),
+        (set_lanes(2, lambda n_v: [1] * n_v), ".raw", "step 2: lane 1 holds 3 vehicles, over n_vpl=2"),
+        (set_meta("collisions", [[3, 1, 99]]), ".meta.json", "collisions[0]: [3, 1, 99] is not [t, id_a, id_b]"),
+        (set_meta("collisions", [[100, 1, 2]]), ".meta.json", "collisions[0]: [100, 1, 2] is not [t, id_a, id_b] with t in [0, 99]"),
+        (set_meta("collisions", [[3, 1]]), ".meta.json", "collisions[0]: [3, 1] is not"),
+        (set_meta("lane_change_starts", [[3, 1, 3]]), ".meta.json", "lane_change_starts[0]: [3, 1, 3] is not"),
+        (set_meta("ay_warning_steps", -1), ".meta.json", "ay_warning_steps: -1 is not an integer >= 0"),
+        (edit_meta(lambda meta: meta[:-3]), ".meta.json:1", "invalid JSON"),
         (edit_meta(lambda meta: meta.replace('"n_ts"', '"steps"')), ".meta.json", "n_ts: missing key"),
         (edit_meta(lambda meta: meta.replace('"n_l": 2', '"n_l": 5')), ".meta.json", "road: lane count must be 2 or 3"),
     ],
     ids=[
-        "invalid-json", "missing-vehicle-key", "missing-line-key", "t-not-line-index", "id-out-of-range",
-        "id-repeated", "x-not-a-number", "lane-out-of-range", "lane-over-capacity", "step-count",
-        "meta-invalid-json", "meta-missing-key", "meta-bad-road",
+        "short-by-one-byte", "extra-byte", "step-count", "lane-out-of-range", "lane-over-capacity",
+        "id-out-of-range", "collision-step-out-of-range", "collision-not-a-triple", "lane-change-start-bad-lane",
+        "ay-warning-steps-negative", "meta-invalid-json", "meta-missing-key", "meta-bad-road",
     ],
 )
 def test_extract_rejects_malformed_trace(small_trace, tmp_path, capsys, corrupt, where, message):
-    lines, meta = corrupt(small_trace[0].splitlines(), small_trace[1])
-    (tmp_path / "trace_0.jsonl").write_text("\n".join(lines) + "\n")
+    data, meta = corrupt(*small_trace)
+    (tmp_path / "trace_0.raw").write_bytes(data)
     (tmp_path / "trace_0.meta.json").write_text(meta)
-    capsys.readouterr()
-    assert cli.main(["--out", str(tmp_path), "extract"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {tmp_path / 'trace_0'}{where}: ")
-    assert message in err
-    assert "Traceback" not in err
+    assert_exits_2_located(["--out", str(tmp_path), "extract"], f"{tmp_path / 'trace_0'}{where}", message, capsys)
+
+
+MATRIX_2 = np.array([[1.0, 0.5], [0.5, 1.0]]).tobytes()
+SIDECAR_2 = '{"M": 2, "ids": ["a", "b"]}\n'
+RENDER_RAW = ["render", "--matrix", "m.raw", "--output", "m.ppm"]
+LABEL = ["--out", ".", "label", "--ranges", "ranges.json"]
+SCENARIOS_2 = {"scenarios.csv": "id,f\na,1\nb,2\n"}
+
+
+@pytest.mark.parametrize(
+    "files, argv, where, message",
+    [
+        ({"m.raw": MATRIX_2, "m.raw.json": '{"M": 2,'}, RENDER_RAW, "m.raw.json:1", "invalid JSON"),
+        ({"m.raw": MATRIX_2, "m.raw.json": '{"ids": ["a", "b"]}'}, RENDER_RAW, "m.raw.json", "M: missing key"),
+        ({"m.raw": MATRIX_2, "m.raw.json": '{"M": 2.0, "ids": ["a", "b"]}'}, RENDER_RAW, "m.raw.json",
+         "M: 2.0 is not a non-negative integer"),
+        ({"m.raw": MATRIX_2, "m.raw.json": '{"M": 2, "ids": ["a", 2]}'}, RENDER_RAW, "m.raw.json",
+         "ids: expected a list of M=2 strings"),
+        ({"m.raw": MATRIX_2[:-1], "m.raw.json": SIDECAR_2}, RENDER_RAW, "m.raw", "31 bytes, the sidecar's M=2 makes 32"),
+        ({"m.raw": np.array([[1.0, 0.5], [0.4, 1.0]]).tobytes(), "m.raw.json": SIDECAR_2}, RENDER_RAW, "m.raw",
+         "asymmetric at (0, 1)"),
+        ({"m.csv": "a,b\n1,0.5\n"}, ["render", "--matrix", "m.csv", "--format", "csv", "--output", "m.ppm"], "m.csv",
+         "matrix shape (1, 2) does not match 2 ids"),
+        ({**SCENARIOS_2, "permutation.json": "[0.5, 1.7]"}, LABEL, "permutation.json", "[0]: 0.5 is not an integer"),
+        ({**SCENARIOS_2, "permutation.json": "[true, false]"}, LABEL, "permutation.json", "[0]: True is not an integer"),
+        ({**SCENARIOS_2, "permutation.json": "[0,"}, LABEL, "permutation.json:1", "invalid JSON"),
+        ({"labeled.csv": "id,f,label\na,1,A\nb,x,B\n"}, ["--out", ".", "train"], "labeled.csv:3",
+         "non-numeric cell 'x' in column 'f'"),
+        ({"labeled.csv": "id,f,label\na,inf,A\n"}, ["--out", ".", "train"], "labeled.csv:2",
+         "non-finite cell 'inf' in column 'f'"),
+    ],
+    ids=[
+        "raw-sidecar-invalid-json", "raw-sidecar-missing-M", "raw-sidecar-M-not-int", "raw-sidecar-ids-not-strings",
+        "raw-data-short", "raw-asymmetric", "csv-shape", "permutation-floats", "permutation-bools",
+        "permutation-invalid-json", "labeled-non-numeric", "labeled-non-finite",
+    ],
+)
+def test_reader_rejects_malformed_input(tmp_path, monkeypatch, capsys, files, argv, where, message):
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
+    assert_exits_2_located(argv, where, message, capsys)
 
 
 @pytest.mark.parametrize(
@@ -358,8 +409,10 @@ def test_render_csv_locates_bad_cell(tmp_path, capsys, text, message):
 # sha256 of the simulate + extract artifacts of a 2-run, 60 s config at
 # seed 4242: any byte change to the traces or the features shows here
 PINNED_SHA256 = {
-    "trace_0.jsonl": "90a9f15a1ac12216b530b2be466467cbce1d95859fa986796d01c36867667de7",
-    "trace_1.jsonl": "4be0da49184c959ba4d95892356b3560cf5ab21b355bafc763854b6cbd9bc22a",
+    "trace_0.raw": "90d14ff6322a3841a8be64b64425f844867d508a9d951e54c71c4dfc7d7e56aa",
+    "trace_0.meta.json": "1020eedb9c8f86ae3ad49305cec76072b24a71382fedf2062cbba2fe0ecb097f",
+    "trace_1.raw": "9a38ec56de2f4138d61238d6f2683bc99eab9336426191a6effbb348df3f04c8",
+    "trace_1.meta.json": "52f868601268a040827e47e8bea4425ec19b2d4ed535a3da8ea830ae86be45e8",
     "scenarios.csv": "4776cdd167ab549cc8e8fb1c70e552ae103e491b324da198877d824ac1f6ca92",
 }
 

@@ -1,42 +1,54 @@
-"""Trace JSONL wire format and bit-exact reload."""
+"""Trace file layout and bit-exact reload."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 
-from scenforest.sim import CHANNELS, RoadConfig, SimParams, load_trace, run_simulation, save_trace
+from scenforest.sim import CHANNELS, RoadConfig, SimParams, load_trace, meta_path, run_simulation, save_trace
 
 
 def test_trace_round_trip_bit_exact(tmp_path):
     road = RoadConfig(n_l=2, n_vpl=5)
-    trace = run_simulation(road, SimParams(dt=0.05, duration=20.0, seed=13))
-    path = tmp_path / "trace.jsonl"
-    save_trace(trace, path)
-    loaded = load_trace(path)
-    # everything but the diagnostics the wire format leaves out reloads equal
-    assert (loaded.dt, loaded.road, loaded.collisions) == (trace.dt, trace.road, trace.collisions)
-    for name in (*CHANNELS, "lane"):
-        got, want = getattr(loaded, name), getattr(trace, name)
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
-    assert (loaded.lane_change_starts, loaded.ay_warning_steps) == ([], 0)
-    # saving the reloaded trace reproduces the file byte for byte
-    path2 = tmp_path / "again.jsonl"
-    save_trace(loaded, path2)
-    assert path.read_bytes() == path2.read_bytes()
+    quiet = run_simulation(road, SimParams(dt=0.05, duration=20.0, seed=13))
+    # seed 17 has collisions and lane-change starts; ay warnings are rare, so one count is set
+    busy = replace(run_simulation(road, SimParams(dt=0.05, duration=40.0, seed=17)), ay_warning_steps=3)
+    assert busy.collisions and busy.lane_change_starts
+    for k, trace in enumerate((quiet, busy)):
+        path = tmp_path / f"trace_{k}.raw"
+        save_trace(trace, path)
+        loaded = load_trace(path)
+        # every field reloads equal, the arrays bit for bit and dtype included
+        for name in ("dt", "road", "collisions", "lane_change_starts", "ay_warning_steps"):
+            assert getattr(loaded, name) == getattr(trace, name)
+        for name in (*CHANNELS, "lane"):
+            got, want = getattr(loaded, name), getattr(trace, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        # saving the reloaded trace reproduces both files byte for byte
+        again = tmp_path / f"again_{k}.raw"
+        save_trace(loaded, again)
+        assert path.read_bytes() == again.read_bytes()
+        assert meta_path(path).read_bytes() == meta_path(again).read_bytes()
 
 
 def test_trace_line_schema(tmp_path):
+    """The file layout: 41 bytes per vehicle and step, float channels first in
+    CHANNELS order, then the int8 lanes; the sidecar keys."""
     road = RoadConfig(n_l=2, n_vpl=4)
     trace = run_simulation(road, SimParams(dt=0.1, duration=2.0, seed=3))
-    path = tmp_path / "trace.jsonl"
+    path = tmp_path / "trace.raw"
     save_trace(trace, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == trace.n_ts
-    first = json.loads(lines[0])
-    assert set(first) == {"t", "vehicles", "collisions"}
-    assert first["t"] == 0
-    assert set(first["vehicles"][0]) == {"id", "x", "y", "v", "a", "psi", "lane"}
+    n = trace.n_ts * trace.n_vehicles
+    data = path.read_bytes()
+    assert len(data) == n * 41
+    floats = np.frombuffer(data, "<f8", count=len(CHANNELS) * n).reshape(len(CHANNELS), trace.n_ts, trace.n_vehicles)
+    for k, name in enumerate(CHANNELS):
+        np.testing.assert_array_equal(floats[k], getattr(trace, name))
+    np.testing.assert_array_equal(np.frombuffer(data, "i1", offset=len(CHANNELS) * n * 8), trace.lane.ravel())
     meta = json.loads((tmp_path / "trace.meta.json").read_text())
+    assert list(meta) == [
+        "dt", "n_vehicles", "n_ts", "road", "collisions", "lane_change_starts", "ay_warning_steps"
+    ]
+    assert (meta["dt"], meta["n_vehicles"], meta["n_ts"]) == (0.1, trace.n_vehicles, trace.n_ts)
     assert meta["road"]["n_l"] == 2
-    assert meta["dt"] == 0.1
