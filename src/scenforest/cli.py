@@ -37,7 +37,7 @@ from .sim import (
     SimParams,
     load_trace,
     meta_path,
-    run_simulation,
+    run_simulations,
     save_trace,
     trace_path,
     trace_paths,
@@ -125,15 +125,19 @@ def cmd_simulate(cfg: dict, args) -> int:
         if stale not in current:
             stale.unlink()
             meta_path(stale).unlink(missing_ok=True)
-    for k in range(runs):
-        params = SimParams(
+    params = [
+        SimParams(
             dt=float(sim_cfg["dt"]),
             duration=float(sim_cfg["duration"]),
             seed=stage_seed(master, "sim", k),
             target_resample_mean=float(sim_cfg["target_resample_mean"]),
         )
-        trace = run_simulation(road, params)
-        save_trace(trace, trace_path(out, k))
+        for k in range(runs)
+    ]
+    # a trace keeps its whole batch alive, so none is held past its save
+    traces = run_simulations(road, params)
+    for k in range(runs):
+        save_trace(next(traces), trace_path(out, k))
     print(f"simulated {sim_cfg['runs']} run(s) into {out}")
     return EXIT_OK
 
@@ -185,12 +189,27 @@ def cmd_order(cfg: dict, args) -> int:
     return EXIT_OK
 
 
+def _located(path, check, *args) -> None:
+    """Run check(*args), turning its ValueError into a ParseError naming path."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def cmd_label(cfg: dict, args) -> int:
     out = _workdir(cfg, args)
-    dataset = load_dataset(args.input or out / "scenarios.csv")
-    perm = ordering.load_permutation(out / "permutation.json")
+    in_path = args.input or out / "scenarios.csv"
+    dataset = load_dataset(in_path)
+    perm_path, matrix_path = out / "permutation.json", out / "proximity_ordered.raw"
+    perm = ordering.load_permutation(perm_path)
     ranges = ordering.load_cluster_ranges(args.ranges)
-    p_ordered = load_matrix(out / "proximity_ordered.raw", fmt="raw")
+    p_ordered = load_matrix(matrix_path, fmt="raw")
+    m = dataset.n_rows
+    if p_ordered.size != m:
+        raise ParseError(f"{matrix_path}: M={p_ordered.size}, but {in_path} holds {m} scenarios")
+    _located(perm_path, ordering.check_permutation, perm, m)
+    _located(args.ranges, ordering.check_ranges, ranges, m)
     for entry in ordering.range_report(p_ordered, ranges):
         print(
             f"range [{entry['start']}, {entry['end']}] label={entry['label']} "

@@ -29,6 +29,8 @@ __all__ = [
     "render_heatmap",
     "load_cluster_ranges",
     "apply_cluster_ranges",
+    "check_permutation",
+    "check_ranges",
     "range_report",
     "save_dendrogram",
     "save_permutation",
@@ -243,14 +245,25 @@ def load_cluster_ranges(path) -> list[ClusterRange]:
     return ranges
 
 
-def _check_ranges(ranges: list[ClusterRange], m: int) -> None:
-    for r in ranges:
+def check_permutation(perm, m: int) -> np.ndarray:
+    """perm as an int64 array; ValueError unless it is a bijection on [0, m)."""
+    perm = np.asarray(perm, dtype=np.int64)
+    if perm.shape != (m,) or not np.array_equal(np.sort(perm), np.arange(m)):
+        raise ValueError(f"perm is not a bijection on [0, {m})")
+    return perm
+
+
+def check_ranges(ranges: list[ClusterRange], m: int) -> None:
+    """ValueError naming the entry ``[k]`` of the first range outside
+    [0, m), or else of the first that overlaps another."""
+    for k, r in enumerate(ranges):
         if not (0 <= r.start <= r.end < m):
-            raise ValueError(f"range [{r.start}, {r.end}] outside [0, {m})")
-    ordered = sorted(ranges, key=lambda r: r.start)
-    for a, b in zip(ordered, ordered[1:]):
+            raise ValueError(f"[{k}]: range [{r.start}, {r.end}] outside [0, {m})")
+    by_start = sorted(range(len(ranges)), key=lambda k: ranges[k].start)
+    for j, k in zip(by_start, by_start[1:]):
+        a, b = ranges[j], ranges[k]
         if b.start <= a.end:
-            raise ValueError(f"overlapping ranges [{a.start}, {a.end}] and [{b.start}, {b.end}]")
+            raise ValueError(f"[{k}]: range [{b.start}, {b.end}] overlaps [{j}]: range [{a.start}, {a.end}]")
 
 
 def apply_cluster_ranges(data: Dataset, perm, ranges: list[ClusterRange]) -> LabeledDataset:
@@ -259,11 +272,9 @@ def apply_cluster_ranges(data: Dataset, perm, ranges: list[ClusterRange]) -> Lab
     Seriated position i refers to original row perm[i]; rows not covered by
     any range are excluded (the labeled set may be smaller than the input).
     """
-    perm = np.asarray(perm, dtype=np.int64)
     m = data.n_rows
-    if perm.shape != (m,) or not np.array_equal(np.sort(perm), np.arange(m)):
-        raise ValueError("perm is not a bijection on [0, M)")
-    _check_ranges(ranges, m)
+    perm = check_permutation(perm, m)
+    check_ranges(ranges, m)
     if not ranges:
         warnings.warn("no cluster ranges given; labeled dataset is empty")
     label_by_row: dict[int, str] = {}
@@ -276,7 +287,7 @@ def apply_cluster_ranges(data: Dataset, perm, ranges: list[ClusterRange]) -> Lab
 
 def range_report(p_ordered: ProximityMatrix, ranges: list[ClusterRange]) -> list[dict]:
     """Mean within-block similarity per candidate range of a seriated matrix."""
-    _check_ranges(ranges, p_ordered.size)
+    check_ranges(ranges, p_ordered.size)
     report = []
     for r in ranges:
         block = p_ordered.values[r.start : r.end + 1, r.start : r.end + 1]

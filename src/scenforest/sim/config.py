@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "SimConfigError",
     "RoadConfig",
@@ -55,9 +57,10 @@ class RoadConfig:
     def lane_center(self, lane: int) -> float:
         return (lane - 0.5) * self.lane_width
 
-    def lane_of(self, y: float) -> int:
-        lane = int(y // self.lane_width) + 1
-        return min(max(lane, 1), self.n_l)
+    def lane_of(self, y):
+        """The lane holding lateral position y (a float or an array), clamped to [1, n_l]."""
+        lane = np.floor_divide(y, self.lane_width).astype(np.int64) + 1
+        return np.minimum(np.maximum(lane, 1), self.n_l)[()]
 
 
 @dataclass
@@ -105,7 +108,8 @@ class BehaviorProfile:
 
 @dataclass
 class VehicleState:
-    """Pose and motion of one vehicle at one timestep."""
+    """Pose and motion of one vehicle at one timestep; the simulator's
+    lock-step engine fills each field with an array, one entry per vehicle."""
 
     x: float     # longitudinal position, m
     y: float     # lateral position, m (0 at the right road edge)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .config import (
     GRAVITY,
     MAX_STEER,
@@ -42,25 +44,52 @@ AY_LIMIT = 0.4 * GRAVITY       # one-track validity bound
 AY_CTRL_LIMIT = 0.35 * GRAVITY  # steering commands keep a margin below it
 
 
-def _gompertz(u: float, profile: BehaviorProfile) -> float:
-    return profile.a_m * math.exp(-profile.b * math.exp(-profile.c * u))
+def py_max(a, b):
+    """Python's max(a, b), elementwise over floats or arrays: b only where
+    b > a, so max(-0.0, 0.0) stays -0.0 (np.maximum may give 0.0). Against
+    a nonzero constant bound the laws use np.maximum and np.minimum, which
+    then give the same result."""
+    return np.where(b > a, b, a)[()]
 
 
-def gompertz_follower_accel(d_fl: float, profile: BehaviorProfile) -> float:
+def py_min(a, b):
+    """Python's min(a, b), elementwise: b only where b < a."""
+    return np.where(b < a, b, a)[()]
+
+
+def _math(f, x):
+    """The math-module function f over a float or elementwise over an array.
+    numpy's exp, tan and arctan differ from math's in the last bit on some
+    inputs; math's are the reference the traces were made with. (np.sin and
+    np.cos agree with math's; 8 M inputs checked.)"""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(f, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
+    return f(x)
+
+
+# Every law below takes floats or equally shaped arrays, one entry per
+# vehicle; a profile may then be any object whose fields are such arrays.
+# The arithmetic is the same operation for operation, so an array entry
+# equals the float result bit for bit.
+
+
+def _gompertz(u, profile: BehaviorProfile):
+    return profile.a_m * _math(math.exp, -profile.b * _math(math.exp, -profile.c * u))
+
+
+def gompertz_follower_accel(d_fl, profile: BehaviorProfile):
     """Commanded free-flow component for a follower at gap d_fl (>= 0)."""
     return _gompertz(d_fl, profile)
 
 
-def gompertz_leader_accel(v_l: float, d_il: float, profile: BehaviorProfile, road: RoadConfig) -> float:
+def gompertz_leader_accel(v_l, d_il, profile: BehaviorProfile, road: RoadConfig):
     """Leader acceleration: gap argument when d_il exceeds d_il_max
     (strictly), velocity argument otherwise. Both branches share the
     Gompertz form, so equal arguments give equal outputs."""
-    if d_il > road.d_il_max:
-        return _gompertz(d_il, profile)
-    return _gompertz(v_l, profile)
+    return _gompertz(np.where(d_il > road.d_il_max, d_il, v_l)[()], profile)
 
 
-def braking_decel(d_fl: float, v_f: float, v_l: float, profile: BehaviorProfile) -> float:
+def braking_decel(d_fl, v_f, v_l, profile: BehaviorProfile):
     """Constant-deceleration braking term (<= 0) for a closing follower.
 
     Sized so the closing speed is eliminated within the remaining gap;
@@ -70,21 +99,22 @@ def braking_decel(d_fl: float, v_f: float, v_l: float, profile: BehaviorProfile)
     gap), so a speed-matching term ramps in over the last stretch and kills
     residual closing exponentially.
     """
-    closing = max(v_f - v_l, 0.0)
-    needed = closing * closing / (2.0 * max(d_fl - BRAKE_MIN_GAP, BRAKE_EPS))
-    ramp = min(max(1.0 - (d_fl - BRAKE_MIN_GAP) / BRAKE_NEAR, 0.0), 1.0)
+    closing = py_max(v_f - v_l, 0.0)
+    above_min = d_fl - BRAKE_MIN_GAP
+    needed = closing * closing / (2.0 * np.maximum(above_min, BRAKE_EPS))
+    ramp = np.minimum(py_max(1.0 - above_min / BRAKE_NEAR, 0.0), 1.0)
     needed += BRAKE_MATCH * closing * ramp
-    return -min(profile.a_dec_max, needed)
+    return -py_min(profile.a_dec_max, needed)
 
 
-def regulate_speed(v: float, v_target: float, profile: BehaviorProfile, road: RoadConfig) -> float:
+def regulate_speed(v, v_target, profile: BehaviorProfile, road: RoadConfig):
     """Signed Gompertz regulation toward the target speed."""
     dv = v_target - v
-    mag = gompertz_leader_accel(abs(dv), 0.0, profile, road)
-    return math.copysign(mag, dv) if dv != 0.0 else 0.0
+    mag = _gompertz(abs(dv), profile)  # gompertz_leader_accel(|dv|, 0.0): the velocity branch
+    return np.where(dv != 0.0, np.copysign(mag, dv), 0.0)[()]
 
 
-def follower_accel(d_fl: float, v_f: float, v_l: float, profile: BehaviorProfile, road: RoadConfig) -> float:
+def follower_accel(d_fl, v_f, v_l, profile: BehaviorProfile, road: RoadConfig):
     """Full follower command: gap response capped by speed regulation, plus
     braking, saturated to [-a_dec_max, a_m].
 
@@ -94,16 +124,15 @@ def follower_accel(d_fl: float, v_f: float, v_l: float, profile: BehaviorProfile
     hold. Gentle approaches keep a positive net command on purpose: gaps
     are allowed to shrink below a comfortable headway.
     """
-    a_gap = gompertz_follower_accel(max(d_fl, 0.0), profile)
+    a_gap = gompertz_follower_accel(py_max(d_fl, 0.0), profile)
     a_reg = regulate_speed(v_f, profile.v_target, profile, road)
-    drive = min(a_gap, a_reg)
+    drive = py_min(a_gap, a_reg)
     brake = braking_decel(d_fl, v_f, v_l, profile)
-    if -brake >= BRAKE_ENGAGE:
-        drive = min(drive, 0.0)
-    return min(max(drive + brake, -profile.a_dec_max), profile.a_m)
+    drive = np.where(-brake >= BRAKE_ENGAGE, py_min(drive, 0.0), drive)
+    return py_min(py_max(drive + brake, -profile.a_dec_max), profile.a_m)
 
 
-def lateral_control(state: VehicleState, target_lane_center: float, v: float) -> float:
+def lateral_control(state: VehicleState, target_lane_center, v):
     """P-control on predicted distance and orientation errors.
 
     The pose is previewed over a speed-dependent look-ahead horizon at the
@@ -117,34 +146,36 @@ def lateral_control(state: VehicleState, target_lane_center: float, v: float) ->
     Commands are clamped so the implied lateral acceleration stays inside
     the one-track validity envelope.
     """
-    horizon = min(max(0.5 + 0.05 * v, 0.5), 2.0)
-    y_pred = state.y + v * math.sin(state.psi) * horizon
+    horizon = np.minimum(np.maximum(0.5 + 0.05 * v, 0.5), 2.0)
+    y_pred = state.y + v * np.sin(state.psi) * horizon
     psi_pred = state.psi
     e_d = target_lane_center - y_pred
     e_psi = -psi_pred
-    k_d = 0.4 / max(v, 5.0)
-    delta_cmd = k_d * e_d + 1.0 * e_psi
-    limit = min(MAX_STEER, math.atan(AY_CTRL_LIMIT * WHEELBASE / max(v, 1.0) ** 2))
-    return min(max(delta_cmd, -limit), limit)
+    k_d = 0.4 / np.maximum(v, 5.0)
+    delta_cmd = k_d * e_d + e_psi  # k_psi = 1
+    # float_power is C pow, as the ** of a float is; x * x rounds differently
+    limit = np.minimum(MAX_STEER, _math(math.atan, AY_CTRL_LIMIT * WHEELBASE / np.float_power(np.maximum(v, 1.0), 2.0)))
+    return py_min(py_max(delta_cmd, -limit), limit)
 
 
-def lateral_accel(v: float, delta: float) -> float:
+def lateral_accel(v, delta):
     """Lateral acceleration implied by speed and steering on the one-track model."""
-    return v * v * math.tan(delta) / WHEELBASE
+    return v * v * _math(math.tan, delta) / WHEELBASE
 
 
-def one_track_step(state: VehicleState, delta_cmd: float, a_cmd: float, dt: float):
-    """Kinematic one-track (bicycle) update over one timestep.
+def one_track_step(state: VehicleState, delta_cmd, a_cmd, dt: float):
+    """Kinematic one-track (bicycle) update over one timestep; the fields of
+    ``state`` may be floats or arrays.
 
     Returns (new state, ay_exceeded flag). The flag marks steps whose
     implied lateral acceleration leaves the model's ~0.4 g validity range.
     The stored acceleration is the realized value, which differs from the
     command only when the speed floors at zero.
     """
-    x = state.x + state.v * math.cos(state.psi) * dt
-    y = state.y + state.v * math.sin(state.psi) * dt
-    psi = state.psi + state.v / WHEELBASE * math.tan(delta_cmd) * dt
-    v = max(0.0, state.v + a_cmd * dt)
+    x = state.x + state.v * np.cos(state.psi) * dt
+    y = state.y + state.v * np.sin(state.psi) * dt
+    psi = state.psi + state.v / WHEELBASE * _math(math.tan, delta_cmd) * dt
+    v = py_max(0.0, state.v + a_cmd * dt)
     new = VehicleState(
         x=x,
         y=y,

@@ -46,7 +46,7 @@ def save_trace(trace: Trace, path) -> None:
     path = Path(path)
     with open(path, "wb") as fh:
         for name in CHANNELS:
-            getattr(trace, name).astype(FLOAT, copy=False).tofile(fh)
+            np.ascontiguousarray(getattr(trace, name), dtype=FLOAT).tofile(fh)
         trace.lane.astype(LANE).tofile(fh)
     meta = {
         "dt": trace.dt,

@@ -327,9 +327,19 @@ def test_extract_rejects_malformed_trace(small_trace, tmp_path, capsys, corrupt,
 
 MATRIX_2 = np.array([[1.0, 0.5], [0.5, 1.0]]).tobytes()
 SIDECAR_2 = '{"M": 2, "ids": ["a", "b"]}\n'
+SIDECAR_3 = '{"M": 3, "ids": ["a", "b", "c"]}\n'
 RENDER_RAW = ["render", "--matrix", "m.raw", "--output", "m.ppm"]
 LABEL = ["--out", ".", "label", "--ranges", "ranges.json"]
 SCENARIOS_2 = {"scenarios.csv": "id,f\na,1\nb,2\n"}
+# a two-scenario workdir that ``label`` accepts: the faults are put in one at a time
+RANGES = '[{"start": 0, "end": 1, "label": "A"}, {"start": %s, "end": %s, "label": "B"}]'
+LABEL_2 = {
+    **SCENARIOS_2,
+    "permutation.json": "[1, 0]",
+    "proximity_ordered.raw": MATRIX_2,
+    "proximity_ordered.raw.json": SIDECAR_2,
+    "ranges.json": '[{"start": 0, "end": 1, "label": "A"}]',
+}
 
 
 @pytest.mark.parametrize(
@@ -349,6 +359,13 @@ SCENARIOS_2 = {"scenarios.csv": "id,f\na,1\nb,2\n"}
         ({**SCENARIOS_2, "permutation.json": "[0.5, 1.7]"}, LABEL, "permutation.json", "[0]: 0.5 is not an integer"),
         ({**SCENARIOS_2, "permutation.json": "[true, false]"}, LABEL, "permutation.json", "[0]: True is not an integer"),
         ({**SCENARIOS_2, "permutation.json": "[0,"}, LABEL, "permutation.json:1", "invalid JSON"),
+        ({**LABEL_2, "permutation.json": "[0, 0]"}, LABEL, "permutation.json", "perm is not a bijection on [0, 2)"),
+        ({**LABEL_2, "permutation.json": "[0, 1, 2]"}, LABEL, "permutation.json", "perm is not a bijection on [0, 2)"),
+        ({**LABEL_2, "ranges.json": RANGES % (0, 5)}, LABEL, "ranges.json", "[1]: range [0, 5] outside [0, 2)"),
+        ({**LABEL_2, "ranges.json": RANGES % (0, 0)}, LABEL, "ranges.json",
+         "[1]: range [0, 0] overlaps [0]: range [0, 1]"),
+        ({**LABEL_2, "proximity_ordered.raw": np.ones((3, 3)).tobytes(), "proximity_ordered.raw.json": SIDECAR_3}, LABEL,
+         "proximity_ordered.raw", "M=3, but scenarios.csv holds 2 scenarios"),
         ({"labeled.csv": "id,f,label\na,1,A\nb,x,B\n"}, ["--out", ".", "train"], "labeled.csv:3",
          "non-numeric cell 'x' in column 'f'"),
         ({"labeled.csv": "id,f,label\na,inf,A\n"}, ["--out", ".", "train"], "labeled.csv:2",
@@ -357,7 +374,8 @@ SCENARIOS_2 = {"scenarios.csv": "id,f\na,1\nb,2\n"}
     ids=[
         "raw-sidecar-invalid-json", "raw-sidecar-missing-M", "raw-sidecar-M-not-int", "raw-sidecar-ids-not-strings",
         "raw-data-short", "raw-asymmetric", "csv-shape", "permutation-floats", "permutation-bools",
-        "permutation-invalid-json", "labeled-non-numeric", "labeled-non-finite",
+        "permutation-invalid-json", "permutation-repeats", "permutation-too-long", "range-outside",
+        "range-overlap", "matrix-size", "labeled-non-numeric", "labeled-non-finite",
     ],
 )
 def test_reader_rejects_malformed_input(tmp_path, monkeypatch, capsys, files, argv, where, message):

@@ -11,6 +11,7 @@ from scenforest.sim import (
     WHEELBASE,
     BehaviorProfile,
     LaneChangeState,
+    Perception,
     RoadConfig,
     SimConfigError,
     SimParams,
@@ -210,12 +211,15 @@ def test_spawn_span_too_short():
 # --------------------------------------------------------- lane change rule
 
 def lc_snapshot(ego_y=1.75, others=()):
+    """What every vehicle perceives when all see one and the same step."""
     states = [VehicleState(x=100.0, y=ego_y, v=20.0, a=0, psi=0, delta=0, lane=1)]
     for x, lane in others:
         states.append(
             VehicleState(x=x, y=(lane - 0.5) * 3.5, v=20.0, a=0, psi=0, delta=0, lane=lane)
         )
-    return states
+    n = len(states)
+    step = {name: np.array([[getattr(s, name) for s in states]]) for name in ("x", "v", "a", "lane")}
+    return Perception(np.zeros(n, dtype=np.int64), **step, peers=np.tile(np.arange(n), (n, 1)))
 
 
 def test_lane_change_never_into_overlap():
@@ -225,7 +229,7 @@ def test_lane_change_never_into_overlap():
     lc = LaneChangeState()
     rng = np.random.default_rng(0)
     decisions = {
-        lane_change_decision(0, snapshot, lc, p, road, rng, 1.0, {1: 1, 2: 1})
+        lane_change_decision(0, snapshot, lc, p, road, rng, 1.0, [0, 1, 1, 0])
         for _ in range(200)
     }
     assert decisions == {"keep"}
@@ -240,7 +244,7 @@ def test_lane_change_deterministic():
         rng = np.random.default_rng(seed)
         lc = LaneChangeState()
         return [
-            lane_change_decision(0, snapshot, lc, p, road, rng, 0.5, {1: 1})
+            lane_change_decision(0, snapshot, lc, p, road, rng, 0.5, [0, 1, 0, 0])
             for _ in range(100)
         ]
 
