@@ -144,14 +144,15 @@ def cmd_simulate(cfg: dict, args) -> int:
 
 def cmd_extract(cfg: dict, args) -> int:
     out = _workdir(cfg, args)
-    pairs = [(p.stem, load_trace(p)) for p in trace_paths(out)]
-    dataset, meta = scenarios.scenarios_to_dataset(pairs)
+    paths = trace_paths(out)
+    # one trace in memory at a time
+    dataset, meta = scenarios.scenarios_to_dataset((p.stem, load_trace(p)) for p in paths)
     if dataset.n_rows == 0:
         print("no scenarios found", file=sys.stderr)
         return EXIT_EMPTY
     save_dataset(dataset, out / "scenarios.csv")
     (out / "scenarios_meta.json").write_text(json.dumps(meta) + "\n")
-    print(f"extracted {dataset.n_rows} scenarios from {len(pairs)} trace(s)")
+    print(f"extracted {dataset.n_rows} scenarios from {len(paths)} trace(s)")
     return EXIT_OK
 
 

@@ -8,7 +8,10 @@ the merged window may briefly exceed the trigger inside the fused gap.
 
 Features are sampled at three instants (window start, the changepoint of
 minimum THW, window end) from the six-zone neighborhood around the ego,
-plus scalar descriptors of the whole window.
+plus scalar descriptors of the whole window. The six zones of the three
+instants come from one gather of the trace; the DTW distance between the
+actual and the desired gap curve, the costliest descriptor, is computed
+for all scenarios of a dataset in one batched sweep (dtw_distances).
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ __all__ = [
     "detect_scenarios",
     "assign_zones",
     "dtw_distance",
+    "dtw_distances",
     "extract_features",
     "scenarios_to_dataset",
 ]
@@ -51,6 +55,7 @@ ZONE_MIN_M = 20.0      # m
 ZONE_MAX_M = 120.0     # m
 DESIRED_THW_S = 1.8    # s, administrative rule-of-thumb gap for the DTW feature
 DTW_MAX_SAMPLES = 128  # gap curves are resampled to at most this length
+THW_BLOCK = 512        # steps per block of the all-vehicle THW computation
 
 ZONES = ("front", "rear", "left_front", "left_rear", "right_front", "right_rear")
 _INSTANTS = ("start", "changepoint", "end")
@@ -73,6 +78,7 @@ FEATURE_NAMES = (
     ]
 )
 assert len(FEATURE_NAMES) == 47
+DTW_COLUMN = FEATURE_NAMES.index("dtw_gap_desired")
 
 
 @dataclass
@@ -128,9 +134,9 @@ def _nearest(trace: Trace, ego: int, steps, offset: int, side: str, reach=None):
     distance. Returns (column or -1, |dx| or inf), one entry per step.
     """
     dx = trace.x[steps] - trace.x[steps, ego][:, None]
-    found = _SIDES[side](dx, 0.0) & (trace.lane[steps] - trace.lane[steps, ego][:, None] == offset)
+    found = _SIDES[side](dx, 0.0) & (trace.lane[steps] == (trace.lane[steps, ego] + offset)[:, None])
     found[:, ego] = False
-    dist = np.abs(dx)
+    dist = np.abs(dx, out=dx)
     if reach is not None:
         found &= dist <= np.reshape(reach, (-1, 1))
     dist = np.where(found, dist, np.inf)
@@ -139,11 +145,38 @@ def _nearest(trace: Trace, ego: int, steps, offset: int, side: str, reach=None):
     return np.where(d < np.inf, j, -1), d
 
 
+def _thw_all(trace: Trace) -> np.ndarray:
+    """thw_series of every vehicle, as the columns of one (n_ts, n_v) array.
+
+    The leader is _nearest's "ahead" rule: the nearest other vehicle on the
+    lane with dx > 0, the lowest id on equal distance. Each step is sorted
+    by (lane, x, id), a stable order; the leader of a vehicle is then the
+    first of the next group of equal (lane, x), when that group is on its
+    lane. Steps go THW_BLOCK at a time, which bounds the temporaries.
+    """
+    n_ts, n_v = trace.x.shape
+    out = np.empty((n_ts, n_v))
+    for lo in range(0, n_ts, THW_BLOCK):
+        steps = slice(lo, lo + THW_BLOCK)
+        x0, lane0 = trace.x[steps], trace.lane[steps]
+        order = np.lexsort((x0, lane0))
+        x, lane = np.take_along_axis(x0, order, axis=1), np.take_along_axis(lane0, order, axis=1)
+        # per sorted position p: the first position q > p that starts a group (n_v: none)
+        starts = np.where((lane[:, 1:] != lane[:, :-1]) | (x[:, 1:] != x[:, :-1]), np.arange(1, n_v), n_v)
+        after = np.concatenate([np.minimum.accumulate(starts[:, ::-1], axis=1)[:, ::-1], np.full((len(x), 1), n_v)], axis=1)
+        nearest = np.minimum(after, n_v - 1)
+        found = (after < n_v) & (np.take_along_axis(lane, nearest, axis=1) == lane)
+        leader = np.empty_like(order)
+        np.put_along_axis(leader, order, np.where(found, np.take_along_axis(order, nearest, axis=1), -1), axis=1)
+        dx = np.where(leader >= 0, np.take_along_axis(x0, leader, axis=1) - x0, np.inf)
+        out[steps] = compute_thw(np.maximum(dx - VEHICLE_LENGTH, 0.0), trace.v[steps])
+    return out
+
+
 def thw_series(trace: Trace, ego_id: int) -> np.ndarray:
     """Per-timestep THW of one ego to its current leader (inf if none: the
     gap to no leader is inf)."""
-    _, dx = _nearest(trace, ego_id - 1, slice(None), 0, "ahead")
-    return compute_thw(np.maximum(dx - VEHICLE_LENGTH, 0.0), trace.v[:, ego_id - 1])
+    return _thw_all(trace)[:, ego_id - 1]
 
 
 def find_trigger_windows(thw: np.ndarray, dt: float) -> list:
@@ -167,26 +200,34 @@ def find_trigger_windows(thw: np.ndarray, dt: float) -> list:
 def detect_scenarios(trace: Trace) -> list:
     """All kept scenarios of a trace, every vehicle serving as ego."""
     out = []
+    thw = _thw_all(trace)
     for ego_id in range(1, trace.n_vehicles + 1):
-        series = thw_series(trace, ego_id)
+        series = thw[:, ego_id - 1]
         for t0, t1 in find_trigger_windows(series, trace.dt):
             window = series[t0 : t1 + 1]
             out.append(Scenario(ego_id, t0, t1, window.copy(), float(np.min(window)), t0 + int(np.argmin(window))))
     return out
 
 
-_LANE_OFFSETS = {"left": 1, "right": -1}  # a zone name's lane prefix -> lanes left of the ego's
-
-
 def _zones(trace: Trace, ego: int, steps) -> dict:
-    """zone -> (column or -1, |dx|, relative speed) at each of ``steps``."""
-    reach = zone_extent(trace.v[steps, ego])
-    rows = np.arange(len(reach))
-    out = {}
-    for zone in ZONES:
-        j, dist = _nearest(trace, ego, steps, _LANE_OFFSETS.get(zone.split("_")[0], 0), zone.split("_")[-1], reach)
-        out[zone] = (j, dist, trace.v[steps][rows, j] - trace.v[steps, ego])
-    return out
+    """zone -> (column or -1, |dx|, relative speed) at each of ``steps``,
+    the rule of ``_nearest`` for every zone from one gather of the steps:
+    a vehicle within the zone extent falls into zone 2 * s + (dx < 0) of
+    ZONES, with the lane slot s = lane offset mod 3 (own 0, left 1, right
+    2); the nearest wins, and the lowest id on equal distance."""
+    x, v = trace.x[steps], trace.v[steps]
+    dx = x - x[:, ego, None]
+    offset = trace.lane[steps] - trace.lane[steps, ego][:, None]
+    dist = np.abs(dx)
+    near = (np.abs(offset) <= 1) & (dist <= zone_extent(v[:, ego])[:, None])
+    near[:, ego] = False
+    zone = np.where(near, 2 * (offset % 3) + (dx < 0), -1)
+    dist = np.where(zone == np.arange(len(ZONES))[:, None, None], dist, np.inf)  # (zone, step, vehicle)
+    j = dist.argmin(axis=2)
+    d = np.take_along_axis(dist, j[..., None], axis=2)[..., 0]
+    j = np.where(d < np.inf, j, -1)
+    relv = v[np.arange(len(x)), j] - v[:, ego]
+    return {zone: (j[k], d[k], relv[k]) for k, zone in enumerate(ZONES)}
 
 
 def assign_zones(trace: Trace, ego_id: int, t: int) -> ZoneOccupancy:
@@ -200,23 +241,56 @@ def assign_zones(trace: Trace, ego_id: int, t: int) -> ZoneOccupancy:
     return ZoneOccupancy({z: (int(j[0]) + 1, float(d[0]), float(r[0])) if j[0] >= 0 else None for z, (j, d, r) in zones})
 
 
-def dtw_distance(s1, s2) -> float:
-    """Classic dynamic time warping with |a - b| local cost, full window,
-    boundary-aligned; returns the optimal cumulative cost."""
-    s1 = np.asarray(s1, dtype=np.float64)
-    s2 = np.asarray(s2, dtype=np.float64)
-    if s1.size == 0 or s2.size == 0:
+def dtw_distances(pairs) -> np.ndarray:
+    """Classic dynamic time warping of each (s1, s2) pair: |a - b| local
+    cost, full window, boundary-aligned; the optimal cumulative costs.
+
+    All pairs go through one sweep over the anti-diagonals d = i + j of
+    their cost tables D (Sakoe & Chiba's recurrence in wavefront order),
+    padded to the longest sequences. Cell (i, j) reads only cells above and
+    left of it, so no pad cell feeds D[n, m] of a pair, and each cell is the
+    row-by-row recurrence's |a - b| + min(up, left, diagonal) of the same
+    operands: every result equals it bit for bit. Only the last three
+    diagonals are kept, one row of N + 1 cells per pair. A non-finite value
+    is rejected: a NaN would make the min depend on operand order.
+    """
+    pairs = [(np.asarray(s1, dtype=np.float64), np.asarray(s2, dtype=np.float64)) for s1, s2 in pairs]
+    if any(s1.size == 0 or s2.size == 0 for s1, s2 in pairs):
         raise ValueError("dtw_distance requires non-empty sequences")
-    n, m = len(s1), len(s2)
-    prev = np.full(m + 1, np.inf)
-    prev[0] = 0.0
-    for i in range(1, n + 1):
-        cur = np.full(m + 1, np.inf)
-        for j in range(1, m + 1):
-            cost = abs(s1[i - 1] - s2[j - 1])
-            cur[j] = cost + min(prev[j], cur[j - 1], prev[j - 1])
-        prev = cur
-    return float(prev[m])
+    n = np.array([s1.size for s1, _ in pairs], dtype=np.int64)
+    m = np.array([s2.size for _, s2 in pairs], dtype=np.int64)
+    big_n, big_m = int(n.max(initial=0)), int(m.max(initial=0))
+    a, b = np.zeros((len(pairs), big_n)), np.zeros((len(pairs), big_m))
+    for k, (s1, s2) in enumerate(pairs):
+        a[k, : s1.size] = s1
+        b[k, big_m - s2.size :] = s2[::-1]  # reversed: a diagonal's b values are one slice
+    bad = np.flatnonzero(~(np.isfinite(a).all(axis=1) & np.isfinite(b).all(axis=1)))
+    if bad.size:
+        raise ValueError(f"dtw_distances: pair {bad[0]} holds a non-finite value")
+    ends = {}
+    for k, end in enumerate((n + m).tolist()):
+        ends.setdefault(end, []).append(k)
+    out = np.empty(len(pairs))
+    # diagonal d as an (P, N + 1) array: entry i is D[i, d - i], inf outside the table
+    before, last = np.full((len(pairs), big_n + 1), np.inf), np.full((len(pairs), big_n + 1), np.inf)
+    before[:, 0] = 0.0  # D[0, 0]
+    for d in range(2, big_n + big_m + 1):
+        lo, hi = max(1, d - big_m), min(big_n, d - 1)
+        cur = np.full_like(last, np.inf)
+        cell = cur[:, lo : hi + 1]
+        np.minimum(last[:, lo - 1 : hi], last[:, lo : hi + 1], out=cell)  # up, left
+        np.minimum(cell, before[:, lo - 1 : hi], out=cell)  # diagonal
+        cell += np.abs(a[:, lo - 1 : hi] - b[:, big_m - d + lo : big_m - d + hi + 1])
+        if d in ends:
+            done = np.array(ends[d])
+            out[done] = cur[done, n[done]]
+        before, last = last, cur
+    return out
+
+
+def dtw_distance(s1, s2) -> float:
+    """dtw_distances of the one pair (s1, s2)."""
+    return float(dtw_distances([(s1, s2)])[0])
 
 
 def _resample(series: np.ndarray, n: int) -> np.ndarray:
@@ -245,12 +319,9 @@ def _cut_in(trace: Trace, sc: Scenario) -> bool:
     return bool(np.any(trace.lane[t - 1, front] != trace.lane[t, ego]))
 
 
-def extract_features(sc: Scenario, trace: Trace) -> np.ndarray:
-    """The canonical 47-feature vector of one scenario (see FEATURE_NAMES).
-
-    Absent zone neighbors encode as the zone-extent ceiling at that instant
-    with zero relative speed; all outputs are finite.
-    """
+def _features(sc: Scenario, trace: Trace) -> tuple:
+    """The 47 features of one scenario with dtw_gap_desired left at 0.0, and
+    the resampled (actual, desired) gap curves it is computed from."""
     ego = sc.ego_id - 1
     instants = [sc.t_start, sc.t_changepoint, sc.t_end]
     ceiling = zone_extent(trace.v[instants, ego])
@@ -259,7 +330,6 @@ def extract_features(sc: Scenario, trace: Trace) -> np.ndarray:
         dists += np.where(j >= 0, dist, ceiling).tolist()
         relvs += np.where(j >= 0, relv, 0.0).tolist()
     actual, desired = _gap_curves(trace, sc)
-    dtw = dtw_distance(_resample(actual, DTW_MAX_SAMPLES), _resample(desired, DTW_MAX_SAMPLES))
     ego_lanes = trace.lane[sc.t_start : sc.t_end + 1, ego]
     collision = float(
         any(sc.t_start <= t <= sc.t_end and sc.ego_id in pair for t, pair in trace.collisions)
@@ -270,7 +340,7 @@ def extract_features(sc: Scenario, trace: Trace) -> np.ndarray:
         + [
             sc.thw_min,
             (sc.t_end - sc.t_start) * trace.dt,
-            dtw,
+            0.0,
             ego_lanes[0],
             trace.lane[sc.t_changepoint, ego],
             ego_lanes[-1],
@@ -281,21 +351,37 @@ def extract_features(sc: Scenario, trace: Trace) -> np.ndarray:
             trace.v[sc.t_changepoint, ego],
         ]
     )
-    return np.array(features, dtype=np.float64)
+    return np.array(features, dtype=np.float64), (_resample(actual, DTW_MAX_SAMPLES), _resample(desired, DTW_MAX_SAMPLES))
+
+
+def extract_features(sc: Scenario, trace: Trace) -> np.ndarray:
+    """The canonical 47-feature vector of one scenario (see FEATURE_NAMES).
+
+    Absent zone neighbors encode as the zone-extent ceiling at that instant
+    with zero relative speed; all outputs are finite.
+    """
+    row, curves = _features(sc, trace)
+    row[DTW_COLUMN] = dtw_distances([curves])[0]
+    return row
 
 
 def scenarios_to_dataset(traces_with_names) -> tuple:
-    """Extract all scenarios of several (name, Trace) pairs into a Dataset.
+    """Extract all scenarios of several (name, Trace) pairs into a Dataset:
+    each row as extract_features gives it, with the DTW feature of every
+    scenario from one dtw_distances sweep.
 
     Ids are '<trace name>_s<k>'; the metadata list mirrors the rows with
     {id, trace, ego_id, t_start, t_end, thw_min}.
     """
-    ids, rows, meta = [], [], []
+    ids, rows, curves, meta = [], [], [], []
     for name, trace in traces_with_names:
         for k, sc in enumerate(detect_scenarios(trace)):
             sid = f"{name}_s{k}"
             ids.append(sid)
-            rows.append(extract_features(sc, trace))
+            row, pair = _features(sc, trace)
+            rows.append(row)
+            curves.append(pair)
             meta.append(dict(id=sid, trace=name, ego_id=sc.ego_id, t_start=sc.t_start, t_end=sc.t_end, thw_min=sc.thw_min))
     values = np.array(rows, dtype=np.float64).reshape(len(rows), len(FEATURE_NAMES))
+    values[:, DTW_COLUMN] = dtw_distances(curves)
     return Dataset(feature_names=list(FEATURE_NAMES), ids=ids, values=values), meta

@@ -63,6 +63,8 @@ def _math(f, x):
     inputs; math's are the reference the traces were made with. (np.sin and
     np.cos agree with math's; 8 M inputs checked.)"""
     if isinstance(x, np.ndarray):
+        if x.ndim == 1:
+            return np.fromiter(map(f, x.tolist()), np.float64, x.size)
         return np.fromiter(map(f, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
     return f(x)
 

@@ -22,12 +22,26 @@ computed for every vehicle of every run at once:
 - the control laws and the one-track model of ``dynamics`` run
   elementwise.
 
-Only the draws stay a Python loop over the vehicles in id order, run by
-run: the v_target redraws and the lane-change draws consume each run's
-Generator in the order that one vehicle at a time did, and the lane-change
-state machine they drive updates the lane occupancy when a change starts,
-which the next vehicle's decision reads. A run's trace is therefore the
-same in any batch; run_scene and run_simulation are batches of one.
+The lane-change decisions keep the order of one vehicle at a time, run by
+run in id order, but only the vehicles with something to decide are
+visited. First, the lane occupancy and, in one gather, the target-lane
+gaps of every changing vehicle and of every waiting vehicle whose lane has
+room: a start only adds reservations, so a lane full at the start of the
+step stays full. A changing vehicle then aborts by the rule gap_lost, and a
+waiting one starts by gap_accepted if its lane still has room, in id order,
+since a start reserves its target lane for the next vehicle's check.
+
+Each run's Generator is consumed as the per-vehicle loop consumed it:
+vehicle by vehicle in id order, its due v_target redraws, then, if it
+neither changes lanes nor waits, one motivation draw (and a direction draw
+when it fires with two lanes to choose from). These draws depend only on
+the state at the start of the step, so a run's idle vehicles draw in one
+call. When one of those draws fires, the stream is stepped back to just
+before it (a PCG64 stream can be advanced backwards), and the run's step
+goes on one vehicle at a time from the motivated vehicle; a run-step with
+a due redraw goes one vehicle at a time from the start. A run's trace is
+therefore the same in any batch; run_scene and run_simulation are batches
+of one.
 
 Vehicle ids are 1-based: column i of every trace array is vehicle i + 1.
 """
@@ -61,8 +75,9 @@ __all__ = [
     "Trace",
     "LaneChangeState",
     "Perception",
+    "gap_accepted",
+    "gap_lost",
     "init_scene",
-    "lane_change_decision",
     "run_simulation",
     "run_simulations",
     "run_scene",
@@ -121,18 +136,19 @@ class Trace:
         return self.x.shape[1]
 
 
-@dataclass
 class LaneChangeState:
-    """Mutable lane-change bookkeeping for one vehicle."""
+    """Lane-change bookkeeping of a batch, one entry per vehicle: arrays for
+    what the array steps read, lists for what only the decisions read."""
 
-    target_lane: int | None = None   # active maneuver
-    origin_lane: int | None = None
-    desired_dir: int | None = None   # +1 left / -1 right while waiting for a gap
-    waiting_time: float = 0.0
+    def __init__(self, n: int):
+        self.target = np.zeros(n, dtype=np.int64)   # lane of the active change, 0 if none
+        self.desired = np.zeros(n, dtype=np.int64)  # +1 left / -1 right while waiting for a gap, else 0
+        self.origin = [0] * n                       # the lane the active change left
+        self.waiting = [0.0] * n                    # s waited for the gap
 
-    @property
-    def active(self) -> bool:
-        return self.target_lane is not None
+    def reset(self, i: int) -> None:
+        self.target[i] = self.desired[i] = self.origin[i] = 0
+        self.waiting[i] = 0.0
 
 
 def _run_rng(seed: int) -> np.random.Generator:
@@ -217,107 +233,82 @@ class Perception:
     their columns in ascending order, padded with i's own column to the
     size of the largest run. Entry p of row i of ``dx`` (the center
     distance from i) and of ``lane`` is the vehicle in column
-    ``peers[i, p]``; ``others`` masks each row to the other vehicles.
-    ``ego_lane`` and ``ego_v`` are each vehicle's perceived own lane and
-    speed, as lists for the per-vehicle decisions.
+    ``peers[i, p]``, whose flat index into the channel arrays is
+    ``at[i, p]``; ``others`` masks each row to the other vehicles.
+    ``own_lane``, ``own_v`` and ``own_a`` are each vehicle's perceived own
+    lane, speed and acceleration. ``look`` perceives the next step from the
+    same arrays.
     """
 
     def __init__(self, seen, x, v, a, lane, peers):
-        self.seen, self.v, self.a, self.peers = seen, v, a, peers
-        self.rows = np.arange(len(seen))
+        self._x, self._lane, self.v, self.a, self.peers = x, lane, v, a, peers
+        self.rows = np.arange(len(peers))
         self.others = peers != self.rows[:, None]
-        at = seen[:, None] * x.shape[1] + peers  # flat index of each perceived entry
-        self.dx = np.take(x, at) - x[seen, self.rows][:, None]
-        self.lane = np.take(lane, at)
-        self.own_lane = lane[seen, self.rows]
-        self.own_v, self.own_a = v[seen, self.rows], a[seen, self.rows]
-        self.ego_v, self.ego_lane = self.own_v.tolist(), self.own_lane.tolist()
-        self._gaps: dict = {}  # ego -> (target lane, front gap, rear gap, overlap, rear speed)
+        self.look(seen)
 
-    def target_gaps(self, egos: list, targets: list) -> None:
-        """Measure, bumper to bumper, (front gap, rear gap, overlap flag,
-        rear speed) of each listed ego on its target lane, for ``gaps``."""
-        if not egos:
-            return
-        rows = np.array(egos)
-        on_lane = self.others[rows] & (self.lane[rows] == np.array(targets)[:, None])
-        dx = np.where(on_lane, self.dx[rows], np.nan)  # NaN compares false
-        overlap = (np.abs(dx) < VEHICLE_LENGTH + 1.0).any(axis=1)
-        # min(dx) - L is min(dx - L): the rounding of dx - L is monotone in dx
-        front = np.where(dx >= VEHICLE_LENGTH + 1.0, dx, np.inf).min(axis=1) - VEHICLE_LENGTH
-        rear_gaps = np.where(dx <= -(VEHICLE_LENGTH + 1.0), -dx - VEHICLE_LENGTH, np.inf)
+    def look(self, seen) -> None:
+        """Perceive anew, vehicle i at step seen[i] of the same arrays."""
+        own = seen * self._x.shape[1]  # flat index of each perceived row
+        self.at = own[:, None] + self.peers
+        own += self.rows
+        self.dx = self._x.take(self.at) - self._x.take(own)[:, None]
+        self.lane = self._lane.take(self.at)
+        self.own_lane, self.own_v, self.own_a = self._lane.take(own), self.v.take(own), self.a.take(own)
+
+    def gaps(self, egos, lanes) -> tuple:
+        """Bumper to bumper, the (front gap, rear gap, overlap flag, rear
+        speed) arrays of the vehicles ``egos`` on the lanes ``lanes``, one
+        entry each. A vehicle overlaps the perceived vehicles on the lane
+        within L + 1 m of center distance. Only without an overlap, which is
+        all the lane-change rules read them for, are the gaps those to the
+        nearest vehicle ahead and behind (inf without one) and the rear
+        speed that of the one behind (0.0 without one)."""
+        on_lane = self.others[egos] & (self.lane[egos] == lanes[:, None])
+        dx = self.dx[egos]
+        # without an overlap no dx lies within L + 1 of 0, so the least dx
+        # above -(L + 1) is the nearest ahead; min(dx) - L is min(dx - L),
+        # the rounding of dx - L being monotone in dx
+        nearest = np.where(on_lane & (dx > -(VEHICLE_LENGTH + 1.0)), dx, np.inf).min(axis=1)
+        rear_gaps = np.where(on_lane & (dx < VEHICLE_LENGTH + 1.0), -dx - VEHICLE_LENGTH, np.inf)
         rear_at = rear_gaps.argmin(axis=1)  # the lowest column on equal gaps
-        rear = rear_gaps[np.arange(len(rows)), rear_at]
-        v_rear = self.v[self.seen[rows], self.peers[rows, rear_at]]
-        self._gaps.update(zip(egos, zip(targets, front.tolist(), rear.tolist(), overlap.tolist(), v_rear.tolist())))
-
-    def gaps(self, ego: int, target: int) -> tuple:
-        """(front gap, rear gap, overlap flag, rear speed) of ``ego`` on
-        lane ``target``; the rear speed is 0.0 without a rear vehicle."""
-        if self._gaps.get(ego, (None,))[0] != target:
-            self.target_gaps([ego], [target])
-        _, front, rear, overlap, v_rear = self._gaps[ego]
-        return front, rear, overlap, v_rear if rear < np.inf else 0.0
+        rear = rear_gaps[np.arange(len(egos)), rear_at]
+        v_rear = np.where(rear < np.inf, self.v.take(self.at[egos, rear_at]), 0.0)
+        return nearest - VEHICLE_LENGTH, rear, nearest < VEHICLE_LENGTH + 1.0, v_rear
 
 
-def lane_change_decision(
-    ego: int,
-    perception: Perception,
-    lc: LaneChangeState,
-    profile: BehaviorProfile,
-    road: RoadConfig,
-    rng: np.random.Generator,
-    dt: float,
-    lane_occupancy: list,
-) -> str:
-    """One lane-change step for one vehicle: keep, change-left, change-right,
-    or abort.
+def gap_lost(front, rear, overlap, v_ego):
+    """Whether an active change aborts, elementwise: a target-side overlap,
+    or a gap below the abort fraction of the base accepted gap."""
+    return overlap | (front < LC_ABORT_FACTOR * (LC_MIN_GAP + LC_THW * v_ego)) | (rear < LC_ABORT_FACTOR * LC_MIN_GAP)
 
-    Motivation fires at the profile's per-second rate. The accepted gap
-    scales with (1 - risk) and decays with waiting time toward a floor,
-    faster for impatient drivers; the rear gap additionally scales with
-    politeness. A change never starts into a longitudinal overlap or into a
-    lane already at capacity (``lane_occupancy[lane]`` counts the vehicles
-    on or reserving each lane); an active change aborts when a target-side
-    gap falls below the abort fraction of the base accepted gap.
+
+def gap_accepted(front, rear, overlap, v_rear, v_ego, waiting, profile):
+    """Whether a vehicle waiting for a gap starts its change, elementwise
+    (floats, or arrays with a profile of array fields).
+
+    The accepted gap scales with (1 - risk) and decays with the waiting
+    time toward a floor, faster for impatient drivers; the rear gap
+    additionally scales with politeness. A change never starts into a
+    longitudinal overlap. (The lane capacity is checked by the caller.)
     """
-    if lc.target_lane is not None:
-        front_gap, rear_gap, overlap, _ = perception.gaps(ego, lc.target_lane)
-        base_front = LC_ABORT_FACTOR * (LC_MIN_GAP + LC_THW * perception.ego_v[ego])
-        if overlap or front_gap < base_front or rear_gap < LC_ABORT_FACTOR * LC_MIN_GAP:
-            return "abort"
-        return "keep"
-    ego_lane = perception.ego_lane[ego]
-    if lc.desired_dir is None:
-        if rng.random() >= profile.lc_rate * dt:
-            return "keep"
-        options = []
-        if ego_lane < road.n_l:
-            options.append(1)
-        if ego_lane > 1:
-            options.append(-1)
-        lc.desired_dir = options[int(rng.integers(len(options)))] if len(options) > 1 else options[0]
-        lc.waiting_time = 0.0
-    else:
-        lc.waiting_time += dt
-    target = ego_lane + lc.desired_dir
-    if not 1 <= target <= road.n_l:
-        lc.desired_dir = None
-        return "keep"
-    if lane_occupancy[target] >= road.n_vpl:
-        return "keep"
-    front_gap, rear_gap, overlap, v_rear = perception.gaps(ego, target)
-    if overlap:
-        return "keep"
-    decay = LC_ACCEPT_FLOOR + (1.0 - LC_ACCEPT_FLOOR) * float(
-        np.exp(-lc.waiting_time / (10.0 + 40.0 * profile.patience))
-    )
+    decay = LC_ACCEPT_FLOOR + (1.0 - LC_ACCEPT_FLOOR) * np.exp(-waiting / (10.0 + 40.0 * profile.patience))
     accept = (1.0 - profile.risk) * decay
-    req_front = accept * (LC_MIN_GAP + LC_THW * perception.ego_v[ego])
+    req_front = accept * (LC_MIN_GAP + LC_THW * v_ego)
     req_rear = accept * (LC_MIN_GAP + LC_THW * v_rear) * (0.5 + profile.politeness)
-    if front_gap < req_front or rear_gap < req_rear:
-        return "keep"
-    return "change-left" if lc.desired_dir > 0 else "change-right"
+    return np.logical_not(overlap | (front < req_front) | (rear < req_rear))
+
+
+def _undraw(rng: np.random.Generator, count: int) -> None:
+    """Step a PCG64 stream back over its last ``count`` doubles, one 64-bit
+    output each. ``advance`` (mod 2**128) also drops the 32-bit half that an
+    integer draw may have left buffered, which doubles never touch, so the
+    half is put back."""
+    bits = rng.bit_generator
+    state = bits.state
+    bits.advance(-count)
+    back = bits.state
+    back["has_uint32"], back["uinteger"] = state["has_uint32"], state["uinteger"]
+    bits.state = back
 
 
 def _longitudinal(view: Perception, lead_lanes, v_now, tau, profile, road: RoadConfig):
@@ -330,25 +321,29 @@ def _longitudinal(view: Perception, lead_lanes, v_now, tau, profile, road: RoadC
     systematically stale gap and tight traffic would pile up immediately.
     """
     rows, dx = view.rows, view.dx
-    gap_ahead = np.where(view.others & (dx > 0.0), dx, np.inf)
+    # dx is 0.0 at a vehicle's own entries: dx > 0 leaves the others ahead
+    gap_ahead = np.where(dx > 0.0, dx, np.inf)
     gap_lead = np.where(lead_lanes, gap_ahead, np.inf)
     leader, ahead = gap_lead.argmin(axis=1), gap_ahead.argmin(axis=1)  # the lowest column on ties
-    has_leader = gap_lead[rows, leader] < np.inf
-    lead = view.peers[rows, leader]
-    lead_v, lead_a = view.v[view.seen, lead], view.a[view.seen, lead]
-    d_fl = dx[rows, leader] - VEHICLE_LENGTH
+    # inf without a leader, and so is d_est: a vehicle without a leader
+    # drives on a free road, where follower_accel is the clamped speed
+    # regulation, bit for bit ...
+    d_fl = gap_lead[rows, leader] - VEHICLE_LENGTH
+    lead = view.at[rows, leader]
+    lead_v, lead_a = view.v.take(lead), view.a.take(lead)
     closing = view.own_v - lead_v
     rel_acc = view.own_a - lead_a
     d_est = py_max(d_fl - closing * tau - 0.5 * rel_acc * tau * tau, 0.0)
     v_l_est = py_max(lead_v + lead_a * tau, 0.0)
-    # a vehicle without a leader drives on a free road: at an infinite gap
-    # follower_accel is the clamped speed regulation, bit for bit ...
-    a_cmd = follower_accel(np.where(has_leader, d_est, np.inf), v_now, v_l_est, profile, road)
+    a_cmd = follower_accel(d_est, v_now, v_l_est, profile, road)
     # ... unless it closes up on the traffic ahead beyond d_il_max (a
     # Gompertz response lies in [0, a_m], inside the clamp)
-    d_il = dx[rows, ahead] - VEHICLE_LENGTH
-    close_up = ~has_leader & (gap_ahead[rows, ahead] < np.inf) & (d_il > road.d_il_max)
-    return np.where(close_up, gompertz_leader_accel(0.0, d_il, profile, road), a_cmd)
+    d_il = gap_ahead[rows, ahead] - VEHICLE_LENGTH
+    close_up = ((d_fl == np.inf) & (d_il > road.d_il_max) & (d_il < np.inf)).nonzero()[0]
+    if close_up.size:
+        shape = SimpleNamespace(a_m=profile.a_m[close_up], b=profile.b[close_up], c=profile.c[close_up])
+        a_cmd[close_up] = gompertz_leader_accel(0.0, d_il[close_up], shape, road)
+    return a_cmd
 
 
 def lane_overflow(lane: np.ndarray, road: RoadConfig):
@@ -360,7 +355,8 @@ def lane_overflow(lane: np.ndarray, road: RoadConfig):
 
 
 def _run_batch(road: RoadConfig, scenes: list) -> list:
-    """Run prepared scenes, each (params, states0, profiles, rng), in lock-step."""
+    """Run prepared scenes, each (params, states0, profiles, rng), in
+    lock-step; each rng is a PCG64 Generator (see _undraw)."""
     bounds = np.cumsum([0] + [len(states0) for _, states0, _, _ in scenes]).tolist()
     n_runs, n = len(scenes), bounds[-1]
     n_ts = [max(1, round(params.duration / params.dt)) for params, *_ in scenes]
@@ -375,6 +371,7 @@ def _run_batch(road: RoadConfig, scenes: list) -> list:
     delay = np.array([round(p.reaction_time / d) for p, d in zip(profiles, dt.tolist())], dtype=np.int64)
     tau = delay * dt
     batch = SimpleNamespace(**{key: np.array([getattr(p, key) for p in profiles]) for key in BATCH_FIELDS})
+    rate = [p.lc_rate * d for p, d in zip(profiles, dt.tolist())]  # the motivation probability per step
     next_redraw = [
         float(rng.exponential(params.target_resample_mean)) for params, run_states, _, rng in scenes for _ in run_states
     ]
@@ -384,21 +381,18 @@ def _run_batch(road: RoadConfig, scenes: list) -> list:
     peers = np.where(at < sizes[run_of][:, None], np.array(bounds[:-1])[run_of][:, None] + at, column)
     pair_i, pair_at = np.nonzero(peers > column)  # row-major, as the sweep visits them
     pair_j = peers[pair_i, pair_at]
-    width = road.n_l + 2  # occupancy lists cover lanes 0 .. n_l + 1, every lane a target can name
+    slots = road.n_l + 2  # occupancy slots per run: lanes 0 .. n_l + 1, every lane a start can name
+    slot_array = run_of * slots
+    slot = slot_array.tolist()
 
-    # one LaneChangeState per vehicle for the decisions, mirrored in
-    # ``changing`` and ``target`` for the array steps
-    lcs = [LaneChangeState() for _ in range(n)]
-    changing = np.zeros(n, dtype=bool)
-    target = np.zeros(n, dtype=np.int64)
-    frozen, still = [False] * n, np.zeros(n, dtype=bool)
+    lc = LaneChangeState(n)
+    frozen = np.zeros(n, dtype=bool)  # by a collision: it stays in place, draws nothing, wants no lane
     collisions: list = [[] for _ in scenes]
     lc_starts: list = [[] for _ in scenes]
     ay_steps = [0] * n_runs
-
-    def reset(i: int) -> None:
-        lcs[i] = LaneChangeState()
-        changing[i] = False
+    run_dt = [params.dt for params, *_ in scenes]
+    run_rng = [rng for *_, rng in scenes]
+    run_due = [min(next_redraw[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]  # each run's next redraw time
 
     channels = {name: np.empty((max(n_ts), n)) for name in CHANNELS}
     lane = np.empty((max(n_ts), n), dtype=np.int64)
@@ -406,65 +400,128 @@ def _run_batch(road: RoadConfig, scenes: list) -> list:
         column[0] = [getattr(s, name) for s in states0]
     lane[0] = [s.lane for s in states0]
     x, y, v, a, psi = (channels[name] for name in CHANNELS)
+    view = Perception(np.zeros(n, dtype=np.int64), x, v, a, lane, peers)
+
+    def freeze(i: int, k: int) -> None:
+        frozen[i] = True
+        lc.reset(i)
+        next_redraw[i] = np.inf
+        run_due[k] = min(next_redraw[bounds[k]:bounds[k + 1]])
+
+    def wanted(i: int) -> int:
+        """The lane waiting vehicle i wants, its perceived lane plus its
+        direction; 0 when that is off the road."""
+        lane_i = own_lane[i] + desired_now[i]
+        return lane_i if 1 <= lane_i <= road.n_l else 0
+
+    def act(k: int, i: int, rng) -> None:
+        """Vehicle i's lane-change step: an active change may abort, a
+        waiting vehicle may start, and an idle one draws its motivation."""
+        if target_now[i]:
+            front, rear, overlap, _ = gaps[i]
+            if gap_lost(front, rear, overlap, own_v[i]):
+                lc.target[i], lc.origin[i] = lc.origin[i], target_now[i]
+            return
+        if desired_now[i]:
+            lc.waiting[i] += run_dt[k]
+        else:
+            if rng.random() >= rate[i]:
+                return
+            # motivated: a direction from the perceived lane, and a wait for a gap
+            if 1 < own_lane[i] < road.n_l:
+                desired_now[i] = (1, -1)[int(rng.integers(2))]
+            else:
+                desired_now[i] = 1 if own_lane[i] < road.n_l else -1
+            lc.desired[i], lc.waiting[i] = desired_now[i], 0.0
+        lane_i = wanted(i)
+        if not lane_i:  # no lane that way: wait no more
+            lc.desired[i] = 0
+            return
+        if occupancy[slot[i] + lane_i] >= road.n_vpl:
+            return
+        if i not in gaps:  # motivated at this step
+            gaps[i] = [g[0] for g in view.gaps(np.array([i]), np.array([lane_i]))]
+        if gap_accepted(*gaps[i], own_v[i], lc.waiting[i], profiles[i]):
+            target = lane_now[i] + desired_now[i]
+            lc.origin[i], lc.target[i], lc.desired[i], lc.waiting[i] = lane_now[i], target, 0, 0.0
+            lc_starts[k].append((t, i - bounds[k] + 1, target))
+            occupancy[slot[i] + target] += 1
+
+    def decide(k: int, busy: list, idle: list) -> None:
+        """Run k's lane-change steps at step t in id order; ``busy`` lists
+        its changing and waiting vehicles, ``idle`` the others that move.
+        The idle ones draw in one call (see the module docstring): they act
+        one by one only from the first that is motivated on, or from the
+        start when a redraw is due."""
+        rng, now, hi = run_rng[k], t * run_dt[k], bounds[k + 1]
+        one_by_one = hi
+        if run_due[k] <= now:
+            one_by_one = bounds[k]
+        elif idle:
+            for f, u in enumerate(rng.random(len(idle)).tolist()):
+                if u < rate[idle[f]]:
+                    _undraw(rng, len(idle) - f)
+                    one_by_one = idle[f]
+                    break
+        for i in busy:
+            if i >= one_by_one:
+                break
+            act(k, i, rng)
+        for i in range(one_by_one, hi):
+            if frozen[i]:
+                continue
+            while next_redraw[i] <= now:
+                batch.v_target[i] = _draw_v_target(rng, road)
+                next_redraw[i] += float(rng.exponential(scenes[k][0].target_resample_mean))
+                run_due[k] = min(next_redraw[bounds[k]:hi])
+            act(k, i, rng)
 
     for t in range(max(n_ts) - 1):
         live = [t < n_ts[k] - 1 for k in range(n_runs)]
-        view = Perception(np.maximum(t - delay, 0), x, v, a, lane, peers)
-        lane_now = lane[t].tolist()
-        # per run and lane: the vehicles on it and the reservations held by active changers
-        occupancy = np.bincount(run_of * width + lane[t], minlength=n_runs * width).reshape(n_runs, width).tolist()
-        for i in changing.nonzero()[0].tolist():
-            lc = lcs[i]
-            occupancy[run_list[i]][lc.target_lane if lc.target_lane != lane_now[i] else lc.origin_lane] += 1
-        # measure up front the gaps the decisions will read, on the lane
-        # each changing or waiting vehicle wants; ``gaps`` measures any
-        # other on demand
-        egos = [i for i, lc in enumerate(lcs) if lc.target_lane is not None or lc.desired_dir is not None]
-        view.target_gaps(egos, [lcs[i].target_lane or view.ego_lane[i] + lcs[i].desired_dir for i in egos])
-        for k, (params, _, _, rng) in enumerate(scenes):
-            if not live[k]:
-                continue
-            lo, hi = bounds[k], bounds[k + 1]
-            now = t * params.dt
-            for i in range(lo, hi):
-                if frozen[i]:
-                    continue
-                while next_redraw[i] <= now:
-                    batch.v_target[i] = _draw_v_target(rng, road)
-                    next_redraw[i] += float(rng.exponential(params.target_resample_mean))
-                lc = lcs[i]
-                decision = lane_change_decision(i, view, lc, profiles[i], road, rng, params.dt, occupancy[k])
-                if decision == "keep":
-                    continue
-                if decision == "abort":
-                    lc.target_lane, lc.origin_lane = lc.origin_lane, lc.target_lane
-                else:
-                    lc.origin_lane = lane_now[i]
-                    lc.target_lane = lane_now[i] + lc.desired_dir
-                    lc.desired_dir = None
-                    lc.waiting_time = 0.0
-                    lc_starts[k].append((t, i - lo + 1, lc.target_lane))
-                    occupancy[k][lc.target_lane] += 1
-                    changing[i] = True
-                target[i] = lc.target_lane
+        view.look(np.maximum(t - delay, 0))
+
+        # the decisions: first, per run and lane, the vehicles on it and the
+        # reservations of active changes (of the lane they are not on), and
+        # the gaps of every changing vehicle and of every waiting one whose
+        # lane has room (a start only adds reservations)
+        lane_now, target_now, desired_now = lane[t].tolist(), lc.target.tolist(), lc.desired.tolist()
+        own_lane, own_v = view.own_lane.tolist(), view.own_v.tolist()
+        busy = (lc.target | lc.desired).nonzero()[0]
+        idle = ((lc.target | lc.desired | frozen) == 0).nonzero()[0]
+        busy_at, idle_at = busy.searchsorted(bounds).tolist(), idle.searchsorted(bounds).tolist()
+        busy, idle = busy.tolist(), idle.tolist()
+        occupancy = np.bincount(slot_array + lane[t], minlength=n_runs * slots).tolist()
+        egos = [i for i in busy if target_now[i]]
+        lanes = [target_now[i] for i in egos]
+        for i in egos:
+            occupancy[slot[i] + (target_now[i] if target_now[i] != lane_now[i] else lc.origin[i])] += 1
+        for i in busy:
+            lane_i = not target_now[i] and wanted(i)
+            if lane_i and occupancy[slot[i] + lane_i] < road.n_vpl:
+                egos.append(i)
+                lanes.append(lane_i)
+        gaps = dict(zip(egos, zip(*(g.tolist() for g in view.gaps(np.array(egos, dtype=np.int64), np.array(lanes, dtype=np.int64))))))
+        for k in range(n_runs):
+            if live[k]:
+                decide(k, busy[busy_at[k]:busy_at[k + 1]], idle[idle_at[k]:idle_at[k + 1]])
 
         # a leader is sought on the perceived own lane, and on the target
         # lane while changing (lane 0, which no perceived vehicle is on, otherwise)
-        lead_lanes = (view.lane == view.own_lane[:, None]) | (view.lane == np.where(changing, target, 0)[:, None])
+        lead_lanes = (view.lane == view.own_lane[:, None]) | (view.lane == lc.target[:, None])
         a_cmd = _longitudinal(view, lead_lanes, v[t], tau, batch, road)
         cur = VehicleState(x=x[t], y=y[t], v=v[t], a=a[t], psi=psi[t], delta=None, lane=lane[t])
-        steer = road.lane_center(np.where(changing, target, lane[t]))
+        steer = road.lane_center(np.where(lc.target > 0, lc.target, lane[t]))
         new, ay_flag = one_track_step(cur, lateral_control(cur, steer, v[t]), a_cmd, dt)
         x[t + 1], y[t + 1], v[t + 1], a[t + 1], psi[t + 1] = new.x, new.y, new.v, new.a, new.psi
-        if any(frozen):  # frozen vehicles stay in place
-            ay_flag &= ~still
-            for channel in (x, y, psi):
-                np.copyto(channel[t + 1], channel[t], where=still)
-            for channel in (v, a):
-                np.copyto(channel[t + 1], 0.0, where=still)
-        for k in set(run_of[ay_flag].tolist()):  # a step counts once per run
-            if live[k]:
-                ay_steps[k] += 1
+        # frozen vehicles stay in place
+        for channel in (x, y, psi):
+            np.copyto(channel[t + 1], channel[t], where=frozen)
+        for channel in (v, a):
+            np.copyto(channel[t + 1], 0.0, where=frozen)
+        if np.count_nonzero(ay_flag):
+            for k in set(run_of[ay_flag & ~frozen].tolist()):  # a step counts once per run
+                if live[k]:
+                    ay_steps[k] += 1
         lane[t + 1] = road.lane_of(y[t + 1])
         # collision sweep on the fresh positions, pairs in row-major order;
         # involved vehicles freeze
@@ -478,13 +535,12 @@ def _run_batch(road: RoadConfig, scenes: list) -> list:
             collisions[k].append((t + 1, (i - bounds[k] + 1, j - bounds[k] + 1)))
             for m in (i, j):
                 if not frozen[m]:
-                    frozen[m] = still[m] = True
+                    freeze(m, k)
                     v[t + 1, m] = a[t + 1, m] = 0.0
-                    reset(m)
         # a change is done once on its target lane's center, heading straight
-        done = changing & (np.abs(ny - steer) < LC_DONE_Y) & (np.abs(psi[t + 1]) < LC_DONE_PSI)
+        done = (lc.target > 0) & (np.abs(ny - steer) < LC_DONE_Y) & (np.abs(psi[t + 1]) < LC_DONE_PSI)
         for i in done.nonzero()[0].tolist():
-            reset(i)
+            lc.reset(i)
 
     traces = []
     for k, (params, *_) in enumerate(scenes):
@@ -506,8 +562,9 @@ def _run_batch(road: RoadConfig, scenes: list) -> list:
 
 
 def run_scene(road: RoadConfig, params: SimParams, states0: list, profiles: list, rng: np.random.Generator | None = None) -> Trace:
-    """Run the main loop on a prepared scene. ``rng`` continues the stream
-    used by scene setup when called through run_simulation."""
+    """Run the main loop on a prepared scene. ``rng``, a PCG64 Generator
+    such as default_rng gives, continues the stream used by scene setup
+    when called through run_simulation."""
     return _run_batch(road, [(params, states0, profiles, _run_rng(params.seed) if rng is None else rng)])[0]
 
 

@@ -80,8 +80,9 @@ def load_trace(path) -> Trace:
     Raises ParseError naming the sidecar, with a key path or the line of
     invalid JSON, for a missing, mistyped (a bool is never a number) or
     out-of-range value; and naming the raw file for a size other than the
-    sidecar's, a lane outside [1, n_l] (``path: step t, vehicle i``) or a
-    lane over n_vpl vehicles.
+    sidecar's, a NaN or infinite x, y, v, a or psi, or a lane outside
+    [1, n_l] (both ``path: step t, vehicle i: ...``), or a lane over n_vpl
+    vehicles.
     """
     path, sidecar = Path(path), meta_path(path)
     meta = read_json(sidecar)
@@ -110,6 +111,10 @@ def load_trace(path) -> Trace:
     with open(path, "rb") as fh:
         channels = {name: np.fromfile(fh, FLOAT, count=n).reshape(n_ts, n_v) for name in CHANNELS}
         lane = np.fromfile(fh, LANE, count=n).reshape(n_ts, n_v).astype(np.int64)
+    for name, values in channels.items():
+        if not (np.isfinite(values.min()) and np.isfinite(values.max())):  # NaN and inf reach the min or the max
+            t, i = np.argwhere(~np.isfinite(values))[0].tolist()
+            raise ParseError(f"{path}: step {t}, vehicle {i + 1}: {name} {values[t, i]} is not finite")
     outside = np.argwhere((lane < 1) | (lane > road.n_l))
     if outside.size:
         t, i = outside[0].tolist()

@@ -5,7 +5,7 @@ names) so that tests can require the array code to equal them bit for bit.
 
 import math
 from collections import deque
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from scenforest.sim.engine import (
     LC_DONE_Y,
     LC_MIN_GAP,
     LC_THW,
-    LaneChangeState,
     Trace,
     _draw_v_target,
     _run_rng,
@@ -42,6 +41,20 @@ BRAKE_NEAR = 4.0
 BRAKE_MATCH = 4.0
 AY_LIMIT = 0.4 * GRAVITY
 AY_CTRL_LIMIT = 0.35 * GRAVITY
+
+
+@dataclass
+class LaneChangeState:
+    """Mutable lane-change bookkeeping for one vehicle."""
+
+    target_lane: int | None = None   # active maneuver
+    origin_lane: int | None = None
+    desired_dir: int | None = None   # +1 left / -1 right while waiting for a gap
+    waiting_time: float = 0.0
+
+    @property
+    def active(self) -> bool:
+        return self.target_lane is not None
 
 
 def lane_of(road: RoadConfig, y: float) -> int:

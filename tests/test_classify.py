@@ -2,11 +2,12 @@
 
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import adjacent_doubles, split_block, tie_heavy_dataset
@@ -505,3 +506,29 @@ def test_fit_classifier_deterministic_and_model_json_round_trips(d, b, seed):
         save_model(f, th, first)
         save_model(*load_model(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tie_heavy_labeled(), st.integers(1, 6), st.integers(0, 2**32 - 1),
+    st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5]) | st.floats(0.0, 3.0), min_size=2, max_size=5),
+)
+def test_assignment_sets_nest_under_ratio(d, b, seed, ratios):
+    # on generated models: a higher ratio withdraws more, never assigns a
+    # row a lower one withdrew, and never changes an assigned label
+    f = fit_classifier(d, b, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # rows never out of bag
+        try:
+            th = oob_thresholds(f, d)
+        except ValueError:  # a class without out-of-bag rows has no threshold
+            assume(False)
+    winners = [label for label, _, _ in predict_batch(f, th, d.base.values, 0.0)]
+    assert None not in winners  # ratio 0 assigns every row
+    before = set(range(d.base.n_rows))
+    for ratio in sorted(ratios):
+        labels = [label for label, _, _ in predict_batch(f, th, d.base.values, ratio)]
+        assigned = {i for i, label in enumerate(labels) if label is not None}
+        assert assigned <= before
+        assert all(labels[i] == winners[i] for i in assigned)
+        before = assigned

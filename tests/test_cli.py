@@ -11,6 +11,7 @@ from scenforest import cli
 from scenforest.classify import UNASSIGNED, load_model, predict_detail
 from scenforest.dataset import load_dataset, load_matrix
 from scenforest.scenarios import FEATURE_NAMES
+from scenforest.sim import CHANNELS
 
 FAST_SIM = {"sim": {"duration": 120.0, "runs": 2}, "xmurf": {"b_trees": 20}}
 
@@ -264,6 +265,16 @@ def set_lanes(step, lanes):
     return corrupt
 
 
+def set_value(channel, step, vehicle, value):
+    """A corruption writing ``value`` into one float channel at one step and vehicle."""
+    def corrupt(data, meta):
+        n_v, n = json.loads(meta)["n_vehicles"], len(data) // 41
+        floats = np.frombuffer(data, "<f8", count=5 * n).reshape(5, -1, n_v).copy()
+        floats[CHANNELS.index(channel), step, vehicle - 1] = value
+        return floats.tobytes() + data[40 * n:], meta
+    return corrupt
+
+
 def drop_last_step(data, meta):
     """The file of the same run one step shorter, under the unchanged sidecar."""
     n_v, n = json.loads(meta)["n_vehicles"], len(data) // 41
@@ -303,6 +314,9 @@ def assert_exits_2_located(argv, where, message, capsys):
         (drop_last_step, ".raw", "12177 bytes, the sidecar's n_ts=100"),
         (set_lanes(2, lambda n_v: [3] + [1] * (n_v - 1)), ".raw", "step 2, vehicle 1: lane 3 is not in [1, 2]"),
         (set_lanes(2, lambda n_v: [1] * n_v), ".raw", "step 2: lane 1 holds 3 vehicles, over n_vpl=2"),
+        (set_value("x", 4, 2, np.nan), ".raw", "step 4, vehicle 2: x nan is not finite"),
+        (set_value("v", 99, 1, np.inf), ".raw", "step 99, vehicle 1: v inf is not finite"),
+        (set_value("psi", 0, 3, -np.inf), ".raw", "step 0, vehicle 3: psi -inf is not finite"),
         (set_meta("collisions", [[3, 1, 99]]), ".meta.json", "collisions[0]: [3, 1, 99] is not [t, id_a, id_b]"),
         (set_meta("collisions", [[100, 1, 2]]), ".meta.json", "collisions[0]: [100, 1, 2] is not [t, id_a, id_b] with t in [0, 99]"),
         (set_meta("collisions", [[3, 1]]), ".meta.json", "collisions[0]: [3, 1] is not"),
@@ -314,6 +328,7 @@ def assert_exits_2_located(argv, where, message, capsys):
     ],
     ids=[
         "short-by-one-byte", "extra-byte", "step-count", "lane-out-of-range", "lane-over-capacity",
+        "x-nan", "v-inf", "psi-minus-inf",
         "id-out-of-range", "collision-step-out-of-range", "collision-not-a-triple", "lane-change-start-bad-lane",
         "ay-warning-steps-negative", "meta-invalid-json", "meta-missing-key", "meta-bad-road",
     ],

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_trace
+from scenforest import scenarios
 from scenforest.scenarios import (
     DESIRED_THW_S,
     FEATURE_NAMES,
@@ -21,10 +22,13 @@ from scenforest.scenarios import (
     Scenario,
     _cut_in,
     _gap_curves,
+    _nearest,
+    _zones,
     assign_zones,
     compute_thw,
     detect_scenarios,
     dtw_distance,
+    dtw_distances,
     extract_features,
     find_trigger_windows,
     scenarios_to_dataset,
@@ -252,6 +256,64 @@ def test_dtw_rejects_empty():
         dtw_distance([], [1.0])
 
 
+def loop_dtw_distance(s1, s2) -> float:
+    """The row-by-row DTW recurrence that extraction ran one pair at a time."""
+    s1 = np.asarray(s1, dtype=np.float64)
+    s2 = np.asarray(s2, dtype=np.float64)
+    n, m = len(s1), len(s2)
+    prev = np.full(m + 1, np.inf)
+    prev[0] = 0.0
+    for i in range(1, n + 1):
+        cur = np.full(m + 1, np.inf)
+        for j in range(1, m + 1):
+            cost = abs(s1[i - 1] - s2[j - 1])
+            cur[j] = cost + min(prev[j], cur[j - 1], prev[j - 1])
+        prev = cur
+    return float(prev[m])
+
+
+@st.composite
+def dtw_curve(draw):
+    """1 to 128 values, from a pool of three (ties in cost and in the min) or from a range."""
+    values = draw(st.one_of(
+        st.just(st.sampled_from([0.0, 1.0, 2.5])),
+        st.just(st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)),
+    ))
+    return draw(st.lists(values, min_size=1, max_size=draw(st.sampled_from([1, 4, 16, 128]))))
+
+
+@st.composite
+def dtw_pair(draw):
+    first = draw(dtw_curve())
+    return first, first if draw(st.booleans()) and len(first) > 1 else draw(dtw_curve())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(dtw_pair(), min_size=1, max_size=5))
+def test_batched_dtw_equals_row_loop(pairs):
+    # mixed lengths in one batch, equal curves, a batch of one
+    want = np.array([loop_dtw_distance(a, b) for a, b in pairs])
+    assert dtw_distances(pairs).tobytes() == want.tobytes()
+    assert dtw_distance(*pairs[-1]) == want[-1]
+
+
+def test_batched_dtw_edge_lengths():
+    rng = np.random.default_rng(3)
+    pairs = [(rng.normal(size=n), rng.normal(size=m)) for n, m in ((1, 1), (1, 128), (128, 1), (128, 128), (7, 90))]
+    want = np.array([loop_dtw_distance(a, b) for a, b in pairs])
+    assert dtw_distances(pairs).tobytes() == want.tobytes()
+    assert dtw_distances([]).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_batched_dtw_rejects_non_finite(bad):
+    curve = [1.0, bad, 2.0]
+    with pytest.raises(ValueError, match="pair 1 holds a non-finite value"):
+        dtw_distances([([1.0], [2.0]), ([0.0, 1.0], curve)])
+    with pytest.raises(ValueError, match="non-finite"):
+        dtw_distance(curve, [1.0])
+
+
 # ------------------------------------------------------------------ features
 
 def test_feature_vector_length_and_names():
@@ -461,3 +523,32 @@ def test_array_extraction_equals_vehicle_loops(trace, data):
     for got, want in zip(_gap_curves(trace, sc), loop_gap_curves(trace, sc)):
         assert got.tolist() == want.tolist()
     assert _cut_in(trace, sc) == loop_cut_in(trace, sc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy_trace(), st.data())
+def test_zones_equal_one_nearest_per_zone(trace, data):
+    # the one-gather zones against six _nearest calls, ties and all
+    steps = data.draw(st.lists(st.integers(0, trace.n_ts - 1), min_size=1, max_size=4))
+    rows = np.arange(len(steps))
+    for ego in range(trace.n_vehicles):
+        reach = zone_extent(trace.v[steps, ego])
+        for zone, (j, d, relv) in _zones(trace, ego, steps).items():
+            offset = {"left": 1, "right": -1}.get(zone.split("_")[0], 0)
+            want_j, want_d = _nearest(trace, ego, steps, offset, zone.split("_")[-1], reach)
+            assert j.tolist() == want_j.tolist() and d.tolist() == want_d.tolist()
+            want_relv = trace.v[steps][rows, want_j] - trace.v[steps, ego]
+            assert relv[j >= 0].tolist() == want_relv[want_j >= 0].tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(tie_heavy_trace())
+def test_thw_in_blocks_equals_vehicle_loop(trace):
+    # blocks of two steps, so that block edges fall inside the trace
+    block, scenarios.THW_BLOCK = scenarios.THW_BLOCK, 2
+    try:
+        got = [thw_series(trace, ego_id) for ego_id in range(1, trace.n_vehicles + 1)]
+    finally:
+        scenarios.THW_BLOCK = block
+    for ego_id, series in enumerate(got, start=1):
+        np.testing.assert_array_equal(series, loop_thw_series(trace, ego_id))

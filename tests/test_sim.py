@@ -10,17 +10,16 @@ from scenforest.sim import (
     GRAVITY,
     WHEELBASE,
     BehaviorProfile,
-    LaneChangeState,
     Perception,
     RoadConfig,
     SimConfigError,
     SimParams,
     VehicleState,
     braking_decel,
+    gap_accepted,
     gompertz_follower_accel,
     gompertz_leader_accel,
     init_scene,
-    lane_change_decision,
     lateral_control,
     one_track_step,
     run_scene,
@@ -226,29 +225,31 @@ def test_lane_change_never_into_overlap():
     road = RoadConfig(n_l=2, n_vpl=4)
     p = profile(risk=1.0, lc_rate=0.1)
     snapshot = lc_snapshot(others=[(101.0, 2)])  # alongside in the target lane
-    lc = LaneChangeState()
-    rng = np.random.default_rng(0)
-    decisions = {
-        lane_change_decision(0, snapshot, lc, p, road, rng, 1.0, [0, 1, 1, 0])
-        for _ in range(200)
-    }
-    assert decisions == {"keep"}
+    front, rear, overlap, v_rear = snapshot.gaps(np.array([0]), np.array([2]))
+    assert overlap.tolist() == [True]
+    for waiting in (0.0, 1.0, 60.0, 1e6):
+        assert not gap_accepted(front[0], rear[0], True, v_rear[0], 20.0, waiting, p)
+        assert not gap_accepted(np.inf, np.inf, True, 0.0, 20.0, waiting, p)
+    # in a run: two equal vehicles side by side keep driving side by side,
+    # and the one motivated on nearly every step never starts a change
+    states0 = [
+        VehicleState(x=100.0, y=road.lane_center(lane), v=18.0, a=0.0, psi=0.0, delta=0.0, lane=lane) for lane in (1, 2)
+    ]
+    params = SimParams(duration=10.0, seed=3, target_resample_mean=1e9)
+    trace = run_scene(road, params, states0, [profile(risk=1.0, lc_rate=10.0), profile()])
+    assert np.all(trace.x[:, 0] == trace.x[:, 1])
+    assert trace.lane_change_starts == []
 
 
 def test_lane_change_deterministic():
     road = RoadConfig(n_l=2, n_vpl=4)
-    p = profile(lc_rate=0.1)
-    snapshot = lc_snapshot()
+    states0 = [VehicleState(x=0.0, y=road.lane_center(1), v=18.0, a=0.0, psi=0.0, delta=0.0, lane=1)]
 
     def run(seed):
-        rng = np.random.default_rng(seed)
-        lc = LaneChangeState()
-        return [
-            lane_change_decision(0, snapshot, lc, p, road, rng, 0.5, [0, 1, 0, 0])
-            for _ in range(100)
-        ]
+        params = SimParams(duration=60.0, seed=seed)
+        return run_scene(road, params, states0, [profile(lc_rate=0.5)]).lane_change_starts
 
-    assert run(5) == run(5)
+    assert run(5) and run(5) == run(5)
 
 
 def test_accepted_gap_shrinks_with_waiting():

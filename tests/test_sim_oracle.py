@@ -1,6 +1,7 @@
 """The array control laws and the lock-step engine against the scalar laws
 and the per-vehicle main loop they replaced (``sim_loop``), bit for bit."""
 
+from copy import deepcopy
 from dataclasses import fields
 from types import SimpleNamespace
 
@@ -31,6 +32,7 @@ from scenforest.sim import (
     run_simulation,
     run_simulations,
 )
+from scenforest.sim import engine
 from scenforest.sim.engine import BATCH_RUNS, _init_scene, _run_rng
 
 ROAD = RoadConfig(n_l=3, d_il_max=80.0)
@@ -288,3 +290,61 @@ def test_run_scene_rejects_a_start_lane_off_the_road():
     profile = BehaviorProfile(a_m=2.0, b=4.0, c=0.05, v_target=18.0)
     with pytest.raises(SimConfigError, match=r"vehicle 1 starts on lane 3, outside \[1, 2\]"):
         run_scene(road, SimParams(duration=1.0), states0, [profile])
+
+
+def hand_scene(road: RoadConfig, k: int):
+    """A run_scene-style scene: k + 5 vehicles over all lanes, with hand
+    profiles that are motivated on up to a quarter of the steps."""
+    states0, profiles = [], []
+    for i in range(k + 5):
+        lane = 1 + i % road.n_l
+        states0.append(VehicleState(x=9.0 * i, y=road.lane_center(lane), v=12.0 + i % 4, a=0.0, psi=0.0, delta=0.0, lane=lane))
+        profiles.append(BehaviorProfile(
+            a_m=2.0 + 0.1 * i, b=4.0, c=0.05 + 0.01 * (i % 3), v_target=14.0 + i % 5,
+            risk=(i % 4) / 3.0, patience=0.5, politeness=(i % 3) / 2.0, reaction_time=0.3 + 0.1 * (i % 5),
+            lc_rate=1.0 + (i + k) % 5,  # fires with probability 0.05 to 0.25 per 0.05 s step
+        ))
+    return states0, profiles
+
+
+def test_batched_draws_rewind_equals_vehicle_loop(monkeypatch):
+    # a full batch of hand scenes with frequent motivation and v_target
+    # redraws: each trace equals the loop's, and the case takes the paths
+    # it is meant to cover
+    road = RoadConfig(n_l=3, n_vpl=4)
+    params = [SimParams(duration=8.0, seed=100 + k, target_resample_mean=0.7) for k in range(BATCH_RUNS)]
+    scenes = [hand_scene(road, k) for k in range(BATCH_RUNS)]
+    rewinds = []
+    undraw = engine._undraw
+    monkeypatch.setattr(engine, "_undraw", lambda rng, count: (rewinds.append(count), undraw(rng, count)))
+    traces = engine._run_batch(road, [(p, s, deepcopy(f), _run_rng(p.seed)) for p, (s, f) in zip(params, scenes)])
+    assert any(count > 0 for count in rewinds)  # a fire with idle draws after it in its block
+
+    events = []  # the loop's draws: ("redraw",) before a vehicle's decision, ("decide", id, fired)
+    draw_v_target, decide = sim_loop._draw_v_target, sim_loop.loop_lane_change_decision
+
+    def logged_decide(ego, snapshot, lc, *args):
+        idle = lc.target_lane is None and lc.desired_dir is None
+        decision = decide(ego, snapshot, lc, *args)
+        events.append(("decide", ego, idle and lc.desired_dir is not None))
+        return decision
+
+    monkeypatch.setattr(sim_loop, "_draw_v_target", lambda *a: (events.append(("redraw",)), draw_v_target(*a))[1])
+    monkeypatch.setattr(sim_loop, "loop_lane_change_decision", logged_decide)
+    both = 0  # run-steps that hold a redraw and a fire
+    for p, (states0, profiles), got in zip(params, scenes, traces):
+        events.clear()
+        assert_same_trace(got, sim_loop.loop_run_scene(road, p, states0, deepcopy(profiles), _run_rng(p.seed)))
+        step, last, redrawn = set(), -1, False
+        for event in events + [("decide", -1, False)]:
+            if event[0] == "redraw":  # of the vehicle that decides next
+                redrawn = True
+                continue
+            if event[1] <= last:  # a new step
+                both += {"redraw", "fire"} <= step
+                step = set()
+            last = event[1]
+            step |= {"redraw"} if redrawn else set()
+            step |= {"fire"} if event[2] else set()
+            redrawn = False
+    assert both > 0
