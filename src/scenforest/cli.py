@@ -4,8 +4,8 @@
 Every subcommand consumes and produces files only, so any stage can be
 rerun in isolation. One master seed fans out into per-stage seeds by
 hashing the stage name, so changing one stage's structure never perturbs
-another stage's randomness. Exit codes: 0 ok, 2 configuration or
-validation error, 3 empty result (no scenarios found).
+another stage's randomness. Exit codes: 0 ok, 2 configuration,
+validation or unreadable-file error, 3 empty result (no scenarios found).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .dataset import (
 )
 from .sim import (
     RoadConfig,
-    SimConfigError,
     SimParams,
     load_trace,
     meta_path,
@@ -77,7 +76,14 @@ def _config_type(key: str, default):
     return (type(default),), {int: "an integer", bool: "true or false", str: "a string"}[type(default)]
 
 
+COUNT_KEYS = (("sim", "runs"), ("xmurf", "b_trees"), ("classify", "b_trees"))  # each at least 1
+
+
 def load_config(path: str | None) -> dict:
+    """The default config overlaid with the JSON object of sections at
+    ``path``. Raises ParseError naming the file and the key path of an
+    unknown section or key, a value of the wrong type, a count below 1 or
+    an unknown linkage method, before any stage runs."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path:
         user = read_json(path)
@@ -94,6 +100,10 @@ def load_config(path: str | None) -> dict:
                 types, want = _config_type(key, cfg[section][key])
                 if type(val) not in types:
                     raise ParseError(f"{path}: {section}.{key}: expected {want}, got {json.dumps(val)}")
+                if (section, key) in COUNT_KEYS and val < 1:
+                    raise ParseError(f"{path}: {section}.{key}: {val} is not an integer >= 1")
+                if (section, key) == ("ordering", "linkage") and val not in ordering.LINKAGE_METHODS:
+                    raise ParseError(f"{path}: ordering.linkage: {json.dumps(val)} is not one of {', '.join(ordering.LINKAGE_METHODS)}")
                 cfg[section][key] = val
     return cfg
 
@@ -165,8 +175,7 @@ def cmd_cluster(cfg: dict, args) -> int:
     seed = stage_seed(_master_seed(cfg, args, "xmurf"), "xmurf")
     forest = xmurf.fit(dataset, int(args.b_trees or cfg["xmurf"]["b_trees"]), seed)
     matrix = xmurf.proximity_matrix(forest, dataset)
-    save_matrix(matrix, out / "proximity.raw", fmt="raw")
-    save_matrix(matrix, out / "proximity.csv", fmt="csv")
+    save_matrix(matrix, out / "proximity.raw")
     xmurf.save_forest(forest, out / "forest.json")
     print(f"clustered M={dataset.n_rows} with B={forest.n_trees}")
     return EXIT_OK
@@ -183,8 +192,7 @@ def cmd_order(cfg: dict, args) -> int:
     p_ordered = ordering.reorder(matrix, perm)
     ordering.save_dendrogram(dend, out / "dendrogram.json")
     ordering.save_permutation(perm, out / "permutation.json")
-    save_matrix(p_ordered, out / "proximity_ordered.raw", fmt="raw")
-    save_matrix(p_ordered, out / "proximity_ordered.csv", fmt="csv")
+    save_matrix(p_ordered, out / "proximity_ordered.raw")
     ordering.render_heatmap(p_ordered, out / "heatmap.ppm")
     print(f"seriation done for M={matrix.size}")
     return EXIT_OK
@@ -333,11 +341,11 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         return _COMMANDS[args.command](cfg, args)
-    except (SimConfigError, ParseError) as exc:
+    except ValueError as exc:  # ParseError and SimConfigError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

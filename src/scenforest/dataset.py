@@ -2,10 +2,11 @@
 
 CSV is the interchange format for feature data (RFC-4180 subset: comma
 delimiter, ``.`` decimal, LF line endings, mandatory ``id`` first column).
-Proximity matrices additionally round-trip through a raw binary format
-(row-major little-endian float64 plus a JSON sidecar) where bit-exactness
-matters. Floats written to CSV use 17 significant digits, which round-trips
-IEEE-754 doubles exactly.
+Floats written to CSV use 17 significant digits, which round-trips
+IEEE-754 doubles exactly. Proximity matrices are written in a raw binary
+format (row-major little-endian float64 plus a JSON sidecar), which
+round-trips bit-exactly; a matrix CSV (an id header row, then M rows of M
+values) can still be read, for rendering.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,20 +53,32 @@ def require_keys(obj, keys, path, where: str) -> None:
             raise ParseError(f"{path}: {where}{key}: missing key")
 
 
-def read_json(path):
-    """The parsed JSON of a file; ParseError names ``path:line`` of invalid JSON."""
+@contextmanager
+def _utf8(path):
+    """Turn a UnicodeDecodeError raised while reading ``path`` as text into
+    a ParseError naming the file."""
     try:
-        return json.loads(Path(path).read_text())
+        yield
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})") from None
+
+
+def read_json(path):
+    """The parsed JSON of a file; ParseError names ``path:line`` of invalid
+    JSON, or the file that is not UTF-8 text."""
+    try:
+        with _utf8(path):
+            return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
 
 
-def _row_format(n: int, head: str = "", tail: str = "") -> str:
-    """printf format of one CSV line holding n floats between ``head`` and
-    ``tail``. Each float prints as format(v, ".17g") does. Lines are written
-    one row at a time: a whole-matrix tolist() would hold every value as a
-    Python float at once."""
-    return head + ",".join(["%.17g"] * n) + tail + "\n"
+def _row_format(n: int, tail: str = "") -> str:
+    """printf format of one CSV line: an id, n floats, then ``tail``. Each
+    float prints as format(v, ".17g") does. Lines are written one row at a
+    time: a whole-table tolist() would hold every value as a Python float
+    at once."""
+    return "%s," + ",".join(["%.17g"] * n) + tail + "\n"
 
 
 @dataclass
@@ -99,9 +113,6 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.values.shape[1]
-
-    def row(self, i: int) -> np.ndarray:
-        return self.values[i]
 
     def subset(self, rows: list[int]) -> "Dataset":
         return Dataset(
@@ -163,10 +174,11 @@ def _read_csv(path, labeled: bool) -> tuple:
 
     Raises ParseError naming ``path:line`` for the first fault in reading
     order: a ragged row, a duplicate id, or a non-numeric or non-finite
-    cell, which is also named with its column.
+    cell, which is also named with its column; or naming ``path`` for
+    bytes that are not UTF-8.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
+    with _utf8(path), open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -222,7 +234,7 @@ def save_dataset(d: Dataset, path) -> None:
         raise ValueError("empty schema: dataset has no feature columns")
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(["id"] + list(d.feature_names)) + "\n")
-        line = _row_format(d.n_features, head="%s,")
+        line = _row_format(d.n_features)
         for rid, row in zip(d.ids, d.values):
             fh.write(line % (rid, *row.tolist()))
 
@@ -238,31 +250,19 @@ def save_labeled_dataset(d: LabeledDataset, path) -> None:
         raise ValueError("empty schema: dataset has no feature columns")
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(["id"] + list(d.base.feature_names) + [LABEL_COLUMN]) + "\n")
-        line = _row_format(d.base.n_features, head="%s,", tail=",%s")
+        line = _row_format(d.base.n_features, tail=",%s")
         for rid, row, label in zip(d.base.ids, d.base.values, d.labels):
             fh.write(line % (rid, *row.tolist(), label))
 
 
-def save_matrix(p: ProximityMatrix, path, fmt: str = "csv") -> None:
-    """Write a proximity matrix.
-
-    ``csv``: one header row with the M ids, then M rows of M values.
-    ``raw``: row-major little-endian float64 plus a ``<path>.json`` sidecar
-    holding {"M": M, "ids": [...]}; round-trips bit-identically.
-    """
+def save_matrix(p: ProximityMatrix, path) -> None:
+    """Write a proximity matrix as row-major little-endian float64 plus a
+    ``<path>.json`` sidecar holding {"M": M, "ids": [...]}; it round-trips
+    bit-identically through load_matrix."""
     path = Path(path)
-    if fmt == "csv":
-        with open(path, "w", newline="\n") as fh:
-            fh.write(",".join(p.ids) + "\n")
-            line = _row_format(p.size)
-            for row in p.values:
-                fh.write(line % tuple(row.tolist()))
-    elif fmt == "raw":
-        path.write_bytes(p.values.astype("<f8").tobytes(order="C"))
-        sidecar = {"M": p.size, "ids": list(p.ids)}
-        Path(str(path) + ".json").write_text(json.dumps(sidecar) + "\n")
-    else:
-        raise ValueError(f"unknown matrix format {fmt!r}")
+    path.write_bytes(p.values.astype("<f8").tobytes(order="C"))
+    sidecar = {"M": p.size, "ids": list(p.ids)}
+    Path(str(path) + ".json").write_text(json.dumps(sidecar) + "\n")
 
 
 def _matrix_row(rec: list, ids: list, path, lineno: int) -> list:
@@ -282,14 +282,15 @@ def _matrix_row(rec: list, ids: list, path, lineno: int) -> list:
 
 
 def load_matrix(path, fmt: str = "csv") -> ProximityMatrix:
-    """Read a matrix written by save_matrix. Raises ParseError naming the
+    """Read a matrix: ``raw`` as save_matrix writes it, ``csv`` as a header
+    row of the M ids, then M rows of M values. Raises ParseError naming the
     file: for ``raw``, a sidecar that is not {"M": non-negative int, "ids":
     M strings} or a data file of other than 8 * M * M bytes; for ``csv``, a
-    ragged row or a non-numeric cell; for both, a matrix that is not a
-    valid ProximityMatrix."""
+    ragged row, a non-numeric cell or bytes that are not UTF-8; for both, a
+    matrix that is not a valid ProximityMatrix."""
     path = Path(path)
     if fmt == "csv":
-        with open(path, newline="") as fh:
+        with _utf8(path), open(path, newline="") as fh:
             reader = csv.reader(fh)
             try:
                 ids = next(reader)

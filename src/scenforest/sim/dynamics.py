@@ -32,7 +32,6 @@ __all__ = [
     "follower_accel",
     "lateral_control",
     "one_track_step",
-    "lateral_accel",
 ]
 
 BRAKE_MIN_GAP = 2.0   # m, distance "close to zero" where full braking must hold
@@ -40,8 +39,7 @@ BRAKE_EPS = 0.1       # m, guards the stopping-distance denominator
 BRAKE_ENGAGE = 1.5    # m/s^2, required deceleration above which the drive command drops
 BRAKE_NEAR = 4.0      # m, range over which speed matching ramps in above the minimum gap
 BRAKE_MATCH = 4.0     # 1/s, near-range speed-matching gain
-AY_LIMIT = 0.4 * GRAVITY       # one-track validity bound
-AY_CTRL_LIMIT = 0.35 * GRAVITY  # steering commands keep a margin below it
+AY_CTRL_LIMIT = 0.35 * GRAVITY  # a margin below the one-track model's ~0.4 g validity bound
 
 
 def py_max(a, b):
@@ -160,17 +158,12 @@ def lateral_control(state: VehicleState, target_lane_center, v):
     return py_min(py_max(delta_cmd, -limit), limit)
 
 
-def lateral_accel(v, delta):
-    """Lateral acceleration implied by speed and steering on the one-track model."""
-    return v * v * _math(math.tan, delta) / WHEELBASE
-
-
 def one_track_step(state: VehicleState, delta_cmd, a_cmd, dt: float):
     """Kinematic one-track (bicycle) update over one timestep; the fields of
     ``state`` may be floats or arrays.
 
-    Returns (new state, ay_exceeded flag). The flag marks steps whose
-    implied lateral acceleration leaves the model's ~0.4 g validity range.
+    Returns the new state. The model holds for lateral accelerations up to
+    about 0.4 g, which lateral_control's clamp keeps the commands within.
     The stored acceleration is the realized value, which differs from the
     command only when the speed floors at zero.
     """
@@ -178,7 +171,7 @@ def one_track_step(state: VehicleState, delta_cmd, a_cmd, dt: float):
     y = state.y + state.v * np.sin(state.psi) * dt
     psi = state.psi + state.v / WHEELBASE * _math(math.tan, delta_cmd) * dt
     v = py_max(0.0, state.v + a_cmd * dt)
-    new = VehicleState(
+    return VehicleState(
         x=x,
         y=y,
         v=v,
@@ -187,4 +180,3 @@ def one_track_step(state: VehicleState, delta_cmd, a_cmd, dt: float):
         delta=delta_cmd,
         lane=state.lane,
     )
-    return new, abs(lateral_accel(state.v, delta_cmd)) > AY_LIMIT

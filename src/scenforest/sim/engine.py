@@ -111,7 +111,7 @@ BATCH_RUNS = 8  # runs per lock-step batch: the batch's traces stay in memory to
 class Trace:
     """Full record of one run: one (n_ts, n_v) array per channel, row t
     holding timestep t and column i vehicle i + 1 (x, y, v, a and psi as
-    float64, lane as int64), plus collision events and run diagnostics.
+    float64, lane as int64), plus the collision and lane-change start events.
     A simulated trace's arrays are its run's column block of the batch
     arrays, so they need not be contiguous."""
 
@@ -125,7 +125,6 @@ class Trace:
     lane: np.ndarray
     collisions: list  # (timestep, (id_a, id_b)) with id_a < id_b
     lane_change_starts: list = field(default_factory=list)  # (timestep, id, target_lane)
-    ay_warning_steps: int = 0
 
     @property
     def n_ts(self) -> int:
@@ -389,7 +388,6 @@ def _run_batch(road: RoadConfig, scenes: list) -> list:
     frozen = np.zeros(n, dtype=bool)  # by a collision: it stays in place, draws nothing, wants no lane
     collisions: list = [[] for _ in scenes]
     lc_starts: list = [[] for _ in scenes]
-    ay_steps = [0] * n_runs
     run_dt = [params.dt for params, *_ in scenes]
     run_rng = [rng for *_, rng in scenes]
     run_due = [min(next_redraw[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]  # each run's next redraw time
@@ -511,17 +509,13 @@ def _run_batch(road: RoadConfig, scenes: list) -> list:
         a_cmd = _longitudinal(view, lead_lanes, v[t], tau, batch, road)
         cur = VehicleState(x=x[t], y=y[t], v=v[t], a=a[t], psi=psi[t], delta=None, lane=lane[t])
         steer = road.lane_center(np.where(lc.target > 0, lc.target, lane[t]))
-        new, ay_flag = one_track_step(cur, lateral_control(cur, steer, v[t]), a_cmd, dt)
+        new = one_track_step(cur, lateral_control(cur, steer, v[t]), a_cmd, dt)
         x[t + 1], y[t + 1], v[t + 1], a[t + 1], psi[t + 1] = new.x, new.y, new.v, new.a, new.psi
         # frozen vehicles stay in place
         for channel in (x, y, psi):
             np.copyto(channel[t + 1], channel[t], where=frozen)
         for channel in (v, a):
             np.copyto(channel[t + 1], 0.0, where=frozen)
-        if np.count_nonzero(ay_flag):
-            for k in set(run_of[ay_flag & ~frozen].tolist()):  # a step counts once per run
-                if live[k]:
-                    ay_steps[k] += 1
         lane[t + 1] = road.lane_of(y[t + 1])
         # collision sweep on the fresh positions, pairs in row-major order;
         # involved vehicles freeze
@@ -556,7 +550,6 @@ def _run_batch(road: RoadConfig, scenes: list) -> list:
             lane=lane[block],
             collisions=collisions[k],
             lane_change_starts=lc_starts[k],
-            ay_warning_steps=ay_steps[k],
         ))
     return traces
 

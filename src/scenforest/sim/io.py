@@ -5,8 +5,8 @@
 as an int8 block of the same shape: 41 bytes per vehicle and step. The
 sidecar ``trace_<k>.meta.json`` holds dt, n_vehicles, n_ts, the road that
 the lanes are checked against on load, ``collisions`` as [[t, id_a, id_b],
-...], ``lane_change_starts`` as [[t, id, target_lane], ...] and
-``ay_warning_steps``. A saved trace reloads bit-identically.
+...] and ``lane_change_starts`` as [[t, id, target_lane], ...]. A saved
+trace reloads bit-identically.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ def save_trace(trace: Trace, path) -> None:
         "road": {key: getattr(trace.road, key) for key in ROAD_KEYS},
         "collisions": [[t, a, b] for t, (a, b) in trace.collisions],
         "lane_change_starts": [list(event) for event in trace.lane_change_starts],
-        "ay_warning_steps": trace.ay_warning_steps,
     }
     meta_path(path).write_text(json.dumps(meta) + "\n")
 
@@ -86,13 +85,13 @@ def load_trace(path) -> Trace:
     """
     path, sidecar = Path(path), meta_path(path)
     meta = read_json(sidecar)
-    require_keys(meta, ("dt", "n_vehicles", "n_ts", "road", "collisions", "lane_change_starts", "ay_warning_steps"), sidecar, "")
+    require_keys(meta, ("dt", "n_vehicles", "n_ts", "road", "collisions", "lane_change_starts"), sidecar, "")
     require_keys(meta["road"], ROAD_KEYS, sidecar, "road.")
     if type(meta["dt"]) not in (int, float) or not meta["dt"] > 0:
         raise ParseError(f"{sidecar}: dt: {meta['dt']!r} is not a positive number")
-    for key, least in (("n_vehicles", 1), ("n_ts", 1), ("ay_warning_steps", 0)):
-        if type(meta[key]) is not int or meta[key] < least:
-            raise ParseError(f"{sidecar}: {key}: {meta[key]!r} is not an integer >= {least}")
+    for key in ("n_vehicles", "n_ts"):
+        if type(meta[key]) is not int or meta[key] < 1:
+            raise ParseError(f"{sidecar}: {key}: {meta[key]!r} is not an integer >= 1")
     road = {key: meta["road"][key] for key in ROAD_KEYS}
     for key, value in road.items():
         if type(value) not in ((int,) if key in ROAD_INTS else (int, float)):
@@ -130,5 +129,4 @@ def load_trace(path) -> Trace:
         lane=lane,
         collisions=[(t, (a, b)) for t, a, b in collisions],
         lane_change_starts=lc_starts,
-        ay_warning_steps=meta["ay_warning_steps"],
     )

@@ -39,7 +39,6 @@ BRAKE_EPS = 0.1
 BRAKE_ENGAGE = 1.5
 BRAKE_NEAR = 4.0
 BRAKE_MATCH = 4.0
-AY_LIMIT = 0.4 * GRAVITY
 AY_CTRL_LIMIT = 0.35 * GRAVITY
 
 
@@ -150,16 +149,9 @@ def lateral_control(state: VehicleState, target_lane_center: float, v: float) ->
     return min(max(delta_cmd, -limit), limit)
 
 
-def lateral_accel(v: float, delta: float) -> float:
-    """Lateral acceleration implied by speed and steering on the one-track model."""
-    return v * v * math.tan(delta) / WHEELBASE
-
-
 def one_track_step(state: VehicleState, delta_cmd: float, a_cmd: float, dt: float):
     """Kinematic one-track (bicycle) update over one timestep.
 
-    Returns (new state, ay_exceeded flag). The flag marks steps whose
-    implied lateral acceleration leaves the model's ~0.4 g validity range.
     The stored acceleration is the realized value, which differs from the
     command only when the speed floors at zero.
     """
@@ -167,7 +159,7 @@ def one_track_step(state: VehicleState, delta_cmd: float, a_cmd: float, dt: floa
     y = state.y + state.v * math.sin(state.psi) * dt
     psi = state.psi + state.v / WHEELBASE * math.tan(delta_cmd) * dt
     v = max(0.0, state.v + a_cmd * dt)
-    new = VehicleState(
+    return VehicleState(
         x=x,
         y=y,
         v=v,
@@ -176,7 +168,6 @@ def one_track_step(state: VehicleState, delta_cmd: float, a_cmd: float, dt: floa
         delta=delta_cmd,
         lane=state.lane,
     )
-    return new, abs(lateral_accel(state.v, delta_cmd)) > AY_LIMIT
 
 
 # ------------------------------------------------------------- the engine
@@ -340,13 +331,11 @@ def loop_run_scene(road: RoadConfig, params: SimParams, states0: list, profiles:
     record(0, states0)
     collisions: list = []
     lc_starts: list = []
-    ay_steps = 0
 
     for t in range(n_ts - 1):
         cur = history[-1]
         occupancy = _lane_occupancy(cur, lcs)
         new: list = [None] * n_v
-        ay_this_step = False
         for i in range(n_v):
             if frozen[i]:
                 new[i] = replace(cur[i], v=0.0, a=0.0)
@@ -371,10 +360,7 @@ def loop_run_scene(road: RoadConfig, params: SimParams, states0: list, profiles:
             a_cmd = _longitudinal(i, snap, cur[i].v, delay[i] * dt, profile, road, lc)
             steer_lane = lc.target_lane if lc.active else cur[i].lane
             delta_cmd = lateral_control(cur[i], road.lane_center(steer_lane), cur[i].v)
-            new[i], ay_flag = one_track_step(cur[i], delta_cmd, a_cmd, dt)
-            ay_this_step = ay_this_step or ay_flag
-        if ay_this_step:
-            ay_steps += 1
+            new[i] = one_track_step(cur[i], delta_cmd, a_cmd, dt)
         for i in range(n_v):
             new[i].lane = lane_of(road, new[i].y)
         # collision sweep on the fresh positions; involved vehicles freeze
@@ -415,5 +401,4 @@ def loop_run_scene(road: RoadConfig, params: SimParams, states0: list, profiles:
         lane=lane,
         collisions=collisions,
         lane_change_starts=lc_starts,
-        ay_warning_steps=ay_steps,
     )

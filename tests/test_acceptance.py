@@ -260,7 +260,7 @@ def test_criterion_7_simulator_physics():
     s = VehicleState(x=0.0, y=0.0, v=v, a=0.0, psi=0.0, delta=delta, lane=1)
     worst_circle = 0.0
     for _ in range(int((math.pi / 2) * radius / v / dt)):
-        s, _ = one_track_step(s, delta, 0.0, dt)
+        s = one_track_step(s, delta, 0.0, dt)
         worst_circle = max(worst_circle, abs(math.hypot(s.x, s.y - radius) - radius) / radius)
     assert worst_circle < 0.01
 

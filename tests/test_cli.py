@@ -9,7 +9,7 @@ import pytest
 
 from scenforest import cli
 from scenforest.classify import UNASSIGNED, load_model, predict_detail
-from scenforest.dataset import load_dataset, load_matrix
+from scenforest.dataset import Dataset, load_dataset, load_matrix, save_dataset
 from scenforest.scenarios import FEATURE_NAMES
 from scenforest.sim import CHANNELS
 
@@ -104,6 +104,18 @@ def test_cluster_outputs_valid_matrix(pipeline):
     assert p.size >= 2
     forest = json.loads((out / "forest.json").read_text())
     assert forest["B"] == 20  # config b_trees respected
+
+
+def test_cluster_and_order_write_exactly_their_artifacts(tmp_path):
+    source = tmp_path / "in.csv"
+    save_dataset(Dataset(["f0", "f1", "f2"], [f"r{i}" for i in range(12)], np.random.default_rng(5).normal(size=(12, 3))), source)
+    out = tmp_path / "out"
+    assert cli.main(["--seed", "3", "--out", str(out), "cluster", "--input", str(source), "--b-trees", "5"]) == 0
+    assert cli.main(["--seed", "3", "--out", str(out), "order"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "dendrogram.json", "forest.json", "heatmap.ppm", "permutation.json", "proximity.raw",
+        "proximity.raw.json", "proximity_ordered.raw", "proximity_ordered.raw.json",
+    ]
 
 
 def test_cluster_rejects_tiny_input(tmp_path):
@@ -321,7 +333,6 @@ def assert_exits_2_located(argv, where, message, capsys):
         (set_meta("collisions", [[100, 1, 2]]), ".meta.json", "collisions[0]: [100, 1, 2] is not [t, id_a, id_b] with t in [0, 99]"),
         (set_meta("collisions", [[3, 1]]), ".meta.json", "collisions[0]: [3, 1] is not"),
         (set_meta("lane_change_starts", [[3, 1, 3]]), ".meta.json", "lane_change_starts[0]: [3, 1, 3] is not"),
-        (set_meta("ay_warning_steps", -1), ".meta.json", "ay_warning_steps: -1 is not an integer >= 0"),
         (edit_meta(lambda meta: meta[:-3]), ".meta.json:1", "invalid JSON"),
         (edit_meta(lambda meta: meta.replace('"n_ts"', '"steps"')), ".meta.json", "n_ts: missing key"),
         (edit_meta(lambda meta: meta.replace('"n_l": 2', '"n_l": 5')), ".meta.json", "road: lane count must be 2 or 3"),
@@ -330,7 +341,7 @@ def assert_exits_2_located(argv, where, message, capsys):
         "short-by-one-byte", "extra-byte", "step-count", "lane-out-of-range", "lane-over-capacity",
         "x-nan", "v-inf", "psi-minus-inf",
         "id-out-of-range", "collision-step-out-of-range", "collision-not-a-triple", "lane-change-start-bad-lane",
-        "ay-warning-steps-negative", "meta-invalid-json", "meta-missing-key", "meta-bad-road",
+        "meta-invalid-json", "meta-missing-key", "meta-bad-road",
     ],
 )
 def test_extract_rejects_malformed_trace(small_trace, tmp_path, capsys, corrupt, where, message):
@@ -385,12 +396,19 @@ LABEL_2 = {
          "non-numeric cell 'x' in column 'f'"),
         ({"labeled.csv": "id,f,label\na,inf,A\n"}, ["--out", ".", "train"], "labeled.csv:2",
          "non-finite cell 'inf' in column 'f'"),
+        ({}, ["--out", "out", "cluster", "--input", "."], ".", "Is a directory"),
+        ({"scenarios.csv": b"id,f\na,1\nb,\xff\n"}, ["--out", ".", "cluster"], "scenarios.csv",
+         "not UTF-8 text: byte 0xff"),
+        ({**LABEL_2, "ranges.json": b'[{"label": "\xff"}]'}, LABEL, "ranges.json", "not UTF-8 text: byte 0xff"),
+        ({"m.csv": b"a,b\n1,0.5\n0.5,\xff\n"}, ["render", "--matrix", "m.csv", "--format", "csv", "--output", "m.ppm"],
+         "m.csv", "not UTF-8 text: byte 0xff"),
     ],
     ids=[
         "raw-sidecar-invalid-json", "raw-sidecar-missing-M", "raw-sidecar-M-not-int", "raw-sidecar-ids-not-strings",
         "raw-data-short", "raw-asymmetric", "csv-shape", "permutation-floats", "permutation-bools",
         "permutation-invalid-json", "permutation-repeats", "permutation-too-long", "range-outside",
         "range-overlap", "matrix-size", "labeled-non-numeric", "labeled-non-finite",
+        "input-is-a-directory", "scenarios-not-utf8", "ranges-not-utf8", "csv-matrix-not-utf8",
     ],
 )
 def test_reader_rejects_malformed_input(tmp_path, monkeypatch, capsys, files, argv, where, message):
@@ -414,6 +432,29 @@ def test_wrongly_typed_config_value_exits_2(tmp_path, capsys, overrides, message
     assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "o"), "simulate"]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {cfg}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("sim", "runs", -1, "sim.runs: -1 is not an integer >= 1"),
+        ("xmurf", "b_trees", 0, "xmurf.b_trees: 0 is not an integer >= 1"),
+        ("classify", "b_trees", 0, "classify.b_trees: 0 is not an integer >= 1"),
+        ("ordering", "linkage", "ward", 'ordering.linkage: "ward" is not one of average, single, complete'),
+    ],
+    ids=["sim-runs-negative", "xmurf-b-trees-zero", "classify-b-trees-zero", "unknown-linkage"],
+)
+def test_config_value_out_of_range_exits_2_before_any_file_is_touched(tmp_path, capsys, section, key, value, message):
+    overrides = {"sim": {"duration": 1.0, "runs": 1}}
+    overrides.setdefault(section, {})[key] = value
+    cfg = write_config(tmp_path, overrides)
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "trace_0.raw").write_bytes(b"kept")
+    assert cli.main(["--config", str(cfg), "--out", str(out), "simulate"]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+    assert [p.name for p in out.iterdir()] == ["trace_0.raw"]
+    assert (out / "trace_0.raw").read_bytes() == b"kept"
 
 
 def test_config_accepts_int_for_float_and_int_or_null_seed(tmp_path):
@@ -443,9 +484,9 @@ def test_render_csv_locates_bad_cell(tmp_path, capsys, text, message):
 # seed 4242: any byte change to the traces or the features shows here
 PINNED_SHA256 = {
     "trace_0.raw": "90d14ff6322a3841a8be64b64425f844867d508a9d951e54c71c4dfc7d7e56aa",
-    "trace_0.meta.json": "1020eedb9c8f86ae3ad49305cec76072b24a71382fedf2062cbba2fe0ecb097f",
+    "trace_0.meta.json": "60fbdd6110bfe1a8dabdc259751dd475d85631a33a25989215282335d9fcbbf4",
     "trace_1.raw": "9a38ec56de2f4138d61238d6f2683bc99eab9336426191a6effbb348df3f04c8",
-    "trace_1.meta.json": "52f868601268a040827e47e8bea4425ec19b2d4ed535a3da8ea830ae86be45e8",
+    "trace_1.meta.json": "489cec7a02dd8948fa14499fb25e9395da7a1dc935cd5b73495def7176218f3b",
     "scenarios.csv": "4776cdd167ab549cc8e8fb1c70e552ae103e491b324da198877d824ac1f6ca92",
 }
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scenforest.sim import (
     CHANNELS,
@@ -108,21 +110,20 @@ def test_lateral_linearity_before_clamp():
 
 def test_one_track_straight_line():
     s = VehicleState(x=0, y=0, v=20.0, a=0, psi=0.0, delta=0.0, lane=1)
-    s2, warn = one_track_step(s, 0.0, 0.0, 0.1)
+    s2 = one_track_step(s, 0.0, 0.0, 0.1)
     assert s2.x == pytest.approx(2.0, abs=0)
     assert s2.y == 0.0 and s2.psi == 0.0
-    assert not warn
 
 
 def test_one_track_zero_speed_fixed_pose():
     s = VehicleState(x=5, y=1, v=0.0, a=0, psi=0.3, delta=0.0, lane=1)
-    s2, _ = one_track_step(s, 0.5, 0.0, 0.05)
+    s2 = one_track_step(s, 0.5, 0.0, 0.05)
     assert (s2.x, s2.y, s2.psi) == (5.0, 1.0, 0.3)
 
 
 def test_one_track_speed_floor():
     s = VehicleState(x=0, y=0, v=1.0, a=0, psi=0.0, delta=0.0, lane=1)
-    s2, _ = one_track_step(s, 0.0, -30.0, 0.1)
+    s2 = one_track_step(s, 0.0, -30.0, 0.1)
     assert s2.v == 0.0
     assert s2.a == pytest.approx(-10.0)  # realized, not commanded
 
@@ -137,16 +138,28 @@ def test_one_track_circle_radius():
     quarter_turn = (math.pi / 2) * radius / v
     worst = 0.0
     for _ in range(int(quarter_turn / dt)):
-        s, _ = one_track_step(s, delta, 0.0, dt)
+        s = one_track_step(s, delta, 0.0, dt)
         r = math.hypot(s.x - center[0], s.y - center[1])
         worst = max(worst, abs(r - radius) / radius)
     assert worst < 0.01
 
 
-def test_one_track_ay_warning_flag():
-    s = VehicleState(x=0, y=0, v=30.0, a=0, psi=0.0, delta=0.0, lane=1)
-    _, warn = one_track_step(s, 0.2, 0.0, 0.05)  # v^2 tan/L = 67 m/s^2
-    assert warn
+# standing, the clamp's speed floor of 1 m/s and their neighbouring doubles, the top speed
+EDGE_SPEEDS = [0.0, -0.0, 5e-324, float(np.nextafter(1.0, 0.0)), 1.0, float(np.nextafter(1.0, 2.0)), 45.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.sampled_from(EDGE_SPEEDS), st.floats(0.0, 45.0)),
+    st.floats(-30.0, 30.0),  # target offset, a lane change and far beyond
+    st.floats(-0.5, 0.5),
+    st.floats(-2.0, 12.0),
+)
+def test_lateral_control_stays_in_one_track_validity_range(v, offset, psi, y):
+    # the one-track model holds up to about 0.4 g of lateral acceleration
+    s = VehicleState(x=0.0, y=y, v=v, a=0.0, psi=psi, delta=0.0, lane=1)
+    delta = float(lateral_control(s, y + offset, v))
+    assert abs(v * v * math.tan(delta) / WHEELBASE) <= 0.4 * GRAVITY
 
 
 # ------------------------------------------------------------- scene setup

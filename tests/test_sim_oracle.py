@@ -24,7 +24,6 @@ from scenforest.sim import (
     follower_accel,
     gompertz_follower_accel,
     gompertz_leader_accel,
-    lateral_accel,
     lateral_control,
     one_track_step,
     regulate_speed,
@@ -169,14 +168,12 @@ def test_one_track_step_equals_scalar_model(rows):
     scalar, array = states([p for p, *_ in rows])
     delta, a_cmd, dt = (np.array([row[k] for row in rows]) for k in (1, 2, 3))
     want = [sim_loop.one_track_step(s, d, acc, step) for s, (_, d, acc, step) in zip(scalar, rows)]
-    for s, (_, d, acc, step), (w_state, w_flag) in zip(scalar, rows, want):
-        got, flag = one_track_step(s, d, acc, step)
-        assert all(same_bits(getattr(got, k), getattr(w_state, k)) for k in ("x", "y", "v", "a", "psi")) and flag == w_flag
-    got, flag = one_track_step(array, delta, a_cmd, dt)
+    for s, (_, d, acc, step), w in zip(scalar, rows, want):
+        got = one_track_step(s, d, acc, step)
+        assert all(same_bits(getattr(got, k), getattr(w, k)) for k in ("x", "y", "v", "a", "psi"))
+    got = one_track_step(array, delta, a_cmd, dt)
     for k in ("x", "y", "v", "a", "psi"):
-        assert same_bits(getattr(got, k), [getattr(w, k) for w, _ in want])
-    assert flag.tolist() == [f for _, f in want]
-    assert same_bits(lateral_accel(array.v, delta), [sim_loop.lateral_accel(s.v, d) for s, d in zip(scalar, delta.tolist())])
+        assert same_bits(getattr(got, k), [getattr(w, k) for w in want])
 
 
 lane_width = 3.5

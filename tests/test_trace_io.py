@@ -1,7 +1,6 @@
 """Trace file layout and bit-exact reload."""
 
 import json
-from dataclasses import replace
 
 import numpy as np
 
@@ -11,15 +10,14 @@ from scenforest.sim import CHANNELS, RoadConfig, SimParams, load_trace, meta_pat
 def test_trace_round_trip_bit_exact(tmp_path):
     road = RoadConfig(n_l=2, n_vpl=5)
     quiet = run_simulation(road, SimParams(dt=0.05, duration=20.0, seed=13))
-    # seed 17 has collisions and lane-change starts; ay warnings are rare, so one count is set
-    busy = replace(run_simulation(road, SimParams(dt=0.05, duration=40.0, seed=17)), ay_warning_steps=3)
+    busy = run_simulation(road, SimParams(dt=0.05, duration=40.0, seed=17))  # has collisions and lane-change starts
     assert busy.collisions and busy.lane_change_starts
     for k, trace in enumerate((quiet, busy)):
         path = tmp_path / f"trace_{k}.raw"
         save_trace(trace, path)
         loaded = load_trace(path)
         # every field reloads equal, the arrays bit for bit and dtype included
-        for name in ("dt", "road", "collisions", "lane_change_starts", "ay_warning_steps"):
+        for name in ("dt", "road", "collisions", "lane_change_starts"):
             assert getattr(loaded, name) == getattr(trace, name)
         for name in (*CHANNELS, "lane"):
             got, want = getattr(loaded, name), getattr(trace, name)
@@ -47,8 +45,9 @@ def test_trace_line_schema(tmp_path):
         np.testing.assert_array_equal(floats[k], getattr(trace, name))
     np.testing.assert_array_equal(np.frombuffer(data, "i1", offset=len(CHANNELS) * n * 8), trace.lane.ravel())
     meta = json.loads((tmp_path / "trace.meta.json").read_text())
-    assert list(meta) == [
-        "dt", "n_vehicles", "n_ts", "road", "collisions", "lane_change_starts", "ay_warning_steps"
-    ]
+    assert list(meta) == ["dt", "n_vehicles", "n_ts", "road", "collisions", "lane_change_starts"]
     assert (meta["dt"], meta["n_vehicles"], meta["n_ts"]) == (0.1, trace.n_vehicles, trace.n_ts)
     assert meta["road"]["n_l"] == 2
+    # a sidecar that still carries the dropped ay_warning_steps key loads as before
+    (tmp_path / "trace.meta.json").write_text(json.dumps({**meta, "ay_warning_steps": 0}) + "\n")
+    assert load_trace(path).x.tobytes() == trace.x.tobytes()
