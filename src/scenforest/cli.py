@@ -123,6 +123,13 @@ def _master_seed(cfg: dict, args, stage: str) -> int:
     return 0
 
 
+def _b_trees(cfg: dict, args, section: str) -> int:
+    """The forest size: the --b-trees flag whenever it is given, else the config's."""
+    if args.b_trees is not None and args.b_trees < 1:
+        raise ParseError(f"--b-trees: {args.b_trees} is not an integer >= 1")
+    return cfg[section]["b_trees"] if args.b_trees is None else args.b_trees
+
+
 def cmd_simulate(cfg: dict, args) -> int:
     out = _workdir(cfg, args)
     road = RoadConfig(**cfg["road"])
@@ -167,13 +174,14 @@ def cmd_extract(cfg: dict, args) -> int:
 
 
 def cmd_cluster(cfg: dict, args) -> int:
+    b_trees = _b_trees(cfg, args, "xmurf")
     out = _workdir(cfg, args)
     dataset = load_dataset(args.input or out / "scenarios.csv")
     if dataset.n_rows < 2:
         print("need at least 2 scenarios to cluster", file=sys.stderr)
         return EXIT_CONFIG
     seed = stage_seed(_master_seed(cfg, args, "xmurf"), "xmurf")
-    forest = xmurf.fit(dataset, int(args.b_trees or cfg["xmurf"]["b_trees"]), seed)
+    forest = xmurf.fit(dataset, b_trees, seed)
     matrix = xmurf.proximity_matrix(forest, dataset)
     save_matrix(matrix, out / "proximity.raw")
     xmurf.save_forest(forest, out / "forest.json")
@@ -231,10 +239,11 @@ def cmd_label(cfg: dict, args) -> int:
 
 
 def cmd_train(cfg: dict, args) -> int:
+    b_trees = _b_trees(cfg, args, "classify")
     out = _workdir(cfg, args)
     labeled = load_labeled_dataset(args.input or out / "labeled.csv")
     seed = stage_seed(_master_seed(cfg, args, "classify"), "clf")
-    forest = clf.fit_classifier(labeled, int(args.b_trees or cfg["classify"]["b_trees"]), seed)
+    forest = clf.fit_classifier(labeled, b_trees, seed)
     thresholds = clf.oob_thresholds(forest, labeled)
     clf.save_model(forest, thresholds, out / "model.json")
     kb = ", ".join(f"{c}={v:.3f}" for c, v in thresholds.kappa_bar.items())
@@ -242,7 +251,7 @@ def cmd_train(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def _check_features(path, names: list[str], forest: clf.SupervisedForest) -> None:
+def _check_features(path, names: list[str], forest: xmurf.Forest) -> None:
     """Raise ParseError naming the first feature column that differs from the
     model's (only the count is known for a model without feature names)."""
     expected = forest.feature_names

@@ -55,7 +55,7 @@ ZONE_MIN_M = 20.0      # m
 ZONE_MAX_M = 120.0     # m
 DESIRED_THW_S = 1.8    # s, administrative rule-of-thumb gap for the DTW feature
 DTW_MAX_SAMPLES = 128  # gap curves are resampled to at most this length
-THW_BLOCK = 512        # steps per block of the all-vehicle THW computation
+THW_BLOCK = 512        # steps per block of the all-vehicle leader and zone scans
 
 ZONES = ("front", "rear", "left_front", "left_rear", "right_front", "right_rear")
 _INSTANTS = ("start", "changepoint", "end")
@@ -88,7 +88,6 @@ class Scenario:
     ego_id: int
     t_start: int
     t_end: int
-    thw_series: np.ndarray
     thw_min: float
     t_changepoint: int
 
@@ -122,43 +121,22 @@ def zone_extent(v_ego):
     return np.clip(v_ego * ZONE_HORIZON_S, ZONE_MIN_M, ZONE_MAX_M)
 
 
-_SIDES = {"ahead": np.greater, "front": np.greater_equal, "rear": np.less}
+def _leader_gaps(trace: Trace, steps: slice) -> np.ndarray:
+    """The bumper gap of every vehicle to its leader at each of ``steps``,
+    as one (steps, n_v) array; inf without a leader.
 
-
-def _nearest(trace: Trace, ego: int, steps, offset: int, side: str, reach=None):
-    """The nearest other vehicle at each of ``steps`` (a slice or a list of
-    timesteps) on the lane ``offset`` lanes left of the ego's, and on
-    ``side`` of it by the center distance dx: "ahead" (dx > 0, a leader),
-    "front" (dx >= 0) or "rear" (dx < 0); with ``reach``, only within
-    |dx| <= reach of that step. The nearest wins, and the lowest id on equal
-    distance. Returns (column or -1, |dx| or inf), one entry per step.
+    The leader is the nearest other vehicle on the lane with dx > 0, the
+    lowest id on equal distance. Each step is sorted by (lane, x, id), a
+    stable order; the leader of a vehicle is then the first of the next
+    group of equal (lane, x), when that group is on its lane. Steps go
+    THW_BLOCK at a time, which bounds the temporaries.
     """
-    dx = trace.x[steps] - trace.x[steps, ego][:, None]
-    found = _SIDES[side](dx, 0.0) & (trace.lane[steps] == (trace.lane[steps, ego] + offset)[:, None])
-    found[:, ego] = False
-    dist = np.abs(dx, out=dx)
-    if reach is not None:
-        found &= dist <= np.reshape(reach, (-1, 1))
-    dist = np.where(found, dist, np.inf)
-    j = np.argmin(dist, axis=1)
-    d = dist[np.arange(len(j)), j]
-    return np.where(d < np.inf, j, -1), d
-
-
-def _thw_all(trace: Trace) -> np.ndarray:
-    """thw_series of every vehicle, as the columns of one (n_ts, n_v) array.
-
-    The leader is _nearest's "ahead" rule: the nearest other vehicle on the
-    lane with dx > 0, the lowest id on equal distance. Each step is sorted
-    by (lane, x, id), a stable order; the leader of a vehicle is then the
-    first of the next group of equal (lane, x), when that group is on its
-    lane. Steps go THW_BLOCK at a time, which bounds the temporaries.
-    """
-    n_ts, n_v = trace.x.shape
-    out = np.empty((n_ts, n_v))
-    for lo in range(0, n_ts, THW_BLOCK):
-        steps = slice(lo, lo + THW_BLOCK)
-        x0, lane0 = trace.x[steps], trace.lane[steps]
+    lo, hi, _ = steps.indices(trace.n_ts)
+    out = np.empty((hi - lo, trace.x.shape[1]))
+    n_v = out.shape[1]
+    for a in range(lo, hi, THW_BLOCK):
+        block = slice(a, min(a + THW_BLOCK, hi))
+        x0, lane0 = trace.x[block], trace.lane[block]
         order = np.lexsort((x0, lane0))
         x, lane = np.take_along_axis(x0, order, axis=1), np.take_along_axis(lane0, order, axis=1)
         # per sorted position p: the first position q > p that starts a group (n_v: none)
@@ -169,8 +147,13 @@ def _thw_all(trace: Trace) -> np.ndarray:
         leader = np.empty_like(order)
         np.put_along_axis(leader, order, np.where(found, np.take_along_axis(order, nearest, axis=1), -1), axis=1)
         dx = np.where(leader >= 0, np.take_along_axis(x0, leader, axis=1) - x0, np.inf)
-        out[steps] = compute_thw(np.maximum(dx - VEHICLE_LENGTH, 0.0), trace.v[steps])
+        out[a - lo : block.stop - lo] = np.maximum(dx - VEHICLE_LENGTH, 0.0)
     return out
+
+
+def _thw_all(trace: Trace) -> np.ndarray:
+    """thw_series of every vehicle, as the columns of one (n_ts, n_v) array."""
+    return compute_thw(_leader_gaps(trace, slice(None)), trace.v)
 
 
 def thw_series(trace: Trace, ego_id: int) -> np.ndarray:
@@ -205,16 +188,16 @@ def detect_scenarios(trace: Trace) -> list:
         series = thw[:, ego_id - 1]
         for t0, t1 in find_trigger_windows(series, trace.dt):
             window = series[t0 : t1 + 1]
-            out.append(Scenario(ego_id, t0, t1, window.copy(), float(np.min(window)), t0 + int(np.argmin(window))))
+            out.append(Scenario(ego_id, t0, t1, float(np.min(window)), t0 + int(np.argmin(window))))
     return out
 
 
 def _zones(trace: Trace, ego: int, steps) -> dict:
     """zone -> (column or -1, |dx|, relative speed) at each of ``steps``,
-    the rule of ``_nearest`` for every zone from one gather of the steps:
-    a vehicle within the zone extent falls into zone 2 * s + (dx < 0) of
-    ZONES, with the lane slot s = lane offset mod 3 (own 0, left 1, right
-    2); the nearest wins, and the lowest id on equal distance."""
+    every zone from one gather of the steps: a vehicle within the zone
+    extent falls into zone 2 * s + (dx < 0) of ZONES, with the lane slot
+    s = lane offset mod 3 (own 0, left 1, right 2); the nearest wins, and
+    the lowest id on equal distance."""
     x, v = trace.x[steps], trace.v[steps]
     dx = x - x[:, ego, None]
     offset = trace.lane[steps] - trace.lane[steps, ego][:, None]
@@ -304,19 +287,23 @@ def _gap_curves(trace: Trace, sc: Scenario):
     """The bumper gap to the leader (the zone extent without one) and the
     desired gap, over the scenario window."""
     steps = slice(sc.t_start, sc.t_end + 1)
-    _, dx = _nearest(trace, sc.ego_id - 1, steps, 0, "ahead")
+    gap = _leader_gaps(trace, steps)[:, sc.ego_id - 1]
     v = trace.v[steps, sc.ego_id - 1]
-    actual = np.where(dx < np.inf, np.maximum(dx - VEHICLE_LENGTH, 0.0), zone_extent(v))
-    return actual, v * DESIRED_THW_S
+    return np.where(gap < np.inf, gap, zone_extent(v)), v * DESIRED_THW_S
 
 
 def _cut_in(trace: Trace, sc: Scenario) -> bool:
     """Whether, after the window's first step, the front-zone vehicle was
-    on another lane than the ego's one step earlier."""
-    ego, t = sc.ego_id - 1, np.arange(sc.t_start + 1, sc.t_end + 1)
-    front, _ = _nearest(trace, ego, t, 0, "front", zone_extent(trace.v[t, ego]))
-    t, front = t[front >= 0], front[front >= 0]
-    return bool(np.any(trace.lane[t - 1, front] != trace.lane[t, ego]))
+    on another lane than the ego's one step earlier. The zones go THW_BLOCK
+    steps at a time, which bounds the temporaries."""
+    ego = sc.ego_id - 1
+    for lo in range(sc.t_start + 1, sc.t_end + 1, THW_BLOCK):
+        t = np.arange(lo, min(lo + THW_BLOCK, sc.t_end + 1))
+        front = _zones(trace, ego, t)["front"][0]
+        t, front = t[front >= 0], front[front >= 0]
+        if np.any(trace.lane[t - 1, front] != trace.lane[t, ego]):
+            return True
+    return False
 
 
 def _features(sc: Scenario, trace: Trace) -> tuple:

@@ -1,6 +1,9 @@
-"""Forest fitting, path-proximity matrix, and JSON serialization.
+"""The forest type and grow loop both forests use, the unsupervised fit,
+the path-proximity matrix, and the JSON forest reader and writer.
 
-Per-tree randomness comes from counter-based seed substreams
+A ``Forest`` is the unsupervised forest (``labels`` None) or the
+classifier of ``scenforest.classify`` (its sorted label set). Per-tree
+randomness comes from counter-based seed substreams
 (SeedSequence(master, spawn_key=(tree_index,))), so a fitted forest is
 identical regardless of evaluation order.
 
@@ -25,7 +28,8 @@ import numpy as np
 from ..dataset import Dataset, ParseError, ProximityMatrix, read_json, require_keys
 from .tree import NOISE_COLUMNS, Tree, grow_tree, node_dicts, noise_rule, read_nodes
 
-__all__ = ["Forest", "fit", "proximity_matrix", "save_forest", "load_forest", "tree_rng"]
+__all__ = ["Forest", "tree_rng", "grow_forest", "fit", "proximity_matrix", "forest_to_dict", "save_forest",
+           "read_forest", "load_forest"]
 
 
 @dataclass
@@ -34,6 +38,7 @@ class Forest:
     q: int
     seed: int
     feature_names: list[str] | None = None
+    labels: list[str] | None = None  # a classifier's sorted label set; its vote vectors index into it
 
     @property
     def n_trees(self) -> int:
@@ -45,29 +50,38 @@ def tree_rng(seed: int, tree_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(tree_index,)))
 
 
+def grow_forest(x: np.ndarray, b_trees: int, seed: int, rule, columns: dict) -> list[Tree]:
+    """Grow ``b_trees`` trees on the rows of ``x``. Tree b draws from
+    ``tree_rng(seed, b)`` its bootstrap bag of all M rows first, and then
+    ``rule(rng, rows)`` makes the per-node draws in preorder (see
+    ``grow_tree``)."""
+    if b_trees < 1:
+        raise ValueError("need at least one tree")
+    m = x.shape[0]
+    trees = []
+    for b in range(b_trees):
+        rng = tree_rng(seed, b)
+        bag = rng.integers(0, m, size=m)
+        trees.append(grow_tree(x, bag, partial(rule, rng), columns))
+    return trees
+
+
 def fit(data: Dataset, b_trees: int, seed: int) -> Forest:
     """Fit an unsupervised forest of ``b_trees`` fully-grown trees.
 
     Each tree draws a bootstrap bag of size M, then at every node samples
     floor(sqrt(Q)) features and one noise CDF; the split maximizing the
-    estimated Gini gain wins. Per-tree rng draw order: bag first, then the
-    per-node draws in preorder.
+    estimated Gini gain wins.
     """
     m, q = data.values.shape
     if m < 2:
         raise ValueError(f"need at least 2 rows to cluster, got {m}")
     if q < 1:
         raise ValueError("dataset has no features")
-    if b_trees < 1:
-        raise ValueError("need at least one tree")
     if bool(np.all(data.values == data.values[0])):
         warnings.warn("all rows identical; forest degenerates to single-node trees")
-    q_split = max(1, math.isqrt(q))
-    trees = []
-    for b in range(b_trees):
-        rng = tree_rng(seed, b)
-        bag = rng.integers(0, m, size=m)
-        trees.append(grow_tree(data.values, bag, partial(noise_rule, data.values, q_split, rng), NOISE_COLUMNS))
+    rule = partial(noise_rule, data.values, max(1, math.isqrt(q)))
+    trees = grow_forest(data.values, b_trees, seed, rule, NOISE_COLUMNS)
     return Forest(trees=trees, q=q, seed=seed, feature_names=list(data.feature_names))
 
 
@@ -117,13 +131,15 @@ def proximity_matrix(forest: Forest, data: Dataset) -> ProximityMatrix:
     return ProximityMatrix(values=values, ids=list(data.ids))
 
 
-def forest_to_dict(forest: Forest) -> dict:
+def forest_to_dict(forest: Forest, columns: dict = NOISE_COLUMNS) -> dict:
+    """The JSON object of a forest whose nodes carry ``columns``, without a
+    classifier's own keys (see ``read_forest``)."""
     return {
         "seed": forest.seed,
         "B": forest.n_trees,
         "Q": forest.q,
         "feature_names": forest.feature_names,
-        "trees": [{"nodes": node_dicts(t.nodes, NOISE_COLUMNS)} for t in forest.trees],
+        "trees": [{"nodes": node_dicts(t.nodes, columns)} for t in forest.trees],
     }
 
 
@@ -131,18 +147,31 @@ def save_forest(forest: Forest, path) -> None:
     Path(path).write_text(json.dumps(forest_to_dict(forest)) + "\n")
 
 
-def load_forest(path) -> Forest:
-    """Load a forest JSON. Raises ParseError naming the file and the key
-    path of the first entry that is missing or malformed."""
-    d = read_json(path)
-    require_keys(d, ("seed", "Q", "trees"), path, "")
-    q = d["Q"]
+def read_forest(d, columns: dict, path) -> Forest:
+    """The forest of a parsed forest or model JSON object ``d`` whose nodes
+    carry ``columns``: its ``seed``, ``B``, ``Q``, ``feature_names`` and each
+    ``trees[k].nodes``, without a classifier's ``labels``. Raises ParseError
+    naming the file and the key path of the first entry that is missing or
+    malformed. A bool is never a number here."""
+    require_keys(d, ("seed", "B", "Q", "trees"), path, "")
+    seed, b, q, names, entries = d["seed"], d["B"], d["Q"], d.get("feature_names"), d["trees"]
+    if type(seed) is not int:
+        raise ParseError(f"{path}: seed: {seed!r} is not an integer")
     if type(q) is not int or q < 1:
         raise ParseError(f"{path}: Q: {q!r} is not a positive feature count")
-    if not isinstance(d["trees"], list) or not d["trees"]:
+    if not isinstance(entries, list) or not entries:
         raise ParseError(f"{path}: trees: expected a non-empty list")
+    if type(b) is not int or b != len(entries):
+        raise ParseError(f"{path}: B: {b!r} is not the number of trees, {len(entries)}")
+    if names is not None and not (isinstance(names, list) and len(names) == q and all(type(c) is str for c in names)):
+        raise ParseError(f"{path}: feature_names: expected Q={q} name strings")
     trees = []
-    for k, t in enumerate(d["trees"]):
+    for k, t in enumerate(entries):
         require_keys(t, ("nodes",), path, f"trees[{k}].")
-        trees.append(Tree(nodes=read_nodes(t["nodes"], q, NOISE_COLUMNS, path, f"trees[{k}].")))
-    return Forest(trees=trees, q=q, seed=d["seed"], feature_names=d.get("feature_names"))
+        trees.append(Tree(nodes=read_nodes(t["nodes"], q, columns, path, f"trees[{k}].")))
+    return Forest(trees=trees, q=q, seed=seed, feature_names=names)
+
+
+def load_forest(path) -> Forest:
+    """Load a forest JSON, checked as ``read_forest`` checks it."""
+    return read_forest(read_json(path), NOISE_COLUMNS, path)

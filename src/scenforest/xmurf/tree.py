@@ -7,15 +7,15 @@ and ``noise_kind`` (an index into ``NOISE_CODES``) or ``class_counts``.
 A leaf points at itself (``left == right == i``) and has feature -1.
 Children come after their parent, so every walk ends at a leaf, and node
 ids are preorder positions, so a serialized tree rebuilds identically.
-Both forests share the grow loop, the JSON node writer and the validated
-node reader below.
+Both forests share the grow loop, the split-candidate layout, the JSON
+node writer and the validated node reader below.
 
-Trees are grown fully (no pruning). The unsupervised split search handles
-all sampled features of a node at once: one sort of the node's
-``(features, rows)`` block, every candidate threshold of every feature in
-one feature-major array (features ascending, then thresholds ascending),
-and one argmax over their gains, so ties go to the lowest feature and then
-the lowest threshold.
+Trees are grown fully (no pruning). A split search handles all sampled
+features of a node at once: one sort of the node's ``(features, rows)``
+block, every candidate threshold of every feature in one feature-major
+array (``split_candidates``: features ascending, then thresholds
+ascending), and one argmax over their gains, so ties go to the lowest
+feature and then the lowest threshold.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ import numpy as np
 from ..dataset import ParseError, require_keys
 from .noise import NOISE_KINDS, estimate_noise_children, noise_cdf, standardize
 
-__all__ = ["Tree", "grow_tree", "noise_rule", "node_dicts", "read_nodes", "path", "path_proximity_tree"]
+__all__ = ["Tree", "grow_tree", "split_candidates", "noise_rule", "node_dicts", "read_nodes", "path",
+           "path_proximity_tree"]
 
 SPLIT_FIELDS = [("feature", np.int64), ("threshold", np.float64), ("left", np.int64), ("right", np.int64)]
 
@@ -84,31 +85,40 @@ def grow_tree(x: np.ndarray, bag: np.ndarray, rule, columns: dict) -> Tree:
     return Tree(nodes=np.array([tuple(r) for r in records], dtype=_dtype(columns)), bag=bag)
 
 
+def split_candidates(sv: np.ndarray) -> tuple:
+    """The candidate splits of a node's ``(features, rows)`` block ``sv``,
+    sorted along the rows, feature-major (feature rows ascending, then
+    thresholds ascending): (feature row, midpoint of two consecutive
+    distinct values, rows going left). A constant feature has none. The
+    count going left is that of ``value <= threshold``, the partition
+    ``grow_tree`` applies: a midpoint of two adjacent doubles can round up
+    to the upper value, and every copy of it then falls left as well, up to
+    the feature's next boundary (or all rows past its last one)."""
+    m = sv.shape[1]
+    f_idx, pos = np.nonzero(sv[:, 1:] != sv[:, :-1])  # split after sorted position pos
+    above = sv[f_idx, pos + 1]
+    thresholds = (sv[f_idx, pos] + above) / 2.0
+    nxt = np.append(pos[1:], m - 1)[: len(pos)]  # the feature's next boundary
+    nxt[np.nonzero(f_idx[1:] != f_idx[:-1])[0]] = m - 1
+    return f_idx, thresholds, np.where(thresholds == above, nxt, pos) + 1
+
+
 def _best_split(x: np.ndarray, rows: np.ndarray, features: np.ndarray, kind: str):
     """Best split of the node's rows over the sampled features, in one pass.
 
-    The ``(features, rows)`` block is sorted along the rows once. Candidates
-    are the midpoints between consecutive distinct sorted values, laid out
-    feature-major (features ascending, as sampled) and, within a feature,
-    by ascending threshold. Constant features have no candidate, so no
-    zero-width interval is standardised. Returns (gain, feature,
-    threshold), or None if every sampled feature is constant in the node.
-    One global argmax takes the first maximum, so ties go to the lowest
-    feature and then the lowest threshold.
+    The ``(features, rows)`` block is sorted along the rows once and its
+    candidates scored in the ``split_candidates`` layout. Constant features
+    have no candidate, so no zero-width interval is standardised. Returns
+    (gain, feature, threshold), or None if every sampled feature is
+    constant in the node. One global argmax takes the first maximum, so
+    ties go to the lowest feature and then the lowest threshold.
     """
     m = len(rows)
     sv = np.sort(x.T[features[:, None], rows], axis=1)
-    f_idx, pos = np.nonzero(sv[:, 1:] != sv[:, :-1])  # split after sorted position pos
+    f_idx, thresholds, real_left = split_candidates(sv)
     if not f_idx.size:
         return None
-    above = sv[f_idx, pos + 1]
-    thresholds = (sv[f_idx, pos] + above) / 2.0
-    # the midpoint of two adjacent doubles can round up to the upper value;
-    # every copy of it then falls left as well, up to the feature's next
-    # boundary (or all m rows past its last one)
-    nxt = np.append(pos[1:], m - 1)
-    nxt[np.nonzero(f_idx[1:] != f_idx[:-1])[0]] = m - 1
-    real_left = np.where(thresholds == above, nxt, pos) + 1.0
+    real_left = real_left.astype(np.float64)
     real_right = m - real_left
     z = standardize(thresholds, sv[f_idx, 0], sv[f_idx, -1])
     noise_left, noise_right = estimate_noise_children(m, noise_cdf(kind, np.clip(z, -3.0, 3.0)))
@@ -131,8 +141,9 @@ def _best_split(x: np.ndarray, rows: np.ndarray, features: np.ndarray, kind: str
 
 def noise_rule(x: np.ndarray, n_features_split: int, rng: np.random.Generator, rows: np.ndarray):
     """The unsupervised forest's split rule; ``grow_tree`` gets it with all
-    but ``rows`` bound. Per node of two or more rows the rng draws, in
-    order: the noise-CDF kind, then ``n_features_split`` distinct features.
+    but ``rows`` bound (``grow_forest`` binds ``rng``). Per node of two or
+    more rows the rng draws, in order: the noise-CDF kind, then
+    ``n_features_split`` distinct features.
     """
     leaf = (len(rows), 0)
     if len(rows) <= 1:

@@ -14,7 +14,6 @@ from conftest import adjacent_doubles, split_block, tie_heavy_dataset
 from scenforest import classify
 from scenforest.classify import (
     ClassThresholds,
-    SupervisedForest,
     assignment_rate,
     fit_classifier,
     forest_votes,
@@ -26,6 +25,7 @@ from scenforest.classify import (
     save_model,
 )
 from scenforest.dataset import Dataset, LabeledDataset, ParseError
+from scenforest.xmurf.forest import Forest
 from scenforest.xmurf.tree import Tree, read_nodes
 
 
@@ -124,7 +124,7 @@ def test_kappa_counting_hand_model():
     # rows: r0 class a, r1..r3 class b; trees vote (a, b, b); r3 never bagged
     base = Dataset(["f"], ["r0", "r1", "r2", "r3"], [[0.0], [1.0], [2.0], [3.0]])
     d = LabeledDataset(base, ["a", "b", "b", "b"])
-    f = SupervisedForest(
+    f = Forest(
         trees=[
             leaf_tree(0, [2, 2, 2, 2]),  # votes a; OOB: r0, r1, r3
             leaf_tree(1, [0, 0, 0, 0]),  # votes b; OOB: r1, r2, r3
@@ -201,7 +201,7 @@ def test_withdraw_rule_cases():
 def test_withdraw_boundary_arithmetic():
     # 6 of 10 trees vote A (v = 0.6) against kappa_bar_A = 0.8:
     # withdrawn at ratio 1.0 (0.6 < 0.8), assigned at ratio 0.5 (0.6 >= 0.4)
-    f = SupervisedForest(
+    f = Forest(
         trees=[leaf_tree(0, [0]) for _ in range(6)] + [leaf_tree(1, [0]) for _ in range(4)],
         labels=["A", "B"],
         q=1,
@@ -306,7 +306,7 @@ def hand_forest_and_rows(draw):
     n_labels = draw(st.integers(2, 4))
     b = 2 * draw(st.integers(1, 4))  # even B, so label votes can tie too
     trees = [draw(hand_tree(q, n_labels)) for _ in range(b)]
-    f = SupervisedForest(trees=trees, labels=[f"c{k}" for k in range(n_labels)], q=q, seed=0)
+    f = Forest(trees=trees, labels=[f"c{k}" for k in range(n_labels)], q=q, seed=0)
     n = draw(st.integers(1, 12))
     x = np.array(draw(st.lists(st.sampled_from(GRID), min_size=n * q, max_size=n * q))).reshape(n, q)
     return f, x
@@ -347,9 +347,11 @@ def test_batch_across_blocks_equals_hand_walk_and_predict_detail():
 
 
 def loop_best_split_supervised(x, y, rows, features, n_classes):
-    """Reference CART split search: one feature at a time, in ascending
-    order, with a stable argsort and cumulative one-hot class counts; a
-    later feature replaces the best only on a strictly larger gain.
+    """Reference CART split search over the partitions ``grow_tree``
+    applies: one feature at a time, in ascending order, and within a feature
+    every midpoint t of consecutive distinct values, ascending. Each
+    partitions the rows by ``x <= t``; a candidate that leaves a side empty
+    is skipped, and a later candidate wins only on a strictly larger gain.
     Production must return exactly the same tuple."""
     m = len(rows)
     counts_parent = np.bincount(y[rows], minlength=n_classes).astype(np.float64)
@@ -357,25 +359,17 @@ def loop_best_split_supervised(x, y, rows, features, n_classes):
     best = None
     for q in features:
         vals = x[rows, q]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        if sv[0] == sv[-1]:
-            continue
-        onehot = np.zeros((m, n_classes))
-        onehot[np.arange(m), y[rows][order]] = 1.0
-        cum = np.cumsum(onehot, axis=0)
-        boundaries = np.nonzero(sv[1:] != sv[:-1])[0]
-        left_counts = cum[boundaries]
-        right_counts = counts_parent - left_counts
-        n_left = left_counts.sum(axis=1)
-        n_right = m - n_left
-        gains = g_parent - (
-            n_left * classify._gini_from_counts(left_counts) + n_right * classify._gini_from_counts(right_counts)
-        ) / m
-        k = int(np.argmax(gains))
-        if best is None or gains[k] > best[0]:
-            tau = float((sv[boundaries[k]] + sv[boundaries[k] + 1]) / 2.0)
-            best = (float(gains[k]), int(q), tau)
+        uniq = np.unique(vals)
+        for t in (uniq[:-1] + uniq[1:]) / 2.0:
+            left = vals <= t
+            n_left = int(np.count_nonzero(left))
+            if n_left in (0, m):
+                continue
+            left_counts = np.bincount(y[rows][left], minlength=n_classes).astype(np.float64)
+            gini = classify._gini_from_counts(np.array([left_counts, counts_parent - left_counts]))
+            gain = g_parent - (n_left * gini[0] + (m - n_left) * gini[1]) / m
+            if best is None or gain > best[0]:
+                best = (float(gain), int(q), float(t))
     return best
 
 
@@ -393,6 +387,18 @@ def supervised_split_inputs(draw):
 @given(supervised_split_inputs())
 def test_best_split_supervised_equals_loop_oracle(case):
     assert classify._best_split_supervised(*case) == loop_best_split_supervised(*case)
+
+
+def test_best_split_supervised_scores_the_applied_partition():
+    # the midpoint of 1+ulp and 1+2ulp rounds up to 1+2ulp, so x <= t sends
+    # both copies of 1+2ulp left: that candidate puts 5 rows left, not 3, and
+    # scores 0.1 (not the 0.5 of a clean a | b cut), as does the first cut
+    _, a, b = adjacent_doubles(1.0, 3)
+    x = np.array([[0.0], [a], [a], [b], [b], [5.0]])
+    case = (x, np.array([0, 0, 0, 1, 1, 1]), np.arange(6), np.array([0]), 2)
+    gain, feature, threshold = classify._best_split_supervised(*case)
+    assert (gain, feature, threshold) == loop_best_split_supervised(*case)
+    assert gain == pytest.approx(0.1) and threshold == a / 2
 
 
 def test_fit_with_loop_oracle_gives_same_model(monkeypatch):
@@ -469,6 +475,23 @@ def test_load_model_rejects_left_equal_to_right(model_dict):
     assert_load_rejects(
         model, path, rf"trees\[{t}\]\.nodes\[{node['id']}\]\.right: node {node['left']} is already the child of node {node['id']}"
     )
+
+
+@pytest.mark.parametrize(
+    "key, value, match",
+    [
+        ("feature_names", 5, r"model\.json: feature_names: expected Q=2 name strings"),
+        ("seed", "6", r"model\.json: seed: '6' is not an integer"),
+        ("seed", False, r"model\.json: seed: False is not an integer"),
+        ("B", 99, r"model\.json: B: 99 is not the number of trees, 8"),
+        ("kappa_bar", {"A": True, "B": False}, r"model\.json: kappa_bar: expected a number for every label"),
+    ],
+    ids=["feature-names-not-a-list", "seed-string", "seed-bool", "b-not-tree-count", "kappa-bar-bools"],
+)
+def test_load_model_rejects_top_level_value(model_dict, key, value, match):
+    model, path = model_dict
+    model[key] = value
+    assert_load_rejects(model, path, match)
 
 
 def test_fit_classifier_stops_at_split_with_empty_side():

@@ -457,6 +457,22 @@ def test_config_value_out_of_range_exits_2_before_any_file_is_touched(tmp_path, 
     assert (out / "trace_0.raw").read_bytes() == b"kept"
 
 
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize(
+    "stage, name, text",
+    [
+        ("cluster", "scenarios.csv", "id,f\na,1\nb,2\nc,3\n"),
+        ("train", "labeled.csv", "id,f,label\na,1,A\nb,2,B\nc,3,A\n"),
+    ],
+)
+def test_b_trees_flag_below_one_exits_2(tmp_path, capsys, stage, name, text, value):
+    # the flag is used whenever it is given: 0 is not replaced by the config's count
+    (tmp_path / name).write_text(text)
+    assert cli.main(["--out", str(tmp_path), stage, "--b-trees", str(value)]) == 2
+    assert capsys.readouterr().err == f"error: --b-trees: {value} is not an integer >= 1\n"
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
 def test_config_accepts_int_for_float_and_int_or_null_seed(tmp_path):
     cfg = write_config(tmp_path, {"sim": {"duration": 5, "runs": 1, "seed": 3}, "xmurf": {"seed": None}})
     assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "o"), "simulate"]) == 0
@@ -480,21 +496,36 @@ def test_render_csv_locates_bad_cell(tmp_path, capsys, text, message):
 
 # ------------------------------------------------------- artifact pins
 
-# sha256 of the simulate + extract artifacts of a 2-run, 60 s config at
-# seed 4242: any byte change to the traces or the features shows here
+# sha256 of the artifacts of all seven stages on a 2-run, 60 s config at
+# seed 4242, labelled in two halves: any byte change to the traces, the
+# features, the forest, the seriation, the labels or the model shows here
 PINNED_SHA256 = {
     "trace_0.raw": "90d14ff6322a3841a8be64b64425f844867d508a9d951e54c71c4dfc7d7e56aa",
     "trace_0.meta.json": "60fbdd6110bfe1a8dabdc259751dd475d85631a33a25989215282335d9fcbbf4",
     "trace_1.raw": "9a38ec56de2f4138d61238d6f2683bc99eab9336426191a6effbb348df3f04c8",
     "trace_1.meta.json": "489cec7a02dd8948fa14499fb25e9395da7a1dc935cd5b73495def7176218f3b",
     "scenarios.csv": "4776cdd167ab549cc8e8fb1c70e552ae103e491b324da198877d824ac1f6ca92",
+    "forest.json": "5c6321b1380d7ad62b511f096ab4af6812cea81416fd3eacf86331256c7692db",
+    "proximity.raw": "5a19e190124948123dd364df09eb74f7e39f9f4fb684864d3a12cd8a212b6a89",
+    "dendrogram.json": "38c4bc9f0e9bbb9c636ac5efea15d59b375d770d3e52620b71fb200d322f2e79",
+    "permutation.json": "a4404177320cbf069a2fd9f9a8251305f9549de2721d25eed22e9991bea203e0",
+    "labeled.csv": "fe3508d9c2f51f315bf43c412413f062253c8db5ce38915179bf854467d02511",
+    "model.json": "0e4b4507931994df316091de86610e64eb173384fdf8e4f89f21a8c48c997db2",
+    "predictions.csv": "6891af5fe62d98cb9a322577de1a07f90b15ead264beb6309a815f989cbd7437",
 }
 
 
 def test_simulate_extract_artifacts_pinned(tmp_path):
     cfg = write_config(tmp_path, {"sim": {"duration": 60.0, "runs": 2}})
-    base = ["--config", str(cfg), "--seed", "4242", "--out", str(tmp_path / "out")]
-    assert cli.main(base + ["simulate"]) == 0
-    assert cli.main(base + ["extract"]) == 0
-    got = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() for name in PINNED_SHA256}
+    out = tmp_path / "out"
+    base = ["--config", str(cfg), "--seed", "4242", "--out", str(out)]
+    for stage in ("simulate", "extract", "cluster", "order"):
+        assert cli.main(base + [stage]) == 0
+    m = len(json.loads((out / "permutation.json").read_text()))
+    ranges = tmp_path / "ranges.json"
+    halves = [{"start": 0, "end": m // 2, "label": "A"}, {"start": m // 2 + 1, "end": m - 1, "label": "B"}]
+    ranges.write_text(json.dumps(halves))
+    for stage in (["label", "--ranges", str(ranges)], ["train"], ["classify"]):
+        assert cli.main(base + stage) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED_SHA256}
     assert got == PINNED_SHA256

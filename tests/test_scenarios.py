@@ -22,7 +22,6 @@ from scenforest.scenarios import (
     Scenario,
     _cut_in,
     _gap_curves,
-    _nearest,
     _zones,
     assign_zones,
     compute_thw,
@@ -35,7 +34,7 @@ from scenforest.scenarios import (
     thw_series,
     zone_extent,
 )
-from scenforest.sim import VEHICLE_LENGTH, RoadConfig
+from scenforest.sim import VEHICLE_LENGTH, RoadConfig, Trace
 
 
 # ------------------------------------------------------------------ THW
@@ -329,7 +328,6 @@ def test_features_lone_ego_ceilings(trace_builder):
         ego_id=1,
         t_start=0,
         t_end=9,
-        thw_series=np.full(10, 99.0),
         thw_min=99.0,
         t_changepoint=0,
     )
@@ -369,7 +367,6 @@ def test_dtw_feature_zero_when_gap_matches_desired(trace_builder):
         ego_id=1,
         t_start=0,
         t_end=29,
-        thw_series=np.full(30, desired / v),
         thw_min=desired / v,
         t_changepoint=0,
     )
@@ -402,7 +399,6 @@ def test_cut_in_flag(trace_builder):
         ego_id=1,
         t_start=0,
         t_end=n - 1,
-        thw_series=np.full(n, 0.6),
         thw_min=0.6,
         t_changepoint=10,
     )
@@ -519,10 +515,33 @@ def test_array_extraction_equals_vehicle_loops(trace, data):
     t_start = data.draw(st.integers(0, trace.n_ts - 1))
     t_end = data.draw(st.integers(t_start, trace.n_ts - 1))
     ego_id = data.draw(st.integers(1, trace.n_vehicles))
-    sc = Scenario(ego_id, t_start, t_end, np.zeros(t_end - t_start + 1), 0.0, t_start)
+    sc = Scenario(ego_id, t_start, t_end, 0.0, t_start)
     for got, want in zip(_gap_curves(trace, sc), loop_gap_curves(trace, sc)):
         assert got.tolist() == want.tolist()
     assert _cut_in(trace, sc) == loop_cut_in(trace, sc)
+
+
+_SIDES = {"ahead": np.greater, "front": np.greater_equal, "rear": np.less}
+
+
+def _nearest(trace: Trace, ego: int, steps, offset: int, side: str, reach=None):
+    """The nearest other vehicle at each of ``steps`` (a slice or a list of
+    timesteps) on the lane ``offset`` lanes left of the ego's, and on
+    ``side`` of it by the center distance dx: "ahead" (dx > 0, a leader),
+    "front" (dx >= 0) or "rear" (dx < 0); with ``reach``, only within
+    |dx| <= reach of that step. The nearest wins, and the lowest id on equal
+    distance. Returns (column or -1, |dx| or inf), one entry per step.
+    """
+    dx = trace.x[steps] - trace.x[steps, ego][:, None]
+    found = _SIDES[side](dx, 0.0) & (trace.lane[steps] == (trace.lane[steps, ego] + offset)[:, None])
+    found[:, ego] = False
+    dist = np.abs(dx, out=dx)
+    if reach is not None:
+        found &= dist <= np.reshape(reach, (-1, 1))
+    dist = np.where(found, dist, np.inf)
+    j = np.argmin(dist, axis=1)
+    d = dist[np.arange(len(j)), j]
+    return np.where(d < np.inf, j, -1), d
 
 
 @settings(max_examples=200, deadline=None)
@@ -552,3 +571,20 @@ def test_thw_in_blocks_equals_vehicle_loop(trace):
         scenarios.THW_BLOCK = block
     for ego_id, series in enumerate(got, start=1):
         np.testing.assert_array_equal(series, loop_thw_series(trace, ego_id))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tie_heavy_trace(), st.data())
+def test_window_scans_in_blocks_equal_vehicle_loops(trace, data):
+    # blocks of two steps, so that block edges fall inside the window
+    t_start = data.draw(st.integers(0, trace.n_ts - 1))
+    t_end = data.draw(st.integers(t_start, trace.n_ts - 1))
+    sc = Scenario(data.draw(st.integers(1, trace.n_vehicles)), t_start, t_end, 0.0, t_start)
+    block, scenarios.THW_BLOCK = scenarios.THW_BLOCK, 2
+    try:
+        curves, cut_in = _gap_curves(trace, sc), _cut_in(trace, sc)
+    finally:
+        scenarios.THW_BLOCK = block
+    for got, want in zip(curves, loop_gap_curves(trace, sc)):
+        assert got.tolist() == want.tolist()
+    assert cut_in == loop_cut_in(trace, sc)

@@ -558,6 +558,14 @@ def set_root(key, value):
     return corrupt
 
 
+def set_top(key, value):
+    def corrupt(blob):
+        blob[key] = value
+        return json.dumps(blob)
+
+    return corrupt
+
+
 def drop_key(blob):
     del blob["trees"][1]["nodes"][0]["left"]
     return json.dumps(blob)
@@ -573,10 +581,14 @@ def drop_key(blob):
         (set_root("noise_kind", "triangular"), r"trees\[0\]\.nodes\[0\]\.noise_kind: expected null or one of"),
         (set_root("real_count", 2.5), r"trees\[0\]\.nodes\[0\]\.real_count: expected an integer"),
         (set_root("right", 1), r"trees\[0\]\.nodes\[0\]\.right: node 1 is already the child of node 0"),
+        (set_top("feature_names", 5), r"forest\.json: feature_names: expected Q=2 name strings"),
+        (set_top("seed", "55"), r"forest\.json: seed: '55' is not an integer"),
+        (set_top("seed", True), r"forest\.json: seed: True is not an integer"),
+        (set_top("B", 99), r"forest\.json: B: 99 is not the number of trees, 3"),
     ],
     ids=[
         "invalid-json", "missing-key", "child-not-after-parent", "feature-not-below-q", "noise-kind", "real-count",
-        "left-equals-right",
+        "left-equals-right", "feature-names-not-a-list", "seed-string", "seed-bool", "b-not-tree-count",
     ],
 )
 def test_load_forest_rejects(tmp_path, corrupt, match):
