@@ -2,12 +2,14 @@
 class-adaptive confidence thresholds.
 
 Training is standard CART bagging: bootstrap bags, Gini splits over the
-real class labels, floor(sqrt(Q)) features per node, fully grown trees.
-A node's split search scores every candidate of every sampled feature in
-one pass: one stable argsort of the ``(features, rows)`` block, the
-candidates in the ``xmurf.tree.split_candidates`` layout (features
-ascending, then thresholds ascending), and one argmax over their gains,
-so ties go to the lowest feature and then the lowest threshold.
+real class labels, floor(sqrt(Q)) features per node, fully grown trees,
+all grown in lock-step by ``xmurf.forest.grow_forest``. One split search
+scores every candidate of every sampled feature of the nodes popped at a
+step, of all trees: the candidates in the ``xmurf.tree.split_candidates``
+layout (nodes in order, then features ascending, then thresholds
+ascending), class counts from one cumulative count over it, and one
+argmax per node, so ties go to the lowest feature and then the lowest
+threshold.
 Bags are recorded so out-of-bag membership stays recoverable; the OOB vote
 fraction for the true class gives a per-point confidence whose class-wise
 mean is the assignment threshold. A prediction is withdrawn when the
@@ -15,14 +17,14 @@ winning vote fraction falls below an adjustable ratio of that threshold.
 
 The classifier is an ``xmurf.forest.Forest`` with its sorted label set in
 ``labels`` and a ``class_counts`` node column, grown by the same loop as
-the unsupervised forest and written and read by the same JSON forest
-codec. Each vote count concatenates the forest's node arrays into one,
-with each tree's child ids shifted by its root offset; nothing is cached
-on the forest. Leaves point at themselves, so one batch router moves a
-block of (row, tree) pairs down all trees at once until every pair sits
-at a leaf, whose vote is ``argmax(class_counts)``. Votes are counted block
-by block, so no rows x trees matrix of votes is ever built. Votes,
-prediction and the OOB thresholds all go through it.
+the unsupervised forest (with ``_CartRule``) and written and read by the
+same JSON forest codec. Each vote count concatenates the forest's node
+arrays into one, with each tree's child ids shifted by its root offset;
+nothing is cached on the forest. Leaves point at themselves, so one batch
+router moves a block of (row, tree) pairs down all trees at once until
+every pair sits at a leaf, whose vote is ``argmax(class_counts)``. Votes
+are counted block by block, so no rows x trees matrix of votes is ever
+built. Votes, prediction and the OOB thresholds all go through it.
 """
 
 from __future__ import annotations
@@ -31,14 +33,13 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import Dataset, LabeledDataset, ParseError, read_json, require_keys
 from .xmurf.forest import Forest, forest_to_dict, grow_forest, read_forest
-from .xmurf.tree import split_candidates
+from .xmurf.tree import Candidates, chosen_splits, split_candidates, value_codes
 
 __all__ = [
     "UNASSIGNED",
@@ -90,62 +91,70 @@ class ClassThresholds:
 def _gini_from_counts(counts: np.ndarray) -> np.ndarray:
     totals = counts.sum(axis=-1, keepdims=True)
     frac = counts / totals
-    return 1.0 - (frac * frac).sum(axis=-1)
+    return 1.0 - np.multiply(frac, frac, out=frac).sum(axis=-1)
 
 
-def _best_split_supervised(x: np.ndarray, y: np.ndarray, rows: np.ndarray, features: np.ndarray, n_classes: int):
-    """Best CART Gini split of the node's rows over the sampled features, in
-    one pass.
+class _CartRule:
+    """The supervised forest's split rule, for ``xmurf.forest.grow_forest``.
 
-    The ``(features, rows)`` block is stably argsorted along the rows once,
-    and cumulative class counts are taken in that order. The candidates of
-    ``split_candidates`` are scored by the class counts of the rows each
-    sends left, the partition ``grow_tree`` applies; a candidate that sends
-    every row left is passed over. Returns (gain, feature, threshold), or
-    None if no candidate is left. One global argmax takes the first
-    maximum, so ties go to the lowest feature and then the lowest threshold.
+    Per impure node of two or more rows the rng draws ``q_split`` distinct
+    features (no noise draw here). The candidates of
+    ``xmurf.tree.split_candidates`` are scored by the class counts of the
+    rows each sends left, the partition the grow loop applies; a candidate
+    that sends every row left is passed over, and a node splits on its
+    first greatest gain if that gain is positive.
     """
-    m = len(rows)
-    counts_parent = np.bincount(y[rows], minlength=n_classes).astype(np.float64)
-    g_parent = float(_gini_from_counts(counts_parent))
-    block = x.T[features[:, None], rows]
-    order = np.argsort(block, axis=1, kind="stable")
-    f_idx, thresholds, n_left = split_candidates(np.take_along_axis(block, order, axis=1))
-    both_sides = n_left < m
-    if not both_sides.all():
-        f_idx, thresholds, n_left = f_idx[both_sides], thresholds[both_sides], n_left[both_sides]
-    if not f_idx.size:
-        return None
-    cum = np.cumsum(y[rows][order][..., None] == np.arange(n_classes), axis=1, dtype=np.float64)
-    left_counts = cum[f_idx, n_left - 1]
-    right_counts = counts_parent - left_counts
-    n_right = m - n_left
-    gains = g_parent - (n_left * _gini_from_counts(left_counts) + n_right * _gini_from_counts(right_counts)) / m
-    k = int(np.argmax(gains))
-    return float(gains[k]), int(features[f_idx[k]]), float(thresholds[k])
 
+    def __init__(self, x: np.ndarray, y: np.ndarray, n_classes: int, q_split: int):
+        self.codes, self.values = value_codes(x)
+        self.y, self.n_classes = y, n_classes
+        self.q, self.k = x.shape[1], min(q_split, x.shape[1])
+        self.columns = _class_columns(n_classes)
 
-def _cart_rule(x: np.ndarray, y: np.ndarray, n_classes: int, q_split: int, rng: np.random.Generator, rows):
-    """The supervised forest's split rule; ``grow_tree`` gets it with all
-    but ``rows`` bound (``grow_forest`` binds ``rng``). Per impure node of
-    two or more rows the rng draws ``q_split`` distinct features (no noise
-    draw here)."""
-    own = (np.bincount(y[rows], minlength=n_classes),)
-    if len(rows) <= 1 or int(np.count_nonzero(own[0])) <= 1:
-        return own, None
-    features = np.sort(rng.choice(x.shape[1], size=min(q_split, x.shape[1]), replace=False))
-    best = _best_split_supervised(x, y, rows, features, n_classes)
-    if best is None or best[0] <= 0.0:
-        return own, None
-    return own, (best[1], best[2], own)
+    def leaves(self, rows: list) -> list:
+        """(own columns as a leaf: the class counts, whether it is searched) of each node's rows."""
+        sizes = np.array([len(r) for r in rows])
+        node = np.repeat(np.arange(len(rows)), sizes)
+        counts = np.bincount(node * self.n_classes + self.y[np.concatenate(rows)], minlength=len(rows) * self.n_classes)
+        counts = counts.reshape(len(rows), self.n_classes)
+        searched = (sizes >= 2) & (np.count_nonzero(counts, axis=1) >= 2)
+        return list(zip(map(tuple, counts.tolist()), searched.tolist()))
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        return rng.choice(self.q, size=self.k, replace=False)
+
+    def split_own(self, own: tuple, draws) -> tuple:
+        return own
+
+    def search(self, rows: list, sizes: np.ndarray, owns: list, draws: list) -> tuple:
+        """``chosen_splits`` of the nodes, and the data row at each flat position."""
+        features, c, gains, sorted_rows = self.scores(rows, sizes, owns, draws)
+        return (*chosen_splits(features, c, gains, gains > 0.0), sorted_rows)
+
+    def scores(self, rows: list, sizes: np.ndarray, owns: list, draws: list) -> tuple:
+        """(sorted features, Candidates, gains, data row at each flat
+        position) of the nodes' split candidates that leave both sides
+        nonempty."""
+        features = np.sort(np.array(draws), axis=1)
+        c, _, sorted_rows = split_candidates(self.codes, self.values, rows, sizes, features)
+        c = Candidates(*(a[c.n_left < sizes[c.node]] for a in c))  # both sides nonempty
+        counts = np.array(owns, dtype=np.float64)
+        cum = np.zeros((len(sorted_rows) + 1, self.n_classes))
+        np.cumsum(self.y[sorted_rows][:, None] == np.arange(self.n_classes), axis=0, out=cum[1:])
+        left_counts = cum[c.start + c.n_left] - cum[c.start]
+        right_counts = counts[c.node] - left_counts
+        m = sizes[c.node]
+        gini_left, gini_right = _gini_from_counts(left_counts), _gini_from_counts(right_counts)
+        gains = _gini_from_counts(counts)[c.node] - (c.n_left * gini_left + (m - c.n_left) * gini_right) / m
+        return features, c, gains, sorted_rows
 
 
 def fit_classifier(d: LabeledDataset, b_trees: int, seed: int) -> Forest:
     """Fit the bagged CART ensemble; deterministic per seed.
 
     The trees are grown by ``grow_forest``, as the unsupervised forest's:
-    bag first, then per node the feature sample (no noise draw here) in
-    preorder.
+    bag first, then per searched node the feature sample (no noise draw
+    here) in preorder.
     """
     labels = d.label_set
     if len(labels) < 2:
@@ -153,8 +162,7 @@ def fit_classifier(d: LabeledDataset, b_trees: int, seed: int) -> Forest:
     x = d.base.values
     label_index = {c: k for k, c in enumerate(labels)}
     y = np.array([label_index[c] for c in d.labels], dtype=np.int64)
-    rule = partial(_cart_rule, x, y, len(labels), max(1, math.isqrt(x.shape[1])))
-    trees = grow_forest(x, b_trees, seed, rule, _class_columns(len(labels)))
+    trees = grow_forest(x, b_trees, seed, _CartRule(x, y, len(labels), max(1, math.isqrt(x.shape[1]))))
     return Forest(trees=trees, q=x.shape[1], seed=seed, feature_names=list(d.base.feature_names), labels=labels)
 
 
@@ -234,8 +242,8 @@ def oob_thresholds(f: Forest, d: LabeledDataset) -> ClassThresholds:
 
 def predict_batch(f: Forest, th: ClassThresholds, x: np.ndarray, ratio: float) -> list[tuple]:
     """predict_detail for every row of an (N, Q) array, in row order."""
-    if ratio < 0:
-        raise ValueError("ratio must be nonnegative")
+    if not 0.0 <= ratio < math.inf:  # a NaN ratio would withdraw every prediction
+        raise ValueError(f"ratio must be a finite number >= 0, got {ratio}")
     votes = _count_votes(f, np.asarray(x))
     result = []
     for k, top in zip(votes.argmax(axis=1).tolist(), votes.max(axis=1).tolist()):

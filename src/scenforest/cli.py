@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -82,8 +83,9 @@ COUNT_KEYS = (("sim", "runs"), ("xmurf", "b_trees"), ("classify", "b_trees"))  #
 def load_config(path: str | None) -> dict:
     """The default config overlaid with the JSON object of sections at
     ``path``. Raises ParseError naming the file and the key path of an
-    unknown section or key, a value of the wrong type, a count below 1 or
-    an unknown linkage method, before any stage runs."""
+    unknown section or key, a value of the wrong type, a non-finite number
+    (JSON's NaN and Infinity), a count below 1 or an unknown linkage
+    method, before any stage runs."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path:
         user = read_json(path)
@@ -100,6 +102,8 @@ def load_config(path: str | None) -> dict:
                 types, want = _config_type(key, cfg[section][key])
                 if type(val) not in types:
                     raise ParseError(f"{path}: {section}.{key}: expected {want}, got {json.dumps(val)}")
+                if type(val) is float and not math.isfinite(val):
+                    raise ParseError(f"{path}: {section}.{key}: expected a finite number, got {json.dumps(val)}")
                 if (section, key) in COUNT_KEYS and val < 1:
                     raise ParseError(f"{path}: {section}.{key}: {val} is not an integer >= 1")
                 if (section, key) == ("ordering", "linkage") and val not in ordering.LINKAGE_METHODS:

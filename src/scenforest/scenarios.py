@@ -182,8 +182,12 @@ def find_trigger_windows(thw: np.ndarray, dt: float) -> list:
 
 def detect_scenarios(trace: Trace) -> list:
     """All kept scenarios of a trace, every vehicle serving as ego."""
+    return _detect(trace, _thw_all(trace))
+
+
+def _detect(trace: Trace, thw: np.ndarray) -> list:
+    """detect_scenarios from the ``_thw_all`` of the trace."""
     out = []
-    thw = _thw_all(trace)
     for ego_id in range(1, trace.n_vehicles + 1):
         series = thw[:, ego_id - 1]
         for t0, t1 in find_trigger_windows(series, trace.dt):
@@ -283,12 +287,11 @@ def _resample(series: np.ndarray, n: int) -> np.ndarray:
     return np.interp(grid, np.arange(len(series)), series)
 
 
-def _gap_curves(trace: Trace, sc: Scenario):
+def _gap_curves(trace: Trace, sc: Scenario, gap: np.ndarray):
     """The bumper gap to the leader (the zone extent without one) and the
-    desired gap, over the scenario window."""
-    steps = slice(sc.t_start, sc.t_end + 1)
-    gap = _leader_gaps(trace, steps)[:, sc.ego_id - 1]
-    v = trace.v[steps, sc.ego_id - 1]
+    desired gap, over the scenario window, from the ego's ``_leader_gaps``
+    at each step of the window."""
+    v = trace.v[sc.t_start : sc.t_end + 1, sc.ego_id - 1]
     return np.where(gap < np.inf, gap, zone_extent(v)), v * DESIRED_THW_S
 
 
@@ -306,9 +309,10 @@ def _cut_in(trace: Trace, sc: Scenario) -> bool:
     return False
 
 
-def _features(sc: Scenario, trace: Trace) -> tuple:
+def _features(sc: Scenario, trace: Trace, gap: np.ndarray) -> tuple:
     """The 47 features of one scenario with dtw_gap_desired left at 0.0, and
-    the resampled (actual, desired) gap curves it is computed from."""
+    the resampled (actual, desired) gap curves it is computed from; ``gap``
+    is the ego's ``_leader_gaps`` over the window."""
     ego = sc.ego_id - 1
     instants = [sc.t_start, sc.t_changepoint, sc.t_end]
     ceiling = zone_extent(trace.v[instants, ego])
@@ -316,7 +320,7 @@ def _features(sc: Scenario, trace: Trace) -> tuple:
     for j, dist, relv in _zones(trace, ego, instants).values():
         dists += np.where(j >= 0, dist, ceiling).tolist()
         relvs += np.where(j >= 0, relv, 0.0).tolist()
-    actual, desired = _gap_curves(trace, sc)
+    actual, desired = _gap_curves(trace, sc, gap)
     ego_lanes = trace.lane[sc.t_start : sc.t_end + 1, ego]
     collision = float(
         any(sc.t_start <= t <= sc.t_end and sc.ego_id in pair for t, pair in trace.collisions)
@@ -347,7 +351,7 @@ def extract_features(sc: Scenario, trace: Trace) -> np.ndarray:
     Absent zone neighbors encode as the zone-extent ceiling at that instant
     with zero relative speed; all outputs are finite.
     """
-    row, curves = _features(sc, trace)
+    row, curves = _features(sc, trace, _leader_gaps(trace, slice(sc.t_start, sc.t_end + 1))[:, sc.ego_id - 1])
     row[DTW_COLUMN] = dtw_distances([curves])[0]
     return row
 
@@ -362,13 +366,17 @@ def scenarios_to_dataset(traces_with_names) -> tuple:
     """
     ids, rows, curves, meta = [], [], [], []
     for name, trace in traces_with_names:
-        for k, sc in enumerate(detect_scenarios(trace)):
+        # each step's gaps are computed on their own: the trace's, once, serve
+        # every window
+        gaps = _leader_gaps(trace, slice(None))
+        for k, sc in enumerate(_detect(trace, compute_thw(gaps, trace.v))):
             sid = f"{name}_s{k}"
             ids.append(sid)
-            row, pair = _features(sc, trace)
+            row, pair = _features(sc, trace, gaps[sc.t_start : sc.t_end + 1, sc.ego_id - 1])
             rows.append(row)
             curves.append(pair)
             meta.append(dict(id=sid, trace=name, ego_id=sc.ego_id, t_start=sc.t_start, t_end=sc.t_end, thw_min=sc.thw_min))
+        del gaps  # before the next trace is read
     values = np.array(rows, dtype=np.float64).reshape(len(rows), len(FEATURE_NAMES))
     values[:, DTW_COLUMN] = dtw_distances(curves)
     return Dataset(feature_names=list(FEATURE_NAMES), ids=ids, values=values), meta

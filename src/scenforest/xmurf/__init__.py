@@ -8,7 +8,7 @@ from .noise import (
     noise_cdf,
     standardize,
 )
-from .tree import Tree, grow_tree, path, path_proximity_tree
+from .tree import Tree, path, path_proximity_tree
 from .forest import (
     Forest,
     fit,
@@ -27,7 +27,6 @@ __all__ = [
     "noise_cdf",
     "standardize",
     "Tree",
-    "grow_tree",
     "path",
     "path_proximity_tree",
     "Forest",

@@ -5,13 +5,18 @@ A ``Forest`` is the unsupervised forest (``labels`` None) or the
 classifier of ``scenforest.classify`` (its sorted label set). Per-tree
 randomness comes from counter-based seed substreams
 (SeedSequence(master, spawn_key=(tree_index,))), so a fitted forest is
-identical regardless of evaluation order.
+identical regardless of evaluation order. ``grow_forest`` grows all trees
+in lock-step: one node per live tree per step, with one split search over
+the nodes of every tree.
 
 The pairwise proximity exploits that two root-to-leaf paths share exactly
-their common prefix: while routing all datapoints through a tree's node
-array, every internal node where index sets diverge contributes the Jaccard
-term for all left x right pairs at once, and every leaf adds 1 for all
-pairs it holds, which keeps the M x M accumulation vectorized.
+their common prefix. All rows go down a tree in one vectorised pass, one
+tree level at a time, to their leaves. In preorder, the shared prefix of
+two leaves is the least depth of the node that follows each leaf from the
+first up to the one before the second, and a row goes left where the paths
+part exactly when its leaf comes first. So one table over the tree's leaves
+gives every pair's Jaccard term, and the M x M accumulation runs a block of
+rows at a time with no walk over the nodes.
 """
 
 from __future__ import annotations
@@ -20,16 +25,18 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from ..dataset import Dataset, ParseError, ProximityMatrix, read_json, require_keys
-from .tree import NOISE_COLUMNS, Tree, grow_tree, node_dicts, noise_rule, read_nodes
+from .tree import NOISE_COLUMNS, NoiseRule, Tree, _dtype, node_dicts, read_nodes
 
 __all__ = ["Forest", "tree_rng", "grow_forest", "fit", "proximity_matrix", "forest_to_dict", "save_forest",
            "read_forest", "load_forest"]
+
+PROXIMITY_BLOCK = 1 << 16  # pairs per block of the proximity accumulation
+SEARCH_ROWS = 1 << 10  # node rows per split search, which bounds its temporaries
 
 
 @dataclass
@@ -50,20 +57,121 @@ def tree_rng(seed: int, tree_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(tree_index,)))
 
 
-def grow_forest(x: np.ndarray, b_trees: int, seed: int, rule, columns: dict) -> list[Tree]:
-    """Grow ``b_trees`` trees on the rows of ``x``. Tree b draws from
-    ``tree_rng(seed, b)`` its bootstrap bag of all M rows first, and then
-    ``rule(rng, rows)`` makes the per-node draws in preorder (see
-    ``grow_tree``)."""
+def grow_forest(x: np.ndarray, b_trees: int, seed: int, rule) -> list[Tree]:
+    """Grow ``b_trees`` fully-grown trees on the rows of ``x``, in lock-step.
+
+    Tree b draws from ``tree_rng(seed, b)`` its bootstrap bag of all M rows
+    first, and then ``rule.draw(rng)`` once per searched node, in preorder.
+    Each tree keeps its own preorder stack. At each step every live tree
+    pops nodes until one is to be searched (``rule.leaves`` says which; the
+    others become leaves at once and draw nothing), and makes that node's
+    draws; the trees draw in tree order, and no tree draws from another's
+    rng, so interleaving them changes no tree. ``rule.search`` then scores
+    the popped nodes of all trees at once (SEARCH_ROWS rows at a time), and
+    each split's children are the rows its sorted segment holds at or below
+    the threshold and above it. A split that leaves a side empty makes the
+    node a leaf: a midpoint of two adjacent doubles can round up to the node
+    maximum, and the child holding every row would split there forever.
+    Node ids are preorder positions and a left child is its parent's id + 1.
+
+    ``rule`` gives: ``columns``, the forest's own node columns;
+    ``leaves(rows)``, per node's rows its own columns as a leaf and whether
+    it is searched; ``draw(rng)``, a searched node's draws;
+    ``search(rows, sizes, owns, draws)``, the nodes that split with their
+    feature, threshold, segment start and left count, and the data row at
+    each sorted position; and ``split_own(own, draws)``, a split node's own
+    columns.
+    """
     if b_trees < 1:
         raise ValueError("need at least one tree")
+    if not np.isfinite(x).all():
+        raise ValueError("rows hold a non-finite value")
+    from array import array  # here, not at module level: only the forest stages load the extension
+
     m = x.shape[0]
-    trees = []
-    for b in range(b_trees):
-        rng = tree_rng(seed, b)
-        bag = rng.integers(0, m, size=m)
-        trees.append(grow_tree(x, bag, partial(rule, rng), columns))
+    rngs = [tree_rng(seed, b) for b in range(b_trees)]
+    bags = [rng.integers(0, m, size=m) for rng in rngs]
+    dtype = _dtype(rule.columns)
+    width = 4 + sum(math.prod(dtype[name].shape) for name in rule.columns)
+    # every node of every tree, in the order made: at ints[k * width:] its
+    # tree, feature, left, right and own columns, at thresholds[k] its
+    # threshold; one compact pair of arrays, as all trees grow at once
+    ints, thresholds = array("q"), array("d")
+    n_nodes = [0] * b_trees
+    # a stack entry: (rows, record of the parent whose right child it is or -1, own columns as a leaf, searched)
+    stacks = [[(bag, -1, *root)] for bag, root in zip(bags, rule.leaves(bags))]
+    live = range(b_trees)
+    while live:
+        popped = []  # (tree, record, rows, own, draws) of each node searched at this step
+        for b in live:
+            stack = stacks[b]
+            while stack:
+                rows, right_of, own, searched = stack.pop()
+                i, n_nodes[b] = n_nodes[b], n_nodes[b] + 1
+                if right_of >= 0:
+                    ints[right_of * width + 3] = i
+                ints.extend((b, -1, i, i, *own))
+                thresholds.append(0.0)
+                if searched:
+                    popped.append((b, len(thresholds) - 1, rows, own, rule.draw(rngs[b])))
+                    break
+        live = [entry[0] for entry in popped]
+        group, n_rows = [], 0  # nodes searched in one call: at most SEARCH_ROWS rows, unless one node has more
+        for entry in popped:
+            if group and n_rows + len(entry[2]) > SEARCH_ROWS:
+                _split(rule, group, stacks, ints, thresholds, width)
+                group, n_rows = [], 0
+            group.append(entry)
+            n_rows += len(entry[2])
+        if group:
+            _split(rule, group, stacks, ints, thresholds, width)
+    fields = np.frombuffer(ints, dtype=np.int64).reshape(len(thresholds), width)
+    order = np.argsort(fields[:, 0], kind="stable")  # each tree's nodes, in preorder
+    fields, values = fields[order], np.frombuffer(thresholds)[order]
+    trees, first = [], 0
+    for bag, size in zip(bags, n_nodes):
+        at = slice(first, first + size)
+        nodes = np.empty(size, dtype)
+        nodes["feature"], nodes["left"], nodes["right"] = fields[at, 1], fields[at, 2], fields[at, 3]
+        nodes["threshold"] = values[at]
+        k = 4
+        for name in rule.columns:
+            shape = dtype[name].shape
+            nodes[name] = fields[at, k : k + math.prod(shape)].reshape(size, *shape)
+            k += math.prod(shape)
+        trees.append(Tree(nodes=nodes, bag=bag))
+        first += size
     return trees
+
+
+def _split(rule, popped: list, stacks: list, ints, thresholds, width: int) -> None:
+    """Search the popped nodes at once, write the split of each node that
+    splits into its record, and push its children onto its tree's stack."""
+    rows = [entry[2] for entry in popped]
+    sizes = np.array([len(r) for r in rows])
+    node, feature, threshold, start, n_left, sorted_rows = rule.search(
+        rows, sizes, [entry[3] for entry in popped], [entry[4] for entry in popped])
+    # a threshold of two finite values is finite unless their sum overflows:
+    # an infinite one would send every row to one side
+    applied = (n_left < sizes[node]) & np.isfinite(threshold)
+    if not applied.all():
+        node, feature, threshold, start, n_left = (a[applied] for a in (node, feature, threshold, start, n_left))
+    if not node.size:
+        return
+    # each split node's left and right rows, copied from its sorted segment: a
+    # view would keep this search's whole array alive while the child waits
+    kids = []
+    for first, mid, end in zip(start.tolist(), (start + n_left).tolist(), (start + sizes[node]).tolist()):
+        kids += [sorted_rows[first:mid].copy(), sorted_rows[mid:end].copy()]
+    kid_leaves = rule.leaves(kids)
+    for j, (n, f, t) in enumerate(zip(node.tolist(), feature.tolist(), threshold.tolist())):
+        b, k, _, own, draws = popped[n]
+        i = ints[k * width + 2]
+        ints[k * width + 1 : (k + 1) * width] = type(ints)("q", (f, i + 1, -1, *rule.split_own(own, draws)))
+        thresholds[k] = t
+        # push right first so the left child is created (and numbered) first
+        stacks[b].append((kids[2 * j + 1], k, *kid_leaves[2 * j + 1]))
+        stacks[b].append((kids[2 * j], -1, *kid_leaves[2 * j]))
 
 
 def fit(data: Dataset, b_trees: int, seed: int) -> Forest:
@@ -80,38 +188,67 @@ def fit(data: Dataset, b_trees: int, seed: int) -> Forest:
         raise ValueError("dataset has no features")
     if bool(np.all(data.values == data.values[0])):
         warnings.warn("all rows identical; forest degenerates to single-node trees")
-    rule = partial(noise_rule, data.values, max(1, math.isqrt(q)))
-    trees = grow_forest(data.values, b_trees, seed, rule, NOISE_COLUMNS)
+    trees = grow_forest(data.values, b_trees, seed, NoiseRule(data.values, max(1, math.isqrt(q))))
     return Forest(trees=trees, q=q, seed=seed, feature_names=list(data.feature_names))
 
 
-def _tree_accumulate(tree: Tree, x: np.ndarray, diverging: np.ndarray, same_leaf: np.ndarray) -> None:
-    """Add one tree's pairwise Jaccard terms to the accumulators, in one walk.
+def _depths(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The depth of every node of a tree's child arrays, root 0, one tree
+    level per pass."""
+    depth, level, d = np.zeros(len(left), dtype=np.int64), np.zeros(1, dtype=np.int64), 0
+    while True:
+        level = level[left[level] != level]
+        if not level.size:
+            return depth
+        d += 1
+        level = np.concatenate([left[level], right[level]])
+        depth[level] = d
 
-    ``diverging`` receives the (i left, j right) orientation only;
-    ``same_leaf`` receives full symmetric blocks including the diagonal:
-    every pair that lands in the same leaf has identical paths, Jaccard 1.
+
+def _tree_proximity(tree: Tree, x: np.ndarray, diverging: np.ndarray, same_leaf: np.ndarray) -> None:
+    """Add one tree's pairwise Jaccard terms to the accumulators.
+
+    ``diverging[i, j]`` receives the term of every pair whose leaves differ
+    and row i's leaf comes first in preorder (row i goes left where the
+    paths part), and 0.0 for every other pair; ``same_leaf`` receives 1 for
+    every pair, the diagonal too, that lands in the same leaf: identical
+    paths, Jaccard 1. The nodes between two leaves u < v in preorder all
+    descend from their last common node, and the node right after a leaf
+    sits one level below the last common node of that leaf and the next;
+    so the shared prefix of u and v, in nodes, is the least depth of the
+    node after each leaf from u up to the one before v. The rows go down the
+    tree one level per pass; the accumulation runs PROXIMITY_BLOCK // M rows
+    at a time, which bounds the temporaries.
     """
+    feature, threshold, left, right = (tree.nodes[name] for name in ("feature", "threshold", "left", "right"))
+    depth = _depths(left, right)
     m = x.shape[0]
-    path_len = np.zeros(m, dtype=np.int64)
-    splits = []  # (shared prefix length, left indices, right indices)
-    stack = [(0, np.arange(m), 0)]
-    while stack:
-        i, idx, depth = stack.pop()
-        feature, threshold, left, right = tree.nodes[i].item()[:4]
-        if left == i:
-            path_len[idx] = depth + 1
-            if len(idx):
-                same_leaf[np.ix_(idx, idx)] += 1.0
-            continue
-        mask = x[idx, feature] <= threshold
-        li, ri = idx[mask], idx[~mask]
-        splits.append((depth + 1, li, ri))
-        stack.append((right, ri, depth + 1))
-        stack.append((left, li, depth + 1))
-    for shared, li, ri in splits:
-        if len(li) and len(ri):
-            diverging[np.ix_(li, ri)] += shared / (path_len[li][:, None] + path_len[ri][None, :] - shared)
+    node, live = np.zeros(m, dtype=np.int64), np.arange(m if left[0] else 0)
+    while live.size:
+        at = node[live]
+        at = np.where(x[live, feature[at]] <= threshold[at], left[at], right[at])
+        node[live] = at
+        live = live[left[at] != at]
+    is_leaf = left == np.arange(len(left))
+    leaves = np.flatnonzero(is_leaf)
+    length = depth[leaves] + 1.0  # nodes on the path to each leaf
+    # term[u, v]: the Jaccard term of leaves u < v, 0 where u >= v. Every
+    # count is a small integer, so each term is the division of the same two
+    # exact doubles as a per-pair form would make.
+    after = np.concatenate([[0.0], depth[leaves[:-1] + 1]])
+    upper = np.arange(len(leaves)) > np.arange(len(leaves))[:, None]
+    shared = np.where(upper, after, len(left))
+    np.minimum.accumulate(shared, axis=1, out=shared)
+    shared *= upper
+    term = np.add.outer(length, length)
+    term -= shared
+    np.divide(shared, term, out=term)
+    rank = (np.cumsum(is_leaf) - 1)[node]  # each row's leaf, as its place among the leaves
+    step = max(1, PROXIMITY_BLOCK // m)
+    for r0 in range(0, m, step):
+        rows = slice(r0, r0 + step)
+        diverging[rows] += np.take(term[rank[rows]], rank, axis=1)
+        same_leaf[rows] += rank[rows, None] == rank
 
 
 def proximity_matrix(forest: Forest, data: Dataset) -> ProximityMatrix:
@@ -124,9 +261,9 @@ def proximity_matrix(forest: Forest, data: Dataset) -> ProximityMatrix:
         raise ValueError(f"dataset has {data.values.shape[1]} features, forest expects {forest.q}")
     m = data.values.shape[0]
     diverging = np.zeros((m, m))
-    same_leaf = np.zeros((m, m))
+    same_leaf = np.zeros((m, m), dtype=np.min_scalar_type(forest.n_trees))  # a count, exact as a double
     for tree in forest.trees:
-        _tree_accumulate(tree, data.values, diverging, same_leaf)
+        _tree_proximity(tree, data.values, diverging, same_leaf)
     values = (diverging + diverging.T + same_leaf) / forest.n_trees
     return ProximityMatrix(values=values, ids=list(data.ids))
 

@@ -20,6 +20,7 @@ __all__ = [
     "gini_gain",
     "standardize",
     "noise_cdf",
+    "noise_cdfs",
     "estimate_noise_children",
 ]
 
@@ -81,13 +82,34 @@ def _normal_cdf(z):
     return 1.0 / (1.0 + np.exp(-_SQRT_PI * poly))
 
 
-def _bimodal_cdf(z):
+def _renormalize(raw):
     # The plain sum of two shifted normal CDFs spans [P(-3), P(3)] ~ [0.5, 1.5];
     # renormalize so the result is a valid CDF on [-3, 3].
-    raw = _normal_cdf(z - 3.0) + _normal_cdf(z + 3.0)
     lo = _normal_cdf(-6.0) + _normal_cdf(0.0)
     hi = _normal_cdf(0.0) + _normal_cdf(6.0)
     return (raw - lo) / (hi - lo)
+
+
+def _bimodal_cdf(z):
+    return _renormalize(_normal_cdf(z - 3.0) + _normal_cdf(z + 3.0))
+
+
+_CDFS = {"uniform": lambda z: z / 6.0 + 0.5, "normal": _normal_cdf, "bimodal": _bimodal_cdf}
+
+
+def noise_cdfs(kind: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """noise_cdf of each element of a z array already in [-3, 3], under the
+    kind ``NOISE_KINDS[kind[i]]``; the normal CDF of every normal and
+    bimodal element in one evaluation, each element as noise_cdf computes
+    it."""
+    uniform, normal, bimodal = (np.flatnonzero(kind == k) for k in range(len(NOISE_KINDS)))
+    zb = z[bimodal]
+    shifted = _normal_cdf(np.concatenate([z[normal], zb - 3.0, zb + 3.0]))
+    out = np.empty_like(z)
+    out[uniform] = _CDFS["uniform"](z[uniform])
+    out[normal] = shifted[: len(normal)]
+    out[bimodal] = _renormalize(shifted[len(normal) : len(normal) + len(zb)] + shifted[len(normal) + len(zb) :])
+    return np.clip(out, 0.0, 1.0)
 
 
 def noise_cdf(kind: str, z):
@@ -96,29 +118,24 @@ def noise_cdf(kind: str, z):
     Accepts a scalar or ndarray; nondecreasing in z with range [0, 1] for
     all three kinds.
     """
+    if kind not in _CDFS:
+        raise ValueError(f"unknown noise kind {kind!r}")
     z = np.asarray(z, dtype=np.float64)
     if (z < -3.0).any() or (z > 3.0).any():
         warnings.warn("standardized threshold outside [-3, 3]; clamping", stacklevel=2)
         z = np.clip(z, -3.0, 3.0)
-    if kind == "uniform":
-        out = z / 6.0 + 0.5
-    elif kind == "normal":
-        out = _normal_cdf(z)
-    elif kind == "bimodal":
-        out = _bimodal_cdf(z)
-    else:
-        raise ValueError(f"unknown noise kind {kind!r}")
-    out = np.clip(out, 0.0, 1.0)
+    out = np.clip(_CDFS[kind](z), 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
 
 
-def estimate_noise_children(m_real_node: int, p) -> tuple:
+def estimate_noise_children(m_real_node, p) -> tuple:
     """Split the node's noise mass (equal to its real count) across children.
 
+    Takes scalars, or arrays with one node size and fraction per candidate.
     The right count is the exact complement so left + right == m_real_node
     holds bit-exactly.
     """
-    if m_real_node < 1:
+    if np.any(np.less(m_real_node, 1)):
         raise ValueError("node must hold at least one real datapoint")
     p = np.asarray(p, dtype=np.float64)
     if (p < 0.0).any() or (p > 1.0).any():

@@ -7,28 +7,33 @@ and ``noise_kind`` (an index into ``NOISE_CODES``) or ``class_counts``.
 A leaf points at itself (``left == right == i``) and has feature -1.
 Children come after their parent, so every walk ends at a leaf, and node
 ids are preorder positions, so a serialized tree rebuilds identically.
-Both forests share the grow loop, the split-candidate layout, the JSON
-node writer and the validated node reader below.
+Both forests share the split-candidate layout, the per-node argmax, the
+JSON node writer and the validated node reader below, and the lock-step
+grow loop of ``xmurf.forest.grow_forest``.
 
-Trees are grown fully (no pruning). A split search handles all sampled
-features of a node at once: one sort of the node's ``(features, rows)``
-block, every candidate threshold of every feature in one feature-major
-array (``split_candidates``: features ascending, then thresholds
-ascending), and one argmax over their gains, so ties go to the lowest
-feature and then the lowest threshold.
+Trees are grown fully (no pruning). A split search handles every node the
+grow loop pops at one step, of every tree, at once: the nodes' ``(features,
+rows)`` blocks, sorted by one sort of integer keys, lie in one flat
+segmented array (``split_candidates``: nodes in order, then features
+ascending, then thresholds ascending); a rule scores every candidate in
+one pass, and one segmented argmax (``first_max``) takes each node's first
+greatest gain, so ties go to the lowest feature and then the lowest
+threshold. ``NoiseRule`` is the unsupervised forest's rule; the
+classifier's is ``classify._CartRule``.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..dataset import ParseError, require_keys
-from .noise import NOISE_KINDS, estimate_noise_children, noise_cdf, standardize
+from .noise import NOISE_KINDS, estimate_noise_children, noise_cdfs, standardize
 
-__all__ = ["Tree", "grow_tree", "split_candidates", "noise_rule", "node_dicts", "read_nodes", "path",
-           "path_proximity_tree"]
+__all__ = ["Tree", "value_codes", "split_candidates", "first_max", "chosen_splits", "NoiseRule", "node_dicts",
+           "read_nodes", "path", "path_proximity_tree"]
 
 SPLIT_FIELDS = [("feature", np.int64), ("threshold", np.float64), ("left", np.int64), ("right", np.int64)]
 
@@ -52,111 +57,156 @@ def _dtype(columns: dict) -> np.dtype:
     return np.dtype(SPLIT_FIELDS + [(name, spec[0]) for name, spec in columns.items()])
 
 
-def grow_tree(x: np.ndarray, bag: np.ndarray, rule, columns: dict) -> Tree:
-    """Grow one fully-grown tree on the bagged rows of the data matrix.
+def value_codes(x: np.ndarray) -> tuple:
+    """Dense order codes of the values of ``x``: (codes, values) with
+    ``values[codes[r, f]] == x[r, f]``, where the codes of feature f are
+    consecutive and ordered as its distinct values, after those of the
+    features before it. Sorting codes sorts values, and equal values share
+    a code."""
+    codes = np.empty(x.shape, dtype=np.int32)
+    values = []
+    for f in range(x.shape[1]):
+        distinct, codes[:, f] = np.unique(x[:, f], return_inverse=True)
+        codes[:, f] += sum(map(len, values))
+        values.append(distinct)
+    return codes, np.concatenate(values)
 
-    ``rule(rows)`` makes all of a node's rng draws and returns the node's
-    own columns as a leaf, and its split: None, or (feature, threshold, own
-    columns as a split node). A split that leaves a side empty makes the
-    node a leaf: a midpoint of two adjacent doubles can round up to the node
-    maximum, and the child holding every row would split there forever.
+
+Candidates = namedtuple("Candidates", "node seg threshold n_left start")
+
+
+def split_candidates(codes: np.ndarray, values: np.ndarray, rows: list, sizes: np.ndarray,
+                     features: np.ndarray) -> tuple:
+    """Every candidate split of many nodes, in one flat segmented layout.
+
+    Node n holds the data rows ``rows[n]`` (``sizes[n]`` of them) and the
+    sorted features ``features[n]`` (k of them; ``codes, values`` are
+    ``value_codes`` of the data). Segment s = n * k + j holds the node's
+    rows sorted by feature ``features[n, j]``, and the segments follow each
+    other in order: one sort of (segment, value code, position) keys sorts
+    every segment at once. A candidate sits between two consecutive distinct
+    values of a segment, at their midpoint, so candidates run node-major,
+    then feature-major, then by threshold. Per candidate: ``node``, ``seg``,
+    ``threshold``, ``n_left`` (the rows ``value <= threshold`` sends left: a
+    midpoint of two adjacent doubles can round up to the upper value, and
+    every copy of it then falls left as well, up to the segment's next
+    boundary or its end), and ``start``, the segment's first flat position.
+    Returns the Candidates, and the value and the data row at each flat
+    position.
     """
-    bag = np.asarray(bag)
-    records = []
-    # preorder DFS; a left child is always its parent's id + 1, so the stack
-    # holds (rows, id of the parent whose right child this is, or -1)
-    stack = [(bag, -1)]
-    while stack:
-        rows, right_of = stack.pop()
-        i = len(records)
-        if right_of >= 0:
-            records[right_of][3] = i
-        own, split = rule(rows)
-        record = [-1, 0.0, i, i, *own]
-        if split is not None:
-            feature, tau, split_own = split
-            mask = x[rows, feature] <= tau
-            if 0 < np.count_nonzero(mask) < len(rows):
-                record = [feature, tau, i + 1, -1, *split_own]
-                # push right first so the left child is created (and numbered) first
-                stack.append((rows[~mask], i))
-                stack.append((rows[mask], -1))
-        records.append(record)
-    return Tree(nodes=np.array([tuple(r) for r in records], dtype=_dtype(columns)), bag=bag)
+    n, k = features.shape
+    flat_rows = np.concatenate(rows)
+    node = np.repeat(np.arange(n), sizes)
+    row_bits, code_bits = len(flat_rows).bit_length(), len(values).bit_length()
+    if row_bits + code_bits + (n * k).bit_length() > 63:
+        raise ValueError(f"{n} nodes of {len(flat_rows)} rows are too many to sort in one key")
+    seg = node * k + np.arange(k)[:, None]  # (k, rows): the segment of each gathered value
+    key = ((seg << code_bits | codes[flat_rows, features[node].T]) << row_bits | np.arange(len(flat_rows))).ravel()
+    key.sort()
+    seg_code = key >> row_bits
+    boundary = seg_code[1:] != seg_code[:-1]
+    seg_end = np.cumsum(np.repeat(sizes, k))
+    boundary[seg_end[:-1] - 1] = False  # a segment's last position
+    p = np.flatnonzero(boundary)
+    v = values[seg_code & ((1 << code_bits) - 1)]
+    cseg = seg_code[p] >> code_bits
+    above = v[p + 1]
+    threshold = (v[p] + above) / 2.0
+    cnode = cseg // k
+    start = seg_end[cseg] - sizes[cnode]
+    n_left = p + 1 - start
+    up = np.flatnonzero(threshold == above)
+    if up.size:
+        after = np.minimum(up + 1, len(p) - 1)
+        nxt = np.where((up + 1 < len(p)) & (cseg[after] == cseg[up]), p[after], seg_end[cseg[up]] - 1)
+        n_left[up] = nxt + 1 - start[up]
+    return Candidates(cnode, cseg, threshold, n_left, start), v, flat_rows[key & ((1 << row_bits) - 1)]
 
 
-def split_candidates(sv: np.ndarray) -> tuple:
-    """The candidate splits of a node's ``(features, rows)`` block ``sv``,
-    sorted along the rows, feature-major (feature rows ascending, then
-    thresholds ascending): (feature row, midpoint of two consecutive
-    distinct values, rows going left). A constant feature has none. The
-    count going left is that of ``value <= threshold``, the partition
-    ``grow_tree`` applies: a midpoint of two adjacent doubles can round up
-    to the upper value, and every copy of it then falls left as well, up to
-    the feature's next boundary (or all rows past its last one)."""
-    m = sv.shape[1]
-    f_idx, pos = np.nonzero(sv[:, 1:] != sv[:, :-1])  # split after sorted position pos
-    above = sv[f_idx, pos + 1]
-    thresholds = (sv[f_idx, pos] + above) / 2.0
-    nxt = np.append(pos[1:], m - 1)[: len(pos)]  # the feature's next boundary
-    nxt[np.nonzero(f_idx[1:] != f_idx[:-1])[0]] = m - 1
-    return f_idx, thresholds, np.where(thresholds == above, nxt, pos) + 1
+def first_max(gains: np.ndarray, node: np.ndarray, seg: np.ndarray) -> np.ndarray:
+    """The index of each node's first greatest gain, for the nodes in
+    ``node`` (ascending, one entry per candidate), so ties go to the lowest
+    feature and then the lowest threshold. A NaN counts as greatest. A gain
+    is 0/0 when a midpoint rounds up to the feature's maximum (an empty
+    right side) or a subnormal width's sixth is 0; only the node's first
+    feature keeps such a gain, and any later feature holding one is passed
+    over whole."""
+    if not gains.size:
+        return np.zeros(0, dtype=np.int64)
+    new = np.concatenate(([True], node[1:] != node[:-1]))
+    starts, rank = np.flatnonzero(new), np.cumsum(new) - 1
+    top = np.maximum.reduceat(gains, starts)
+    hit = gains == top[rank]
+    nan = np.isnan(gains) if np.isnan(top).any() else None
+    if nan is not None:
+        hit |= nan
+    best = np.minimum.reduceat(np.where(hit, np.arange(len(gains)), len(gains)), starts)
+    if nan is not None:
+        late = nan[best] & (seg[best] != seg[starts])
+        if late.any():
+            nan_seg = np.zeros(seg[-1] + 1, dtype=bool)
+            nan_seg[seg[nan]] = True
+            return first_max(np.where(nan_seg[seg] & late[rank], -np.inf, gains), node, seg)
+    return best
 
 
-def _best_split(x: np.ndarray, rows: np.ndarray, features: np.ndarray, kind: str):
-    """Best split of the node's rows over the sampled features, in one pass.
+def chosen_splits(features: np.ndarray, c: Candidates, gains: np.ndarray, accept: np.ndarray) -> tuple:
+    """The splits of the nodes whose ``first_max`` candidate is accepted:
+    (node, feature, threshold, start, n_left) arrays, one entry per node."""
+    best = first_max(gains, c.node, c.seg)
+    best = best[accept[best]]
+    return c.node[best], features.ravel()[c.seg[best]], c.threshold[best], c.start[best], c.n_left[best]
 
-    The ``(features, rows)`` block is sorted along the rows once and its
-    candidates scored in the ``split_candidates`` layout. Constant features
-    have no candidate, so no zero-width interval is standardised. Returns
-    (gain, feature, threshold), or None if every sampled feature is
-    constant in the node. One global argmax takes the first maximum, so
-    ties go to the lowest feature and then the lowest threshold.
+
+class NoiseRule:
+    """The unsupervised forest's split rule, for ``xmurf.forest.grow_forest``.
+
+    Per node of two or more rows the rng draws, in order: the noise-CDF
+    kind, then ``n_features_split`` distinct features. A candidate scores
+    the estimated Gini gain against the node's virtual noise. A perfectly
+    balanced candidate scores exactly zero against the balanced noise;
+    trees still split there (fully grown down to singleton or degenerate
+    leaves), and negative gain cannot occur.
     """
-    m = len(rows)
-    sv = np.sort(x.T[features[:, None], rows], axis=1)
-    f_idx, thresholds, real_left = split_candidates(sv)
-    if not f_idx.size:
-        return None
-    real_left = real_left.astype(np.float64)
-    real_right = m - real_left
-    z = standardize(thresholds, sv[f_idx, 0], sv[f_idx, -1])
-    noise_left, noise_right = estimate_noise_children(m, noise_cdf(kind, np.clip(z, -3.0, 3.0)))
-    # parent impurity is exactly 0.5: the assumed noise mass equals the
-    # real count, so the node is perfectly balanced before the split
-    total_left = real_left + noise_left
-    total_right = real_right + noise_right
-    r_left = 2.0 * real_left * noise_left / (total_left * total_left)
-    r_right = 2.0 * real_right * noise_right / (total_right * total_right)
-    gains = 0.5 - (total_left * r_left + total_right * r_right) / (2.0 * m)
-    k = int(np.argmax(gains))  # the first NaN, if any
-    if np.isnan(gains[k]) and f_idx[k] != f_idx[0]:
-        # a gain is 0/0 when a midpoint rounds up to the feature's maximum
-        # (an empty right side) or a subnormal width's sixth is 0. Only the
-        # first feature keeps such a gain; any later feature holding one is
-        # passed over whole.
-        k = int(np.argmax(np.where(np.isin(f_idx, f_idx[np.isnan(gains)]), -np.inf, gains)))
-    return float(gains[k]), int(features[f_idx[k]]), float(thresholds[k])
 
+    columns = NOISE_COLUMNS
 
-def noise_rule(x: np.ndarray, n_features_split: int, rng: np.random.Generator, rows: np.ndarray):
-    """The unsupervised forest's split rule; ``grow_tree`` gets it with all
-    but ``rows`` bound (``grow_forest`` binds ``rng``). Per node of two or
-    more rows the rng draws, in order: the noise-CDF kind, then
-    ``n_features_split`` distinct features.
-    """
-    leaf = (len(rows), 0)
-    if len(rows) <= 1:
-        return leaf, None
-    kind = NOISE_KINDS[rng.integers(len(NOISE_KINDS))]
-    features = np.sort(rng.choice(x.shape[1], size=min(n_features_split, x.shape[1]), replace=False))
-    best = _best_split(x, rows, features, kind)
-    # a perfectly balanced candidate scores exactly zero against the
-    # balanced virtual noise; trees still split there (fully grown down
-    # to singleton or degenerate leaves), and negative gain cannot occur
-    if best is None or best[0] < 0.0:
-        return leaf, None
-    return leaf, (best[1], best[2], (len(rows), NOISE_CODES.index(kind)))
+    def __init__(self, x: np.ndarray, n_features_split: int):
+        self.codes, self.values = value_codes(x)
+        self.q, self.k = x.shape[1], min(n_features_split, x.shape[1])
+
+    def leaves(self, rows: list) -> list:
+        """(own columns as a leaf, whether it is searched) of each node's rows."""
+        return [((len(r), 0), len(r) >= 2) for r in rows]
+
+    def draw(self, rng: np.random.Generator) -> tuple:
+        return rng.integers(len(NOISE_KINDS)), rng.choice(self.q, size=self.k, replace=False)
+
+    def split_own(self, own: tuple, draws: tuple) -> tuple:
+        return own[0], int(draws[0]) + 1  # the code of the drawn kind in NOISE_CODES
+
+    def search(self, rows: list, sizes: np.ndarray, owns: list, draws: list) -> tuple:
+        """``chosen_splits`` of the nodes, and the data row at each flat position."""
+        features, c, gains, sorted_rows = self.scores(rows, sizes, owns, draws)
+        return (*chosen_splits(features, c, gains, ~(gains < 0.0)), sorted_rows)
+
+    def scores(self, rows: list, sizes: np.ndarray, owns: list, draws: list) -> tuple:
+        """(sorted features, Candidates, gains, data row at each flat
+        position) of the nodes' split candidates."""
+        features = np.sort(np.array([f for _, f in draws]), axis=1)
+        c, v, sorted_rows = split_candidates(self.codes, self.values, rows, sizes, features)
+        m = sizes[c.node]
+        real_left = c.n_left.astype(np.float64)
+        real_right = m - real_left
+        z = np.clip(standardize(c.threshold, v[c.start], v[c.start + m - 1]), -3.0, 3.0)
+        noise_left, noise_right = estimate_noise_children(m, noise_cdfs(np.array([d for d, _ in draws])[c.node], z))
+        # parent impurity is exactly 0.5: the assumed noise mass equals the
+        # real count, so the node is perfectly balanced before the split
+        total_left = real_left + noise_left
+        total_right = real_right + noise_right
+        r_left = 2.0 * real_left * noise_left / (total_left * total_left)
+        r_right = 2.0 * real_right * noise_right / (total_right * total_right)
+        return features, c, 0.5 - (total_left * r_left + total_right * r_right) / (2.0 * m), sorted_rows
 
 
 def node_dicts(nodes: np.ndarray, columns: dict) -> list[dict]:

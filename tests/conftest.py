@@ -58,14 +58,19 @@ def value_matrix(draw, max_rows=10):
 
 
 @st.composite
-def split_block(draw, max_rows=10):
-    """(x, rows, features) for a split search: a value matrix, and rows
-    drawn as a bag with repeats."""
+def split_batch(draw, max_rows=10):
+    """(x, nodes) for one batched split search: a value matrix, and one to
+    four nodes, each (rows drawn as a bag with repeats, k sorted distinct
+    features), with the same k for every node."""
     x = draw(value_matrix(max_rows))
     m, q = x.shape
-    rows = np.array(draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2 * m)))
-    features = np.array(sorted(draw(st.sets(st.integers(0, q - 1), min_size=1))))
-    return x, rows, features
+    k = draw(st.integers(1, q))
+    nodes = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = np.array(draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2 * m)))
+        features = np.array(sorted(draw(st.sets(st.integers(0, q - 1), min_size=k, max_size=k))))
+        nodes.append((rows, features))
+    return x, nodes
 
 
 @st.composite

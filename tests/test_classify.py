@@ -10,7 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import adjacent_doubles, split_block, tie_heavy_dataset
+import forest_oracle
+from conftest import adjacent_doubles, split_batch, tie_heavy_dataset
 from scenforest import classify
 from scenforest.classify import (
     ClassThresholds,
@@ -26,7 +27,7 @@ from scenforest.classify import (
 )
 from scenforest.dataset import Dataset, LabeledDataset, ParseError
 from scenforest.xmurf.forest import Forest
-from scenforest.xmurf.tree import Tree, read_nodes
+from scenforest.xmurf.tree import Tree, first_max, read_nodes
 
 
 def walk_vote(tree, x):
@@ -194,8 +195,9 @@ def test_withdraw_rule_cases():
     # force withdrawal by an absurd threshold ratio
     label_hi, fraction_hi, threshold_hi = predict_detail(f, th, x, ratio=1e9)
     assert label_hi is None and threshold_hi > 1.0
-    with pytest.raises(ValueError):
-        predict_with_threshold(f, th, x, ratio=-0.1)
+    for ratio in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="ratio must be a finite number >= 0"):
+            predict_with_threshold(f, th, x, ratio=ratio)
 
 
 def test_withdraw_boundary_arithmetic():
@@ -347,7 +349,7 @@ def test_batch_across_blocks_equals_hand_walk_and_predict_detail():
 
 
 def loop_best_split_supervised(x, y, rows, features, n_classes):
-    """Reference CART split search over the partitions ``grow_tree``
+    """Reference CART split search over the partitions the grow loop
     applies: one feature at a time, in ascending order, and within a feature
     every midpoint t of consecutive distinct values, ascending. Each
     partitions the rows by ``x <= t``; a candidate that leaves a side empty
@@ -373,20 +375,37 @@ def loop_best_split_supervised(x, y, rows, features, n_classes):
     return best
 
 
+def production_splits_supervised(x, y, n_classes, nodes):
+    """(gain, feature, threshold) of each node's first greatest candidate in
+    one batched production search over ``nodes`` [(rows, sorted features)],
+    None for a node without candidates."""
+    rule = classify._CartRule(x, y, n_classes, 1)
+    rows = [r for r, _ in nodes]
+    owns = [own for own, _ in rule.leaves(rows)]
+    features, c, gains, _ = rule.scores(rows, np.array([len(r) for r in rows]), owns, [f for _, f in nodes])
+    out = [None] * len(nodes)
+    for k in first_max(gains, c.node, c.seg).tolist():
+        out[c.node[k]] = (float(gains[k]), int(features.ravel()[c.seg[k]]), float(c.threshold[k]))
+    return out
+
+
 @st.composite
 def supervised_split_inputs(draw):
-    """(x, y, rows, features, n_classes) with up to 10 classes, so the sums
-    of squared class fractions run over 8 or more terms."""
-    x, rows, features = draw(split_block(max_rows=12))
+    """(x, y, n_classes, nodes) with up to 10 classes, so the sums of squared
+    class fractions run over 8 or more terms."""
+    x, nodes = draw(split_batch(max_rows=12))
     n_classes = draw(st.integers(2, 10))
     y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=len(x), max_size=len(x))), dtype=np.int64)
-    return x, y, rows, features, n_classes
+    return x, y, n_classes, nodes
 
 
 @settings(max_examples=300, deadline=None)
 @given(supervised_split_inputs())
 def test_best_split_supervised_equals_loop_oracle(case):
-    assert classify._best_split_supervised(*case) == loop_best_split_supervised(*case)
+    # several nodes in one search: each node's segments sit in the one flat layout
+    x, y, n_classes, nodes = case
+    want = [loop_best_split_supervised(x, y, rows, features, n_classes) for rows, features in nodes]
+    assert production_splits_supervised(x, y, n_classes, nodes) == want
 
 
 def test_best_split_supervised_scores_the_applied_partition():
@@ -394,21 +413,19 @@ def test_best_split_supervised_scores_the_applied_partition():
     # both copies of 1+2ulp left: that candidate puts 5 rows left, not 3, and
     # scores 0.1 (not the 0.5 of a clean a | b cut), as does the first cut
     _, a, b = adjacent_doubles(1.0, 3)
-    x = np.array([[0.0], [a], [a], [b], [b], [5.0]])
-    case = (x, np.array([0, 0, 0, 1, 1, 1]), np.arange(6), np.array([0]), 2)
-    gain, feature, threshold = classify._best_split_supervised(*case)
-    assert (gain, feature, threshold) == loop_best_split_supervised(*case)
+    x, y = np.array([[0.0], [a], [a], [b], [b], [5.0]]), np.array([0, 0, 0, 1, 1, 1])
+    (gain, feature, threshold), = production_splits_supervised(x, y, 2, [(np.arange(6), np.array([0]))])
+    assert (gain, feature, threshold) == loop_best_split_supervised(x, y, np.arange(6), np.array([0]), 2)
     assert gain == pytest.approx(0.1) and threshold == a / 2
 
 
-def test_fit_with_loop_oracle_gives_same_model(monkeypatch):
+def test_fit_with_loop_oracle_gives_same_model():
     rng = np.random.default_rng(9)
     values = np.round(rng.normal(size=(80, 9)), 1)  # one decimal: many tied values
     labels = [f"c{k}" for k in rng.integers(0, 4, size=80)]
     d = LabeledDataset(Dataset([f"f{k}" for k in range(9)], [f"r{i}" for i in range(80)], values), labels)
-    want = classify._model_dict(fit_classifier(d, 6, seed=3), None)
-    monkeypatch.setattr(classify, "_best_split_supervised", loop_best_split_supervised)
-    assert classify._model_dict(fit_classifier(d, 6, seed=3), None) == want
+    want = forest_oracle.fit_classifier(d, 6, seed=3, search=loop_best_split_supervised)
+    assert classify._model_dict(fit_classifier(d, 6, seed=3), None) == classify._model_dict(want, None)
 
 
 @pytest.fixture()
@@ -555,3 +572,34 @@ def test_assignment_sets_nest_under_ratio(d, b, seed, ratios):
         assert assigned <= before
         assert all(labels[i] == winners[i] for i in assigned)
         before = assigned
+
+
+def assert_same_trees(got, want):
+    assert len(got) == len(want)
+    for t1, t2 in zip(got, want):
+        assert t1.nodes.tobytes() == t2.nodes.tobytes() and t1.nodes.dtype == t2.nodes.dtype
+        assert t1.bag.tobytes() == t2.bag.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(tie_heavy_labeled(), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_fit_classifier_equals_node_by_node_oracle(d, b, seed):
+    # lock-step growth against one tree at a time, one node per search
+    assert_same_trees(fit_classifier(d, b, seed=seed).trees, forest_oracle.fit_classifier(d, b, seed=seed).trees)
+
+
+def test_fit_classifier_equals_oracle_where_a_midpoint_overflows():
+    # 1.5e308 + 1.7e308 overflows: the midpoint is inf, every row goes left,
+    # and the node stays a leaf, as the node-by-node oracle applies it
+    base = Dataset(["f", "g"], ["r0", "r1", "r2", "r3"], [[1.5e308, 0.0], [1.7e308, 0.0], [1.7e308, 1.0], [1.5e308, 1.0]])
+    d = LabeledDataset(base, ["x", "y", "y", "x"])
+    with np.errstate(over="ignore"):
+        assert_same_trees(fit_classifier(d, 8, seed=4).trees, forest_oracle.fit_classifier(d, 8, seed=4).trees)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tie_heavy_labeled(), st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_classifier_tree_k_does_not_depend_on_forest_size(d, b1, b2, seed):
+    # tree k draws only from its own substream, however many trees grow beside it
+    small, large = fit_classifier(d, min(b1, b2), seed=seed), fit_classifier(d, max(b1, b2), seed=seed)
+    assert_same_trees(small.trees, large.trees[: small.n_trees])

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +199,15 @@ def test_classify_outputs_and_ratio_monotonicity(pipeline):
         unassigned[0.0] <= unassigned[0.25] <= unassigned[0.5]
         <= unassigned[0.75] <= unassigned[1.0]
     )
+
+
+@pytest.mark.parametrize("ratio", ["-0.5", "nan", "inf"])
+def test_classify_ratio_not_finite_and_nonnegative_exits_2(pipeline, tmp_path, capsys, ratio):
+    _, _, base, _ = pipeline
+    dest = tmp_path / "pred.csv"
+    assert cli.main(base + ["classify", "--ratio", ratio, "--output", str(dest)]) == 2
+    assert capsys.readouterr().err == f"error: ratio must be a finite number >= 0, got {float(ratio)}\n"
+    assert not dest.exists()
 
 
 def test_classify_matches_predict_detail_row_by_row(pipeline, tmp_path):
@@ -441,8 +451,16 @@ def test_wrongly_typed_config_value_exits_2(tmp_path, capsys, overrides, message
         ("xmurf", "b_trees", 0, "xmurf.b_trees: 0 is not an integer >= 1"),
         ("classify", "b_trees", 0, "classify.b_trees: 0 is not an integer >= 1"),
         ("ordering", "linkage", "ward", 'ordering.linkage: "ward" is not one of average, single, complete'),
+        ("road", "lane_width", math.inf, "road.lane_width: expected a finite number, got Infinity"),
+        ("sim", "duration", math.nan, "sim.duration: expected a finite number, got NaN"),
+        ("road", "speed_limit", math.nan, "road.speed_limit: expected a finite number, got NaN"),
+        ("sim", "target_resample_mean", math.nan, "sim.target_resample_mean: expected a finite number, got NaN"),
+        ("classify", "ratio", -math.inf, "classify.ratio: expected a finite number, got -Infinity"),
     ],
-    ids=["sim-runs-negative", "xmurf-b-trees-zero", "classify-b-trees-zero", "unknown-linkage"],
+    ids=[
+        "sim-runs-negative", "xmurf-b-trees-zero", "classify-b-trees-zero", "unknown-linkage", "lane-width-infinity",
+        "duration-nan", "speed-limit-nan", "resample-mean-nan", "ratio-minus-infinity",
+    ],
 )
 def test_config_value_out_of_range_exits_2_before_any_file_is_touched(tmp_path, capsys, section, key, value, message):
     overrides = {"sim": {"duration": 1.0, "runs": 1}}

@@ -22,6 +22,7 @@ from scenforest.scenarios import (
     Scenario,
     _cut_in,
     _gap_curves,
+    _leader_gaps,
     _zones,
     assign_zones,
     compute_thw,
@@ -516,7 +517,8 @@ def test_array_extraction_equals_vehicle_loops(trace, data):
     t_end = data.draw(st.integers(t_start, trace.n_ts - 1))
     ego_id = data.draw(st.integers(1, trace.n_vehicles))
     sc = Scenario(ego_id, t_start, t_end, 0.0, t_start)
-    for got, want in zip(_gap_curves(trace, sc), loop_gap_curves(trace, sc)):
+    gap = _leader_gaps(trace, slice(t_start, t_end + 1))[:, ego_id - 1]
+    for got, want in zip(_gap_curves(trace, sc, gap), loop_gap_curves(trace, sc)):
         assert got.tolist() == want.tolist()
     assert _cut_in(trace, sc) == loop_cut_in(trace, sc)
 
@@ -582,9 +584,13 @@ def test_window_scans_in_blocks_equal_vehicle_loops(trace, data):
     sc = Scenario(data.draw(st.integers(1, trace.n_vehicles)), t_start, t_end, 0.0, t_start)
     block, scenarios.THW_BLOCK = scenarios.THW_BLOCK, 2
     try:
-        curves, cut_in = _gap_curves(trace, sc), _cut_in(trace, sc)
+        window = _leader_gaps(trace, slice(t_start, t_end + 1))[:, sc.ego_id - 1]
+        # extraction computes each trace's gaps once and slices every window from them
+        whole = _leader_gaps(trace, slice(None))[t_start : t_end + 1, sc.ego_id - 1]
+        cut_in = _cut_in(trace, sc)
     finally:
         scenarios.THW_BLOCK = block
-    for got, want in zip(curves, loop_gap_curves(trace, sc)):
+    assert whole.tolist() == window.tolist()
+    for got, want in zip(_gap_curves(trace, sc, window), loop_gap_curves(trace, sc)):
         assert got.tolist() == want.tolist()
     assert cut_in == loop_cut_in(trace, sc)

@@ -10,9 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import adjacent_doubles, split_block, tie_heavy_dataset
+import forest_oracle
+from conftest import adjacent_doubles, split_batch, tie_heavy_dataset
 from scenforest.dataset import Dataset, ParseError
+from scenforest.xmurf import forest as forest_module
 from scenforest.xmurf import tree as tree_module
+from scenforest.xmurf.tree import NoiseRule, first_max
 from scenforest.xmurf import (
     NOISE_KINDS,
     Forest,
@@ -272,29 +275,45 @@ def loop_best_split(x, rows, features, kind):
     return best
 
 
+def production_splits(x, nodes):
+    """(gain, feature, threshold) of each node's first greatest candidate in
+    one batched production search over ``nodes`` [(rows, sorted features,
+    kind)], None for a node without candidates."""
+    rows = [r for r, _, _ in nodes]
+    draws = [(NOISE_KINDS.index(kind), f) for _, f, kind in nodes]
+    features, c, gains, _ = NoiseRule(x, 1).scores(rows, np.array([len(r) for r in rows]), None, draws)
+    out = [None] * len(nodes)
+    for k in first_max(gains, c.node, c.seg).tolist():
+        out[c.node[k]] = (float(gains[k]), int(features.ravel()[c.seg[k]]), float(c.threshold[k]))
+    return out
+
+
 # 1 + ulp has an odd significand, so the midpoint of it and the next double
 # rounds up to that next double: every copy of the upper value falls left
 A, B = adjacent_doubles(float(np.nextafter(1.0, 2.0)), 2)
 
 
-def assert_same_split(x, rows, features, kind):
-    """Production equals the loop exactly. A NaN gain (an empty right side, or
-    a subnormal interval width whose sixth is 0) must be NaN on both, at the
-    same feature and threshold."""
+def assert_same_splits(x, nodes):
+    """Production's batched search equals the loop on each node exactly. A
+    NaN gain (an empty right side, or a subnormal interval width whose sixth
+    is 0) must be NaN on both, at the same feature and threshold."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        got = tree_module._best_split(x, rows, features, kind)
-        want = loop_best_split(x, rows, features, kind)
-    if want is not None and math.isnan(want[0]):
-        assert got is not None and math.isnan(got[0]) and got[1:] == want[1:]
-    else:
-        assert got == want
+        got = production_splits(x, nodes)
+        want = [loop_best_split(x, rows, features, kind) for rows, features, kind in nodes]
+    for g, w in zip(got, want):
+        if w is not None and math.isnan(w[0]):
+            assert g is not None and math.isnan(g[0]) and g[1:] == w[1:]
+        else:
+            assert g == w
     return want
 
 
 @settings(max_examples=300, deadline=None)
-@given(split_block(), st.sampled_from(NOISE_KINDS))
-def test_best_split_equals_loop_oracle(case, kind):
-    assert_same_split(*case, kind)
+@given(split_batch(), st.data())
+def test_best_split_equals_loop_oracle(case, data):
+    # several nodes in one search: each node's segments sit in the one flat layout
+    x, nodes = case
+    assert_same_splits(x, [(rows, features, data.draw(st.sampled_from(NOISE_KINDS))) for rows, features in nodes])
 
 
 @pytest.mark.parametrize(
@@ -314,16 +333,18 @@ def test_best_split_equals_loop_oracle(case, kind):
 )
 def test_best_split_midpoint_rounding(x, kind, want):
     x = np.array(x)
-    rows, features = np.arange(len(x)), np.arange(x.shape[1])
-    assert assert_same_split(x, rows, features, kind)[1:] == want
+    node = (np.arange(len(x)), np.arange(x.shape[1]), kind)
+    assert assert_same_splits(x, [node])[0][1:] == want
+    # the same node beside another in one search, in either place
+    other = (np.arange(len(x))[::-1], np.arange(x.shape[1]), "bimodal")
+    assert assert_same_splits(x, [other, node])[1][1:] == want
 
 
-def test_fit_with_loop_oracle_gives_same_forest(monkeypatch):
+def test_fit_with_loop_oracle_gives_same_forest():
     rng = np.random.default_rng(8)
     d = make_dataset(np.round(rng.normal(size=(60, 9)), 1))  # one decimal: many tied values
-    want = forest_to_dict(fit(d, 4, seed=7))
-    monkeypatch.setattr(tree_module, "_best_split", loop_best_split)
-    assert forest_to_dict(fit(d, 4, seed=7)) == want
+    want = forest_oracle.fit(d, 4, seed=7, search=loop_best_split)
+    assert forest_to_dict(fit(d, 4, seed=7)) == forest_to_dict(want)
 
 
 def test_separated_blobs_split_apart_at_root():
@@ -630,3 +651,62 @@ def test_fit_deterministic_and_forest_json_round_trips(d, b, seed):
         save_forest(f1, first)
         save_forest(load_forest(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+
+def assert_same_trees(got, want):
+    assert len(got) == len(want)
+    for t1, t2 in zip(got, want):
+        assert t1.nodes.tobytes() == t2.nodes.tobytes() and t1.nodes.dtype == t2.nodes.dtype
+        assert t1.bag.tobytes() == t2.bag.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(*FOREST_CASES)
+def test_fit_equals_node_by_node_oracle(d, b, seed):
+    # lock-step growth against one tree at a time, one node per search
+    with np.errstate(invalid="ignore", divide="ignore"):
+        assert_same_trees(fit(d, b, seed=seed).trees, forest_oracle.fit(d, b, seed=seed).trees)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tie_heavy_dataset(), st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_tree_k_does_not_depend_on_forest_size(d, b1, b2, seed):
+    # tree k draws only from its own substream, however many trees grow beside it
+    with np.errstate(invalid="ignore", divide="ignore"):
+        small, large = fit(d, min(b1, b2), seed=seed), fit(d, max(b1, b2), seed=seed)
+    assert_same_trees(small.trees, large.trees[: small.n_trees])
+
+
+def test_fit_equals_oracle_where_a_midpoint_overflows():
+    # 1.5e308 + 1.7e308 overflows: the midpoint is inf, every row goes left,
+    # and the node stays a leaf, as the node-by-node oracle applies it
+    d = make_dataset([[1.5e308, 0.0], [1.7e308, 0.0], [1.7e308, 1.0], [1.5e308, 1.0]])
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert_same_trees(fit(d, 8, seed=4).trees, forest_oracle.fit(d, 8, seed=4).trees)
+
+
+def test_search_in_groups_equals_one_search(monkeypatch):
+    # a step's nodes are searched SEARCH_ROWS rows at a time; groups of one
+    # node must grow the same trees
+    d = make_dataset(np.round(np.random.default_rng(3).normal(size=(40, 5)), 1))
+    want = fit(d, 6, seed=2)
+    monkeypatch.setattr(forest_module, "SEARCH_ROWS", 1)
+    assert_same_trees(fit(d, 6, seed=2).trees, want.trees)
+
+
+@settings(max_examples=80, deadline=None)
+@given(*FOREST_CASES)
+def test_proximity_equals_node_walk(d, b, seed):
+    # leaf order and one table per tree against the walk that parts the index
+    # sets node by node: every byte of the matrix
+    with np.errstate(invalid="ignore", divide="ignore"):
+        f = fit(d, b, seed=seed)
+    assert proximity_matrix(f, d).values.tobytes() == forest_oracle.proximity_matrix(f, d).tobytes()
+
+
+def test_proximity_in_row_blocks_equals_node_walk(monkeypatch):
+    # blocks of a few rows, so that block edges fall inside the matrix
+    d = make_dataset(np.round(np.random.default_rng(6).normal(size=(30, 4)), 1))
+    f = fit(d, 5, seed=9)
+    monkeypatch.setattr(forest_module, "PROXIMITY_BLOCK", 70)
+    assert proximity_matrix(f, d).values.tobytes() == forest_oracle.proximity_matrix(f, d).tobytes()
