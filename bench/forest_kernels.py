@@ -1,20 +1,24 @@
 """Forest kernel trajectory: the unsupervised fit, the path proximity and the
 classifier fit, each timed per its natural unit on rows this file seeds.
 
-Run it by path; its name keeps it out of the tier-1 run:
+Run it by path from anywhere; it imports the ``src`` tree of the checkout it
+sits in, and its name keeps it out of the tier-1 run:
 
-    python -m pytest bench/forest_kernels.py
+    python bench/forest_kernels.py
 
 It times ``xmurf.fit`` (µs per node), ``xmurf.proximity_matrix`` (ns per
 M²·B, M rows and B trees) and ``classify.fit_classifier`` (µs per node), at
 M = 91, B = 100 (the default pipeline's forests) and at M = 1000, B = 10
-(the cluster-large workload's). Each run appends one entry to
-``BENCH_forest.json`` at the repository root: ``git describe --always
---dirty`` and a sha256 of the imported source, the machine, and per kernel
-the median seconds over the rounds, the time per unit and the sha256 of
-what the kernel made (the forest and model JSON as the CLI writes them, the
-proximity matrix as ``proximity.raw`` holds it). Two entries from one
-machine compare the kernels, and show whether the artifacts changed.
+(the cluster-large workload's). Each case runs in a fresh interpreter
+(``python bench/forest_kernels.py KERNEL M B`` prints its reading as JSON),
+so no reading depends on the cases timed before it. Each run appends one
+entry to ``BENCH_forest.json`` at the repository root: ``git describe
+--always --dirty`` and a sha256 of the imported source, the machine, and
+per case the median seconds over the rounds (after one warm-up round), the
+time per unit and the sha256 of what the kernel made (the forest and model
+JSON as the CLI writes them, the proximity matrix as ``proximity.raw``
+holds it). Two entries from one machine compare the kernels, and show
+whether the artifacts changed.
 """
 
 from __future__ import annotations
@@ -23,26 +27,29 @@ import hashlib
 import json
 import os
 import platform
+import statistics
 import subprocess
+import sys
+import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
-import scenforest
-from scenforest import classify, xmurf
-from scenforest.dataset import Dataset, LabeledDataset
-
-TRAJECTORY = Path(__file__).resolve().parents[1] / "BENCH_forest.json"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+TRAJECTORY = ROOT / "BENCH_forest.json"
+KERNELS = {"xmurf.fit": "us", "xmurf.proximity_matrix": "ns", "classify.fit_classifier": "us"}  # kernel -> unit
 SIZES = [(91, 100), (1000, 10)]  # (M, B)
 ROUNDS = 5
 ROW_SEED, FOREST_SEED = 2004, 7
-ENTRY: dict = {}
 
 
-def rows(m: int) -> LabeledDataset:
+def rows(m: int):
     """M rows of 47 features from four latent groups, half of the columns
     rounded so that nodes hold ties; the group is the class label."""
+    from scenforest.dataset import Dataset, LabeledDataset
+
     rng = np.random.default_rng(ROW_SEED)
     group = rng.integers(0, 4, size=m)
     centers = rng.normal(0.0, 3.0, size=(4, 47))
@@ -62,58 +69,67 @@ def cpu_model() -> str:
     return next((line.split(":", 1)[1].strip() for line in lines if line.startswith("model name")), platform.processor())
 
 
-def record(benchmark, kernel: str, m: int, b: int, units: float, scale: float, unit: str, digest: str) -> None:
-    if benchmark.stats is None:  # --benchmark-disable
-        return
-    seconds = benchmark.stats.stats.median
-    ENTRY.setdefault("kernels", {})[f"{kernel} M={m} B={b}"] = {
-        "median_s": round(seconds, 6),
-        f"{unit}_per_unit": round(seconds / units * scale, 3),
+def measure(kernel: str, m: int, b: int) -> dict:
+    """One case's reading, timed in this interpreter."""
+    from scenforest import classify, xmurf
+
+    data = rows(m)
+    forest = xmurf.fit(data.base, b, FOREST_SEED) if kernel == "xmurf.proximity_matrix" else None
+    run = {
+        "xmurf.fit": lambda: xmurf.fit(data.base, b, FOREST_SEED),
+        "xmurf.proximity_matrix": lambda: xmurf.proximity_matrix(forest, data.base),
+        "classify.fit_classifier": lambda: classify.fit_classifier(data, b, FOREST_SEED),
+    }[kernel]
+    seconds = []
+    for _ in range(1 + ROUNDS):  # the first is the warm-up
+        start = time.perf_counter()
+        made = run()
+        seconds.append(time.perf_counter() - start)
+    if kernel == "xmurf.proximity_matrix":
+        units, scale, digest = m * m * b, 1e9, sha256(made.values.tobytes())
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "made.json"
+            if kernel == "xmurf.fit":
+                xmurf.save_forest(made, path)
+            else:
+                classify.save_model(made, None, path)
+            digest = sha256(path.read_bytes())
+        units, scale = sum(len(t.nodes) for t in made.trees), 1e6
+    median = statistics.median(seconds[1:])
+    return {
+        "median_s": round(median, 6),
+        f"{KERNELS[kernel]}_per_unit": round(median / units * scale, 3),
         "units": units,
         "rounds": ROUNDS,
         "sha256": digest,
     }
 
 
-@pytest.fixture(scope="module", autouse=True)
-def trajectory():
-    yield
-    if not ENTRY:
-        return
-    source = Path(scenforest.__file__).resolve().parent
-    describe = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=source, capture_output=True, text=True)
+def main() -> None:
+    kernels = {}
+    for kernel in KERNELS:
+        for m, b in SIZES:
+            case = subprocess.run([sys.executable, __file__, kernel, str(m), str(b)], check=True,
+                                  stdout=subprocess.PIPE, text=True)
+            name = f"{kernel} M={m} B={b}"
+            kernels[name] = json.loads(case.stdout)
+            print(name, kernels[name])
+    describe = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT, capture_output=True, text=True)
     entry = {
         "commit": describe.stdout.strip() or None,
-        "src_sha256": sha256(b"".join(p.read_bytes() for p in sorted(source.rglob("*.py")))),
+        "src_sha256": sha256(b"".join(p.read_bytes() for p in sorted((SRC / "scenforest").rglob("*.py")))),
         "machine": {"cpu": cpu_model(), "nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__},
-        **ENTRY,
+        "kernels": kernels,
     }
     entries = json.loads(TRAJECTORY.read_text()) if TRAJECTORY.exists() else []
     TRAJECTORY.write_text(json.dumps(entries + [entry], indent=1) + "\n")
 
 
-@pytest.mark.parametrize("m, b", SIZES)
-def test_fit(benchmark, tmp_path, m, b):
-    data = rows(m).base
-    forest = benchmark.pedantic(xmurf.fit, args=(data, b, FOREST_SEED), rounds=ROUNDS, warmup_rounds=1)
-    xmurf.save_forest(forest, tmp_path / "forest.json")
-    nodes = sum(len(t.nodes) for t in forest.trees)
-    record(benchmark, "xmurf.fit", m, b, nodes, 1e6, "us", sha256((tmp_path / "forest.json").read_bytes()))
-
-
-@pytest.mark.parametrize("m, b", SIZES)
-def test_proximity(benchmark, m, b):
-    data = rows(m).base
-    forest = xmurf.fit(data, b, FOREST_SEED)
-    matrix = benchmark.pedantic(xmurf.proximity_matrix, args=(forest, data), rounds=ROUNDS, warmup_rounds=1)
-    record(benchmark, "xmurf.proximity_matrix", m, b, m * m * b, 1e9, "ns", sha256(matrix.values.tobytes()))
-
-
-@pytest.mark.parametrize("m, b", SIZES)
-def test_fit_classifier(benchmark, tmp_path, m, b):
-    data = rows(m)
-    forest = benchmark.pedantic(classify.fit_classifier, args=(data, b, FOREST_SEED), rounds=ROUNDS, warmup_rounds=1)
-    classify.save_model(forest, None, tmp_path / "model.json")
-    nodes = sum(len(t.nodes) for t in forest.trees)
-    record(benchmark, "classify.fit_classifier", m, b, nodes, 1e6, "us", sha256((tmp_path / "model.json").read_bytes()))
+if __name__ == "__main__":
+    sys.path.insert(0, str(SRC))
+    if len(sys.argv) == 4:
+        print(json.dumps(measure(sys.argv[1], int(sys.argv[2]), int(sys.argv[3]))))
+    else:
+        main()

@@ -20,11 +20,12 @@ The classifier is an ``xmurf.forest.Forest`` with its sorted label set in
 the unsupervised forest (with ``_CartRule``) and written and read by the
 same JSON forest codec. Each vote count concatenates the forest's node
 arrays into one, with each tree's child ids shifted by its root offset;
-nothing is cached on the forest. Leaves point at themselves, so one batch
-router moves a block of (row, tree) pairs down all trees at once until
-every pair sits at a leaf, whose vote is ``argmax(class_counts)``. Votes
-are counted block by block, so no rows x trees matrix of votes is ever
-built. Votes, prediction and the OOB thresholds all go through it.
+nothing is cached on the forest. Leaves point at themselves, so the batch
+router that the proximity uses too (``xmurf.tree.route``) moves a block of
+(row, tree) pairs down all trees at once until every pair sits at a leaf,
+whose vote is ``argmax(class_counts)``. Votes are counted block by block,
+so no rows x trees matrix of votes is ever built. Votes, prediction and
+the OOB thresholds all go through it.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from .dataset import Dataset, LabeledDataset, ParseError, read_json, require_keys
 from .xmurf.forest import Forest, forest_to_dict, grow_forest, read_forest
-from .xmurf.tree import Candidates, chosen_splits, split_candidates, value_codes
+from .xmurf.tree import Candidates, chosen_splits, route, split_candidates, value_codes
 
 __all__ = [
     "UNASSIGNED",
@@ -166,26 +167,11 @@ def fit_classifier(d: LabeledDataset, b_trees: int, seed: int) -> Forest:
     return Forest(trees=trees, q=x.shape[1], seed=seed, feature_names=list(d.base.feature_names), labels=labels)
 
 
-def _route(flat: tuple, x: np.ndarray, rows: np.ndarray, trees: np.ndarray) -> np.ndarray:
-    """Leaf votes of the (row, tree) pairs: row x[rows[p]] routed down tree
-    trees[p] of the ``_flatten`` arrays. Each step moves every pair not yet
-    at a leaf one level down."""
-    feature, threshold, left, right, vote, root = flat
-    node = root[trees]
-    live = np.nonzero(left[node] != node)[0]
-    while live.size:
-        at = node[live]
-        at = np.where(x[rows[live], feature[at]] <= threshold[at], left[at], right[at])
-        node[live] = at
-        live = live[left[at] != at]
-    return vote[node]
-
-
 def _count_votes(f: Forest, x: np.ndarray, voting: np.ndarray | None = None) -> np.ndarray:
     """(N, L) vote counts for the rows of an (N, Q) array, in blocks of
     about _BLOCK_PAIRS (row, tree) pairs. ``voting`` is an optional (N, B)
     mask of the pairs that vote; by default every tree votes on every row."""
-    flat = _flatten(f)
+    feature, threshold, left, right, vote, root = _flatten(f)
     n, b, n_labels = x.shape[0], f.n_trees, len(f.labels)
     votes = np.zeros((n, n_labels), dtype=np.int64)
     step = max(1, _BLOCK_PAIRS // b)
@@ -195,7 +181,7 @@ def _count_votes(f: Forest, x: np.ndarray, voting: np.ndarray | None = None) -> 
             rows, trees = np.divmod(np.arange((r1 - r0) * b), b)
         else:
             rows, trees = np.nonzero(voting[r0:r1])
-        leaf_vote = _route(flat, x[r0:r1], rows, trees)
+        leaf_vote = vote[route(feature, threshold, left, right, x[r0:r1], rows, root[trees])]
         counts = np.bincount(rows * n_labels + leaf_vote, minlength=(r1 - r0) * n_labels)
         votes[r0:r1] = counts.reshape(r1 - r0, n_labels)
     return votes

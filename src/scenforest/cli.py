@@ -77,15 +77,24 @@ def _config_type(key: str, default):
     return (type(default),), {int: "an integer", bool: "true or false", str: "a string"}[type(default)]
 
 
-COUNT_KEYS = (("sim", "runs"), ("xmurf", "b_trees"), ("classify", "b_trees"))  # each at least 1
+# the least value of each bounded key (a null seed is always valid)
+MINIMA = {("sim", "runs"): 1, ("xmurf", "b_trees"): 1, ("classify", "b_trees"): 1, ("classify", "ratio"): 0,
+          ("sim", "seed"): 0, ("xmurf", "seed"): 0, ("classify", "seed"): 0}
+
+
+def _sim_params(sim: dict, seed: int) -> SimParams:
+    """The run parameters of the config's sim section, with ``seed``."""
+    return SimParams(dt=float(sim["dt"]), duration=float(sim["duration"]), seed=seed,
+                     target_resample_mean=float(sim["target_resample_mean"]))
 
 
 def load_config(path: str | None) -> dict:
     """The default config overlaid with the JSON object of sections at
     ``path``. Raises ParseError naming the file and the key path of an
     unknown section or key, a value of the wrong type, a non-finite number
-    (JSON's NaN and Infinity), a count below 1 or an unknown linkage
-    method, before any stage runs."""
+    (JSON's NaN and Infinity), a count below 1, a seed or ratio below 0 or
+    an unknown linkage method, or naming the file and the section of a road
+    or simulation the simulator rejects, before any stage runs."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path:
         user = read_json(path)
@@ -104,11 +113,15 @@ def load_config(path: str | None) -> dict:
                     raise ParseError(f"{path}: {section}.{key}: expected {want}, got {json.dumps(val)}")
                 if type(val) is float and not math.isfinite(val):
                     raise ParseError(f"{path}: {section}.{key}: expected a finite number, got {json.dumps(val)}")
-                if (section, key) in COUNT_KEYS and val < 1:
-                    raise ParseError(f"{path}: {section}.{key}: {val} is not an integer >= 1")
+                least = MINIMA.get((section, key))
+                if least is not None and val is not None and val < least:
+                    kind = "a number" if type(cfg[section][key]) is float else "an integer"
+                    raise ParseError(f"{path}: {section}.{key}: {json.dumps(val)} is not {kind} >= {least}")
                 if (section, key) == ("ordering", "linkage") and val not in ordering.LINKAGE_METHODS:
                     raise ParseError(f"{path}: ordering.linkage: {json.dumps(val)} is not one of {', '.join(ordering.LINKAGE_METHODS)}")
                 cfg[section][key] = val
+        _located(f"{path}: road", lambda: RoadConfig(**cfg["road"]))
+        _located(f"{path}: sim", _sim_params, cfg["sim"], 0)
     return cfg
 
 
@@ -146,15 +159,7 @@ def cmd_simulate(cfg: dict, args) -> int:
         if stale not in current:
             stale.unlink()
             meta_path(stale).unlink(missing_ok=True)
-    params = [
-        SimParams(
-            dt=float(sim_cfg["dt"]),
-            duration=float(sim_cfg["duration"]),
-            seed=stage_seed(master, "sim", k),
-            target_resample_mean=float(sim_cfg["target_resample_mean"]),
-        )
-        for k in range(runs)
-    ]
+    params = [_sim_params(sim_cfg, stage_seed(master, "sim", k)) for k in range(runs)]
     # a trace keeps its whole batch alive, so none is held past its save
     traces = run_simulations(road, params)
     for k in range(runs):
@@ -352,6 +357,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ParseError(f"--seed: {args.seed} is not an integer >= 0")
         cfg = load_config(args.config)
         return _COMMANDS[args.command](cfg, args)
     except ValueError as exc:  # ParseError and SimConfigError among them

@@ -22,26 +22,19 @@ computed for every vehicle of every run at once:
 - the control laws and the one-track model of ``dynamics`` run
   elementwise.
 
-The lane-change decisions keep the order of one vehicle at a time, run by
-run in id order, but only the vehicles with something to decide are
-visited. First, the lane occupancy and, in one gather, the target-lane
-gaps of every changing vehicle and of every waiting vehicle whose lane has
-room: a start only adds reservations, so a lane full at the start of the
-step stays full. A changing vehicle then aborts by the rule gap_lost, and a
-waiting one starts by gap_accepted if its lane still has room, in id order,
-since a start reserves its target lane for the next vehicle's check.
-
-Each run's Generator is consumed as the per-vehicle loop consumed it:
-vehicle by vehicle in id order, its due v_target redraws, then, if it
-neither changes lanes nor waits, one motivation draw (and a direction draw
-when it fires with two lanes to choose from). These draws depend only on
-the state at the start of the step, so a run's idle vehicles draw in one
-call. When one of those draws fires, the stream is stepped back to just
-before it (a PCG64 stream can be advanced backwards), and the run's step
-goes on one vehicle at a time from the motivated vehicle; a run-step with
-a due redraw goes one vehicle at a time from the start. A run's trace is
-therefore the same in any batch; run_scene and run_simulation are batches
-of one.
+The lane-change decisions keep the order of the per-vehicle loop: one
+vehicle at a time, run by run, in id order. First, the lane occupancy and,
+in one gather, the target-lane gaps of every changing vehicle and of every
+waiting vehicle whose lane has room: a start only adds reservations, so a
+lane full at the start of the step stays full. Then each run visits its
+vehicles that move, in id order, and draws from its Generator as the loop
+did: a vehicle's due v_target redraws, then, if it neither changes lanes
+nor waits, one motivation draw (and a direction draw when it fires with
+two lanes to choose from). A changing vehicle aborts by the rule gap_lost;
+a waiting or newly motivated one starts by gap_accepted if its lane still
+has room, since a start reserves its target lane for the next vehicle's
+check. A run's trace is therefore the same in any batch; run_scene and
+run_simulation are batches of one.
 
 Vehicle ids are 1-based: column i of every trace array is vehicle i + 1.
 """
@@ -297,19 +290,6 @@ def gap_accepted(front, rear, overlap, v_rear, v_ego, waiting, profile):
     return np.logical_not(overlap | (front < req_front) | (rear < req_rear))
 
 
-def _undraw(rng: np.random.Generator, count: int) -> None:
-    """Step a PCG64 stream back over its last ``count`` doubles, one 64-bit
-    output each. ``advance`` (mod 2**128) also drops the 32-bit half that an
-    integer draw may have left buffered, which doubles never touch, so the
-    half is put back."""
-    bits = rng.bit_generator
-    state = bits.state
-    bits.advance(-count)
-    back = bits.state
-    back["has_uint32"], back["uinteger"] = state["has_uint32"], state["uinteger"]
-    bits.state = back
-
-
 def _longitudinal(view: Perception, lead_lanes, v_now, tau, profile, road: RoadConfig):
     """Acceleration commands from delayed perception; current own speed is
     used for target-speed regulation. ``lead_lanes`` marks, per row, the
@@ -354,8 +334,7 @@ def lane_overflow(lane: np.ndarray, road: RoadConfig):
 
 
 def _run_batch(road: RoadConfig, scenes: list) -> list:
-    """Run prepared scenes, each (params, states0, profiles, rng), in
-    lock-step; each rng is a PCG64 Generator (see _undraw)."""
+    """Run prepared scenes, each (params, states0, profiles, rng), in lock-step."""
     bounds = np.cumsum([0] + [len(states0) for _, states0, _, _ in scenes]).tolist()
     n_runs, n = len(scenes), bounds[-1]
     n_ts = [max(1, round(params.duration / params.dt)) for params, *_ in scenes]
@@ -390,7 +369,6 @@ def _run_batch(road: RoadConfig, scenes: list) -> list:
     lc_starts: list = [[] for _ in scenes]
     run_dt = [params.dt for params, *_ in scenes]
     run_rng = [rng for *_, rng in scenes]
-    run_due = [min(next_redraw[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]  # each run's next redraw time
 
     channels = {name: np.empty((max(n_ts), n)) for name in CHANNELS}
     lane = np.empty((max(n_ts), n), dtype=np.int64)
@@ -400,12 +378,6 @@ def _run_batch(road: RoadConfig, scenes: list) -> list:
     x, y, v, a, psi = (channels[name] for name in CHANNELS)
     view = Perception(np.zeros(n, dtype=np.int64), x, v, a, lane, peers)
 
-    def freeze(i: int, k: int) -> None:
-        frozen[i] = True
-        lc.reset(i)
-        next_redraw[i] = np.inf
-        run_due[k] = min(next_redraw[bounds[k]:bounds[k + 1]])
-
     def wanted(i: int) -> int:
         """The lane waiting vehicle i wants, its perceived lane plus its
         direction; 0 when that is off the road."""
@@ -413,8 +385,9 @@ def _run_batch(road: RoadConfig, scenes: list) -> list:
         return lane_i if 1 <= lane_i <= road.n_l else 0
 
     def act(k: int, i: int, rng) -> None:
-        """Vehicle i's lane-change step: an active change may abort, a
-        waiting vehicle may start, and an idle one draws its motivation."""
+        """Vehicle i's lane-change step once it changes lanes, waits or is
+        motivated: an active change may abort, a waiting vehicle may start,
+        and a motivated one draws its direction and may start."""
         if target_now[i]:
             front, rear, overlap, _ = gaps[i]
             if gap_lost(front, rear, overlap, own_v[i]):
@@ -422,10 +395,7 @@ def _run_batch(road: RoadConfig, scenes: list) -> list:
             return
         if desired_now[i]:
             lc.waiting[i] += run_dt[k]
-        else:
-            if rng.random() >= rate[i]:
-                return
-            # motivated: a direction from the perceived lane, and a wait for a gap
+        else:  # motivated: a direction from the perceived lane, and a wait for a gap
             if 1 < own_lane[i] < road.n_l:
                 desired_now[i] = (1, -1)[int(rng.integers(2))]
             else:
@@ -445,34 +415,18 @@ def _run_batch(road: RoadConfig, scenes: list) -> list:
             lc_starts[k].append((t, i - bounds[k] + 1, target))
             occupancy[slot[i] + target] += 1
 
-    def decide(k: int, busy: list, idle: list) -> None:
-        """Run k's lane-change steps at step t in id order; ``busy`` lists
-        its changing and waiting vehicles, ``idle`` the others that move.
-        The idle ones draw in one call (see the module docstring): they act
-        one by one only from the first that is motivated on, or from the
-        start when a redraw is due."""
-        rng, now, hi = run_rng[k], t * run_dt[k], bounds[k + 1]
-        one_by_one = hi
-        if run_due[k] <= now:
-            one_by_one = bounds[k]
-        elif idle:
-            for f, u in enumerate(rng.random(len(idle)).tolist()):
-                if u < rate[idle[f]]:
-                    _undraw(rng, len(idle) - f)
-                    one_by_one = idle[f]
-                    break
-        for i in busy:
-            if i >= one_by_one:
-                break
-            act(k, i, rng)
-        for i in range(one_by_one, hi):
-            if frozen[i]:
+    def decide(k: int) -> None:
+        """Run k's lane-change steps at step t, one vehicle at a time in id
+        order (see the module docstring)."""
+        rng, now = run_rng[k], t * run_dt[k]
+        for i in range(bounds[k], bounds[k + 1]):
+            if frozen_now[i]:
                 continue
             while next_redraw[i] <= now:
                 batch.v_target[i] = _draw_v_target(rng, road)
                 next_redraw[i] += float(rng.exponential(scenes[k][0].target_resample_mean))
-                run_due[k] = min(next_redraw[bounds[k]:hi])
-            act(k, i, rng)
+            if target_now[i] or desired_now[i] or rng.random() < rate[i]:
+                act(k, i, rng)
 
     for t in range(max(n_ts) - 1):
         live = [t < n_ts[k] - 1 for k in range(n_runs)]
@@ -483,11 +437,8 @@ def _run_batch(road: RoadConfig, scenes: list) -> list:
         # the gaps of every changing vehicle and of every waiting one whose
         # lane has room (a start only adds reservations)
         lane_now, target_now, desired_now = lane[t].tolist(), lc.target.tolist(), lc.desired.tolist()
-        own_lane, own_v = view.own_lane.tolist(), view.own_v.tolist()
-        busy = (lc.target | lc.desired).nonzero()[0]
-        idle = ((lc.target | lc.desired | frozen) == 0).nonzero()[0]
-        busy_at, idle_at = busy.searchsorted(bounds).tolist(), idle.searchsorted(bounds).tolist()
-        busy, idle = busy.tolist(), idle.tolist()
+        own_lane, own_v, frozen_now = view.own_lane.tolist(), view.own_v.tolist(), frozen.tolist()
+        busy = (lc.target | lc.desired).nonzero()[0].tolist()
         occupancy = np.bincount(slot_array + lane[t], minlength=n_runs * slots).tolist()
         egos = [i for i in busy if target_now[i]]
         lanes = [target_now[i] for i in egos]
@@ -501,7 +452,7 @@ def _run_batch(road: RoadConfig, scenes: list) -> list:
         gaps = dict(zip(egos, zip(*(g.tolist() for g in view.gaps(np.array(egos, dtype=np.int64), np.array(lanes, dtype=np.int64))))))
         for k in range(n_runs):
             if live[k]:
-                decide(k, busy[busy_at[k]:busy_at[k + 1]], idle[idle_at[k]:idle_at[k + 1]])
+                decide(k)
 
         # a leader is sought on the perceived own lane, and on the target
         # lane while changing (lane 0, which no perceived vehicle is on, otherwise)
@@ -529,7 +480,8 @@ def _run_batch(road: RoadConfig, scenes: list) -> list:
             collisions[k].append((t + 1, (i - bounds[k] + 1, j - bounds[k] + 1)))
             for m in (i, j):
                 if not frozen[m]:
-                    freeze(m, k)
+                    frozen[m] = True
+                    lc.reset(m)
                     v[t + 1, m] = a[t + 1, m] = 0.0
         # a change is done once on its target lane's center, heading straight
         done = (lc.target > 0) & (np.abs(ny - steer) < LC_DONE_Y) & (np.abs(psi[t + 1]) < LC_DONE_PSI)
@@ -555,9 +507,8 @@ def _run_batch(road: RoadConfig, scenes: list) -> list:
 
 
 def run_scene(road: RoadConfig, params: SimParams, states0: list, profiles: list, rng: np.random.Generator | None = None) -> Trace:
-    """Run the main loop on a prepared scene. ``rng``, a PCG64 Generator
-    such as default_rng gives, continues the stream used by scene setup
-    when called through run_simulation."""
+    """Run the main loop on a prepared scene. ``rng`` continues the stream
+    used by scene setup when called through run_simulation."""
     return _run_batch(road, [(params, states0, profiles, _run_rng(params.seed) if rng is None else rng)])[0]
 
 

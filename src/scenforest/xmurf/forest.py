@@ -10,11 +10,12 @@ in lock-step: one node per live tree per step, with one split search over
 the nodes of every tree.
 
 The pairwise proximity exploits that two root-to-leaf paths share exactly
-their common prefix. All rows go down a tree in one vectorised pass, one
-tree level at a time, to their leaves. In preorder, the shared prefix of
-two leaves is the least depth of the node that follows each leaf from the
-first up to the one before the second, and a row goes left where the paths
-part exactly when its leaf comes first. So one table over the tree's leaves
+their common prefix. All rows go down a tree together, one tree level per
+pass, to their leaves (``xmurf.tree.route``, the classifier's router
+too). In preorder, the shared prefix of two leaves is the least depth of
+the node that follows each leaf from the first up to the one before the
+second, and a row goes left where the paths part exactly when its leaf
+comes first. So one table over the tree's leaves
 gives every pair's Jaccard term, and the M x M accumulation runs a block of
 rows at a time with no walk over the nodes.
 """
@@ -30,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from ..dataset import Dataset, ParseError, ProximityMatrix, read_json, require_keys
-from .tree import NOISE_COLUMNS, NoiseRule, Tree, _dtype, node_dicts, read_nodes
+from .tree import NOISE_COLUMNS, NoiseRule, Tree, _dtype, node_dicts, read_nodes, route
 
 __all__ = ["Forest", "tree_rng", "grow_forest", "fit", "proximity_matrix", "forest_to_dict", "save_forest",
            "read_forest", "load_forest"]
@@ -223,12 +224,7 @@ def _tree_proximity(tree: Tree, x: np.ndarray, diverging: np.ndarray, same_leaf:
     feature, threshold, left, right = (tree.nodes[name] for name in ("feature", "threshold", "left", "right"))
     depth = _depths(left, right)
     m = x.shape[0]
-    node, live = np.zeros(m, dtype=np.int64), np.arange(m if left[0] else 0)
-    while live.size:
-        at = node[live]
-        at = np.where(x[live, feature[at]] <= threshold[at], left[at], right[at])
-        node[live] = at
-        live = live[left[at] != at]
+    node = route(feature, threshold, left, right, x, np.arange(m), np.zeros(m, dtype=np.int64))
     is_leaf = left == np.arange(len(left))
     leaves = np.flatnonzero(is_leaf)
     length = depth[leaves] + 1.0  # nodes on the path to each leaf

@@ -33,7 +33,7 @@ from ..dataset import ParseError, require_keys
 from .noise import NOISE_KINDS, estimate_noise_children, noise_cdfs, standardize
 
 __all__ = ["Tree", "value_codes", "split_candidates", "first_max", "chosen_splits", "NoiseRule", "node_dicts",
-           "read_nodes", "path", "path_proximity_tree"]
+           "read_nodes", "route", "path", "path_proximity_tree"]
 
 SPLIT_FIELDS = [("feature", np.int64), ("threshold", np.float64), ("left", np.int64), ("right", np.int64)]
 
@@ -270,6 +270,19 @@ def read_nodes(nodes, q: int, columns: dict, path, where: str) -> np.ndarray:
         return np.array(records, dtype=_dtype(columns))
     except OverflowError:
         raise ParseError(f"{path}: {where}nodes: a number is out of range") from None
+
+
+def route(feature, threshold, left, right, x: np.ndarray, rows: np.ndarray, node: np.ndarray) -> np.ndarray:
+    """The leaf of every (row, start node) pair: row x[rows[p]] moved down
+    from node[p] of the node arrays, every pair not yet at a leaf one level
+    per pass. ``node`` is updated in place and returned."""
+    live = np.flatnonzero(left[node] != node)
+    while live.size:
+        at = node[live]
+        at = np.where(x[rows[live], feature[at]] <= threshold[at], left[at], right[at])
+        node[live] = at
+        live = live[left[at] != at]
+    return node
 
 
 def path(x: np.ndarray, tree: Tree) -> set:

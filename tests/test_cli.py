@@ -456,23 +456,47 @@ def test_wrongly_typed_config_value_exits_2(tmp_path, capsys, overrides, message
         ("road", "speed_limit", math.nan, "road.speed_limit: expected a finite number, got NaN"),
         ("sim", "target_resample_mean", math.nan, "sim.target_resample_mean: expected a finite number, got NaN"),
         ("classify", "ratio", -math.inf, "classify.ratio: expected a finite number, got -Infinity"),
+        ("classify", "ratio", -1, "classify.ratio: -1 is not a number >= 0"),
+        ("sim", "seed", -3, "sim.seed: -3 is not an integer >= 0"),
+        ("xmurf", "seed", -1, "xmurf.seed: -1 is not an integer >= 0"),
+        ("classify", "seed", -1, "classify.seed: -1 is not an integer >= 0"),
+        ("sim", "dt", 0.5, "sim: dt must be in (0, 0.1], got 0.5"),
+        ("sim", "duration", 0, "sim: duration must be positive"),
+        ("sim", "target_resample_mean", -2.0, "sim: target_resample_mean must be positive"),
+        ("road", "n_l", 4, "road: lane count must be 2 or 3, got 4"),
+        ("road", "n_vpl", 1, "road: need n_vpl >= 2, got 1"),
+        ("road", "d_il_max", 0, "road: d_il_max must be positive"),
     ],
     ids=[
         "sim-runs-negative", "xmurf-b-trees-zero", "classify-b-trees-zero", "unknown-linkage", "lane-width-infinity",
-        "duration-nan", "speed-limit-nan", "resample-mean-nan", "ratio-minus-infinity",
+        "duration-nan", "speed-limit-nan", "resample-mean-nan", "ratio-minus-infinity", "ratio-negative",
+        "sim-seed-negative", "xmurf-seed-negative", "classify-seed-negative", "dt-too-large", "duration-zero",
+        "resample-mean-negative", "lane-count-four", "n-vpl-one", "d-il-max-zero",
     ],
 )
 def test_config_value_out_of_range_exits_2_before_any_file_is_touched(tmp_path, capsys, section, key, value, message):
+    # trace_1 lies beyond the one run configured: a valid config would delete it
     overrides = {"sim": {"duration": 1.0, "runs": 1}}
     overrides.setdefault(section, {})[key] = value
     cfg = write_config(tmp_path, overrides)
     out = tmp_path / "o"
     out.mkdir()
-    (out / "trace_0.raw").write_bytes(b"kept")
+    kept = ["trace_0.raw", "trace_1.meta.json", "trace_1.raw"]
+    for name in kept:
+        (out / name).write_bytes(b"kept")
     assert cli.main(["--config", str(cfg), "--out", str(out), "simulate"]) == 2
     assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
-    assert [p.name for p in out.iterdir()] == ["trace_0.raw"]
-    assert (out / "trace_0.raw").read_bytes() == b"kept"
+    assert sorted(p.name for p in out.iterdir()) == kept
+    assert all((out / name).read_bytes() == b"kept" for name in kept)
+
+
+def test_seed_flag_below_zero_exits_2_before_any_file_is_touched(tmp_path, capsys):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "trace_1.raw").write_bytes(b"kept")
+    assert cli.main(["--seed", "-5", "--out", str(out), "simulate"]) == 2
+    assert capsys.readouterr().err == "error: --seed: -5 is not an integer >= 0\n"
+    assert [p.name for p in out.iterdir()] == ["trace_1.raw"]
 
 
 @pytest.mark.parametrize("value", [0, -1])

@@ -304,44 +304,44 @@ def hand_scene(road: RoadConfig, k: int):
     return states0, profiles
 
 
-def test_batched_draws_rewind_equals_vehicle_loop(monkeypatch):
+def test_motivated_draws_in_id_order_equal_vehicle_loop(monkeypatch):
     # a full batch of hand scenes with frequent motivation and v_target
     # redraws: each trace equals the loop's, and the case takes the paths
     # it is meant to cover
     road = RoadConfig(n_l=3, n_vpl=4)
     params = [SimParams(duration=8.0, seed=100 + k, target_resample_mean=0.7) for k in range(BATCH_RUNS)]
     scenes = [hand_scene(road, k) for k in range(BATCH_RUNS)]
-    rewinds = []
-    undraw = engine._undraw
-    monkeypatch.setattr(engine, "_undraw", lambda rng, count: (rewinds.append(count), undraw(rng, count)))
     traces = engine._run_batch(road, [(p, s, deepcopy(f), _run_rng(p.seed)) for p, (s, f) in zip(params, scenes)])
-    assert any(count > 0 for count in rewinds)  # a fire with idle draws after it in its block
 
-    events = []  # the loop's draws: ("redraw",) before a vehicle's decision, ("decide", id, fired)
+    events = []  # the loop's draws: ("redraw",) before a vehicle's decision, ("decide", id, idle, fired)
     draw_v_target, decide = sim_loop._draw_v_target, sim_loop.loop_lane_change_decision
 
     def logged_decide(ego, snapshot, lc, *args):
         idle = lc.target_lane is None and lc.desired_dir is None
         decision = decide(ego, snapshot, lc, *args)
-        events.append(("decide", ego, idle and lc.desired_dir is not None))
+        events.append(("decide", ego, idle, idle and lc.desired_dir is not None))
         return decision
 
     monkeypatch.setattr(sim_loop, "_draw_v_target", lambda *a: (events.append(("redraw",)), draw_v_target(*a))[1])
     monkeypatch.setattr(sim_loop, "loop_lane_change_decision", logged_decide)
     both = 0  # run-steps that hold a redraw and a fire
+    drawn_after_fire = 0  # run-steps where a later vehicle draws its motivation after a fire
     for p, (states0, profiles), got in zip(params, scenes, traces):
         events.clear()
         assert_same_trace(got, sim_loop.loop_run_scene(road, p, states0, deepcopy(profiles), _run_rng(p.seed)))
         step, last, redrawn = set(), -1, False
-        for event in events + [("decide", -1, False)]:
+        for event in events + [("decide", -1, False, False)]:
             if event[0] == "redraw":  # of the vehicle that decides next
                 redrawn = True
                 continue
             if event[1] <= last:  # a new step
                 both += {"redraw", "fire"} <= step
+                drawn_after_fire += "drawn after fire" in step
                 step = set()
             last = event[1]
+            step |= {"drawn after fire"} if event[2] and "fire" in step else set()
             step |= {"redraw"} if redrawn else set()
-            step |= {"fire"} if event[2] else set()
+            step |= {"fire"} if event[3] else set()
             redrawn = False
     assert both > 0
+    assert drawn_after_fire > 0
