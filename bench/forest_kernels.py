@@ -1,5 +1,6 @@
-"""Forest kernel trajectory: the unsupervised fit, the path proximity and the
-classifier fit, each timed per its natural unit on rows this file seeds.
+"""Forest kernel trajectory: the unsupervised fit, the path proximity, the
+classifier fit and the linkage of the proximity, each timed per its natural
+unit on rows this file seeds.
 
 Run it by path from anywhere; it imports the ``src`` tree of the checkout it
 sits in, and its name keeps it out of the tier-1 run:
@@ -9,16 +10,18 @@ sits in, and its name keeps it out of the tier-1 run:
 It times ``xmurf.fit`` (µs per node), ``xmurf.proximity_matrix`` (ns per
 M²·B, M rows and B trees) and ``classify.fit_classifier`` (µs per node), at
 M = 91, B = 100 (the default pipeline's forests) and at M = 1000, B = 10
-(the cluster-large workload's). Each case runs in a fresh interpreter
-(``python bench/forest_kernels.py KERNEL M B`` prints its reading as JSON),
-so no reading depends on the cases timed before it. Each run appends one
-entry to ``BENCH_forest.json`` at the repository root: ``git describe
---always --dirty`` and a sha256 of the imported source, the machine, and
-per case the median seconds over the rounds (after one warm-up round), the
-time per unit and the sha256 of what the kernel made (the forest and model
-JSON as the CLI writes them, the proximity matrix as ``proximity.raw``
-holds it). Two entries from one machine compare the kernels, and show
-whether the artifacts changed.
+(the cluster-large workload's). It times ``ordering.linkage`` (ns per
+M²·(M − 1), M² per merge) at M = 1000 and 2000 on the proximity of a
+B = 10 forest, which it fits and computes untimed. Each case runs in a
+fresh interpreter (``python bench/forest_kernels.py KERNEL M B`` prints its
+reading as JSON), so no reading depends on the cases timed before it. Each
+run appends one entry to ``BENCH_forest.json`` at the repository root:
+``git describe --always --dirty`` and a sha256 of the imported source, the
+machine, and per case the median seconds over the rounds (after one warm-up
+round), the time per unit and the sha256 of what the kernel made (the
+forest, model and dendrogram JSON as the CLI writes them, the proximity
+matrix as ``proximity.raw`` holds it). Two entries from one machine compare
+the kernels, and show whether the artifacts changed.
 """
 
 from __future__ import annotations
@@ -39,8 +42,13 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 TRAJECTORY = ROOT / "BENCH_forest.json"
-KERNELS = {"xmurf.fit": "us", "xmurf.proximity_matrix": "ns", "classify.fit_classifier": "us"}  # kernel -> unit
-SIZES = [(91, 100), (1000, 10)]  # (M, B)
+FOREST_SIZES = [(91, 100), (1000, 10)]  # (M, B)
+KERNELS = {  # kernel -> (unit, sizes)
+    "xmurf.fit": ("us", FOREST_SIZES),
+    "xmurf.proximity_matrix": ("ns", FOREST_SIZES),
+    "classify.fit_classifier": ("us", FOREST_SIZES),
+    "ordering.linkage": ("ns", [(1000, 10), (2000, 10)]),  # B: the trees of the proximity it clusters
+}
 ROUNDS = 5
 ROW_SEED, FOREST_SEED = 2004, 7
 
@@ -71,14 +79,16 @@ def cpu_model() -> str:
 
 def measure(kernel: str, m: int, b: int) -> dict:
     """One case's reading, timed in this interpreter."""
-    from scenforest import classify, xmurf
+    from scenforest import classify, ordering, xmurf
 
     data = rows(m)
-    forest = xmurf.fit(data.base, b, FOREST_SEED) if kernel == "xmurf.proximity_matrix" else None
+    forest = xmurf.fit(data.base, b, FOREST_SEED) if kernel in ("xmurf.proximity_matrix", "ordering.linkage") else None
+    p = xmurf.proximity_matrix(forest, data.base) if kernel == "ordering.linkage" else None
     run = {
         "xmurf.fit": lambda: xmurf.fit(data.base, b, FOREST_SEED),
         "xmurf.proximity_matrix": lambda: xmurf.proximity_matrix(forest, data.base),
         "classify.fit_classifier": lambda: classify.fit_classifier(data, b, FOREST_SEED),
+        "ordering.linkage": lambda: ordering.linkage(p),
     }[kernel]
     seconds = []
     for _ in range(1 + ROUNDS):  # the first is the warm-up
@@ -92,14 +102,19 @@ def measure(kernel: str, m: int, b: int) -> dict:
             path = Path(tmp) / "made.json"
             if kernel == "xmurf.fit":
                 xmurf.save_forest(made, path)
-            else:
+            elif kernel == "classify.fit_classifier":
                 classify.save_model(made, None, path)
+            else:
+                ordering.save_dendrogram(made, path)
             digest = sha256(path.read_bytes())
-        units, scale = sum(len(t.nodes) for t in made.trees), 1e6
+        if kernel == "ordering.linkage":
+            units, scale = m * m * (m - 1), 1e9
+        else:
+            units, scale = sum(len(t.nodes) for t in made.trees), 1e6
     median = statistics.median(seconds[1:])
     return {
         "median_s": round(median, 6),
-        f"{KERNELS[kernel]}_per_unit": round(median / units * scale, 3),
+        f"{KERNELS[kernel][0]}_per_unit": float(f"{median / units * scale:.5g}"),
         "units": units,
         "rounds": ROUNDS,
         "sha256": digest,
@@ -108,8 +123,8 @@ def measure(kernel: str, m: int, b: int) -> dict:
 
 def main() -> None:
     kernels = {}
-    for kernel in KERNELS:
-        for m, b in SIZES:
+    for kernel, (_, sizes) in KERNELS.items():
+        for m, b in sizes:
             case = subprocess.run([sys.executable, __file__, kernel, str(m), str(b)], check=True,
                                   stdout=subprocess.PIPE, text=True)
             name = f"{kernel} M={m} B={b}"

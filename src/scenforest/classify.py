@@ -295,7 +295,7 @@ def load_model(path):
         require_keys(t, ("bag",), path, f"trees[{k}].")
         try:
             tree.bag = np.array(t["bag"], dtype=np.int64)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ParseError(f"{path}: trees[{k}].bag: expected a list of row indices") from None
     th = None
     kappa_bar = d.get("kappa_bar")

@@ -2,7 +2,9 @@
 reordering, PPM heatmap rendering, and range-file cluster labeling.
 
 Clustering runs on the dissimilarity 1 - P with selectable linkage
-(average/UPGMA by default). Merge records use the scipy id convention:
+(average/UPGMA by default). Each merge joins the closest pair, the lowest
+(i, j) among ties, which ``linkage`` finds from cached row minima instead
+of a scan of the whole matrix. Merge records use the scipy id convention:
 leaves are 0..M-1 and the k-th merge creates cluster id M+k, so the exact
 optimal-leaf-ordering refinement can reuse scipy's dynamic program.
 """
@@ -67,6 +69,14 @@ def linkage(p: ProximityMatrix, method: str = "average") -> Dendrogram:
     Each step merges the globally closest pair of active clusters; the
     merged cluster keeps the lower slot, so recorded left/right children are
     ordered by slot. Average linkage weights by cluster sizes (UPGMA).
+
+    Row k caches the minimum of d[k, k+1:] and the lowest column at it
+    (Müllner's generic algorithm, arXiv:1109.2378), so the lowest row at the
+    least cached minimum, with its column, is the lowest (i, j) at the
+    global minimum. A merge recomputes row i and the rows whose column was i
+    or j; the other rows above i take column i if it is lower (an average
+    can round below both its inputs) or equal at a lower column. On
+    clustered rows at M = 1000 a merge recomputes about 3 rows, each O(M).
     """
     if method not in LINKAGE_METHODS:
         raise ValueError(f"unknown linkage method {method!r}")
@@ -74,35 +84,43 @@ def linkage(p: ProximityMatrix, method: str = "average") -> Dendrogram:
     if m < 2:
         raise ValueError("need at least 2 rows to cluster")
     d = 1.0 - p.values.astype(np.float64)
-    np.fill_diagonal(d, np.inf)
-    active = np.ones(m, dtype=bool)
+    np.fill_diagonal(d, np.inf)  # retired rows and columns are inf too
     sizes = np.ones(m, dtype=np.int64)
     cluster_id = np.arange(m)
+    rmin = np.full(m, np.inf)
+    nbr = np.full(m, -1)  # -1 for the last row and for retired rows
+
+    def refresh(k):
+        row = d[k, k + 1 :]
+        c = int(np.argmin(row))
+        rmin[k], nbr[k] = row[c], k + 1 + c
+
+    for k in range(m - 1):
+        refresh(k)
     merges = []
     for step in range(m - 1):
-        # row-major argmin hits the lexicographically smallest (i, j), i < j
-        flat = int(np.argmin(d))
-        i, j = divmod(flat, m)
-        if i > j:
-            i, j = j, i
-        h = float(d[i, j])
-        merges.append((int(cluster_id[i]), int(cluster_id[j]), h, int(sizes[i] + sizes[j])))
-        mask = active.copy()
-        mask[i] = mask[j] = False
+        i = int(np.argmin(rmin))
+        j = int(nbr[i])
+        merges.append((int(cluster_id[i]), int(cluster_id[j]), float(d[i, j]), int(sizes[i] + sizes[j])))
         if method == "average":
             new_row = (sizes[i] * d[i] + sizes[j] * d[j]) / (sizes[i] + sizes[j])
         elif method == "single":
             new_row = np.minimum(d[i], d[j])
         else:
             new_row = np.maximum(d[i], d[j])
-        d[i, mask] = new_row[mask]
-        d[mask, i] = new_row[mask]
-        d[j, :] = np.inf
-        d[:, j] = np.inf
-        d[i, i] = np.inf
-        active[j] = False
+        new_row[i] = new_row[j] = np.inf
+        d[i] = d[:, i] = new_row
+        d[j] = d[:, j] = np.inf
         sizes[i] += sizes[j]
         cluster_id[i] = m + step
+        rmin[j], nbr[j] = np.inf, -1
+        col, low, head = new_row[:i], rmin[:i], nbr[:i]
+        stale = (head == i) | (head == j)
+        take = ~stale & ((col < low) | ((col == low) & (head > i)))
+        low[take], head[take] = col[take], i
+        mid = i + 1 + np.flatnonzero(nbr[i + 1 : j] == j)
+        for k in [*np.flatnonzero(stale).tolist(), i, *mid.tolist()]:
+            refresh(k)
     return Dendrogram(merges=merges, n_leaves=m)
 
 
@@ -132,7 +150,9 @@ def _scipy_linkage_matrix(dend: Dendrogram) -> np.ndarray:
 
 def optimal_leaf_order(dend: Dendrogram, p: ProximityMatrix) -> np.ndarray:
     """Exact optimal leaf ordering: minimizes the summed adjacent
-    dissimilarity among orders consistent with the dendrogram. O(M^3)."""
+    dissimilarity among orders consistent with the dendrogram. O(M^3): on a
+    2-vCPU Xeon it takes 1.8 s at M = 1000 and 20 s at M = 2000, so from
+    M ≈ 2000 it outweighs the rest of ``cluster`` and ``order`` together."""
     from scipy.cluster import hierarchy
     from scipy.spatial.distance import squareform
 

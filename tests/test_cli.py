@@ -150,6 +150,18 @@ def test_order_outputs(pipeline):
     assert (out / "dendrogram.json").exists()
 
 
+def test_order_rerun_alone_leaves_every_file_byte_identical(pipeline):
+    root, _, base, _ = pipeline
+
+    def snapshot():
+        files = (p for p in root.rglob("*") if p.is_file())
+        return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+
+    before = snapshot()
+    assert cli.main(base + ["order"]) == 0
+    assert snapshot() == before
+
+
 def test_label_full_cover_and_verbatim_labels(pipeline, tmp_path):
     root, out, base, _ = pipeline
     m = len(json.loads((out / "permutation.json").read_text()))
@@ -221,6 +233,17 @@ def test_classify_matches_predict_detail_row_by_row(pipeline, tmp_path):
         label, fraction, threshold = predict_detail(forest, th, row, 0.75)
         expected.append(f"{rid},{label or UNASSIGNED},{fraction:.17g},{threshold:.17g}")
     assert dest.read_text().splitlines() == expected
+
+
+@pytest.mark.parametrize("bag", ["100000000000000000000", "1e999"], ids=["int-beyond-int64", "float-inf"])
+def test_classify_model_bag_out_of_int64_range_exits_2(pipeline, tmp_path, capsys, bag):
+    _, out, base, _ = pipeline
+    model = json.loads((out / "model.json").read_text())
+    model["trees"][1]["bag"] = "BAG"
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(model).replace('"BAG"', f"[{bag}]"))
+    argv = base + ["classify", "--model", str(bad), "--output", str(tmp_path / "p.csv")]
+    assert_exits_2_located(argv, str(bad), "trees[1].bag: expected a list of row indices", capsys)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import linkage_oracle
 
 from scenforest.dataset import Dataset, ParseError, ProximityMatrix
 from scenforest.ordering import (
@@ -145,6 +149,52 @@ def test_linkage_rejects_small_or_unknown():
     p2 = matrix([[1.0, 0.5], [0.5, 1.0]])
     with pytest.raises(ValueError, match="method"):
         linkage(p2, method="ward")
+
+
+@st.composite
+def tie_heavy_proximity(draw):
+    """A symmetric proximity with M in [2, 60], its entries either
+    continuous in (0, 1] or on a 1/8 grid, where ties are common."""
+    m = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        v = rng.integers(1, 9, size=(m, m)) / 8
+    else:
+        v = 1.0 - rng.uniform(0.0, 1.0, size=(m, m))
+    v = np.triu(v, 1)
+    v = v + v.T
+    np.fill_diagonal(v, 1.0)
+    return matrix(v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tie_heavy_proximity())
+def test_linkage_equals_full_matrix_oracle(p):
+    for method in ("average", "single", "complete"):
+        assert linkage(p, method).merges == linkage_oracle.linkage(p, method).merges
+
+
+@pytest.mark.parametrize("method", ["average", "single", "complete"])
+def test_linkage_all_equal_merges_lowest_pair_first(method):
+    v = np.full((5, 5), 0.5)
+    np.fill_diagonal(v, 1.0)
+    # every pair ties, so each merge takes slot 0 and the next live slot
+    assert linkage(matrix(v), method).merges == [(0, 1, 0.5, 2), (5, 2, 0.5, 3), (6, 3, 0.5, 4), (7, 4, 0.5, 5)]
+
+
+def test_linkage_takes_a_column_that_rounding_lowered():
+    # (3, 4) then (2, 3) merge first. Slot 0 sees 0.7 everywhere, but its
+    # average with a cluster of sizes 1 and 2 rounds to just below 0.7, so
+    # the third merge is (0, 6), not the (0, 1) that slot 0 had cached.
+    v = np.full((5, 5), 0.05)
+    v[0, :] = v[:, 0] = 0.3
+    v[3, 4] = v[4, 3] = 0.99
+    v[2, 3:] = v[3:, 2] = 0.98
+    np.fill_diagonal(v, 1.0)
+    p = matrix(v)
+    merges = linkage(p).merges
+    assert merges == linkage_oracle.linkage(p).merges
+    assert merges[2][:2] == (0, 6) and merges[2][2] < 1.0 - 0.3
 
 
 def test_heatmap_ppm_format(tmp_path):
