@@ -1,6 +1,6 @@
 """Forest kernel trajectory: the unsupervised fit, the path proximity, the
-classifier fit and the linkage of the proximity, each timed per its natural
-unit on rows this file seeds.
+classifier fit, the linkage of the proximity and the feature CSV reader,
+each timed per its natural unit on rows this file seeds.
 
 Run it by path from anywhere; it imports the ``src`` tree of the checkout it
 sits in, and its name keeps it out of the tier-1 run:
@@ -12,16 +12,19 @@ M²·B, M rows and B trees) and ``classify.fit_classifier`` (µs per node), at
 M = 91, B = 100 (the default pipeline's forests) and at M = 1000, B = 10
 (the cluster-large workload's). It times ``ordering.linkage`` (ns per
 M²·(M − 1), M² per merge) at M = 1000 and 2000 on the proximity of a
-B = 10 forest, which it fits and computes untimed. Each case runs in a
-fresh interpreter (``python bench/forest_kernels.py KERNEL M B`` prints its
-reading as JSON), so no reading depends on the cases timed before it. Each
-run appends one entry to ``BENCH_forest.json`` at the repository root:
-``git describe --always --dirty`` and a sha256 of the imported source, the
-machine, and per case the median seconds over the rounds (after one warm-up
-round), the time per unit and the sha256 of what the kernel made (the
-forest, model and dendrogram JSON as the CLI writes them, the proximity
-matrix as ``proximity.raw`` holds it). Two entries from one machine compare
-the kernels, and show whether the artifacts changed.
+B = 10 forest, which it fits and computes untimed. It times
+``dataset.load_dataset`` (ns per value cell, M·47) at M = 1000 and 6000 on
+the rows as ``save_dataset`` writes them. Each case runs in a fresh
+interpreter (``python bench/forest_kernels.py KERNEL M B`` prints its
+reading as JSON; B is 0 for the reader), so no reading depends on the
+cases timed before it. Each run appends one entry to ``BENCH_forest.json``
+at the repository root: ``git describe --always --dirty`` and a sha256 of
+the imported source, the machine, and per case the median seconds over the
+rounds (after one warm-up round), the time per unit and the sha256 of what
+the kernel made (the forest, model and dendrogram JSON as the CLI writes
+them, the proximity matrix as ``proximity.raw`` holds it, the values
+read). Two entries from one machine compare the kernels, and show whether
+the artifacts changed.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ KERNELS = {  # kernel -> (unit, sizes)
     "xmurf.proximity_matrix": ("ns", FOREST_SIZES),
     "classify.fit_classifier": ("us", FOREST_SIZES),
     "ordering.linkage": ("ns", [(1000, 10), (2000, 10)]),  # B: the trees of the proximity it clusters
+    "dataset.load_dataset": ("ns", [(1000, 0), (6000, 0)]),  # no trees
 }
 ROUNDS = 5
 ROW_SEED, FOREST_SEED = 2004, 7
@@ -79,38 +83,43 @@ def cpu_model() -> str:
 
 def measure(kernel: str, m: int, b: int) -> dict:
     """One case's reading, timed in this interpreter."""
-    from scenforest import classify, ordering, xmurf
+    from scenforest import classify, dataset, ordering, xmurf
 
     data = rows(m)
     forest = xmurf.fit(data.base, b, FOREST_SEED) if kernel in ("xmurf.proximity_matrix", "ordering.linkage") else None
     p = xmurf.proximity_matrix(forest, data.base) if kernel == "ordering.linkage" else None
-    run = {
-        "xmurf.fit": lambda: xmurf.fit(data.base, b, FOREST_SEED),
-        "xmurf.proximity_matrix": lambda: xmurf.proximity_matrix(forest, data.base),
-        "classify.fit_classifier": lambda: classify.fit_classifier(data, b, FOREST_SEED),
-        "ordering.linkage": lambda: ordering.linkage(p),
-    }[kernel]
-    seconds = []
-    for _ in range(1 + ROUNDS):  # the first is the warm-up
-        start = time.perf_counter()
-        made = run()
-        seconds.append(time.perf_counter() - start)
-    if kernel == "xmurf.proximity_matrix":
-        units, scale, digest = m * m * b, 1e9, sha256(made.values.tobytes())
-    else:
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "made.json"
-            if kernel == "xmurf.fit":
-                xmurf.save_forest(made, path)
-            elif kernel == "classify.fit_classifier":
-                classify.save_model(made, None, path)
-            else:
-                ordering.save_dendrogram(made, path)
-            digest = sha256(path.read_bytes())
-        if kernel == "ordering.linkage":
-            units, scale = m * m * (m - 1), 1e9
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path, made_path = Path(tmp) / "rows.csv", Path(tmp) / "made.json"
+        if kernel == "dataset.load_dataset":
+            dataset.save_dataset(data.base, csv_path)
+        run = {
+            "xmurf.fit": lambda: xmurf.fit(data.base, b, FOREST_SEED),
+            "xmurf.proximity_matrix": lambda: xmurf.proximity_matrix(forest, data.base),
+            "classify.fit_classifier": lambda: classify.fit_classifier(data, b, FOREST_SEED),
+            "ordering.linkage": lambda: ordering.linkage(p),
+            "dataset.load_dataset": lambda: dataset.load_dataset(csv_path),
+        }[kernel]
+        seconds = []
+        for _ in range(1 + ROUNDS):  # the first is the warm-up
+            start = time.perf_counter()
+            made = run()
+            seconds.append(time.perf_counter() - start)
+        if kernel == "xmurf.proximity_matrix":
+            units, scale, digest = m * m * b, 1e9, sha256(made.values.tobytes())
+        elif kernel == "dataset.load_dataset":
+            units, scale, digest = made.values.size, 1e9, sha256(made.values.tobytes())
         else:
-            units, scale = sum(len(t.nodes) for t in made.trees), 1e6
+            if kernel == "xmurf.fit":
+                xmurf.save_forest(made, made_path)
+            elif kernel == "classify.fit_classifier":
+                classify.save_model(made, None, made_path)
+            else:
+                ordering.save_dendrogram(made, made_path)
+            digest = sha256(made_path.read_bytes())
+            if kernel == "ordering.linkage":
+                units, scale = m * m * (m - 1), 1e9
+            else:
+                units, scale = sum(len(t.nodes) for t in made.trees), 1e6
     median = statistics.median(seconds[1:])
     return {
         "median_s": round(median, 6),
@@ -127,7 +136,7 @@ def main() -> None:
         for m, b in sizes:
             case = subprocess.run([sys.executable, __file__, kernel, str(m), str(b)], check=True,
                                   stdout=subprocess.PIPE, text=True)
-            name = f"{kernel} M={m} B={b}"
+            name = f"{kernel} M={m}" + (f" B={b}" if b else "")
             kernels[name] = json.loads(case.stdout)
             print(name, kernels[name])
     describe = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT, capture_output=True, text=True)

@@ -1,17 +1,20 @@
 """Tabular data model and file formats shared by the whole pipeline.
 
-CSV is the interchange format for feature data (RFC-4180 subset: comma
-delimiter, ``.`` decimal, LF line endings, mandatory ``id`` first column).
-Floats written to CSV use 17 significant digits, which round-trips
-IEEE-754 doubles exactly. Proximity matrices are written in a raw binary
-format (row-major little-endian float64 plus a JSON sidecar), which
-round-trips bit-exactly; a matrix CSV (an id header row, then M rows of M
-values) can still be read, for rendering.
+CSV is the interchange format for feature data: a comma delimiter, a
+mandatory ``id`` first column, and 17 significant digits per float, which
+round-trips IEEE-754 doubles exactly. The writers write LF line ends. The
+readers accept this subset of RFC 4180: unquoted cells (a ``"`` anywhere is
+an error); LF, CRLF or CR line ends; blank lines skipped, but counted in
+the line numbers of messages; numbers as Python's float() reads them.
+
+Proximity matrices are written in a raw binary format (row-major
+little-endian float64 plus a JSON sidecar), which round-trips bit-exactly;
+a matrix CSV (an id header row, then M rows of M values) can still be
+read, for rendering.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from contextlib import contextmanager
@@ -168,57 +171,130 @@ class ProximityMatrix:
         return len(self.ids)
 
 
+# Below 128, float() strips only space, tab, LF, VT, FF and CR around a
+# number; np.loadtxt strips these four as well (str.isspace() holds for them)
+_LOADTXT_ONLY_SPACES = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _lines(path) -> tuple[list[str], bool]:
+    """The lines of a CSV file without their line ends, split at LF, CRLF or
+    a lone CR as csv.reader's file iteration splits them, and whether
+    np.loadtxt may convert its numbers (see _numbers).
+
+    Raises ParseError naming ``path`` for an empty file or bytes that are
+    not UTF-8, or ``path:line`` for the first line that holds a ``"``:
+    cells are read unquoted, and the writers write ids and labels raw, so a
+    quoted cell cannot round-trip.
+    """
+    with _utf8(path), open(path) as fh:  # newline=None turns CRLF and CR into LF
+        text = fh.read()
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise ParseError(f"{path}: no header")
+    if '"' in text:
+        lineno = next(k for k, line in enumerate(lines, start=1) if '"' in line)
+        raise ParseError(f"{path}:{lineno}: quoted cell: cells are read unquoted")
+    return lines, not any(c in text for c in _LOADTXT_ONLY_SPACES)
+
+
+def _cells(line: str) -> list[str]:
+    """The comma-separated cells of a line; a blank line has none."""
+    return line.split(",") if line else []
+
+
+def _body(path, lines: list[str], width: int, unique_ids: bool) -> tuple:
+    """(rows, line numbers, ids, fault): the non-blank lines after the
+    header, up to the first of other than ``width`` cells or, when
+    ``unique_ids`` (for ``width`` >= 2), whose first cell repeats an earlier
+    one; the first cells of these rows when ``unique_ids``; and the
+    ParseError naming the line that ends them, or None."""
+    rows, linenos, seen = [], [], {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        n = line.count(",") + 1
+        if n != width:
+            return rows, linenos, list(seen), ParseError(f"{path}:{lineno}: expected {width} cells, got {n}")
+        if unique_ids:
+            rid = line[: line.index(",")]
+            if rid in seen:
+                return rows, linenos, list(seen), ParseError(f"{path}:{lineno}: duplicate id {rid!r}")
+            seen[rid] = None
+        rows.append(line)
+        linenos.append(lineno)
+    return rows, linenos, list(seen), None
+
+
+def _numbers(path, rows, linenos, cols: range, columns: list[str], finite: bool, fast: bool) -> np.ndarray:
+    """The (len(rows), len(cols)) float64 values of the cells ``cols`` of
+    the comma-separated ``rows``.
+
+    When ``fast``, one np.loadtxt call converts the block. It reads a number
+    bit for bit as float() does, but refuses some that float() takes, such
+    as ``1_0`` and non-ASCII digits (and ``fast`` is False for a file that
+    holds one of _LOADTXT_ONLY_SPACES, which it would strip). So when it
+    refuses a cell or yields a non-finite value, one float() per cell
+    decides alone: it returns the values, or raises ParseError naming
+    ``path:line``, the cell and its column (from ``columns``) for the first
+    cell that float() refuses or, when ``finite``, reads as not finite.
+    """
+    if fast and rows:
+        try:
+            values = np.loadtxt(rows, delimiter=",", usecols=cols, comments=None, quotechar=None, ndmin=2)
+            if np.isfinite(values).all():
+                return values
+        except ValueError:
+            pass
+    values = np.empty((len(rows), len(cols)))
+    for i, (lineno, line) in enumerate(zip(linenos, rows)):
+        cells = line.split(",")[cols.start : cols.stop]
+        try:
+            values[i] = row = [float(cell) for cell in cells]
+            ok = not finite or all(map(math.isfinite, row))
+        except ValueError:
+            ok = False
+        if not ok:
+            for col, cell in zip(columns, cells):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: non-numeric cell {cell!r} in column {col}") from None
+                if finite and not math.isfinite(value):
+                    raise ParseError(f"{path}:{lineno}: non-finite cell {cell!r} in column {col}")
+    return values
+
+
 def _read_csv(path, labeled: bool) -> tuple:
     """(feature names, ids, (M, Q) values, labels) of a feature CSV: header
     ``id,<features>``, plus a final ``label`` column when ``labeled``.
 
-    Raises ParseError naming ``path:line`` for the first fault in reading
-    order: a ragged row, a duplicate id, or a non-numeric or non-finite
-    cell, which is also named with its column; or naming ``path`` for
-    bytes that are not UTF-8.
+    The file is read as the module docstring's subset: unquoted cells; LF,
+    CRLF or CR line ends; blank lines skipped but counted; numbers as
+    float() reads them. Raises ParseError naming ``path`` for a header
+    with no feature column or bytes that are not UTF-8, and otherwise
+    naming ``path:line`` for the first fault in reading order: a ``"``
+    anywhere in the file (found first), a ragged row, a duplicate id, or a
+    non-numeric or non-finite cell, which is also named with its column.
     """
     path = Path(path)
-    with _utf8(path), open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path}: no header")
-        if labeled and (len(header) < 2 or header[0] != "id" or header[-1] != LABEL_COLUMN):
-            raise ParseError(f"{path}: expected header id,...,{LABEL_COLUMN}")
-        if not header or header[0] != "id":
-            raise ParseError(f"{path}: first header column must be 'id', got {header[:1]!r}")
-        end = len(header) - labeled
-        names = header[1:end]
-        ids: list[str] = []
-        labels: list[str] = []
-        rows: list[list[float]] = []
-        seen: set[str] = set()
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != len(header):
-                raise ParseError(f"{path}:{lineno}: expected {len(header)} cells, got {len(rec)}")
-            if rec[0] in seen:
-                raise ParseError(f"{path}:{lineno}: duplicate id {rec[0]!r}")
-            seen.add(rec[0])
-            try:
-                row = [float(cell) for cell in rec[1:end]]
-                ok = all(map(math.isfinite, row))
-            except ValueError:
-                ok = False
-            if not ok:
-                for col, cell in zip(names, rec[1:end]):
-                    try:
-                        finite = math.isfinite(float(cell))
-                    except ValueError:
-                        raise ParseError(f"{path}:{lineno}: non-numeric cell {cell!r} in column {col!r}") from None
-                    if not finite:
-                        raise ParseError(f"{path}:{lineno}: non-finite cell {cell!r} in column {col!r}")
-            ids.append(rec[0])
-            if labeled:
-                labels.append(rec[-1])
-            rows.append(row)
-    return names, ids, np.array(rows, dtype=np.float64).reshape(len(rows), len(names)), labels
+    lines, fast = _lines(path)
+    header = _cells(lines[0])
+    if labeled and (len(header) < 2 or header[0] != "id" or header[-1] != LABEL_COLUMN):
+        raise ParseError(f"{path}: expected header id,...,{LABEL_COLUMN}")
+    if not header or header[0] != "id":
+        raise ParseError(f"{path}: first header column must be 'id', got {header[:1]!r}")
+    end = len(header) - labeled
+    names = header[1:end]
+    if not names:
+        raise ParseError(f"{path}: no feature columns")
+    rows, linenos, ids, fault = _body(path, lines, len(header), unique_ids=True)
+    values = _numbers(path, rows, linenos, range(1, end), [repr(n) for n in names], True, fast)
+    if fault:
+        raise fault
+    labels = [row[row.rindex(",") + 1 :] for row in rows] if labeled else []
+    return names, ids, values, labels
 
 
 def load_dataset(path) -> Dataset:
@@ -265,39 +341,23 @@ def save_matrix(p: ProximityMatrix, path) -> None:
     Path(str(path) + ".json").write_text(json.dumps(sidecar) + "\n")
 
 
-def _matrix_row(rec: list, ids: list, path, lineno: int) -> list:
-    """The floats of one matrix CSV row; ParseError names the line and the
-    column of a ragged row or a non-numeric cell."""
-    if len(rec) != len(ids):
-        raise ParseError(f"{path}:{lineno}: expected {len(ids)} cells, got {len(rec)}")
-    try:
-        return [float(c) for c in rec]
-    except ValueError:
-        for col, cell in enumerate(rec):
-            try:
-                float(cell)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric cell {cell!r} in column {col + 1} ({ids[col]!r})") from None
-        raise
-
-
 def load_matrix(path, fmt: str = "csv") -> ProximityMatrix:
     """Read a matrix: ``raw`` as save_matrix writes it, ``csv`` as a header
-    row of the M ids, then M rows of M values. Raises ParseError naming the
-    file: for ``raw``, a sidecar that is not {"M": non-negative int, "ids":
-    M strings} or a data file of other than 8 * M * M bytes; for ``csv``, a
-    ragged row, a non-numeric cell or bytes that are not UTF-8; for both, a
-    matrix that is not a valid ProximityMatrix."""
+    row of the M ids, then M rows of M values, in the module docstring's
+    CSV subset. Raises ParseError naming the file: for ``raw``, a sidecar
+    that is not {"M": non-negative int, "ids": M strings} or a data file of
+    other than 8 * M * M bytes; for ``csv``, a ``"``, a ragged row, a
+    non-numeric cell or bytes that are not UTF-8; for both, a matrix that
+    is not a valid ProximityMatrix."""
     path = Path(path)
     if fmt == "csv":
-        with _utf8(path), open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                ids = next(reader)
-            except StopIteration:
-                raise ParseError(f"{path}: no header") from None
-            rows = [_matrix_row(rec, ids, path, lineno) for lineno, rec in enumerate(reader, start=2) if rec]
-        values = np.array(rows, dtype=np.float64).reshape(len(rows), len(ids))
+        lines, fast = _lines(path)
+        ids = _cells(lines[0])
+        rows, linenos, _, fault = _body(path, lines, len(ids), unique_ids=False)
+        columns = [f"{k + 1} ({i!r})" for k, i in enumerate(ids)]
+        values = _numbers(path, rows, linenos, range(len(ids)), columns, False, fast)
+        if fault:
+            raise fault
     elif fmt == "raw":
         sidecar_path = Path(str(path) + ".json")
         sidecar = read_json(sidecar_path)

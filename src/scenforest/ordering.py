@@ -246,7 +246,8 @@ def render_heatmap(p: ProximityMatrix, path) -> None:
 
 def load_cluster_ranges(path) -> list[ClusterRange]:
     """Read a range file: a JSON list of {"start", "end", "label"} objects
-    with integer positions.
+    with integer positions and a string label that holds no ``,``, ``"``,
+    CR or LF, so that labeled.csv reads back as it was written.
 
     Raises ParseError naming the file and the entry, as in
     ``ranges.json: [0].end: missing key``, or the line of invalid JSON.
@@ -261,7 +262,13 @@ def load_cluster_ranges(path) -> list[ClusterRange]:
         for key in ("start", "end"):
             if type(r[key]) is not int:
                 raise ParseError(f"{path}: {where}{key}: {r[key]!r} is not an integer")
-        ranges.append(ClusterRange(r["start"], r["end"], str(r["label"])))
+        label = r["label"]
+        if type(label) is not str:
+            raise ParseError(f"{path}: {where}label: {label!r} is not a string")
+        bad = next((c for c in label if c in ',"\r\n'), None)
+        if bad is not None:
+            raise ParseError(f"{path}: {where}label: {label!r} holds {bad!r}, which a labeled CSV cannot hold")
+        ranges.append(ClusterRange(r["start"], r["end"], label))
     return ranges
 
 

@@ -3,14 +3,15 @@
 import hashlib
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from scenforest import cli
-from scenforest.classify import UNASSIGNED, load_model, predict_detail
-from scenforest.dataset import Dataset, load_dataset, load_matrix, save_dataset
+from scenforest.classify import UNASSIGNED, fit_classifier, load_model, oob_thresholds, predict_detail, save_model
+from scenforest.dataset import Dataset, LabeledDataset, load_dataset, load_matrix, save_dataset
 from scenforest.scenarios import FEATURE_NAMES
 from scenforest.sim import CHANNELS
 
@@ -150,15 +151,17 @@ def test_order_outputs(pipeline):
     assert (out / "dendrogram.json").exists()
 
 
-def test_order_rerun_alone_leaves_every_file_byte_identical(pipeline):
-    root, _, base, _ = pipeline
+@pytest.mark.parametrize("stage", ["cluster", "order", "label", "train", "classify"])
+def test_rerun_alone_leaves_every_file_byte_identical(pipeline, stage):
+    root, _, base, rp = pipeline
+    args = {"label": ["--ranges", str(rp)], "classify": ["--ratio", "0.5"]}.get(stage, [])
 
     def snapshot():
         files = (p for p in root.rglob("*") if p.is_file())
         return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
 
     before = snapshot()
-    assert cli.main(base + ["order"]) == 0
+    assert cli.main(base + [stage] + args) == 0
     assert snapshot() == before
 
 
@@ -401,6 +404,18 @@ LABEL_2 = {
 }
 
 
+
+def one_feature_model() -> str:
+    """The model.json of a B = 10 classifier, with its thresholds, fitted on
+    eight rows of one feature ``f``."""
+    data = LabeledDataset(Dataset(["f"], [f"r{i}" for i in range(8)], [[i] for i in range(8)]), ["A"] * 4 + ["B"] * 4)
+    forest = fit_classifier(data, 10, 0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(forest, oob_thresholds(forest, data), path)
+        return path.read_text()
+
+
 @pytest.mark.parametrize(
     "files, argv, where, message",
     [
@@ -435,6 +450,16 @@ LABEL_2 = {
         ({**LABEL_2, "ranges.json": b'[{"label": "\xff"}]'}, LABEL, "ranges.json", "not UTF-8 text: byte 0xff"),
         ({"m.csv": b"a,b\n1,0.5\n0.5,\xff\n"}, ["render", "--matrix", "m.csv", "--format", "csv", "--output", "m.ppm"],
          "m.csv", "not UTF-8 text: byte 0xff"),
+        ({**LABEL_2, "ranges.json": '[{"start": 0, "end": 1, "label": "a,b"}]'}, LABEL, "ranges.json",
+         "[0].label: 'a,b' holds ','"),
+        ({"scenarios.csv": "id,f\na," + "x" * 200_000 + "\n"}, ["--out", ".", "cluster"], "scenarios.csv:2",
+         "non-numeric cell 'xxx"),
+        ({"m.csv": "a,b\n1," + "x" * 200_000 + "\n"}, ["render", "--matrix", "m.csv", "--format", "csv", "--output", "m.ppm"],
+         "m.csv:2", "non-numeric cell 'xxx"),
+        ({"scenarios.csv": "id\na\nb\n"}, ["--out", ".", "cluster"], "scenarios.csv", "no feature columns"),
+        ({"labeled.csv": "id,label\na,A\nb,B\n"}, ["--out", ".", "train"], "labeled.csv", "no feature columns"),
+        ({"model.json": one_feature_model(), "scenarios.csv": "id\na\n"}, ["--out", ".", "classify"], "scenarios.csv",
+         "no feature columns"),
     ],
     ids=[
         "raw-sidecar-invalid-json", "raw-sidecar-missing-M", "raw-sidecar-M-not-int", "raw-sidecar-ids-not-strings",
@@ -442,6 +467,8 @@ LABEL_2 = {
         "permutation-invalid-json", "permutation-repeats", "permutation-too-long", "range-outside",
         "range-overlap", "matrix-size", "labeled-non-numeric", "labeled-non-finite",
         "input-is-a-directory", "scenarios-not-utf8", "ranges-not-utf8", "csv-matrix-not-utf8",
+        "label-holds-comma", "scenarios-oversized-cell", "csv-matrix-oversized-cell", "cluster-no-feature-column",
+        "train-no-feature-column", "classify-no-feature-column",
     ],
 )
 def test_reader_rejects_malformed_input(tmp_path, monkeypatch, capsys, files, argv, where, message):

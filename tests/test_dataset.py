@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import csv_oracle
 from scenforest.dataset import (
     Dataset,
     LabeledDataset,
     ParseError,
     ProximityMatrix,
+    _read_csv,
     load_dataset,
     load_labeled_dataset,
     load_matrix,
@@ -166,3 +170,130 @@ def test_matrix_raw_round_trip(tmp_path):
     p2 = load_matrix(path, fmt="raw")
     assert p2.ids == p.ids
     assert p2.values.tobytes() == p.values.tobytes()  # identical bits
+
+
+# ------------------------------------------------- the reader vs its oracle
+
+NUMBERS = st.floats(allow_nan=False, allow_infinity=False)
+GOOD_CELLS = st.one_of(
+    NUMBERS.map(lambda v: format(v, ".17g")),
+    NUMBERS.map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["1_0", "٣", "١٢", " 5 ", "\t7\x0b", "1\u3000", "1e-400", "5e-324", "+.5", "1.", "-0"]),
+)
+BAD_CELLS = st.sampled_from(
+    ["", "x", "1__0", "1\x00", "inf", "-Infinity", "nan", "1e999", "-1e999", "0x1", "1d5", "1e"]
+)
+# np.loadtxt strips \x1c-\x1f around a number, and float() refuses them
+LOADTXT_ONLY_CELLS = st.sampled_from(["1\x1c", "\x1f2", " 3\x1d", "\x1e4"])
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def feature_csv(draw, labeled):
+    """The text of a feature CSV with one to three feature columns and no
+    ``"``: rows of numbers as the writers write them and as float() also
+    reads them, between blank lines; and in half of the files, faults too:
+    a bad header, whitespace-only and ragged lines, repeated ids and cells
+    that float() refuses or reads as not finite."""
+    faults = draw(st.booleans())
+    q = draw(st.integers(1, 3))
+    header = ["id"] + [f"f{k}" for k in range(q)] + (["label"] if labeled else [])
+    if faults:
+        header = draw(st.sampled_from([header] * 6 + [["ID"] + header[1:], header[:1] + header[1:][::-1], []]))
+    cells = st.one_of(GOOD_CELLS, BAD_CELLS, LOADTXT_ONLY_CELLS) if faults else GOOD_CELLS
+    lines = [",".join(header)]
+    for i in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row"] * 5 + ["blank"] + (["space", "short", "long"] if faults else [])))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "space":
+            lines.append(draw(st.sampled_from([" ", "\t", "  \x0b"])))
+        else:
+            rid = draw(st.sampled_from(["a", "b", "a b", ""])) if faults else f"r{i}"
+            row = [rid] + draw(st.lists(cells, min_size=q, max_size=q))
+            row += [draw(st.sampled_from(["A", "B", "", " c\x1c"]))] if labeled else []
+            row = {"short": row[:-1], "long": row + ["1"]}.get(kind, row)
+            lines.append(",".join(row))
+    ends = draw(st.lists(LINE_ENDS, min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text[: -len(ends[-1])]
+
+
+def read_outcome(read, path, labeled):
+    """What a reader makes of a file: its names, ids, value shape and bytes
+    and labels, or its ParseError message."""
+    try:
+        names, ids, values, labels = read(path, labeled)
+    except ParseError as exc:
+        return str(exc)
+    return names, ids, values.shape, values.tobytes(), labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), labeled=st.booleans())
+def test_reader_matches_csv_oracle(tmp_path_factory, data, labeled):
+    text = data.draw(feature_csv(labeled))
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    path.write_bytes(text.encode())
+    assert read_outcome(_read_csv, path, labeled) == read_outcome(csv_oracle._read_csv, path, labeled)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), labeled=st.booleans())
+def test_reader_rejects_a_quote_anywhere(tmp_path_factory, data, labeled):
+    text = data.draw(feature_csv(labeled))
+    at = data.draw(st.integers(0, len(text)))
+    text = text[:at] + '"' + text[at:]
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    path.write_bytes(text.encode())
+    lineno = text.replace("\r\n", "\n").replace("\r", "\n").split('"')[0].count("\n") + 1
+    with pytest.raises(ParseError) as exc:
+        _read_csv(path, labeled)
+    assert str(exc.value) == f"{path}:{lineno}: quoted cell: cells are read unquoted"
+
+
+def test_reader_counts_blank_lines_under_every_line_end(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_bytes(b"id,f\r\n\r\na,1\r\rb,2\n\nc,zzz\n")
+    with pytest.raises(ParseError, match=r"d\.csv:7: non-numeric cell 'zzz' in column 'f'"):
+        load_dataset(p)
+    p.write_bytes(b"id,f\r\n\r\na,1\r\rb,2\n\n")
+    d = load_dataset(p)
+    assert d.ids == ["a", "b"] and d.values.tolist() == [[1.0], [2.0]]
+
+
+def test_reader_takes_what_float_takes_and_loadtxt_refuses(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("id,f,g\na,1_0,٣\nb, 5 ,1e-400\n")
+    assert load_dataset(p).values.tolist() == [[10.0, 3.0], [5.0, 0.0]]
+    p.write_text("id,f\na,1\x1c\n")  # np.loadtxt strips \x1c around a number; float() does not
+    with pytest.raises(ParseError, match=r"d\.csv:2: non-numeric cell '1\\x1c' in column 'f'"):
+        load_dataset(p)
+
+
+def test_reader_rejects_no_feature_columns_and_quotes(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("id\na\n")
+    with pytest.raises(ParseError, match=r"d\.csv: no feature columns$"):
+        load_dataset(p)
+    p.write_text("id,label\na,A\n")
+    with pytest.raises(ParseError, match=r"d\.csv: no feature columns$"):
+        load_labeled_dataset(p)
+    p.write_text('id,f\n"a,1",2\n')
+    with pytest.raises(ParseError, match=r"d\.csv:2: quoted cell"):
+        load_dataset(p)
+    p.write_text('a,b\n1,0.5\n0.5,"1"\n')
+    with pytest.raises(ParseError, match=r"d\.csv:3: quoted cell"):
+        load_matrix(p, fmt="csv")
+
+
+def test_header_only_file_reads_as_no_rows_without_warning(tmp_path, recwarn):
+    p = tmp_path / "d.csv"
+    p.write_text("id,f,g\n\n")
+    d = load_dataset(p)
+    assert d.values.shape == (0, 2) and d.ids == []
+    p.write_text("a,b\n")
+    with pytest.raises(ParseError, match=r"matrix shape \(0, 2\) does not match 2 ids"):
+        load_matrix(p, fmt="csv")
+    assert not recwarn.list

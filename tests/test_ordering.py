@@ -294,6 +294,14 @@ def test_load_ranges_and_report(tmp_path):
         ('[{"start": 0, "end": 1.5, "label": "a"}]', r"ranges\.json: \[0\]\.end: 1\.5 is not an integer"),
         ('[{"start": 0, "end": true, "label": "a"}]', r"ranges\.json: \[0\]\.end: True is not an integer"),
         ('[{"start": 0,\n "end": 1,', r"ranges\.json:2: "),
+        ('[{"start": 0, "end": 1, "label": 3}]', r"ranges\.json: \[0\]\.label: 3 is not a string"),
+        ('[{"start": 0, "end": 1, "label": null}]', r"ranges\.json: \[0\]\.label: None is not a string"),
+        ('[{"start": 0, "end": 1, "label": {"k": 1}}]', r"ranges\.json: \[0\]\.label: \{'k': 1\} is not a string"),
+        ('[{"start": 0, "end": 1, "label": "a,b"}]', r"ranges\.json: \[0\]\.label: 'a,b' holds ','"),
+        ('[{"start": 0, "end": 1, "label": "a\\"b"}]', r"""ranges\.json: \[0\]\.label: 'a"b' holds '"'"""),
+        ('[{"start": 0, "end": 1, "label": "a"}, {"start": 2, "end": 3, "label": "b\\rc"}]',
+         r"ranges\.json: \[1\]\.label: 'b\\rc' holds '\\r'"),
+        ('[{"start": 0, "end": 1, "label": "a\\n"}]', r"ranges\.json: \[0\]\.label: 'a\\n' holds '\\n'"),
     ],
 )
 def test_load_ranges_rejects_malformed(tmp_path, text, message):
