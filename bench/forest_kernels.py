@@ -14,25 +14,35 @@ M = 91, B = 100 (the default pipeline's forests) and at M = 1000, B = 10
 M²·(M − 1), M² per merge) at M = 1000 and 2000 on the proximity of a
 B = 10 forest, which it fits and computes untimed. It times
 ``dataset.load_dataset`` (ns per value cell, M·47) at M = 1000 and 6000 on
-the rows as ``save_dataset`` writes them. Each case runs in a fresh
-interpreter (``python bench/forest_kernels.py KERNEL M B`` prints its
-reading as JSON; B is 0 for the reader), so no reading depends on the
-cases timed before it. Each run appends one entry to ``BENCH_forest.json``
+the rows as ``save_dataset`` writes them. Two memory cases, at M = 2000
+and 5000 with B = 10, read the interpreter's peak resident set
+(``ru_maxrss``): ``memory.cluster`` over ``xmurf.proximity_matrix`` and
+``save_matrix`` of a fitted forest, and ``memory.order`` over the CLI's
+``order`` stage on the ``proximity.raw`` that a ``memory.cluster`` child
+leaves in a directory it is given as a fourth argument. Each case runs in
+a fresh interpreter (``python bench/forest_kernels.py KERNEL M B`` prints
+its reading as JSON; B is 0 for the reader), so no reading depends on the
+cases run before it. Each run appends one entry to ``BENCH_forest.json``
 at the repository root: ``git describe --always --dirty`` and a sha256 of
 the imported source, the machine, and per case the median seconds over the
 rounds (after one warm-up round), the time per unit and the sha256 of what
 the kernel made (the forest, model and dendrogram JSON as the CLI writes
 them, the proximity matrix as ``proximity.raw`` holds it, the values
-read). Two entries from one machine compare the kernels, and show whether
-the artifacts changed.
+read). A memory case records the peak before and after the step in MiB
+and what the step added in M x M float64 matrices, with the sha256 of the
+files it wrote. Two entries from one machine compare the kernels, and show
+whether the artifacts changed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -52,6 +62,8 @@ KERNELS = {  # kernel -> (unit, sizes)
     "classify.fit_classifier": ("us", FOREST_SIZES),
     "ordering.linkage": ("ns", [(1000, 10), (2000, 10)]),  # B: the trees of the proximity it clusters
     "dataset.load_dataset": ("ns", [(1000, 0), (6000, 0)]),  # no trees
+    "memory.cluster": ("MiB", [(2000, 10), (5000, 10)]),
+    "memory.order": ("MiB", [(2000, 10), (5000, 10)]),
 }
 ROUNDS = 5
 ROW_SEED, FOREST_SEED = 2004, 7
@@ -79,6 +91,39 @@ def cpu_model() -> str:
     info = Path("/proc/cpuinfo")
     lines = info.read_text().splitlines() if info.exists() else []
     return next((line.split(":", 1)[1].strip() for line in lines if line.startswith("model name")), platform.processor())
+
+
+def peak_mib() -> float:
+    """This interpreter's peak resident set so far (Linux counts in KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def measure_memory(kernel: str, m: int, b: int, workdir: str | None) -> dict:
+    """One memory case's reading: the peak resident set of this interpreter
+    before and after its step, which ``memory.cluster`` runs in ``workdir``
+    (a temporary directory when None)."""
+    from scenforest import cli, dataset, xmurf
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(workdir or tmp)
+        if kernel == "memory.cluster":
+            data = rows(m).base
+            forest = xmurf.fit(data, b, FOREST_SEED)
+            before = peak_mib()
+            dataset.save_matrix(xmurf.proximity_matrix(forest, data), out / "proximity.raw")
+            made = ["proximity.raw"]
+        else:
+            subprocess.run([sys.executable, __file__, "memory.cluster", str(m), str(b), str(out)], check=True,
+                           stdout=subprocess.DEVNULL)
+            before = peak_mib()
+            with contextlib.redirect_stdout(io.StringIO()):
+                if cli.main(["--out", str(out), "order"]) != 0:
+                    raise RuntimeError(f"order failed in {out}")
+            made = ["dendrogram.json", "permutation.json", "proximity_ordered.raw", "heatmap.ppm"]
+        after = peak_mib()
+        digest = sha256(b"".join((out / name).read_bytes() for name in made))
+    return {"before_mib": round(before, 1), "maxrss_mib": round(after, 1),
+            "matrices": round((after - before) * 2**20 / (8 * m * m), 2), "sha256": digest}
 
 
 def measure(kernel: str, m: int, b: int) -> dict:
@@ -153,7 +198,10 @@ def main() -> None:
 
 if __name__ == "__main__":
     sys.path.insert(0, str(SRC))
-    if len(sys.argv) == 4:
+    if len(sys.argv) in (4, 5) and sys.argv[1].startswith("memory."):
+        workdir = sys.argv[4] if len(sys.argv) == 5 else None
+        print(json.dumps(measure_memory(sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), workdir)))
+    elif len(sys.argv) == 4:
         print(json.dumps(measure(sys.argv[1], int(sys.argv[2]), int(sys.argv[3]))))
     else:
         main()

@@ -161,9 +161,8 @@ class ProximityMatrix:
         if m and not np.all(diag == 1.0):
             i = int(np.argwhere(diag != 1.0)[0][0])
             raise ValueError(f"diagonal not 1 at ({i}, {i}): {diag[i]}")
-        off = (self.values <= 0.0) | (self.values > 1.0)
-        if np.any(off):
-            i, j = np.argwhere(off)[0]
+        if m and not (self.values.min() > 0.0 and self.values.max() <= 1.0):  # no M x M temporary
+            i, j = np.argwhere((self.values <= 0.0) | (self.values > 1.0))[0]
             raise ValueError(f"value out of (0, 1] at ({i}, {j}): {self.values[i, j]}")
 
     @property
@@ -260,10 +259,15 @@ def _numbers(path, rows, linenos, cols: range, columns: list[str], finite: bool,
                 try:
                     value = float(cell)
                 except ValueError:
-                    raise ParseError(f"{path}:{lineno}: non-numeric cell {cell!r} in column {col}") from None
+                    raise ParseError(f"{path}:{lineno}: non-numeric cell {_echo(cell)} in column {col}") from None
                 if finite and not math.isfinite(value):
-                    raise ParseError(f"{path}:{lineno}: non-finite cell {cell!r} in column {col}")
+                    raise ParseError(f"{path}:{lineno}: non-finite cell {_echo(cell)} in column {col}")
     return values
+
+
+def _echo(cell: str) -> str:
+    """A cell's repr, cut to 40 characters and then its length when longer."""
+    return repr(cell) if len(cell) <= 40 else f"{cell[:40] + '…'!r} ({len(cell)} characters)"
 
 
 def _read_csv(path, labeled: bool) -> tuple:
@@ -334,9 +338,10 @@ def save_labeled_dataset(d: LabeledDataset, path) -> None:
 def save_matrix(p: ProximityMatrix, path) -> None:
     """Write a proximity matrix as row-major little-endian float64 plus a
     ``<path>.json`` sidecar holding {"M": M, "ids": [...]}; it round-trips
-    bit-identically through load_matrix."""
+    bit-identically through load_matrix. The values are written as they
+    are held, with no copy on a little-endian machine."""
     path = Path(path)
-    path.write_bytes(p.values.astype("<f8").tobytes(order="C"))
+    np.ascontiguousarray(p.values, dtype="<f8").tofile(path)
     sidecar = {"M": p.size, "ids": list(p.ids)}
     Path(str(path) + ".json").write_text(json.dumps(sidecar) + "\n")
 

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Dataset, LabeledDataset, ParseError, ProximityMatrix, read_json, require_keys
+from .xmurf.forest import PROXIMITY_BLOCK
 
 __all__ = [
     "Dendrogram",
@@ -83,7 +84,7 @@ def linkage(p: ProximityMatrix, method: str = "average") -> Dendrogram:
     m = p.size
     if m < 2:
         raise ValueError("need at least 2 rows to cluster")
-    d = 1.0 - p.values.astype(np.float64)
+    d = 1.0 - p.values
     np.fill_diagonal(d, np.inf)  # retired rows and columns are inf too
     sizes = np.ones(m, dtype=np.int64)
     cluster_id = np.arange(m)
@@ -156,7 +157,7 @@ def optimal_leaf_order(dend: Dendrogram, p: ProximityMatrix) -> np.ndarray:
     from scipy.cluster import hierarchy
     from scipy.spatial.distance import squareform
 
-    d = 1.0 - p.values.astype(np.float64)
+    d = 1.0 - p.values
     np.fill_diagonal(d, 0.0)
     z = hierarchy.optimal_leaf_ordering(_scipy_linkage_matrix(dend), squareform(d, checks=False))
     return np.asarray(hierarchy.leaves_list(z), dtype=np.int64)
@@ -198,7 +199,7 @@ def reorder(p: ProximityMatrix, perm) -> ProximityMatrix:
     m = p.size
     if perm.shape != (m,) or not np.array_equal(np.sort(perm), np.arange(m)):
         raise ValueError("perm is not a bijection on [0, M)")
-    values = p.values[np.ix_(perm, perm)].copy()
+    values = p.values[np.ix_(perm, perm)]
     ids = [p.ids[i] for i in perm]
     return ProximityMatrix(values=values, ids=ids)
 
@@ -233,15 +234,18 @@ def render_heatmap(p: ProximityMatrix, path) -> None:
     """Write the matrix as a binary PPM (P6), one pixel per entry.
 
     [0, 1] maps linearly onto the colormap; 0 hits the first entry and 1 the
-    last (dark blue = low similarity, yellow = high).
+    last (dark blue = low similarity, yellow = high). It holds no M x M array: PROXIMITY_BLOCK // M
+    rows at a time are scaled, rounded and clipped in one reused buffer, looked up and written.
     """
     lut = _colormap()
-    idx = np.clip(np.round(p.values * 255.0), 0, 255).astype(np.intp)
-    img = lut[idx]
     m = p.size
+    step = max(1, PROXIMITY_BLOCK // max(m, 1))
+    buf = np.empty((min(step, m), m))
     with open(path, "wb") as fh:
         fh.write(f"P6\n{m} {m}\n255\n".encode("ascii"))
-        fh.write(img.tobytes(order="C"))
+        for r0 in range(0, m, step):
+            block = np.multiply(p.values[r0 : r0 + step], 255.0, out=buf[: m - r0])
+            fh.write(lut[np.clip(np.round(block, out=block), 0, 255, out=block).astype(np.intp)].tobytes())
 
 
 def load_cluster_ranges(path) -> list[ClusterRange]:

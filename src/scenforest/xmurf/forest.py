@@ -247,11 +247,26 @@ def _tree_proximity(tree: Tree, x: np.ndarray, diverging: np.ndarray, same_leaf:
         same_leaf[rows] += rank[rows, None] == rank
 
 
+def _fold(diverging: np.ndarray, same_leaf: np.ndarray, b_trees: int) -> np.ndarray:
+    """``(diverging + diverging.T + same_leaf) / b_trees`` made in place, one
+    pair of tiles at a time: float addition commutes, so each sum is the same."""
+    side = math.isqrt(PROXIMITY_BLOCK)
+    for i in range(0, len(diverging), side):
+        for j in range(i, len(diverging), side):
+            a, b = slice(i, i + side), slice(j, j + side)
+            tile = diverging[a, b] + diverging[b, a].T
+            diverging[a, b], diverging[b, a] = tile, tile.T
+    diverging += same_leaf
+    return np.divide(diverging, b_trees, out=diverging)
+
+
 def proximity_matrix(forest: Forest, data: Dataset) -> ProximityMatrix:
     """Mean per-tree path Jaccard over all trees, for all dataset rows.
 
     Every row of the dataset (in-bag or not) is routed through every tree.
     The result is exactly symmetric with unit diagonal and entries in (0, 1].
+    It holds one M x M float64 accumulator, which becomes the result, one
+    M x M leaf-sharing count (a byte each below 256 trees) and a tree's leaf-pair table.
     """
     if data.values.shape[1] != forest.q:
         raise ValueError(f"dataset has {data.values.shape[1]} features, forest expects {forest.q}")
@@ -260,8 +275,7 @@ def proximity_matrix(forest: Forest, data: Dataset) -> ProximityMatrix:
     same_leaf = np.zeros((m, m), dtype=np.min_scalar_type(forest.n_trees))  # a count, exact as a double
     for tree in forest.trees:
         _tree_proximity(tree, data.values, diverging, same_leaf)
-    values = (diverging + diverging.T + same_leaf) / forest.n_trees
-    return ProximityMatrix(values=values, ids=list(data.ids))
+    return ProximityMatrix(values=_fold(diverging, same_leaf, forest.n_trees), ids=list(data.ids))
 
 
 def forest_to_dict(forest: Forest, columns: dict = NOISE_COLUMNS) -> dict:

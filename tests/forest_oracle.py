@@ -9,7 +9,8 @@ same order as production and search its split alone (``best_split`` and
 sorted block). Every tree, node array and bag it grows must equal
 production's by bytes. ``proximity_matrix`` routes the rows through each
 tree node by node, adding the Jaccard term of every pair where their index
-sets part; its matrix must equal production's by bytes.
+sets part; its matrix must equal production's by bytes. ``fold`` turns
+the accumulators into the matrix with whole-matrix temporaries.
 """
 
 from __future__ import annotations
@@ -197,4 +198,10 @@ def proximity_matrix(forest, data):
     diverging, same_leaf = np.zeros((m, m)), np.zeros((m, m))
     for tree in forest.trees:
         tree_accumulate(tree, data.values, diverging, same_leaf)
-    return (diverging + diverging.T + same_leaf) / forest.n_trees
+    return fold(diverging, same_leaf, forest.n_trees)
+
+
+def fold(diverging, same_leaf, b_trees):
+    """The whole-matrix form of the fold that ``xmurf.forest._fold`` makes
+    in place, one pair of tiles at a time."""
+    return (diverging + diverging.T + same_leaf) / b_trees

@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -163,6 +166,33 @@ def test_rerun_alone_leaves_every_file_byte_identical(pipeline, stage):
     before = snapshot()
     assert cli.main(base + [stage] + args) == 0
     assert snapshot() == before
+
+
+# the fixture's pipeline, all seven stages in one fresh interpreter
+PIPELINE_SCRIPT = """
+import sys
+from scenforest import cli
+config, out, ranges = sys.argv[1:]
+base = ["--config", config, "--seed", "11", "--out", out]
+for stage in (["simulate"], ["extract"], ["cluster"], ["order"], ["label", "--ranges", ranges], ["train"],
+              ["classify", "--ratio", "0.5"]):
+    assert cli.main(base + stage) == 0, stage
+"""
+
+
+def test_pipeline_bytes_do_not_depend_on_thread_count(pipeline, tmp_path):
+    root, _, _, rp = pipeline
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads, "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        outs.append(tmp_path / f"threads-{threads}")
+        subprocess.run([sys.executable, "-c", PIPELINE_SCRIPT, str(root / "config.json"), str(outs[-1]), str(rp)],
+                       env=env, check=True, capture_output=True)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert "predictions.csv" in names and names == sorted(p.name for p in outs[1].iterdir())
+    assert [n for n in names if (outs[0] / n).read_bytes() != (outs[1] / n).read_bytes()] == []
 
 
 def test_label_full_cover_and_verbatim_labels(pipeline, tmp_path):
@@ -352,6 +382,7 @@ def assert_exits_2_located(argv, where, message, capsys):
     assert err.startswith(f"error: {where}: ")
     assert message in err
     assert "Traceback" not in err
+    return err
 
 
 @pytest.mark.parametrize(
@@ -453,9 +484,9 @@ def one_feature_model() -> str:
         ({**LABEL_2, "ranges.json": '[{"start": 0, "end": 1, "label": "a,b"}]'}, LABEL, "ranges.json",
          "[0].label: 'a,b' holds ','"),
         ({"scenarios.csv": "id,f\na," + "x" * 200_000 + "\n"}, ["--out", ".", "cluster"], "scenarios.csv:2",
-         "non-numeric cell 'xxx"),
+         "non-numeric cell '" + "x" * 40 + "…' (200000 characters) in column 'f'"),
         ({"m.csv": "a,b\n1," + "x" * 200_000 + "\n"}, ["render", "--matrix", "m.csv", "--format", "csv", "--output", "m.ppm"],
-         "m.csv:2", "non-numeric cell 'xxx"),
+         "m.csv:2", "non-numeric cell '" + "x" * 40 + "…' (200000 characters) in column 2 ('b')"),
         ({"scenarios.csv": "id\na\nb\n"}, ["--out", ".", "cluster"], "scenarios.csv", "no feature columns"),
         ({"labeled.csv": "id,label\na,A\nb,B\n"}, ["--out", ".", "train"], "labeled.csv", "no feature columns"),
         ({"model.json": one_feature_model(), "scenarios.csv": "id\na\n"}, ["--out", ".", "classify"], "scenarios.csv",
@@ -475,7 +506,8 @@ def test_reader_rejects_malformed_input(tmp_path, monkeypatch, capsys, files, ar
     monkeypatch.chdir(tmp_path)
     for name, content in files.items():
         (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
-    assert_exits_2_located(argv, where, message, capsys)
+    err = assert_exits_2_located(argv, where, message, capsys)
+    assert len(err) < 300  # an oversized cell is echoed cut, with its length
 
 
 @pytest.mark.parametrize(

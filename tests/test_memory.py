@@ -1,0 +1,55 @@
+"""Memory budgets of the stages that hold an M x M matrix, as tracemalloc
+sees numpy's buffers: at most 2.5 float64 matrices at M = 1000."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from scenforest import ordering, xmurf
+from scenforest.dataset import Dataset, load_matrix, save_matrix
+
+M = 1000
+BUDGET = 2.5 * 8 * M * M  # bytes
+
+
+def traced_peak(run) -> int:
+    """The peak of the memory traced while ``run()`` runs, above what it
+    started with."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def fitted():
+    """M rows of 47 features from four latent groups, and a B = 3 forest."""
+    rng = np.random.default_rng(2004)
+    values = rng.normal(0.0, 3.0, size=(4, 47))[rng.integers(0, 4, size=M)] + rng.normal(size=(M, 47))
+    data = Dataset([f"f{k}" for k in range(47)], [f"r{i}" for i in range(M)], values)
+    return data, xmurf.fit(data, 3, seed=7)
+
+
+def test_cluster_holds_at_most_two_and_a_half_matrices(fitted, tmp_path):
+    data, forest = fitted
+    peak = traced_peak(lambda: save_matrix(xmurf.proximity_matrix(forest, data), tmp_path / "proximity.raw"))
+    assert peak <= BUDGET, f"{peak / (8 * M * M):.2f} M x M float64 matrices"
+
+
+def test_order_holds_at_most_two_and_a_half_matrices(fitted, tmp_path):
+    data, forest = fitted
+    save_matrix(xmurf.proximity_matrix(forest, data), tmp_path / "proximity.raw")
+
+    def order():  # the steps of ``cli.cmd_order``, each result held as there
+        matrix = load_matrix(tmp_path / "proximity.raw", fmt="raw")
+        dend = ordering.linkage(matrix)
+        p_ordered = ordering.reorder(matrix, ordering.leaf_order(dend))
+        save_matrix(p_ordered, tmp_path / "proximity_ordered.raw")
+        ordering.render_heatmap(p_ordered, tmp_path / "heatmap.ppm")
+
+    peak = traced_peak(order)
+    assert peak <= BUDGET, f"{peak / (8 * M * M):.2f} M x M float64 matrices"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import linkage_oracle
 
+from scenforest import ordering
 from scenforest.dataset import Dataset, ParseError, ProximityMatrix
 from scenforest.ordering import (
     ClusterRange,
@@ -228,6 +229,21 @@ def test_heatmap_uniform_ones(tmp_path):
     body = out.read_bytes()[len(b"P6\n3 3\n255\n"):]
     pixels = np.frombuffer(body, dtype=np.uint8).reshape(-1, 3)
     assert (pixels == pixels[0]).all()
+
+
+@pytest.mark.parametrize("block", [1, 52, 1 << 16])
+def test_heatmap_in_row_blocks_equals_whole_matrix_lookup(tmp_path, monkeypatch, block):
+    # PROXIMITY_BLOCK // 13 rows a block: one row, four rows with a short last
+    # block, and the whole matrix at once
+    rng = np.random.default_rng(4)
+    v = rng.random((13, 13)) * 0.998 + 0.001
+    v[:6, :6] = (np.arange(36).reshape(6, 6) + 0.5) / 255.0  # near the midpoints that round half to even
+    v = np.triu(v, 1) + np.triu(v, 1).T
+    np.fill_diagonal(v, 1.0)
+    monkeypatch.setattr(ordering, "PROXIMITY_BLOCK", block)
+    render_heatmap(matrix(v), tmp_path / "h.ppm")
+    lookup = ordering._colormap()[np.clip(np.round(v * 255.0), 0, 255).astype(np.intp)]
+    assert (tmp_path / "h.ppm").read_bytes() == b"P6\n13 13\n255\n" + lookup.tobytes()
 
 
 def dataset(m=6):

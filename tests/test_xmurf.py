@@ -710,3 +710,15 @@ def test_proximity_in_row_blocks_equals_node_walk(monkeypatch):
     f = fit(d, 5, seed=9)
     monkeypatch.setattr(forest_module, "PROXIMITY_BLOCK", 70)
     assert proximity_matrix(f, d).values.tobytes() == forest_oracle.proximity_matrix(f, d).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2, 255, 256, 257, 515]), st.integers(1, 300), st.integers(0, 2**32 - 1))
+def test_fold_in_place_equals_whole_matrix_form(m, b, seed):
+    # M on both sides of the 256-wide tiles; same_leaf counts up to B, in the
+    # count type proximity_matrix gives them
+    rng = np.random.default_rng(seed)
+    diverging = rng.random((m, m)) * b * (rng.random((m, m)) < 0.8)
+    same_leaf = rng.integers(0, b + 1, size=(m, m)).astype(np.min_scalar_type(b))
+    want = forest_oracle.fold(diverging, same_leaf, b)
+    assert forest_module._fold(diverging, same_leaf, b).tobytes() == want.tobytes()
