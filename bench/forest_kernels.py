@@ -14,7 +14,10 @@ M = 91, B = 100 (the default pipeline's forests) and at M = 1000, B = 10
 M²·(M − 1), M² per merge) at M = 1000 and 2000 on the proximity of a
 B = 10 forest, which it fits and computes untimed. It times
 ``dataset.load_dataset`` (ns per value cell, M·47) at M = 1000 and 6000 on
-the rows as ``save_dataset`` writes them. Two memory cases, at M = 2000
+the rows as ``save_dataset`` writes them. It times ``classify.load_model``
+(µs per node) on the model that ``train`` writes for M = 400 labeled rows
+and B = 100, the classify-batch workload's model, which it fits and saves
+untimed, and records the model's bytes. Two memory cases, at M = 2000
 and 5000 with B = 10, read the interpreter's peak resident set
 (``ru_maxrss``): ``memory.cluster`` over ``xmurf.proximity_matrix`` and
 ``save_matrix`` of a fitted forest, and ``memory.order`` over the CLI's
@@ -62,6 +65,7 @@ KERNELS = {  # kernel -> (unit, sizes)
     "classify.fit_classifier": ("us", FOREST_SIZES),
     "ordering.linkage": ("ns", [(1000, 10), (2000, 10)]),  # B: the trees of the proximity it clusters
     "dataset.load_dataset": ("ns", [(1000, 0), (6000, 0)]),  # no trees
+    "classify.load_model": ("us", [(400, 100)]),
     "memory.cluster": ("MiB", [(2000, 10), (5000, 10)]),
     "memory.order": ("MiB", [(2000, 10), (5000, 10)]),
 }
@@ -133,16 +137,21 @@ def measure(kernel: str, m: int, b: int) -> dict:
     data = rows(m)
     forest = xmurf.fit(data.base, b, FOREST_SEED) if kernel in ("xmurf.proximity_matrix", "ordering.linkage") else None
     p = xmurf.proximity_matrix(forest, data.base) if kernel == "ordering.linkage" else None
+    extra = {}
     with tempfile.TemporaryDirectory() as tmp:
         csv_path, made_path = Path(tmp) / "rows.csv", Path(tmp) / "made.json"
         if kernel == "dataset.load_dataset":
             dataset.save_dataset(data.base, csv_path)
+        if kernel == "classify.load_model":
+            model = classify.fit_classifier(data, b, FOREST_SEED)
+            classify.save_model(model, classify.oob_thresholds(model, data), made_path)
         run = {
             "xmurf.fit": lambda: xmurf.fit(data.base, b, FOREST_SEED),
             "xmurf.proximity_matrix": lambda: xmurf.proximity_matrix(forest, data.base),
             "classify.fit_classifier": lambda: classify.fit_classifier(data, b, FOREST_SEED),
             "ordering.linkage": lambda: ordering.linkage(p),
             "dataset.load_dataset": lambda: dataset.load_dataset(csv_path),
+            "classify.load_model": lambda: classify.load_model(made_path),
         }[kernel]
         seconds = []
         for _ in range(1 + ROUNDS):  # the first is the warm-up
@@ -153,6 +162,9 @@ def measure(kernel: str, m: int, b: int) -> dict:
             units, scale, digest = m * m * b, 1e9, sha256(made.values.tobytes())
         elif kernel == "dataset.load_dataset":
             units, scale, digest = made.values.size, 1e9, sha256(made.values.tobytes())
+        elif kernel == "classify.load_model":
+            extra = {"bytes": made_path.stat().st_size}
+            units, scale, digest = sum(len(t.nodes) for t in made[0].trees), 1e6, sha256(made_path.read_bytes())
         else:
             if kernel == "xmurf.fit":
                 xmurf.save_forest(made, made_path)
@@ -167,6 +179,7 @@ def measure(kernel: str, m: int, b: int) -> dict:
                 units, scale = sum(len(t.nodes) for t in made.trees), 1e6
     median = statistics.median(seconds[1:])
     return {
+        **extra,
         "median_s": round(median, 6),
         f"{KERNELS[kernel][0]}_per_unit": float(f"{median / units * scale:.5g}"),
         "units": units,

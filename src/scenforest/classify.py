@@ -10,9 +10,10 @@ layout (nodes in order, then features ascending, then thresholds
 ascending), class counts from one cumulative count over it, and one
 argmax per node, so ties go to the lowest feature and then the lowest
 threshold.
-Bags are recorded so out-of-bag membership stays recoverable; the OOB vote
-fraction for the true class gives a per-point confidence whose class-wise
-mean is the assignment threshold. A prediction is withdrawn when the
+Each tree keeps its bootstrap bag in memory, for ``oob_thresholds`` only:
+the OOB vote fraction for the true class gives a per-point confidence whose
+class-wise mean is the assignment threshold. The model file holds the trees
+and the thresholds, not the bags. A prediction is withdrawn when the
 winning vote fraction falls below an adjustable ratio of that threshold.
 
 The classifier is an ``xmurf.forest.Forest`` with its sorted label set in
@@ -38,26 +39,30 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, LabeledDataset, ParseError, read_json, require_keys
+from .dataset import LabeledDataset, ParseError, read_json, require_keys
 from .xmurf.forest import Forest, forest_to_dict, grow_forest, read_forest
 from .xmurf.tree import Candidates, chosen_splits, route, split_candidates, value_codes
 
 __all__ = [
     "UNASSIGNED",
+    "LabelError",
     "ClassThresholds",
     "fit_classifier",
     "oob_thresholds",
-    "forest_votes",
     "predict_with_threshold",
     "predict_detail",
     "predict_batch",
-    "assignment_rate",
     "save_model",
     "load_model",
 ]
 
 UNASSIGNED = "UNASSIGNED"
 _BLOCK_PAIRS = 8192  # (row, tree) pairs routed per block
+
+
+class LabelError(ValueError):
+    """The labels of a training set cannot make a classifier: fewer than two
+    classes, or a class with no out-of-bag row."""
 
 
 def _flatten(f: Forest) -> tuple:
@@ -159,7 +164,7 @@ def fit_classifier(d: LabeledDataset, b_trees: int, seed: int) -> Forest:
     """
     labels = d.label_set
     if len(labels) < 2:
-        raise ValueError(f"need at least 2 classes, got {labels}")
+        raise LabelError(f"need at least 2 classes, got {labels}")
     x = d.base.values
     label_index = {c: k for k, c in enumerate(labels)}
     y = np.array([label_index[c] for c in d.labels], dtype=np.int64)
@@ -185,14 +190,6 @@ def _count_votes(f: Forest, x: np.ndarray, voting: np.ndarray | None = None) -> 
         counts = np.bincount(rows * n_labels + leaf_vote, minlength=(r1 - r0) * n_labels)
         votes[r0:r1] = counts.reshape(r1 - r0, n_labels)
     return votes
-
-
-def forest_votes(f: Forest, x: np.ndarray) -> np.ndarray:
-    """Vote counts per label (sorted label order) over all trees: shape (L,)
-    for one row (Q,), or (N, L) for rows (N, Q)."""
-    x = np.asarray(x)
-    votes = _count_votes(f, np.atleast_2d(x))
-    return votes[0] if x.ndim == 1 else votes
 
 
 def oob_thresholds(f: Forest, d: LabeledDataset) -> ClassThresholds:
@@ -221,13 +218,16 @@ def oob_thresholds(f: Forest, d: LabeledDataset) -> ClassThresholds:
     for c in f.labels:
         vals = [k for k, lab in zip(kappas, d.labels) if lab == c and k is not None]
         if not vals:
-            raise ValueError(f"class {c!r} has no out-of-bag covered datapoints")
+            raise LabelError(f"class {c!r} has no out-of-bag covered datapoints")
         kappa_bar[c] = float(np.mean(vals))
     return ClassThresholds(kappa_bar=kappa_bar, kappas=kappas)
 
 
 def predict_batch(f: Forest, th: ClassThresholds, x: np.ndarray, ratio: float) -> list[tuple]:
-    """predict_detail for every row of an (N, Q) array, in row order."""
+    """(label or None, winning vote fraction, threshold used) of every row
+    of an (N, Q) array, in row order: the plurality label over all trees,
+    withdrawn (None) when its vote fraction falls below ratio * kappa_bar of
+    that label."""
     if not 0.0 <= ratio < math.inf:  # a NaN ratio would withdraw every prediction
         raise ValueError(f"ratio must be a finite number >= 0, got {ratio}")
     votes = _count_votes(f, np.asarray(x))
@@ -241,8 +241,7 @@ def predict_batch(f: Forest, th: ClassThresholds, x: np.ndarray, ratio: float) -
 
 
 def predict_detail(f: Forest, th: ClassThresholds, x: np.ndarray, ratio: float):
-    """Return (label or None, winning vote fraction, threshold used) for one
-    row (Q,)."""
+    """predict_batch of one row (Q,)."""
     return predict_batch(f, th, np.asarray(x)[None, :], ratio)[0]
 
 
@@ -252,15 +251,9 @@ def predict_with_threshold(f: Forest, th: ClassThresholds, x: np.ndarray, ratio:
     return predict_detail(f, th, x, ratio)[0]
 
 
-def assignment_rate(f: Forest, th: ClassThresholds, data: Dataset, ratio: float) -> float:
-    assigned = sum(label is not None for label, _, _ in predict_batch(f, th, data.values, ratio))
-    return assigned / data.n_rows
-
-
 def _model_dict(f: Forest, th: ClassThresholds | None) -> dict:
     """The ``forest_to_dict`` object with the classifier's own keys in their
-    places: ``labels`` after ``Q``, the thresholds before ``trees``, and
-    each tree's bootstrap ``bag`` before its ``nodes``."""
+    places: ``labels`` after ``Q`` and the thresholds before ``trees``."""
     d = forest_to_dict(f, _class_columns(len(f.labels)))
     names, trees = d.pop("feature_names"), d.pop("trees")
     return {
@@ -269,7 +262,7 @@ def _model_dict(f: Forest, th: ClassThresholds | None) -> dict:
         "feature_names": names,
         "kappa_bar": None if th is None else th.kappa_bar,
         "kappas": None if th is None else th.kappas,
-        "trees": [{"bag": t.bag.tolist(), **entry} for t, entry in zip(f.trees, trees)],
+        "trees": trees,
     }
 
 
@@ -281,8 +274,11 @@ def load_model(path):
     """Load (forest, thresholds-or-None) from a model JSON.
 
     The parts a model shares with a forest JSON are checked by
-    ``xmurf.forest.read_forest``. Raises ParseError naming the file and the
-    key path of the first entry that is missing or malformed.
+    ``xmurf.forest.read_forest``; keys it does not read, such as the
+    ``bag`` of a tree in an older model, are ignored. kappa_bar, when not
+    null, must hold a number in [0, 1] (a mean vote fraction) for every
+    label. Raises ParseError naming the file and the key path of the first
+    entry that is missing or malformed.
     """
     d = read_json(path)
     require_keys(d, ("labels",), path, "")
@@ -291,16 +287,11 @@ def load_model(path):
         raise ParseError(f"{path}: labels: expected a list of at least 2 label strings")
     forest = read_forest(d, _class_columns(len(labels)), path)
     forest.labels = labels
-    for k, (t, tree) in enumerate(zip(d["trees"], forest.trees)):
-        require_keys(t, ("bag",), path, f"trees[{k}].")
-        try:
-            tree.bag = np.array(t["bag"], dtype=np.int64)
-        except (TypeError, ValueError, OverflowError):
-            raise ParseError(f"{path}: trees[{k}].bag: expected a list of row indices") from None
     th = None
     kappa_bar = d.get("kappa_bar")
     if kappa_bar is not None:
-        if not isinstance(kappa_bar, dict) or not all(type(kappa_bar.get(c)) in (int, float) for c in labels):
-            raise ParseError(f"{path}: kappa_bar: expected a number for every label")
+        values = [kappa_bar.get(c) for c in labels] if isinstance(kappa_bar, dict) else [None]
+        if not all(type(k) in (int, float) and 0 <= k <= 1 for k in values):
+            raise ParseError(f"{path}: kappa_bar: expected a number for every label, in [0, 1]")
         th = ClassThresholds(kappa_bar=kappa_bar, kappas=d.get("kappas"))
     return forest, th

@@ -185,10 +185,10 @@ def cmd_extract(cfg: dict, args) -> int:
 def cmd_cluster(cfg: dict, args) -> int:
     b_trees = _b_trees(cfg, args, "xmurf")
     out = _workdir(cfg, args)
-    dataset = load_dataset(args.input or out / "scenarios.csv")
+    in_path = args.input or out / "scenarios.csv"
+    dataset = load_dataset(in_path)
     if dataset.n_rows < 2:
-        print("need at least 2 scenarios to cluster", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ParseError(f"{in_path}: need at least 2 scenarios to cluster, got {dataset.n_rows}")
     seed = stage_seed(_master_seed(cfg, args, "xmurf"), "xmurf")
     forest = xmurf.fit(dataset, b_trees, seed)
     matrix = xmurf.proximity_matrix(forest, dataset)
@@ -200,7 +200,7 @@ def cmd_cluster(cfg: dict, args) -> int:
 
 def cmd_order(cfg: dict, args) -> int:
     out = _workdir(cfg, args)
-    matrix = load_matrix(args.input or out / "proximity.raw", fmt="raw")
+    matrix = load_matrix(args.input or out / "proximity.raw")
     dend = ordering.linkage(matrix, method=cfg["ordering"]["linkage"])
     if cfg["ordering"]["optimal_leaf_order"]:
         perm = ordering.optimal_leaf_order(dend, matrix)
@@ -230,7 +230,7 @@ def cmd_label(cfg: dict, args) -> int:
     perm_path, matrix_path = out / "permutation.json", out / "proximity_ordered.raw"
     perm = ordering.load_permutation(perm_path)
     ranges = ordering.load_cluster_ranges(args.ranges)
-    p_ordered = load_matrix(matrix_path, fmt="raw")
+    p_ordered = load_matrix(matrix_path)
     m = dataset.n_rows
     if p_ordered.size != m:
         raise ParseError(f"{matrix_path}: M={p_ordered.size}, but {in_path} holds {m} scenarios")
@@ -250,39 +250,44 @@ def cmd_label(cfg: dict, args) -> int:
 def cmd_train(cfg: dict, args) -> int:
     b_trees = _b_trees(cfg, args, "classify")
     out = _workdir(cfg, args)
-    labeled = load_labeled_dataset(args.input or out / "labeled.csv")
+    in_path = args.input or out / "labeled.csv"
+    labeled = load_labeled_dataset(in_path)
     seed = stage_seed(_master_seed(cfg, args, "classify"), "clf")
-    forest = clf.fit_classifier(labeled, b_trees, seed)
-    thresholds = clf.oob_thresholds(forest, labeled)
+    try:
+        forest = clf.fit_classifier(labeled, b_trees, seed)
+        thresholds = clf.oob_thresholds(forest, labeled)
+    except clf.LabelError as exc:
+        raise ParseError(f"{in_path}: {exc}") from None
     clf.save_model(forest, thresholds, out / "model.json")
     kb = ", ".join(f"{c}={v:.3f}" for c, v in thresholds.kappa_bar.items())
     print(f"trained B={forest.n_trees} on {labeled.base.n_rows} rows; kappa_bar: {kb}")
     return EXIT_OK
 
 
-def _check_features(path, names: list[str], forest: xmurf.Forest) -> None:
-    """Raise ParseError naming the first feature column that differs from the
-    model's (only the count is known for a model without feature names)."""
+def _check_features(path, names: list[str], forest: xmurf.Forest, model_path) -> None:
+    """Raise ParseError naming both files and the first feature column that
+    differs from the model's (only the count is known for a model without
+    feature names)."""
     expected = forest.feature_names
     if expected is None:
         if len(names) != forest.q:
-            raise ParseError(f"{path}: {len(names)} feature columns, the model expects Q={forest.q}")
+            raise ParseError(f"{path}: {len(names)} feature columns, the model {model_path} expects Q={forest.q}")
         return
     for k, (got, want) in enumerate(itertools.zip_longest(names, expected)):
         if got != want:
             got, want = ("missing" if v is None else repr(v) for v in (got, want))
-            raise ParseError(f"{path}: feature column {k + 1} is {got}, the model expects {want}")
+            raise ParseError(f"{path}: feature column {k + 1} is {got}, the model {model_path} expects {want}")
 
 
 def cmd_classify(cfg: dict, args) -> int:
     out = _workdir(cfg, args)
-    forest, thresholds = clf.load_model(args.model or out / "model.json")
+    model_path = args.model or out / "model.json"
+    forest, thresholds = clf.load_model(model_path)
     if thresholds is None:
-        print("model file carries no thresholds; retrain first", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ParseError(f"{model_path}: kappa_bar: the model carries no thresholds; retrain first")
     in_path = args.input or out / "scenarios.csv"
     dataset = load_dataset(in_path)
-    _check_features(in_path, dataset.feature_names, forest)
+    _check_features(in_path, dataset.feature_names, forest, model_path)
     ratio = float(args.ratio if args.ratio is not None else cfg["classify"]["ratio"])
     out_path = Path(args.output) if args.output else out / "predictions.csv"
     predictions = clf.predict_batch(forest, thresholds, dataset.values, ratio)
@@ -297,7 +302,7 @@ def cmd_classify(cfg: dict, args) -> int:
 
 
 def cmd_render(cfg: dict, args) -> int:
-    matrix = load_matrix(args.matrix, fmt=args.format)
+    matrix = load_matrix(args.matrix)
     ordering.render_heatmap(matrix, args.output)
     print(f"rendered {matrix.size}x{matrix.size} heatmap to {args.output}")
     return EXIT_OK
@@ -334,9 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=float, help="threshold ratio (default from config)")
     p.add_argument("--output", help="predictions CSV (default <out>/predictions.csv)")
 
-    p = sub.add_parser("render", help="render any matrix file as a PPM heatmap")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--format", choices=("csv", "raw"), default="raw")
+    p = sub.add_parser("render", help="render a raw matrix file as a PPM heatmap")
+    p.add_argument("--matrix", required=True, help="raw matrix path, read with its .json sidecar")
     p.add_argument("--output", required=True)
     return parser
 

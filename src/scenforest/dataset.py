@@ -7,10 +7,9 @@ readers accept this subset of RFC 4180: unquoted cells (a ``"`` anywhere is
 an error); LF, CRLF or CR line ends; blank lines skipped, but counted in
 the line numbers of messages; numbers as Python's float() reads them.
 
-Proximity matrices are written in a raw binary format (row-major
-little-endian float64 plus a JSON sidecar), which round-trips bit-exactly;
-a matrix CSV (an id header row, then M rows of M values) can still be
-read, for rendering.
+Proximity matrices are written and read in a raw binary format only
+(row-major little-endian float64 plus a JSON sidecar), which round-trips
+bit-exactly.
 """
 
 from __future__ import annotations
@@ -203,12 +202,11 @@ def _cells(line: str) -> list[str]:
     return line.split(",") if line else []
 
 
-def _body(path, lines: list[str], width: int, unique_ids: bool) -> tuple:
+def _body(path, lines: list[str], width: int) -> tuple:
     """(rows, line numbers, ids, fault): the non-blank lines after the
-    header, up to the first of other than ``width`` cells or, when
-    ``unique_ids`` (for ``width`` >= 2), whose first cell repeats an earlier
-    one; the first cells of these rows when ``unique_ids``; and the
-    ParseError naming the line that ends them, or None."""
+    header, up to the first of other than ``width`` (>= 2) cells or whose
+    first cell repeats an earlier one; the first cells of these rows; and
+    the ParseError naming the line that ends them, or None."""
     rows, linenos, seen = [], [], {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
@@ -216,19 +214,18 @@ def _body(path, lines: list[str], width: int, unique_ids: bool) -> tuple:
         n = line.count(",") + 1
         if n != width:
             return rows, linenos, list(seen), ParseError(f"{path}:{lineno}: expected {width} cells, got {n}")
-        if unique_ids:
-            rid = line[: line.index(",")]
-            if rid in seen:
-                return rows, linenos, list(seen), ParseError(f"{path}:{lineno}: duplicate id {rid!r}")
-            seen[rid] = None
+        rid = line[: line.index(",")]
+        if rid in seen:
+            return rows, linenos, list(seen), ParseError(f"{path}:{lineno}: duplicate id {rid!r}")
+        seen[rid] = None
         rows.append(line)
         linenos.append(lineno)
     return rows, linenos, list(seen), None
 
 
-def _numbers(path, rows, linenos, cols: range, columns: list[str], finite: bool, fast: bool) -> np.ndarray:
-    """The (len(rows), len(cols)) float64 values of the cells ``cols`` of
-    the comma-separated ``rows``.
+def _numbers(path, rows, linenos, names: list[str], fast: bool) -> np.ndarray:
+    """The (len(rows), len(names)) float64 values of the feature cells, the
+    second to the ``len(names) + 1``-th, of the comma-separated ``rows``.
 
     When ``fast``, one np.loadtxt call converts the block. It reads a number
     bit for bit as float() does, but refuses some that float() takes, such
@@ -236,9 +233,10 @@ def _numbers(path, rows, linenos, cols: range, columns: list[str], finite: bool,
     holds one of _LOADTXT_ONLY_SPACES, which it would strip). So when it
     refuses a cell or yields a non-finite value, one float() per cell
     decides alone: it returns the values, or raises ParseError naming
-    ``path:line``, the cell and its column (from ``columns``) for the first
-    cell that float() refuses or, when ``finite``, reads as not finite.
+    ``path:line``, the cell and its column (from ``names``) for the first
+    cell that float() refuses or reads as not finite.
     """
+    cols = range(1, len(names) + 1)
     if fast and rows:
         try:
             values = np.loadtxt(rows, delimiter=",", usecols=cols, comments=None, quotechar=None, ndmin=2)
@@ -251,17 +249,17 @@ def _numbers(path, rows, linenos, cols: range, columns: list[str], finite: bool,
         cells = line.split(",")[cols.start : cols.stop]
         try:
             values[i] = row = [float(cell) for cell in cells]
-            ok = not finite or all(map(math.isfinite, row))
+            ok = all(map(math.isfinite, row))
         except ValueError:
             ok = False
         if not ok:
-            for col, cell in zip(columns, cells):
+            for name, cell in zip(names, cells):
                 try:
                     value = float(cell)
                 except ValueError:
-                    raise ParseError(f"{path}:{lineno}: non-numeric cell {_echo(cell)} in column {col}") from None
-                if finite and not math.isfinite(value):
-                    raise ParseError(f"{path}:{lineno}: non-finite cell {_echo(cell)} in column {col}")
+                    raise ParseError(f"{path}:{lineno}: non-numeric cell {_echo(cell)} in column {name!r}") from None
+                if not math.isfinite(value):
+                    raise ParseError(f"{path}:{lineno}: non-finite cell {_echo(cell)} in column {name!r}")
     return values
 
 
@@ -293,8 +291,8 @@ def _read_csv(path, labeled: bool) -> tuple:
     names = header[1:end]
     if not names:
         raise ParseError(f"{path}: no feature columns")
-    rows, linenos, ids, fault = _body(path, lines, len(header), unique_ids=True)
-    values = _numbers(path, rows, linenos, range(1, end), [repr(n) for n in names], True, fast)
+    rows, linenos, ids, fault = _body(path, lines, len(header))
+    values = _numbers(path, rows, linenos, names, fast)
     if fault:
         raise fault
     labels = [row[row.rindex(",") + 1 :] for row in rows] if labeled else []
@@ -346,38 +344,27 @@ def save_matrix(p: ProximityMatrix, path) -> None:
     Path(str(path) + ".json").write_text(json.dumps(sidecar) + "\n")
 
 
-def load_matrix(path, fmt: str = "csv") -> ProximityMatrix:
-    """Read a matrix: ``raw`` as save_matrix writes it, ``csv`` as a header
-    row of the M ids, then M rows of M values, in the module docstring's
-    CSV subset. Raises ParseError naming the file: for ``raw``, a sidecar
-    that is not {"M": non-negative int, "ids": M strings} or a data file of
-    other than 8 * M * M bytes; for ``csv``, a ``"``, a ragged row, a
-    non-numeric cell or bytes that are not UTF-8; for both, a matrix that
-    is not a valid ProximityMatrix."""
-    path = Path(path)
-    if fmt == "csv":
-        lines, fast = _lines(path)
-        ids = _cells(lines[0])
-        rows, linenos, _, fault = _body(path, lines, len(ids), unique_ids=False)
-        columns = [f"{k + 1} ({i!r})" for k, i in enumerate(ids)]
-        values = _numbers(path, rows, linenos, range(len(ids)), columns, False, fast)
-        if fault:
-            raise fault
-    elif fmt == "raw":
-        sidecar_path = Path(str(path) + ".json")
-        sidecar = read_json(sidecar_path)
-        require_keys(sidecar, ("M", "ids"), sidecar_path, "")
-        m, ids = sidecar["M"], sidecar["ids"]
-        if type(m) is not int or m < 0:
-            raise ParseError(f"{sidecar_path}: M: {m!r} is not a non-negative integer")
-        if not (isinstance(ids, list) and len(ids) == m and all(type(i) is str for i in ids)):
-            raise ParseError(f"{sidecar_path}: ids: expected a list of M={m} strings")
-        size = path.stat().st_size
-        if size != 8 * m * m:
-            raise ParseError(f"{path}: {size} bytes, the sidecar's M={m} makes {8 * m * m}")
-        values = np.fromfile(path, dtype="<f8").reshape(m, m)
-    else:
+def load_matrix(path, fmt: str = "raw") -> ProximityMatrix:
+    """Read a matrix as save_matrix writes it; ``fmt`` names that format,
+    ``raw``, the only one. Raises ParseError naming the file: a sidecar
+    that is not {"M": non-negative int, "ids": M strings}, a data file of
+    other than 8 * M * M bytes, or a matrix that is not a valid
+    ProximityMatrix."""
+    if fmt != "raw":
         raise ValueError(f"unknown matrix format {fmt!r}")
+    path = Path(path)
+    sidecar_path = Path(str(path) + ".json")
+    sidecar = read_json(sidecar_path)
+    require_keys(sidecar, ("M", "ids"), sidecar_path, "")
+    m, ids = sidecar["M"], sidecar["ids"]
+    if type(m) is not int or m < 0:
+        raise ParseError(f"{sidecar_path}: M: {m!r} is not a non-negative integer")
+    if not (isinstance(ids, list) and len(ids) == m and all(type(i) is str for i in ids)):
+        raise ParseError(f"{sidecar_path}: ids: expected a list of M={m} strings")
+    size = path.stat().st_size
+    if size != 8 * m * m:
+        raise ParseError(f"{path}: {size} bytes, the sidecar's M={m} makes {8 * m * m}")
+    values = np.fromfile(path, dtype="<f8").reshape(m, m)
     try:
         return ProximityMatrix(values=values, ids=ids)
     except ValueError as exc:

@@ -196,9 +196,8 @@ def cut_clusters(dend: Dendrogram, k: int) -> np.ndarray:
 def reorder(p: ProximityMatrix, perm) -> ProximityMatrix:
     """Apply a permutation similarity: out[i, j] = p[perm[i], perm[j]]."""
     perm = np.asarray(perm, dtype=np.int64)
-    m = p.size
-    if perm.shape != (m,) or not np.array_equal(np.sort(perm), np.arange(m)):
-        raise ValueError("perm is not a bijection on [0, M)")
+    if not _is_bijection(perm, p.size):
+        raise ValueError(f"perm is not a bijection on [0, {p.size})")
     values = p.values[np.ix_(perm, perm)]
     ids = [p.ids[i] for i in perm]
     return ProximityMatrix(values=values, ids=ids)
@@ -276,10 +275,14 @@ def load_cluster_ranges(path) -> list[ClusterRange]:
     return ranges
 
 
+def _is_bijection(perm: np.ndarray, m: int) -> bool:
+    return perm.shape == (m,) and np.array_equal(np.sort(perm), np.arange(m))
+
+
 def check_permutation(perm, m: int) -> np.ndarray:
     """perm as an int64 array; ValueError unless it is a bijection on [0, m)."""
     perm = np.asarray(perm, dtype=np.int64)
-    if perm.shape != (m,) or not np.array_equal(np.sort(perm), np.arange(m)):
+    if not _is_bijection(perm, m):
         raise ValueError(f"perm is not a bijection on [0, {m})")
     return perm
 

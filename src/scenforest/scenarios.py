@@ -12,6 +12,8 @@ plus scalar descriptors of the whole window. The six zones of the three
 instants come from one gather of the trace; the DTW distance between the
 actual and the desired gap curve, the costliest descriptor, is computed
 for all scenarios of a dataset in one batched sweep (dtw_distances).
+Detection runs on whole traces; extract_features is the one-scenario
+form of the features, for a hand-built window.
 """
 
 from __future__ import annotations
@@ -31,13 +33,10 @@ __all__ = [
     "ZONES",
     "FEATURE_NAMES",
     "Scenario",
-    "ZoneOccupancy",
     "compute_thw",
     "zone_extent",
     "thw_series",
     "find_trigger_windows",
-    "detect_scenarios",
-    "assign_zones",
     "dtw_distance",
     "dtw_distances",
     "extract_features",
@@ -96,16 +95,6 @@ class Scenario:
             raise ValueError("changepoint outside the scenario window")
 
 
-@dataclass
-class ZoneOccupancy:
-    """Nearest vehicle per zone: (vehicle id, |dx| m, relative speed m/s)."""
-
-    slots: dict
-
-    def occupied(self) -> list:
-        return [z for z in ZONES if self.slots.get(z) is not None]
-
-
 def compute_thw(d_rel, v_ego):
     """Time headway: relative distance over ego speed, elementwise over
     floats or arrays; the no-threat sentinel (inf) for a near-standing ego."""
@@ -152,13 +141,14 @@ def _leader_gaps(trace: Trace, steps: slice) -> np.ndarray:
 
 
 def _thw_all(trace: Trace) -> np.ndarray:
-    """thw_series of every vehicle, as the columns of one (n_ts, n_v) array."""
+    """The per-step THW of every vehicle to its current leader (inf without
+    one: the gap to no leader is inf), as the columns of one (n_ts, n_v)
+    array."""
     return compute_thw(_leader_gaps(trace, slice(None)), trace.v)
 
 
 def thw_series(trace: Trace, ego_id: int) -> np.ndarray:
-    """Per-timestep THW of one ego to its current leader (inf if none: the
-    gap to no leader is inf)."""
+    """_thw_all's column of one ego."""
     return _thw_all(trace)[:, ego_id - 1]
 
 
@@ -180,13 +170,9 @@ def find_trigger_windows(thw: np.ndarray, dt: float) -> list:
     return [(a, b) for a, b in merged if float(np.min(thw[a : b + 1])) <= THW_KEEP]
 
 
-def detect_scenarios(trace: Trace) -> list:
-    """All kept scenarios of a trace, every vehicle serving as ego."""
-    return _detect(trace, _thw_all(trace))
-
-
 def _detect(trace: Trace, thw: np.ndarray) -> list:
-    """detect_scenarios from the ``_thw_all`` of the trace."""
+    """All kept scenarios of a trace, every vehicle serving as ego, from the
+    trace's ``_thw_all``."""
     out = []
     for ego_id in range(1, trace.n_vehicles + 1):
         series = thw[:, ego_id - 1]
@@ -197,11 +183,16 @@ def _detect(trace: Trace, thw: np.ndarray) -> list:
 
 
 def _zones(trace: Trace, ego: int, steps) -> dict:
-    """zone -> (column or -1, |dx|, relative speed) at each of ``steps``,
-    every zone from one gather of the steps: a vehicle within the zone
-    extent falls into zone 2 * s + (dx < 0) of ZONES, with the lane slot
-    s = lane offset mod 3 (own 0, left 1, right 2); the nearest wins, and
-    the lowest id on equal distance."""
+    """zone -> (column or -1, |dx|, relative speed) of the nearest vehicle
+    in each zone around the ego (column ``ego``) at each of ``steps``,
+    every zone from one gather of the steps.
+
+    Zones combine the lane offset (-1 right, 0 own, +1 left) with the sign
+    of the longitudinal center distance; reach is the speed-adapted extent,
+    and every vehicle falls into at most one zone: a vehicle within it
+    falls into zone 2 * s + (dx < 0) of ZONES, with the lane slot s = lane
+    offset mod 3 (own 0, left 1, right 2). The nearest wins, and the lowest
+    id on equal distance."""
     x, v = trace.x[steps], trace.v[steps]
     dx = x - x[:, ego, None]
     offset = trace.lane[steps] - trace.lane[steps, ego][:, None]
@@ -215,17 +206,6 @@ def _zones(trace: Trace, ego: int, steps) -> dict:
     j = np.where(d < np.inf, j, -1)
     relv = v[np.arange(len(x)), j] - v[:, ego]
     return {zone: (j[k], d[k], relv[k]) for k, zone in enumerate(ZONES)}
-
-
-def assign_zones(trace: Trace, ego_id: int, t: int) -> ZoneOccupancy:
-    """Nearest vehicle per zone around the ego at timestep t.
-
-    Zones combine the lane offset (-1 right, 0 own, +1 left) with the sign
-    of the longitudinal center distance; reach is the speed-adapted extent.
-    Every vehicle falls into at most one zone.
-    """
-    zones = _zones(trace, ego_id - 1, [t]).items()
-    return ZoneOccupancy({z: (int(j[0]) + 1, float(d[0]), float(r[0])) if j[0] >= 0 else None for z, (j, d, r) in zones})
 
 
 def dtw_distances(pairs) -> np.ndarray:
@@ -243,7 +223,7 @@ def dtw_distances(pairs) -> np.ndarray:
     """
     pairs = [(np.asarray(s1, dtype=np.float64), np.asarray(s2, dtype=np.float64)) for s1, s2 in pairs]
     if any(s1.size == 0 or s2.size == 0 for s1, s2 in pairs):
-        raise ValueError("dtw_distance requires non-empty sequences")
+        raise ValueError("dtw_distances requires non-empty sequences")
     n = np.array([s1.size for s1, _ in pairs], dtype=np.int64)
     m = np.array([s2.size for _, s2 in pairs], dtype=np.int64)
     big_n, big_m = int(n.max(initial=0)), int(m.max(initial=0))

@@ -33,8 +33,10 @@ nor waits, one motivation draw (and a direction draw when it fires with
 two lanes to choose from). A changing vehicle aborts by the rule gap_lost;
 a waiting or newly motivated one starts by gap_accepted if its lane still
 has room, since a start reserves its target lane for the next vehicle's
-check. A run's trace is therefore the same in any batch; run_scene and
-run_simulation are batches of one.
+check. A run's trace is therefore the same in any batch, a batch of one
+included. run_simulations draws each run's scene from its seed, and
+run_simulation is its batch of one; run_scene runs a scene that
+init_scene drew or a caller built.
 
 Vehicle ids are 1-based: column i of every trace array is vehicle i + 1.
 """
@@ -508,16 +510,17 @@ def _run_batch(road: RoadConfig, scenes: list) -> list:
 
 def run_scene(road: RoadConfig, params: SimParams, states0: list, profiles: list, rng: np.random.Generator | None = None) -> Trace:
     """Run the main loop on a prepared scene. ``rng`` continues the stream
-    used by scene setup when called through run_simulation."""
+    that drew the scene, as run_simulations continues it; by default, a
+    fresh stream of the params' seed."""
     return _run_batch(road, [(params, states0, profiles, _run_rng(params.seed) if rng is None else rng)])[0]
 
 
 def run_simulations(road: RoadConfig, runs: list):
     """Yield each run's trace, in order: each run's scene is drawn from its
     own seed, and up to BATCH_RUNS runs at a time go through one lock-step
-    batch. Each trace equals run_simulation's for its params, and is a
-    view of its batch's arrays, which stay alive while any of its traces
-    does."""
+    batch. Identical (config, seed) pairs produce bit-identical traces, in
+    any batch. Each trace is a view of its batch's arrays, which stay alive
+    while any of its traces does."""
     for lo in range(0, len(runs), BATCH_RUNS):
         scenes = []
         for params in runs[lo:lo + BATCH_RUNS]:
@@ -527,6 +530,5 @@ def run_simulations(road: RoadConfig, runs: list):
 
 
 def run_simulation(road: RoadConfig, params: SimParams) -> Trace:
-    """Draw a scene from the seed and run it; identical (config, seed) pairs
-    produce bit-identical traces."""
+    """run_simulations of the one run ``params``."""
     return next(run_simulations(road, [params]))

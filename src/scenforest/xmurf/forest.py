@@ -206,7 +206,13 @@ def _depths(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         depth[level] = d
 
 
-def _tree_proximity(tree: Tree, x: np.ndarray, diverging: np.ndarray, same_leaf: np.ndarray) -> None:
+def _is_leaf(tree: Tree) -> np.ndarray:
+    """Each node's leaf flag: a leaf's left child is itself."""
+    left = tree.nodes["left"]
+    return left == np.arange(len(left))
+
+
+def _tree_proximity(tree: Tree, x: np.ndarray, diverging: np.ndarray, same_leaf: np.ndarray, tables: tuple) -> None:
     """Add one tree's pairwise Jaccard terms to the accumulators.
 
     ``diverging[i, j]`` receives the term of every pair whose leaves differ
@@ -219,24 +225,28 @@ def _tree_proximity(tree: Tree, x: np.ndarray, diverging: np.ndarray, same_leaf:
     so the shared prefix of u and v, in nodes, is the least depth of the
     node after each leaf from u up to the one before v. The rows go down the
     tree one level per pass; the accumulation runs PROXIMITY_BLOCK // M rows
-    at a time, which bounds the temporaries.
+    at a time, which bounds the temporaries. The L x L leaf-pair tables of
+    a tree of L leaves are the top-left corners of ``tables``, a bool and
+    two float64 square arrays at least that large, which every tree reuses.
     """
     feature, threshold, left, right = (tree.nodes[name] for name in ("feature", "threshold", "left", "right"))
     depth = _depths(left, right)
     m = x.shape[0]
     node = route(feature, threshold, left, right, x, np.arange(m), np.zeros(m, dtype=np.int64))
-    is_leaf = left == np.arange(len(left))
+    is_leaf = _is_leaf(tree)
     leaves = np.flatnonzero(is_leaf)
     length = depth[leaves] + 1.0  # nodes on the path to each leaf
     # term[u, v]: the Jaccard term of leaves u < v, 0 where u >= v. Every
     # count is a small integer, so each term is the division of the same two
     # exact doubles as a per-pair form would make.
     after = np.concatenate([[0.0], depth[leaves[:-1] + 1]])
-    upper = np.arange(len(leaves)) > np.arange(len(leaves))[:, None]
-    shared = np.where(upper, after, len(left))
+    upper, shared, term = (table[: len(leaves), : len(leaves)] for table in tables)
+    np.greater(np.arange(len(leaves)), np.arange(len(leaves))[:, None], out=upper)
+    shared[...] = len(left)
+    np.copyto(shared, after, where=upper)
     np.minimum.accumulate(shared, axis=1, out=shared)
     shared *= upper
-    term = np.add.outer(length, length)
+    np.add.outer(length, length, out=term)
     term -= shared
     np.divide(shared, term, out=term)
     rank = (np.cumsum(is_leaf) - 1)[node]  # each row's leaf, as its place among the leaves
@@ -266,15 +276,19 @@ def proximity_matrix(forest: Forest, data: Dataset) -> ProximityMatrix:
     Every row of the dataset (in-bag or not) is routed through every tree.
     The result is exactly symmetric with unit diagonal and entries in (0, 1].
     It holds one M x M float64 accumulator, which becomes the result, one
-    M x M leaf-sharing count (a byte each below 256 trees) and a tree's leaf-pair table.
+    M x M leaf-sharing count (a byte each below 256 trees) and one set of
+    leaf-pair tables, sized once for the tree with the most leaves.
     """
     if data.values.shape[1] != forest.q:
         raise ValueError(f"dataset has {data.values.shape[1]} features, forest expects {forest.q}")
     m = data.values.shape[0]
     diverging = np.zeros((m, m))
     same_leaf = np.zeros((m, m), dtype=np.min_scalar_type(forest.n_trees))  # a count, exact as a double
+    n = max(np.count_nonzero(_is_leaf(t)) for t in forest.trees)
+    tables = (np.empty((n, n), dtype=bool), np.empty((n, n)), np.empty((n, n)))
     for tree in forest.trees:
-        _tree_proximity(tree, data.values, diverging, same_leaf)
+        _tree_proximity(tree, data.values, diverging, same_leaf, tables)
+    del tables  # before the symmetry check's M x M temporary
     return ProximityMatrix(values=_fold(diverging, same_leaf, forest.n_trees), ids=list(data.ids))
 
 

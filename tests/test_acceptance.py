@@ -24,7 +24,7 @@ from scenforest.sim import (
     VehicleState,
     init_scene,
     one_track_step,
-    run_simulation,
+    run_simulations,
 )
 from scenforest.xmurf import fit, noise_cdf, path, path_proximity_tree, proximity_matrix
 
@@ -267,7 +267,7 @@ def test_criterion_7_simulator_physics():
     # 60 s run with exactly 12 vehicles
     road = RoadConfig(n_l=2, n_vpl=6)
     seed = next(s for s in range(200) if len(init_scene(road, s)[0]) == 12)
-    trace = run_simulation(road, SimParams(dt=0.05, duration=60.0, seed=seed))
+    trace = next(run_simulations(road, [SimParams(dt=0.05, duration=60.0, seed=seed)]))
     assert trace.n_vehicles == 12
     bound = GRAVITY * trace.dt**2
     assert np.all(np.abs(trace.x[1:] - trace.x[:-1] - trace.v[:-1] * trace.dt) <= bound)
@@ -350,9 +350,9 @@ def test_criterion_10_matrix_invariants(blob_recovery, small_instance, end_to_en
     data, forest, prox = small_instance
     check_matrix_invariants(prox, forest, data)
     dir_a, _, _ = end_to_end
-    prox_e2e = load_matrix(dir_a / "proximity.raw", fmt="raw")
+    prox_e2e = load_matrix(dir_a / "proximity.raw")
     forest_e2e = xmurf.load_forest(dir_a / "forest.json")
     data_e2e = load_dataset(dir_a / "scenarios.csv")
     check_matrix_invariants(prox_e2e, forest_e2e, data_e2e)
-    check_matrix_invariants(load_matrix(dir_a / "proximity_ordered.raw", fmt="raw"))
+    check_matrix_invariants(load_matrix(dir_a / "proximity_ordered.raw"))
     report(10, "symmetry, unit diagonal, range, and root-share bound hold on all matrices")

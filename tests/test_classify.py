@@ -15,13 +15,10 @@ from conftest import adjacent_doubles, split_batch, tie_heavy_dataset
 from scenforest import classify
 from scenforest.classify import (
     ClassThresholds,
-    assignment_rate,
     fit_classifier,
-    forest_votes,
     load_model,
     oob_thresholds,
     predict_batch,
-    predict_detail,
     predict_with_threshold,
     save_model,
 )
@@ -55,8 +52,7 @@ def test_separable_training_accuracy():
     d = blobs(np.random.default_rng(0))
     f = fit_classifier(d, 30, seed=1)
     correct = 0
-    for i in range(d.base.n_rows):
-        votes = forest_votes(f, d.base.values[i])
+    for i, votes in enumerate(classify._count_votes(f, d.base.values)):
         correct += f.labels[int(np.argmax(votes))] == d.labels[i]
     assert correct == d.base.n_rows
 
@@ -190,10 +186,10 @@ def test_withdraw_rule_cases():
     f = fit_classifier(d, 10, seed=2)
     th = oob_thresholds(f, d)
     x = d.base.values[0]
-    label0, fraction, _ = predict_detail(f, th, x, ratio=0.0)
+    label0, fraction, _ = predict_batch(f, th, x[None], ratio=0.0)[0]
     assert label0 is not None  # ratio 0 always assigns
     # force withdrawal by an absurd threshold ratio
-    label_hi, fraction_hi, threshold_hi = predict_detail(f, th, x, ratio=1e9)
+    label_hi, fraction_hi, threshold_hi = predict_batch(f, th, x[None], ratio=1e9)[0]
     assert label_hi is None and threshold_hi > 1.0
     for ratio in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="ratio must be a finite number >= 0"):
@@ -211,9 +207,9 @@ def test_withdraw_boundary_arithmetic():
     )
     th = ClassThresholds(kappa_bar={"A": 0.8, "B": 0.8}, kappas=[])
     x = np.array([0.0])
-    label, fraction, threshold = predict_detail(f, th, x, ratio=1.0)
+    label, fraction, threshold = predict_batch(f, th, x[None], ratio=1.0)[0]
     assert (label, fraction, threshold) == (None, 0.6, 0.8)
-    label, fraction, threshold = predict_detail(f, th, x, ratio=0.5)
+    label, fraction, threshold = predict_batch(f, th, x[None], ratio=0.5)[0]
     assert (label, fraction, threshold) == ("A", 0.6, 0.4)
 
 
@@ -235,7 +231,7 @@ def test_monotone_assignment_and_subset():
     assert len(assigned_sets[0]) == 80  # ratio 0 assigns everything
     for tighter, looser in zip(assigned_sets[1:], assigned_sets[:-1]):
         assert tighter <= looser
-    rates = [assignment_rate(f, th, base, r) for r in ratios]
+    rates = [sum(label is not None for label, _, _ in predict_batch(f, th, x, r)) / 80 for r in ratios]
     assert rates[0] == 1.0
     assert all(a >= b for a, b in zip(rates, rates[1:]))
 
@@ -248,7 +244,7 @@ def test_threshold_never_changes_winner():
     f = fit_classifier(d, 30, seed=13)
     th = oob_thresholds(f, d)
     for i in range(60):
-        plurality = f.labels[int(np.argmax(forest_votes(f, x[i])))]
+        plurality = f.labels[int(np.argmax(classify._count_votes(f, x[i : i + 1])[0]))]
         for r in (0.25, 0.75, 1.0):
             got = predict_with_threshold(f, th, x[i], r)
             assert got in (None, plurality)
@@ -264,7 +260,8 @@ def test_model_round_trip(tmp_path):
     assert f2.labels == f.labels and f2.n_trees == f.n_trees
     assert th2.kappa_bar == th.kappa_bar
     x = d.base.values[3]
-    assert predict_detail(f, th, x, 0.5) == predict_detail(f2, th2, x, 0.5)
+    assert predict_batch(f, th, x[None], 0.5) == predict_batch(f2, th2, x[None], 0.5)
+    assert classify.predict_detail(f2, th2, x, 0.5) == predict_batch(f2, th2, x[None], 0.5)[0]
 
 
 # values and thresholds share one small grid, so rows land exactly on split points
@@ -272,14 +269,14 @@ GRID = [-1.0, -0.5, 0.0, 0.5, 1.0]
 
 
 def assert_votes_match_walk(f, x):
-    votes = forest_votes(f, x)
+    votes = classify._count_votes(f, x)
     assert votes.shape == (x.shape[0], len(f.labels))
     for i in range(x.shape[0]):
         expected = np.zeros(len(f.labels), dtype=np.int64)
         for tree in f.trees:
             expected[walk_vote(tree, x[i])] += 1
         np.testing.assert_array_equal(votes[i], expected)
-        np.testing.assert_array_equal(forest_votes(f, x[i]), expected)
+        np.testing.assert_array_equal(classify._count_votes(f, x[i : i + 1])[0], expected)
 
 
 @st.composite
@@ -345,7 +342,7 @@ def test_batch_across_blocks_equals_hand_walk_and_predict_detail():
     th = oob_thresholds(f, d)
     x = rng.normal(1.0, 2.0, (300, 2))  # 4800 (row, tree) pairs: more than one routing block
     assert_votes_match_walk(f, x)
-    assert predict_batch(f, th, x, 0.75) == [predict_detail(f, th, x[i], 0.75) for i in range(300)]
+    assert predict_batch(f, th, x, 0.75) == [predict_batch(f, th, x[i : i + 1], 0.75)[0] for i in range(300)]
 
 
 def loop_best_split_supervised(x, y, rows, features, n_classes):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from scenforest import cli
-from scenforest.classify import UNASSIGNED, fit_classifier, load_model, oob_thresholds, predict_detail, save_model
+from scenforest.classify import UNASSIGNED, fit_classifier, load_model, oob_thresholds, predict_batch, save_model
 from scenforest.dataset import Dataset, LabeledDataset, load_dataset, load_matrix, save_dataset
 from scenforest.scenarios import FEATURE_NAMES
 from scenforest.sim import CHANNELS
@@ -105,7 +105,7 @@ def test_scenarios_csv_schema(pipeline):
 
 def test_cluster_outputs_valid_matrix(pipeline):
     _, out, _, _ = pipeline
-    p = load_matrix(out / "proximity.raw", fmt="raw")
+    p = load_matrix(out / "proximity.raw")
     assert p.size >= 2
     forest = json.loads((out / "forest.json").read_text())
     assert forest["B"] == 20  # config b_trees respected
@@ -139,15 +139,15 @@ def test_cluster_seed_changes_matrix(pipeline, tmp_path):
          "--input", str(out / "scenarios.csv")]
     )
     assert code == 0
-    p1 = load_matrix(out / "proximity.raw", fmt="raw")
-    p2 = load_matrix(out2 / "proximity.raw", fmt="raw")
+    p1 = load_matrix(out / "proximity.raw")
+    p2 = load_matrix(out2 / "proximity.raw")
     assert not np.array_equal(p1.values, p2.values)
 
 
 def test_order_outputs(pipeline):
     _, out, _, _ = pipeline
     perm = json.loads((out / "permutation.json").read_text())
-    m = load_matrix(out / "proximity.raw", fmt="raw").size
+    m = load_matrix(out / "proximity.raw").size
     assert sorted(perm) == list(range(m))
     ppm = (out / "heatmap.ppm").read_bytes()
     assert ppm.startswith(f"P6\n{m} {m}\n255\n".encode())
@@ -263,20 +263,24 @@ def test_classify_matches_predict_detail_row_by_row(pipeline, tmp_path):
     ds = load_dataset(out / "scenarios.csv")
     expected = ["id,label,vote_fraction,threshold_used"]
     for rid, row in zip(ds.ids, ds.values):
-        label, fraction, threshold = predict_detail(forest, th, row, 0.75)
+        label, fraction, threshold = predict_batch(forest, th, row[None], 0.75)[0]
         expected.append(f"{rid},{label or UNASSIGNED},{fraction:.17g},{threshold:.17g}")
     assert dest.read_text().splitlines() == expected
 
 
 @pytest.mark.parametrize("bag", ["100000000000000000000", "1e999"], ids=["int-beyond-int64", "float-inf"])
-def test_classify_model_bag_out_of_int64_range_exits_2(pipeline, tmp_path, capsys, bag):
+def test_classify_ignores_a_model_bag(pipeline, tmp_path, bag):
+    # an older model.json holds each tree's bootstrap bag before its nodes:
+    # classify does not read it, whatever it holds
     _, out, base, _ = pipeline
     model = json.loads((out / "model.json").read_text())
-    model["trees"][1]["bag"] = "BAG"
-    bad = tmp_path / "model.json"
-    bad.write_text(json.dumps(model).replace('"BAG"', f"[{bag}]"))
-    argv = base + ["classify", "--model", str(bad), "--output", str(tmp_path / "p.csv")]
-    assert_exits_2_located(argv, str(bad), "trees[1].bag: expected a list of row indices", capsys)
+    assert all("bag" not in t for t in model["trees"])
+    model["trees"] = [{"bag": "BAG", **t} for t in model["trees"]]
+    old = tmp_path / "model.json"
+    old.write_text(json.dumps(model).replace('"BAG"', f"[{bag}]"))
+    dest = tmp_path / "p.csv"
+    assert cli.main(base + ["classify", "--ratio", "0.5", "--model", str(old), "--output", str(dest)]) == 0
+    assert dest.read_bytes() == (out / "predictions.csv").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -302,8 +306,7 @@ def test_classify_rejects_feature_columns_unlike_the_model(pipeline, tmp_path, c
 def test_render_standalone(pipeline, tmp_path):
     _, out, _, _ = pipeline
     dest = tmp_path / "m.ppm"
-    code = cli.main(["render", "--matrix", str(out / "proximity.raw"), "--format", "raw",
-                     "--output", str(dest)])
+    code = cli.main(["render", "--matrix", str(out / "proximity.raw"), "--output", str(dest)])
     assert code == 0
     assert dest.read_bytes().startswith(b"P6\n")
 
@@ -436,14 +439,18 @@ LABEL_2 = {
 
 
 
-def one_feature_model() -> str:
+def one_feature_model(kappa_bar_a=None) -> str:
     """The model.json of a B = 10 classifier, with its thresholds, fitted on
-    eight rows of one feature ``f``."""
+    eight rows of one feature ``f``; label A's threshold set to
+    ``kappa_bar_a`` when given."""
     data = LabeledDataset(Dataset(["f"], [f"r{i}" for i in range(8)], [[i] for i in range(8)]), ["A"] * 4 + ["B"] * 4)
     forest = fit_classifier(data, 10, 0)
+    thresholds = oob_thresholds(forest, data)
+    if kappa_bar_a is not None:
+        thresholds.kappa_bar["A"] = kappa_bar_a
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
-        save_model(forest, oob_thresholds(forest, data), path)
+        save_model(forest, thresholds, path)
         return path.read_text()
 
 
@@ -459,8 +466,6 @@ def one_feature_model() -> str:
         ({"m.raw": MATRIX_2[:-1], "m.raw.json": SIDECAR_2}, RENDER_RAW, "m.raw", "31 bytes, the sidecar's M=2 makes 32"),
         ({"m.raw": np.array([[1.0, 0.5], [0.4, 1.0]]).tobytes(), "m.raw.json": SIDECAR_2}, RENDER_RAW, "m.raw",
          "asymmetric at (0, 1)"),
-        ({"m.csv": "a,b\n1,0.5\n"}, ["render", "--matrix", "m.csv", "--format", "csv", "--output", "m.ppm"], "m.csv",
-         "matrix shape (1, 2) does not match 2 ids"),
         ({**SCENARIOS_2, "permutation.json": "[0.5, 1.7]"}, LABEL, "permutation.json", "[0]: 0.5 is not an integer"),
         ({**SCENARIOS_2, "permutation.json": "[true, false]"}, LABEL, "permutation.json", "[0]: True is not an integer"),
         ({**SCENARIOS_2, "permutation.json": "[0,"}, LABEL, "permutation.json:1", "invalid JSON"),
@@ -479,27 +484,35 @@ def one_feature_model() -> str:
         ({"scenarios.csv": b"id,f\na,1\nb,\xff\n"}, ["--out", ".", "cluster"], "scenarios.csv",
          "not UTF-8 text: byte 0xff"),
         ({**LABEL_2, "ranges.json": b'[{"label": "\xff"}]'}, LABEL, "ranges.json", "not UTF-8 text: byte 0xff"),
-        ({"m.csv": b"a,b\n1,0.5\n0.5,\xff\n"}, ["render", "--matrix", "m.csv", "--format", "csv", "--output", "m.ppm"],
-         "m.csv", "not UTF-8 text: byte 0xff"),
         ({**LABEL_2, "ranges.json": '[{"start": 0, "end": 1, "label": "a,b"}]'}, LABEL, "ranges.json",
          "[0].label: 'a,b' holds ','"),
         ({"scenarios.csv": "id,f\na," + "x" * 200_000 + "\n"}, ["--out", ".", "cluster"], "scenarios.csv:2",
          "non-numeric cell '" + "x" * 40 + "…' (200000 characters) in column 'f'"),
-        ({"m.csv": "a,b\n1," + "x" * 200_000 + "\n"}, ["render", "--matrix", "m.csv", "--format", "csv", "--output", "m.ppm"],
-         "m.csv:2", "non-numeric cell '" + "x" * 40 + "…' (200000 characters) in column 2 ('b')"),
+        ({"scenarios.csv": 'id,f\na,1\nb,"2"\n'}, ["--out", ".", "cluster"], "scenarios.csv:3",
+         "quoted cell: cells are read unquoted"),
         ({"scenarios.csv": "id\na\nb\n"}, ["--out", ".", "cluster"], "scenarios.csv", "no feature columns"),
         ({"labeled.csv": "id,label\na,A\nb,B\n"}, ["--out", ".", "train"], "labeled.csv", "no feature columns"),
         ({"model.json": one_feature_model(), "scenarios.csv": "id\na\n"}, ["--out", ".", "classify"], "scenarios.csv",
          "no feature columns"),
+        *[({"model.json": one_feature_model(kappa_bar_a=value), "scenarios.csv": "id,f\na,1\n"}, ["--out", ".", "classify"],
+           "model.json", "kappa_bar: expected a number for every label, in [0, 1]")
+          for value in (math.nan, math.inf, 1e300, -1)],
+        ({"scenarios.csv": "id,f\na,1\n"}, ["--out", ".", "cluster"], "scenarios.csv",
+         "need at least 2 scenarios to cluster, got 1"),
+        ({"labeled.csv": "id,f,label\na,1,A\nb,2,A\n"}, ["--out", ".", "train"], "labeled.csv", "need at least 2 classes"),
+        ({"model.json": json.dumps({**json.loads(one_feature_model()), "kappa_bar": None}), "scenarios.csv": "id,f\na,1\n"},
+         ["--out", ".", "classify"], "model.json", "kappa_bar: the model carries no thresholds"),
     ],
     ids=[
         "raw-sidecar-invalid-json", "raw-sidecar-missing-M", "raw-sidecar-M-not-int", "raw-sidecar-ids-not-strings",
-        "raw-data-short", "raw-asymmetric", "csv-shape", "permutation-floats", "permutation-bools",
+        "raw-data-short", "raw-asymmetric", "permutation-floats", "permutation-bools",
         "permutation-invalid-json", "permutation-repeats", "permutation-too-long", "range-outside",
         "range-overlap", "matrix-size", "labeled-non-numeric", "labeled-non-finite",
-        "input-is-a-directory", "scenarios-not-utf8", "ranges-not-utf8", "csv-matrix-not-utf8",
-        "label-holds-comma", "scenarios-oversized-cell", "csv-matrix-oversized-cell", "cluster-no-feature-column",
+        "input-is-a-directory", "scenarios-not-utf8", "ranges-not-utf8",
+        "label-holds-comma", "scenarios-oversized-cell", "scenarios-quoted-cell", "cluster-no-feature-column",
         "train-no-feature-column", "classify-no-feature-column",
+        "kappa-bar-nan", "kappa-bar-infinity", "kappa-bar-1e300", "kappa-bar-minus-1",
+        "cluster-one-row", "train-one-class", "classify-no-thresholds",
     ],
 )
 def test_reader_rejects_malformed_input(tmp_path, monkeypatch, capsys, files, argv, where, message):
@@ -602,22 +615,6 @@ def test_config_accepts_int_for_float_and_int_or_null_seed(tmp_path):
     assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "o"), "simulate"]) == 0
 
 
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("a,b\n1,x\n0.5,1\n", ":2: non-numeric cell 'x' in column 2 ('b')"),
-        ("a,b\n1,0.5\n0.5\n", ":3: expected 2 cells, got 1"),
-    ],
-    ids=["non-numeric-cell", "ragged-row"],
-)
-def test_render_csv_locates_bad_cell(tmp_path, capsys, text, message):
-    matrix = tmp_path / "m.csv"
-    matrix.write_text(text)
-    code = cli.main(["render", "--matrix", str(matrix), "--format", "csv", "--output", str(tmp_path / "m.ppm")])
-    assert code == 2
-    assert capsys.readouterr().err == f"error: {matrix}{message}\n"
-
-
 # ------------------------------------------------------- artifact pins
 
 # sha256 of the artifacts of all seven stages on a 2-run, 60 s config at
@@ -634,7 +631,7 @@ PINNED_SHA256 = {
     "dendrogram.json": "38c4bc9f0e9bbb9c636ac5efea15d59b375d770d3e52620b71fb200d322f2e79",
     "permutation.json": "a4404177320cbf069a2fd9f9a8251305f9549de2721d25eed22e9991bea203e0",
     "labeled.csv": "fe3508d9c2f51f315bf43c412413f062253c8db5ce38915179bf854467d02511",
-    "model.json": "0e4b4507931994df316091de86610e64eb173384fdf8e4f89f21a8c48c997db2",
+    "model.json": "353b7608bc9c9168b297ab860e936ddde479acbf87436b9fa8121ce76b32a32a",
     "predictions.csv": "6891af5fe62d98cb9a322577de1a07f90b15ead264beb6309a815f989cbd7437",
 }
 

@@ -45,7 +45,7 @@ def test_order_holds_at_most_two_and_a_half_matrices(fitted, tmp_path):
     save_matrix(xmurf.proximity_matrix(forest, data), tmp_path / "proximity.raw")
 
     def order():  # the steps of ``cli.cmd_order``, each result held as there
-        matrix = load_matrix(tmp_path / "proximity.raw", fmt="raw")
+        matrix = load_matrix(tmp_path / "proximity.raw")
         dend = ordering.linkage(matrix)
         p_ordered = ordering.reorder(matrix, ordering.leaf_order(dend))
         save_matrix(p_ordered, tmp_path / "proximity_ordered.raw")

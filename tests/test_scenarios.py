@@ -21,12 +21,12 @@ from scenforest.scenarios import (
     ZONES,
     Scenario,
     _cut_in,
+    _detect,
     _gap_curves,
     _leader_gaps,
+    _thw_all,
     _zones,
-    assign_zones,
     compute_thw,
-    detect_scenarios,
     dtw_distance,
     dtw_distances,
     extract_features,
@@ -114,10 +114,12 @@ def test_thw_series_and_detection_on_trace(trace_builder):
     gaps = np.full(80, 30.0)
     gaps[20:50] = 14.0  # THW 0.7 s
     trace = follower_trace(trace_builder, gaps, v=v)
-    series = thw_series(trace, 1)
+    thw = _thw_all(trace)
+    series = thw[:, 0]
     np.testing.assert_allclose(series[:20], 1.5)
     np.testing.assert_allclose(series[20:50], 0.7)
-    scenarios = detect_scenarios(trace)
+    np.testing.assert_array_equal(thw_series(trace, 1), series)
+    scenarios = _detect(trace, thw)
     assert len(scenarios) == 1
     sc = scenarios[0]
     assert sc.ego_id == 1
@@ -132,7 +134,7 @@ def test_detection_merges_same_ego_windows(trace_builder):
     gaps = np.full(100, 14.0)
     gaps[40:45] = 40.0  # 0.5 s above trigger at dt=0.1
     trace = follower_trace(trace_builder, gaps)
-    scenarios = detect_scenarios(trace)
+    scenarios = _detect(trace, _thw_all(trace))
     assert len(scenarios) == 1
     assert (scenarios[0].t_start, scenarios[0].t_end) == (0, 99)
 
@@ -147,10 +149,14 @@ def lone_ego_trace(build, v=20.0):
     return build(x, vel, lane)
 
 
+def occupied(zones) -> list:
+    """The zones of a one-step ``_zones`` that hold a vehicle, in ZONES order."""
+    return [z for z, (j, _, _) in zones.items() if j[0] >= 0]
+
+
 def test_zones_ego_alone(trace_builder):
     trace = lone_ego_trace(trace_builder)
-    occ = assign_zones(trace, 1, 5)
-    assert occ.occupied() == []
+    assert occupied(_zones(trace, 0, [5])) == []
 
 
 def test_zone_extent_clamps():
@@ -165,10 +171,10 @@ def test_zones_leader_in_front_slot(trace_builder):
     vel = np.stack([np.full(n, 20.0), np.full(n, 18.0)], axis=1)
     lane = np.full((n, 2), 2, dtype=int)
     trace = trace_builder(x, vel, lane)
-    occ = assign_zones(trace, 1, 2)
-    assert occ.occupied() == ["front"]
-    vid, dist, relv = occ.slots["front"]
-    assert vid == 2 and dist == 10.0 and relv == pytest.approx(-2.0)
+    zones = _zones(trace, 0, [2])
+    assert occupied(zones) == ["front"]
+    j, dist, relv = zones["front"]
+    assert j[0] == 1 and dist[0] == 10.0 and relv[0] == pytest.approx(-2.0)  # column 1: vehicle 2
 
 
 def test_zones_nearest_of_two_ahead(trace_builder):
@@ -177,9 +183,9 @@ def test_zones_nearest_of_two_ahead(trace_builder):
     vel = np.full((n, 3), 20.0)
     lane = np.full((n, 3), 1, dtype=int)
     trace = trace_builder(x, vel, lane)
-    occ = assign_zones(trace, 1, 1)
-    assert occ.slots["front"][0] == 3  # nearer vehicle wins the slot
-    assert occ.occupied() == ["front"]
+    zones = _zones(trace, 0, [1])
+    assert zones["front"][0][0] == 2  # nearer vehicle (column 2) wins the slot
+    assert occupied(zones) == ["front"]
 
 
 def test_zones_sides_and_rear(trace_builder):
@@ -194,12 +200,12 @@ def test_zones_sides_and_rear(trace_builder):
         [np.full(n, 2), np.full(n, 3), np.full(n, 3), np.full(n, 1), np.full(n, 2)], axis=1
     ).astype(int)
     trace = trace_builder(x, vel, lane)
-    occ = assign_zones(trace, 1, 1)
-    assert occ.slots["left_front"][0] == 2
-    assert occ.slots["left_rear"][0] == 3
-    assert occ.slots["right_front"][0] == 4
-    assert occ.slots["rear"][0] == 5
-    assert occ.slots["front"] is None and occ.slots["right_rear"] is None
+    column = {z: j[0] for z, (j, _, _) in _zones(trace, 0, [1]).items()}
+    assert column["left_front"] == 1
+    assert column["left_rear"] == 2
+    assert column["right_front"] == 3
+    assert column["rear"] == 4
+    assert column["front"] == -1 and column["right_rear"] == -1
 
 
 def test_zones_beyond_extent_ignored(trace_builder):
@@ -208,7 +214,7 @@ def test_zones_beyond_extent_ignored(trace_builder):
     vel = np.full((n, 2), 20.0)  # extent = 40 m
     lane = np.full((n, 2), 1, dtype=int)
     trace = trace_builder(x, vel, lane)
-    assert assign_zones(trace, 1, 1).occupied() == []
+    assert occupied(_zones(trace, 0, [1])) == []
 
 
 # ------------------------------------------------------------------ DTW
@@ -237,10 +243,10 @@ def brute_force_dtw(a, b):
 def test_dtw_identity_symmetry_and_known_value():
     rng = np.random.default_rng(0)
     s = rng.normal(size=12)
-    assert dtw_distance(s, s) == 0.0
-    assert dtw_distance([0.0, 0.0], [1.0, 1.0]) == 2.0
+    assert dtw_distances([(s, s)])[0] == 0.0
+    assert dtw_distances([([0.0, 0.0], [1.0, 1.0])])[0] == 2.0
     a, b = rng.normal(size=7), rng.normal(size=9)
-    assert dtw_distance(a, b) == dtw_distance(b, a)
+    assert dtw_distances([(a, b)])[0] == dtw_distances([(b, a)])[0]
 
 
 def test_dtw_matches_brute_force():
@@ -248,12 +254,12 @@ def test_dtw_matches_brute_force():
     for _ in range(20):
         a = tuple(rng.normal(size=rng.integers(1, 8)).tolist())
         b = tuple(rng.normal(size=rng.integers(1, 8)).tolist())
-        assert dtw_distance(a, b) == pytest.approx(brute_force_dtw(a, b), rel=1e-12)
+        assert dtw_distances([(a, b)])[0] == pytest.approx(brute_force_dtw(a, b), rel=1e-12)
 
 
 def test_dtw_rejects_empty():
     with pytest.raises(ValueError):
-        dtw_distance([], [1.0])
+        dtw_distances([([], [1.0])])
 
 
 def loop_dtw_distance(s1, s2) -> float:
@@ -294,6 +300,7 @@ def test_batched_dtw_equals_row_loop(pairs):
     # mixed lengths in one batch, equal curves, a batch of one
     want = np.array([loop_dtw_distance(a, b) for a, b in pairs])
     assert dtw_distances(pairs).tobytes() == want.tobytes()
+    assert dtw_distances(pairs[-1:])[0] == want[-1]
     assert dtw_distance(*pairs[-1]) == want[-1]
 
 
@@ -311,7 +318,7 @@ def test_batched_dtw_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="pair 1 holds a non-finite value"):
         dtw_distances([([1.0], [2.0]), ([0.0, 1.0], curve)])
     with pytest.raises(ValueError, match="non-finite"):
-        dtw_distance(curve, [1.0])
+        dtw_distances([(curve, [1.0])])
 
 
 # ------------------------------------------------------------------ features
@@ -350,7 +357,7 @@ def test_features_thw_min_duration_and_purity(trace_builder):
     gaps = np.full(60, 30.0)
     gaps[10:40] = 12.0
     trace = follower_trace(trace_builder, gaps, v=20.0)
-    sc = detect_scenarios(trace)[0]
+    sc = _detect(trace, _thw_all(trace))[0]
     f1 = extract_features(sc, trace)
     f2 = extract_features(sc, trace)
     np.testing.assert_array_equal(f1, f2)  # pure function
@@ -509,10 +516,14 @@ def tie_heavy_trace(draw):
 @settings(max_examples=300, deadline=None)
 @given(tie_heavy_trace(), st.data())
 def test_array_extraction_equals_vehicle_loops(trace, data):
+    thw = _thw_all(trace)
     for ego_id in range(1, trace.n_vehicles + 1):
-        np.testing.assert_array_equal(thw_series(trace, ego_id), loop_thw_series(trace, ego_id))
+        np.testing.assert_array_equal(thw[:, ego_id - 1], loop_thw_series(trace, ego_id))
         for t in range(trace.n_ts):
-            assert assign_zones(trace, ego_id, t).slots == loop_assign_zones(trace, ego_id, t)
+            zones = _zones(trace, ego_id - 1, [t])
+            for z, slot in loop_assign_zones(trace, ego_id, t).items():
+                j, d, relv = (a[0] for a in zones[z])
+                assert slot == (None if j < 0 else (j + 1, d, relv))
     t_start = data.draw(st.integers(0, trace.n_ts - 1))
     t_end = data.draw(st.integers(t_start, trace.n_ts - 1))
     ego_id = data.draw(st.integers(1, trace.n_vehicles))
@@ -568,11 +579,11 @@ def test_thw_in_blocks_equals_vehicle_loop(trace):
     # blocks of two steps, so that block edges fall inside the trace
     block, scenarios.THW_BLOCK = scenarios.THW_BLOCK, 2
     try:
-        got = [thw_series(trace, ego_id) for ego_id in range(1, trace.n_vehicles + 1)]
+        got = _thw_all(trace)
     finally:
         scenarios.THW_BLOCK = block
-    for ego_id, series in enumerate(got, start=1):
-        np.testing.assert_array_equal(series, loop_thw_series(trace, ego_id))
+    for ego_id in range(1, trace.n_vehicles + 1):
+        np.testing.assert_array_equal(got[:, ego_id - 1], loop_thw_series(trace, ego_id))
 
 
 @settings(max_examples=100, deadline=None)

@@ -26,6 +26,7 @@ from scenforest.sim import (
     one_track_step,
     run_scene,
     run_simulation,
+    run_simulations,
 )
 
 
@@ -287,7 +288,7 @@ def test_accepted_gap_shrinks_with_waiting():
 
 def test_run_snapshot_count():
     road = RoadConfig(n_l=2, n_vpl=4)
-    trace = run_simulation(road, SimParams(dt=0.05, duration=10.0, seed=1))
+    trace = next(run_simulations(road, [SimParams(dt=0.05, duration=10.0, seed=1)]))
     assert trace.n_ts == 200
     for name in (*CHANNELS, "lane"):
         assert getattr(trace, name).shape == (200, trace.n_vehicles)
@@ -296,7 +297,7 @@ def test_run_snapshot_count():
 def test_run_bit_identical_rerun():
     road = RoadConfig(n_l=2, n_vpl=5)
     params = SimParams(dt=0.05, duration=30.0, seed=9)
-    t1 = run_simulation(road, params)
+    t1 = next(run_simulations(road, [params]))
     t2 = run_simulation(road, params)
     for name in (*CHANNELS, "lane"):
         np.testing.assert_array_equal(getattr(t1, name), getattr(t2, name))
@@ -305,7 +306,7 @@ def test_run_bit_identical_rerun():
 
 def test_lanes_in_range_and_within_capacity():
     road = RoadConfig(n_l=2, n_vpl=6)
-    trace = run_simulation(road, SimParams(dt=0.05, duration=30.0, seed=3))
+    trace = next(run_simulations(road, [SimParams(dt=0.05, duration=30.0, seed=3)]))
     assert trace.lane.dtype == np.int64
     assert np.all((1 <= trace.lane) & (trace.lane <= road.n_l))
     for t in range(trace.n_ts):
@@ -325,13 +326,13 @@ def test_run_scene_rejects_lane_over_capacity():
 
 def test_accelerations_within_bounds():
     road = RoadConfig(n_l=2, n_vpl=6)
-    trace = run_simulation(road, SimParams(dt=0.05, duration=30.0, seed=4))
+    trace = next(run_simulations(road, [SimParams(dt=0.05, duration=30.0, seed=4)]))
     assert np.all((-GRAVITY - 1e-9 <= trace.a) & (trace.a <= 4.0 + 1e-9))
 
 
 def test_kinematic_residual_bound():
     road = RoadConfig(n_l=3, n_vpl=5)
-    trace = run_simulation(road, SimParams(dt=0.05, duration=30.0, seed=5))
+    trace = next(run_simulations(road, [SimParams(dt=0.05, duration=30.0, seed=5)]))
     bound = GRAVITY * trace.dt**2
     assert np.all(np.abs(trace.x[1:] - trace.x[:-1] - trace.v[:-1] * trace.dt) <= bound)
 
@@ -364,7 +365,7 @@ def same_lane_swaps(trace, t):
 
 def test_lane_order_changes_only_via_lane_change_or_collision():
     road = RoadConfig(n_l=2, n_vpl=6)
-    trace = run_simulation(road, SimParams(dt=0.05, duration=60.0, seed=7))
+    trace = next(run_simulations(road, [SimParams(dt=0.05, duration=60.0, seed=7)]))
     collided = set()
     by_step = {}
     for t, pair in trace.collisions:
@@ -379,7 +380,7 @@ def test_lane_order_changes_only_via_lane_change_or_collision():
 def test_collisions_freeze_vehicles():
     road = RoadConfig(n_l=2, n_vpl=6)
     for seed in range(12):
-        trace = run_simulation(road, SimParams(dt=0.05, duration=60.0, seed=seed))
+        trace = next(run_simulations(road, [SimParams(dt=0.05, duration=60.0, seed=seed)]))
         if not trace.collisions:
             continue
         t0, pair = trace.collisions[0]

@@ -28,7 +28,6 @@ from scenforest.sim import (
     one_track_step,
     regulate_speed,
     run_scene,
-    run_simulation,
     run_simulations,
 )
 from scenforest.sim import engine
@@ -206,7 +205,7 @@ def assert_same_trace(got: Trace, want: Trace) -> None:
 
 
 def loop_trace(road: RoadConfig, params: SimParams) -> Trace:
-    """run_simulation's scene, run by the per-vehicle loop."""
+    """The scene run_simulations draws for ``params``, run by the per-vehicle loop."""
     rng = _run_rng(params.seed)
     states0, profiles = _init_scene(road, rng, params.spawn_span)
     return sim_loop.loop_run_scene(road, params, states0, profiles, rng)
@@ -262,21 +261,21 @@ def test_batch_runs_are_independent():
         SimParams(duration=duration, seed=seed, spawn_span=7 * VEHICLE_LENGTH + 5.0, target_resample_mean=3.0)
         for seed, duration in ((11, 15.0), (12, 8.0), (13, 12.0))
     ]
-    alone = [run_simulation(road, p) for p in params]
+    alone = [next(run_simulations(road, [p])) for p in params]
     for order in ([0, 1, 2], [2, 0, 1], [1, 2], [2]):
         for k, got in zip(order, run_simulations(road, [params[k] for k in order])):
             assert_same_trace(got, alone[k])
 
 
 def test_runs_beyond_one_batch():
-    # more runs than one batch holds: each trace still equals run_simulation's,
+    # more runs than one batch holds: each trace still equals its run's alone,
     # and a later batch's traces are views of other arrays
     road = RoadConfig(n_l=2, n_vpl=3)
     params = [SimParams(duration=2.0, seed=seed) for seed in range(BATCH_RUNS + 3)]
     traces = list(run_simulations(road, params))
     assert len(traces) == len(params)
     for p, got in zip(params, traces):
-        assert_same_trace(got, run_simulation(road, p))
+        assert_same_trace(got, next(run_simulations(road, [p])))
     assert traces[0].x.base is traces[BATCH_RUNS - 1].x.base
     assert traces[0].x.base is not traces[BATCH_RUNS].x.base
 

@@ -4,13 +4,13 @@ import json
 
 import numpy as np
 
-from scenforest.sim import CHANNELS, RoadConfig, SimParams, load_trace, meta_path, run_simulation, save_trace
+from scenforest.sim import CHANNELS, RoadConfig, SimParams, load_trace, meta_path, run_simulations, save_trace
 
 
 def test_trace_round_trip_bit_exact(tmp_path):
     road = RoadConfig(n_l=2, n_vpl=5)
-    quiet = run_simulation(road, SimParams(dt=0.05, duration=20.0, seed=13))
-    busy = run_simulation(road, SimParams(dt=0.05, duration=40.0, seed=17))  # has collisions and lane-change starts
+    quiet = next(run_simulations(road, [SimParams(dt=0.05, duration=20.0, seed=13)]))
+    busy = next(run_simulations(road, [SimParams(dt=0.05, duration=40.0, seed=17)]))  # has collisions and lane-change starts
     assert busy.collisions and busy.lane_change_starts
     for k, trace in enumerate((quiet, busy)):
         path = tmp_path / f"trace_{k}.raw"
@@ -34,7 +34,7 @@ def test_trace_line_schema(tmp_path):
     """The file layout: 41 bytes per vehicle and step, float channels first in
     CHANNELS order, then the int8 lanes; the sidecar keys."""
     road = RoadConfig(n_l=2, n_vpl=4)
-    trace = run_simulation(road, SimParams(dt=0.1, duration=2.0, seed=3))
+    trace = next(run_simulations(road, [SimParams(dt=0.1, duration=2.0, seed=3)]))
     path = tmp_path / "trace.raw"
     save_trace(trace, path)
     n = trace.n_ts * trace.n_vehicles
