@@ -123,7 +123,7 @@ def measure_memory(kernel: str, m: int, b: int, workdir: str | None) -> dict:
             with contextlib.redirect_stdout(io.StringIO()):
                 if cli.main(["--out", str(out), "order"]) != 0:
                     raise RuntimeError(f"order failed in {out}")
-            made = ["dendrogram.json", "permutation.json", "proximity_ordered.raw", "heatmap.ppm"]
+            made = ["dendrogram.json", "permutation.json", "heatmap.ppm"]
         after = peak_mib()
         digest = sha256(b"".join((out / name).read_bytes() for name in made))
     return {"before_mib": round(before, 1), "maxrss_mib": round(after, 1),

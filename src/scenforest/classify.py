@@ -12,9 +12,10 @@ argmax per node, so ties go to the lowest feature and then the lowest
 threshold.
 Each tree keeps its bootstrap bag in memory, for ``oob_thresholds`` only:
 the OOB vote fraction for the true class gives a per-point confidence whose
-class-wise mean is the assignment threshold. The model file holds the trees
-and the thresholds, not the bags. A prediction is withdrawn when the
-winning vote fraction falls below an adjustable ratio of that threshold.
+class-wise mean is the assignment threshold. The model file holds the trees,
+the labels and the class thresholds kappa_bar, not the bags or the per-row
+confidences. A prediction is withdrawn when the winning vote fraction
+falls below an adjustable ratio of that threshold.
 
 The classifier is an ``xmurf.forest.Forest`` with its sorted label set in
 ``labels`` and a ``class_counts`` node column, grown by the same loop as
@@ -90,8 +91,8 @@ def _class_columns(n_labels: int) -> dict:
 
 @dataclass
 class ClassThresholds:
-    kappa_bar: dict
-    kappas: list  # per training row; None when the row was never out-of-bag
+    kappa_bar: dict  # the class thresholds, which the model file holds
+    kappas: list | None = None  # per training row (None if never out-of-bag); not saved, so None on a loaded model
 
 
 def _gini_from_counts(counts: np.ndarray) -> np.ndarray:
@@ -261,7 +262,6 @@ def _model_dict(f: Forest, th: ClassThresholds | None) -> dict:
         "labels": f.labels,
         "feature_names": names,
         "kappa_bar": None if th is None else th.kappa_bar,
-        "kappas": None if th is None else th.kappas,
         "trees": trees,
     }
 
@@ -275,10 +275,10 @@ def load_model(path):
 
     The parts a model shares with a forest JSON are checked by
     ``xmurf.forest.read_forest``; keys it does not read, such as the
-    ``bag`` of a tree in an older model, are ignored. kappa_bar, when not
-    null, must hold a number in [0, 1] (a mean vote fraction) for every
-    label. Raises ParseError naming the file and the key path of the first
-    entry that is missing or malformed.
+    ``bag`` of a tree or the ``kappas`` of an older model, are ignored.
+    kappa_bar, when not null, must hold a number in [0, 1] (a mean vote
+    fraction) for every label. Raises ParseError naming the file and the
+    key path of the first entry that is missing or malformed.
     """
     d = read_json(path)
     require_keys(d, ("labels",), path, "")
@@ -293,5 +293,5 @@ def load_model(path):
         values = [kappa_bar.get(c) for c in labels] if isinstance(kappa_bar, dict) else [None]
         if not all(type(k) in (int, float) and 0 <= k <= 1 for k in values):
             raise ParseError(f"{path}: kappa_bar: expected a number for every label, in [0, 1]")
-        th = ClassThresholds(kappa_bar=kappa_bar, kappas=d.get("kappas"))
+        th = ClassThresholds(kappa_bar=kappa_bar)
     return forest, th

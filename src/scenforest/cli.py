@@ -1,5 +1,5 @@
 """Pipeline command line: simulate -> extract -> cluster -> order -> label
--> train -> classify, plus a standalone heatmap renderer.
+-> train -> classify.
 
 Every subcommand consumes and produces files only, so any stage can be
 rerun in isolation. One master seed fans out into per-stage seeds by
@@ -200,17 +200,18 @@ def cmd_cluster(cfg: dict, args) -> int:
 
 def cmd_order(cfg: dict, args) -> int:
     out = _workdir(cfg, args)
-    matrix = load_matrix(args.input or out / "proximity.raw")
+    in_path = args.input or out / "proximity.raw"
+    matrix = load_matrix(in_path)
+    if matrix.size < 2:
+        raise ParseError(f"{in_path}: need at least 2 scenarios to order, got {matrix.size}")
     dend = ordering.linkage(matrix, method=cfg["ordering"]["linkage"])
     if cfg["ordering"]["optimal_leaf_order"]:
         perm = ordering.optimal_leaf_order(dend, matrix)
     else:
         perm = ordering.leaf_order(dend)
-    p_ordered = ordering.reorder(matrix, perm)
     ordering.save_dendrogram(dend, out / "dendrogram.json")
     ordering.save_permutation(perm, out / "permutation.json")
-    save_matrix(p_ordered, out / "proximity_ordered.raw")
-    ordering.render_heatmap(p_ordered, out / "heatmap.ppm")
+    ordering.render_heatmap(ordering.reorder(matrix, perm), out / "heatmap.ppm")
     print(f"seriation done for M={matrix.size}")
     return EXIT_OK
 
@@ -227,16 +228,19 @@ def cmd_label(cfg: dict, args) -> int:
     out = _workdir(cfg, args)
     in_path = args.input or out / "scenarios.csv"
     dataset = load_dataset(in_path)
-    perm_path, matrix_path = out / "permutation.json", out / "proximity_ordered.raw"
+    perm_path, matrix_path = out / "permutation.json", out / "proximity.raw"
     perm = ordering.load_permutation(perm_path)
     ranges = ordering.load_cluster_ranges(args.ranges)
-    p_ordered = load_matrix(matrix_path)
+    matrix = load_matrix(matrix_path)
     m = dataset.n_rows
-    if p_ordered.size != m:
-        raise ParseError(f"{matrix_path}: M={p_ordered.size}, but {in_path} holds {m} scenarios")
+    if matrix.size != m:
+        raise ParseError(f"{matrix_path}: M={matrix.size}, but {in_path} holds {m} scenarios")
+    for k, (got, want) in enumerate(zip(matrix.ids, dataset.ids)):
+        if got != want:
+            raise ParseError(f"{matrix_path}.json: ids[{k}] is {got!r}, but scenario {k} of {in_path} is {want!r}")
     _located(perm_path, ordering.check_permutation, perm, m)
     _located(args.ranges, ordering.check_ranges, ranges, m)
-    for entry in ordering.range_report(p_ordered, ranges):
+    for entry in ordering.range_report(matrix, perm, ranges):
         print(
             f"range [{entry['start']}, {entry['end']}] label={entry['label']} "
             f"size={entry['size']} mean_similarity={entry['mean_similarity']:.3f}"
@@ -301,13 +305,6 @@ def cmd_classify(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def cmd_render(cfg: dict, args) -> int:
-    matrix = load_matrix(args.matrix)
-    ordering.render_heatmap(matrix, args.output)
-    print(f"rendered {matrix.size}x{matrix.size} heatmap to {args.output}")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="scenforest", description=__doc__)
     parser.add_argument("--config", help="JSON config file (defaults built in)")
@@ -338,10 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="model JSON (default <out>/model.json)")
     p.add_argument("--ratio", type=float, help="threshold ratio (default from config)")
     p.add_argument("--output", help="predictions CSV (default <out>/predictions.csv)")
-
-    p = sub.add_parser("render", help="render a raw matrix file as a PPM heatmap")
-    p.add_argument("--matrix", required=True, help="raw matrix path, read with its .json sidecar")
-    p.add_argument("--output", required=True)
     return parser
 
 
@@ -353,7 +346,6 @@ _COMMANDS = {
     "label": cmd_label,
     "train": cmd_train,
     "classify": cmd_classify,
-    "render": cmd_render,
 }
 
 

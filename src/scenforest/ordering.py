@@ -305,10 +305,9 @@ def apply_cluster_ranges(data: Dataset, perm, ranges: list[ClusterRange]) -> Lab
 
     Seriated position i refers to original row perm[i]; rows not covered by
     any range are excluded (the labeled set may be smaller than the input).
+    Takes a permutation and ranges that ``check_permutation`` and
+    ``check_ranges`` have passed for ``data.n_rows``.
     """
-    m = data.n_rows
-    perm = check_permutation(perm, m)
-    check_ranges(ranges, m)
     if not ranges:
         warnings.warn("no cluster ranges given; labeled dataset is empty")
     label_by_row: dict[int, str] = {}
@@ -319,12 +318,15 @@ def apply_cluster_ranges(data: Dataset, perm, ranges: list[ClusterRange]) -> Lab
     return LabeledDataset(data.subset(rows), [label_by_row[i] for i in rows])
 
 
-def range_report(p_ordered: ProximityMatrix, ranges: list[ClusterRange]) -> list[dict]:
-    """Mean within-block similarity per candidate range of a seriated matrix."""
-    check_ranges(ranges, p_ordered.size)
+def range_report(p: ProximityMatrix, perm, ranges: list[ClusterRange]) -> list[dict]:
+    """Mean off-diagonal similarity of each range's block of the seriated
+    matrix, gathered from the unpermuted ``p``: seriated position i is row
+    perm[i]. Takes a permutation and ranges that ``check_permutation`` and
+    ``check_ranges`` have passed for ``p.size``."""
     report = []
     for r in ranges:
-        block = p_ordered.values[r.start : r.end + 1, r.start : r.end + 1]
+        rows = perm[r.start : r.end + 1]
+        block = p.values[np.ix_(rows, rows)]
         n = block.shape[0]
         mean = 1.0 if n < 2 else float((block.sum() - np.trace(block)) / (n * (n - 1)))
         report.append({"label": r.label, "start": r.start, "end": r.end, "size": n, "mean_similarity": mean})

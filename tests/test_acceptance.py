@@ -354,5 +354,6 @@ def test_criterion_10_matrix_invariants(blob_recovery, small_instance, end_to_en
     forest_e2e = xmurf.load_forest(dir_a / "forest.json")
     data_e2e = load_dataset(dir_a / "scenarios.csv")
     check_matrix_invariants(prox_e2e, forest_e2e, data_e2e)
-    check_matrix_invariants(load_matrix(dir_a / "proximity_ordered.raw"))
+    perm = json.loads((dir_a / "permutation.json").read_text())
+    check_matrix_invariants(ordering.reorder(prox_e2e, perm))
     report(10, "symmetry, unit diagonal, range, and root-share bound hold on all matrices")

@@ -259,6 +259,9 @@ def test_model_round_trip(tmp_path):
     f2, th2 = load_model(path)
     assert f2.labels == f.labels and f2.n_trees == f.n_trees
     assert th2.kappa_bar == th.kappa_bar
+    assert "kappas" not in json.loads(path.read_text()) and th2.kappas is None
+    path.write_text(json.dumps({**json.loads(path.read_text()), "kappas": th.kappas}))  # an older model's key
+    assert load_model(path)[1] == th2
     x = d.base.values[3]
     assert predict_batch(f, th, x[None], 0.5) == predict_batch(f2, th2, x[None], 0.5)
     assert classify.predict_detail(f2, th2, x, 0.5) == predict_batch(f2, th2, x[None], 0.5)[0]

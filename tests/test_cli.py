@@ -118,8 +118,7 @@ def test_cluster_and_order_write_exactly_their_artifacts(tmp_path):
     assert cli.main(["--seed", "3", "--out", str(out), "cluster", "--input", str(source), "--b-trees", "5"]) == 0
     assert cli.main(["--seed", "3", "--out", str(out), "order"]) == 0
     assert sorted(p.name for p in out.iterdir()) == [
-        "dendrogram.json", "forest.json", "heatmap.ppm", "permutation.json", "proximity.raw",
-        "proximity.raw.json", "proximity_ordered.raw", "proximity_ordered.raw.json",
+        "dendrogram.json", "forest.json", "heatmap.ppm", "permutation.json", "proximity.raw", "proximity.raw.json",
     ]
 
 
@@ -303,14 +302,6 @@ def test_classify_rejects_feature_columns_unlike_the_model(pipeline, tmp_path, c
     assert f"feature column {column} is" in capsys.readouterr().err
 
 
-def test_render_standalone(pipeline, tmp_path):
-    _, out, _, _ = pipeline
-    dest = tmp_path / "m.ppm"
-    code = cli.main(["render", "--matrix", str(out / "proximity.raw"), "--output", str(dest)])
-    assert code == 0
-    assert dest.read_bytes().startswith(b"P6\n")
-
-
 def test_unknown_config_key_rejected(tmp_path):
     cfg = write_config(tmp_path, {"sim": {"wheels": 3}})
     assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "o"), "simulate"]) == 2
@@ -424,7 +415,7 @@ def test_extract_rejects_malformed_trace(small_trace, tmp_path, capsys, corrupt,
 MATRIX_2 = np.array([[1.0, 0.5], [0.5, 1.0]]).tobytes()
 SIDECAR_2 = '{"M": 2, "ids": ["a", "b"]}\n'
 SIDECAR_3 = '{"M": 3, "ids": ["a", "b", "c"]}\n'
-RENDER_RAW = ["render", "--matrix", "m.raw", "--output", "m.ppm"]
+ORDER = ["--out", ".", "order"]
 LABEL = ["--out", ".", "label", "--ranges", "ranges.json"]
 SCENARIOS_2 = {"scenarios.csv": "id,f\na,1\nb,2\n"}
 # a two-scenario workdir that ``label`` accepts: the faults are put in one at a time
@@ -432,8 +423,8 @@ RANGES = '[{"start": 0, "end": 1, "label": "A"}, {"start": %s, "end": %s, "label
 LABEL_2 = {
     **SCENARIOS_2,
     "permutation.json": "[1, 0]",
-    "proximity_ordered.raw": MATRIX_2,
-    "proximity_ordered.raw.json": SIDECAR_2,
+    "proximity.raw": MATRIX_2,
+    "proximity.raw.json": SIDECAR_2,
     "ranges.json": '[{"start": 0, "end": 1, "label": "A"}]',
 }
 
@@ -457,15 +448,21 @@ def one_feature_model(kappa_bar_a=None) -> str:
 @pytest.mark.parametrize(
     "files, argv, where, message",
     [
-        ({"m.raw": MATRIX_2, "m.raw.json": '{"M": 2,'}, RENDER_RAW, "m.raw.json:1", "invalid JSON"),
-        ({"m.raw": MATRIX_2, "m.raw.json": '{"ids": ["a", "b"]}'}, RENDER_RAW, "m.raw.json", "M: missing key"),
-        ({"m.raw": MATRIX_2, "m.raw.json": '{"M": 2.0, "ids": ["a", "b"]}'}, RENDER_RAW, "m.raw.json",
+        ({"proximity.raw": MATRIX_2, "proximity.raw.json": '{"M": 2,'}, ORDER, "proximity.raw.json:1", "invalid JSON"),
+        ({"proximity.raw": MATRIX_2, "proximity.raw.json": '{"ids": ["a", "b"]}'}, ORDER, "proximity.raw.json",
+         "M: missing key"),
+        ({"proximity.raw": MATRIX_2, "proximity.raw.json": '{"M": 2.0, "ids": ["a", "b"]}'}, ORDER, "proximity.raw.json",
          "M: 2.0 is not a non-negative integer"),
-        ({"m.raw": MATRIX_2, "m.raw.json": '{"M": 2, "ids": ["a", 2]}'}, RENDER_RAW, "m.raw.json",
+        ({"proximity.raw": MATRIX_2, "proximity.raw.json": '{"M": 2, "ids": ["a", 2]}'}, ORDER, "proximity.raw.json",
          "ids: expected a list of M=2 strings"),
-        ({"m.raw": MATRIX_2[:-1], "m.raw.json": SIDECAR_2}, RENDER_RAW, "m.raw", "31 bytes, the sidecar's M=2 makes 32"),
-        ({"m.raw": np.array([[1.0, 0.5], [0.4, 1.0]]).tobytes(), "m.raw.json": SIDECAR_2}, RENDER_RAW, "m.raw",
-         "asymmetric at (0, 1)"),
+        ({"proximity.raw": MATRIX_2[:-1], "proximity.raw.json": SIDECAR_2}, ORDER, "proximity.raw",
+         "31 bytes, the sidecar's M=2 makes 32"),
+        ({"proximity.raw": np.array([[1.0, 0.5], [0.4, 1.0]]).tobytes(), "proximity.raw.json": SIDECAR_2}, ORDER,
+         "proximity.raw", "asymmetric at (0, 1)"),
+        ({"proximity.raw": np.ones((1, 1)).tobytes(), "proximity.raw.json": '{"M": 1, "ids": ["a"]}'}, ORDER,
+         "proximity.raw", "need at least 2 scenarios to order, got 1"),
+        ({"proximity.raw": b"", "proximity.raw.json": '{"M": 0, "ids": []}'}, ORDER, "proximity.raw",
+         "need at least 2 scenarios to order, got 0"),
         ({**SCENARIOS_2, "permutation.json": "[0.5, 1.7]"}, LABEL, "permutation.json", "[0]: 0.5 is not an integer"),
         ({**SCENARIOS_2, "permutation.json": "[true, false]"}, LABEL, "permutation.json", "[0]: True is not an integer"),
         ({**SCENARIOS_2, "permutation.json": "[0,"}, LABEL, "permutation.json:1", "invalid JSON"),
@@ -474,8 +471,10 @@ def one_feature_model(kappa_bar_a=None) -> str:
         ({**LABEL_2, "ranges.json": RANGES % (0, 5)}, LABEL, "ranges.json", "[1]: range [0, 5] outside [0, 2)"),
         ({**LABEL_2, "ranges.json": RANGES % (0, 0)}, LABEL, "ranges.json",
          "[1]: range [0, 0] overlaps [0]: range [0, 1]"),
-        ({**LABEL_2, "proximity_ordered.raw": np.ones((3, 3)).tobytes(), "proximity_ordered.raw.json": SIDECAR_3}, LABEL,
-         "proximity_ordered.raw", "M=3, but scenarios.csv holds 2 scenarios"),
+        ({**LABEL_2, "proximity.raw": np.ones((3, 3)).tobytes(), "proximity.raw.json": SIDECAR_3}, LABEL,
+         "proximity.raw", "M=3, but scenarios.csv holds 2 scenarios"),
+        ({**LABEL_2, "proximity.raw.json": '{"M": 2, "ids": ["a", "c"]}'}, LABEL, "proximity.raw.json",
+         "ids[1] is 'c', but scenario 1 of scenarios.csv is 'b'"),
         ({"labeled.csv": "id,f,label\na,1,A\nb,x,B\n"}, ["--out", ".", "train"], "labeled.csv:3",
          "non-numeric cell 'x' in column 'f'"),
         ({"labeled.csv": "id,f,label\na,inf,A\n"}, ["--out", ".", "train"], "labeled.csv:2",
@@ -505,9 +504,9 @@ def one_feature_model(kappa_bar_a=None) -> str:
     ],
     ids=[
         "raw-sidecar-invalid-json", "raw-sidecar-missing-M", "raw-sidecar-M-not-int", "raw-sidecar-ids-not-strings",
-        "raw-data-short", "raw-asymmetric", "permutation-floats", "permutation-bools",
+        "raw-data-short", "raw-asymmetric", "order-one-row", "order-empty", "permutation-floats", "permutation-bools",
         "permutation-invalid-json", "permutation-repeats", "permutation-too-long", "range-outside",
-        "range-overlap", "matrix-size", "labeled-non-numeric", "labeled-non-finite",
+        "range-overlap", "matrix-size", "matrix-other-scenarios", "labeled-non-numeric", "labeled-non-finite",
         "input-is-a-directory", "scenarios-not-utf8", "ranges-not-utf8",
         "label-holds-comma", "scenarios-oversized-cell", "scenarios-quoted-cell", "cluster-no-feature-column",
         "train-no-feature-column", "classify-no-feature-column",
@@ -631,7 +630,7 @@ PINNED_SHA256 = {
     "dendrogram.json": "38c4bc9f0e9bbb9c636ac5efea15d59b375d770d3e52620b71fb200d322f2e79",
     "permutation.json": "a4404177320cbf069a2fd9f9a8251305f9549de2721d25eed22e9991bea203e0",
     "labeled.csv": "fe3508d9c2f51f315bf43c412413f062253c8db5ce38915179bf854467d02511",
-    "model.json": "353b7608bc9c9168b297ab860e936ddde479acbf87436b9fa8121ce76b32a32a",
+    "model.json": "30d65a362d57996166f129c46be8a2dbf7c5dea769026a9d1e8a52cecaaff6a9",
     "predictions.csv": "6891af5fe62d98cb9a322577de1a07f90b15ead264beb6309a815f989cbd7437",
 }
 

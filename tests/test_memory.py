@@ -47,9 +47,8 @@ def test_order_holds_at_most_two_and_a_half_matrices(fitted, tmp_path):
     def order():  # the steps of ``cli.cmd_order``, each result held as there
         matrix = load_matrix(tmp_path / "proximity.raw")
         dend = ordering.linkage(matrix)
-        p_ordered = ordering.reorder(matrix, ordering.leaf_order(dend))
-        save_matrix(p_ordered, tmp_path / "proximity_ordered.raw")
-        ordering.render_heatmap(p_ordered, tmp_path / "heatmap.ppm")
+        perm = ordering.leaf_order(dend)
+        ordering.render_heatmap(ordering.reorder(matrix, perm), tmp_path / "heatmap.ppm")
 
     peak = traced_peak(order)
     assert peak <= BUDGET, f"{peak / (8 * M * M):.2f} M x M float64 matrices"

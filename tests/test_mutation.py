@@ -21,12 +21,12 @@ from hypothesis import strategies as st
 from scenforest import cli
 
 CONFIG = {"sim": {"duration": 150.0, "runs": 2}, "xmurf": {"b_trees": 10}, "classify": {"b_trees": 10, "ratio": 0.75}}
-MATRIX = ["proximity_ordered.raw", "proximity_ordered.raw.json"]
+MATRIX = ["proximity.raw", "proximity.raw.json"]
 # stage argv -> the files it reads besides the config
 READS = {
     ("extract",): ["trace_0.raw", "trace_0.meta.json"],
     ("cluster",): ["scenarios.csv"],
-    ("order",): ["proximity.raw", "proximity.raw.json"],
+    ("order",): MATRIX,
     ("label", "--ranges", "ranges.json"): ["scenarios.csv", "permutation.json", "ranges.json", *MATRIX],
     ("train",): ["labeled.csv"],
     ("classify",): ["model.json", "scenarios.csv"],

@@ -12,6 +12,7 @@ from scenforest.dataset import Dataset, ParseError, ProximityMatrix
 from scenforest.ordering import (
     ClusterRange,
     apply_cluster_ranges,
+    check_ranges,
     cut_clusters,
     leaf_order,
     linkage,
@@ -283,9 +284,9 @@ def test_apply_ranges_counts_and_overlap():
     assert lab.base.n_rows == 5
     assert sorted(set(lab.labels)) == ["a", "b"]
     with pytest.raises(ValueError, match="overlap"):
-        apply_cluster_ranges(d, perm, [ClusterRange(0, 3, "a"), ClusterRange(3, 5, "b")])
+        check_ranges([ClusterRange(0, 3, "a"), ClusterRange(3, 5, "b")], 10)
     with pytest.raises(ValueError, match="outside"):
-        apply_cluster_ranges(d, perm, [ClusterRange(8, 11, "a")])
+        check_ranges([ClusterRange(8, 11, "a")], 10)
 
 
 def test_load_ranges_and_report(tmp_path):
@@ -294,9 +295,19 @@ def test_load_ranges_and_report(tmp_path):
     ranges = load_cluster_ranges(path)
     assert ranges == [ClusterRange(0, 1, "a")]
     p = matrix([[1.0, 0.6, 0.2], [0.6, 1.0, 0.2], [0.2, 0.2, 1.0]])
-    report = range_report(p, ranges)
+    report = range_report(p, np.arange(3), ranges)
     assert report[0]["size"] == 2
     assert report[0]["mean_similarity"] == pytest.approx(0.6)
+    # seriated positions map through the permutation: the block of a
+    # non-identity order equals the reordered matrix's block
+    rng = np.random.default_rng(3)
+    v = rng.uniform(0.05, 1.0, size=(9, 9))
+    p = matrix(np.triu(v, 1) + np.triu(v, 1).T + np.eye(9))
+    perm = np.array([4, 7, 0, 8, 2, 5, 1, 3, 6])
+    ranges = [ClusterRange(0, 3, "a"), ClusterRange(4, 4, "b"), ClusterRange(5, 8, "c")]
+    got, want = range_report(p, perm, ranges), range_report(reorder(p, perm), np.arange(9), ranges)
+    assert [{**r, "mean_similarity": pytest.approx(r["mean_similarity"])} for r in want] == got
+    assert got[0]["mean_similarity"] != range_report(p, np.arange(9), ranges)[0]["mean_similarity"]
 
 
 @pytest.mark.parametrize(
