@@ -17,7 +17,10 @@ B = 10 forest, which it fits and computes untimed. It times
 the rows as ``save_dataset`` writes them. It times ``classify.load_model``
 (µs per node) on the model that ``train`` writes for M = 400 labeled rows
 and B = 100, the classify-batch workload's model, which it fits and saves
-untimed, and records the model's bytes. Two memory cases, at M = 2000
+untimed, and records the model's bytes. It times
+``classify.predict_batch`` (ns per row × tree) of that model on N = 6000
+rows that ``rows`` seeds, with its fitted thresholds and the ratio 0.75,
+and hashes the vote counts of every row. Two memory cases, at M = 2000
 and 5000 with B = 10, read the interpreter's peak resident set
 (``ru_maxrss``): ``memory.cluster`` over ``xmurf.proximity_matrix`` and
 ``save_matrix`` of a fitted forest, and ``memory.order`` over the CLI's
@@ -66,10 +69,13 @@ KERNELS = {  # kernel -> (unit, sizes)
     "ordering.linkage": ("ns", [(1000, 10), (2000, 10)]),  # B: the trees of the proximity it clusters
     "dataset.load_dataset": ("ns", [(1000, 0), (6000, 0)]),  # no trees
     "classify.load_model": ("us", [(400, 100)]),
+    "classify.predict_batch": ("ns", [(6000, 100)]),  # N rows to classify
     "memory.cluster": ("MiB", [(2000, 10), (5000, 10)]),
     "memory.order": ("MiB", [(2000, 10), (5000, 10)]),
 }
 ROUNDS = 5
+MODEL_ROWS = 400  # the labeled rows of the model that classify.load_model and classify.predict_batch use
+ROWS_NAME = {"classify.predict_batch": "N"}  # the size's name in a case name, when it is not M
 ROW_SEED, FOREST_SEED = 2004, 7
 
 
@@ -142,9 +148,11 @@ def measure(kernel: str, m: int, b: int) -> dict:
         csv_path, made_path = Path(tmp) / "rows.csv", Path(tmp) / "made.json"
         if kernel == "dataset.load_dataset":
             dataset.save_dataset(data.base, csv_path)
-        if kernel == "classify.load_model":
-            model = classify.fit_classifier(data, b, FOREST_SEED)
-            classify.save_model(model, classify.oob_thresholds(model, data), made_path)
+        if kernel in ("classify.load_model", "classify.predict_batch"):
+            train = rows(MODEL_ROWS)
+            model = classify.fit_classifier(train, b, FOREST_SEED)
+            thresholds = classify.oob_thresholds(model, train)
+            classify.save_model(model, thresholds, made_path)
         run = {
             "xmurf.fit": lambda: xmurf.fit(data.base, b, FOREST_SEED),
             "xmurf.proximity_matrix": lambda: xmurf.proximity_matrix(forest, data.base),
@@ -152,6 +160,7 @@ def measure(kernel: str, m: int, b: int) -> dict:
             "ordering.linkage": lambda: ordering.linkage(p),
             "dataset.load_dataset": lambda: dataset.load_dataset(csv_path),
             "classify.load_model": lambda: classify.load_model(made_path),
+            "classify.predict_batch": lambda: classify.predict_batch(model, thresholds, data.base.values, 0.75),
         }[kernel]
         seconds = []
         for _ in range(1 + ROUNDS):  # the first is the warm-up
@@ -162,6 +171,8 @@ def measure(kernel: str, m: int, b: int) -> dict:
             units, scale, digest = m * m * b, 1e9, sha256(made.values.tobytes())
         elif kernel == "dataset.load_dataset":
             units, scale, digest = made.values.size, 1e9, sha256(made.values.tobytes())
+        elif kernel == "classify.predict_batch":
+            units, scale, digest = m * b, 1e9, sha256(classify._count_votes(model, data.base.values).tobytes())
         elif kernel == "classify.load_model":
             extra = {"bytes": made_path.stat().st_size}
             units, scale, digest = sum(len(t.nodes) for t in made[0].trees), 1e6, sha256(made_path.read_bytes())
@@ -194,7 +205,7 @@ def main() -> None:
         for m, b in sizes:
             case = subprocess.run([sys.executable, __file__, kernel, str(m), str(b)], check=True,
                                   stdout=subprocess.PIPE, text=True)
-            name = f"{kernel} M={m}" + (f" B={b}" if b else "")
+            name = f"{kernel} {ROWS_NAME.get(kernel, 'M')}={m}" + (f" B={b}" if b else "")
             kernels[name] = json.loads(case.stdout)
             print(name, kernels[name])
     describe = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT, capture_output=True, text=True)

@@ -54,7 +54,7 @@ ZONE_MIN_M = 20.0      # m
 ZONE_MAX_M = 120.0     # m
 DESIRED_THW_S = 1.8    # s, administrative rule-of-thumb gap for the DTW feature
 DTW_MAX_SAMPLES = 128  # gap curves are resampled to at most this length
-THW_BLOCK = 512        # steps per block of the all-vehicle leader and zone scans
+THW_BLOCK = 512        # steps per block of the all-vehicle leader scan
 
 ZONES = ("front", "rear", "left_front", "left_rear", "right_front", "right_rear")
 _INSTANTS = ("start", "changepoint", "end")
@@ -275,18 +275,28 @@ def _gap_curves(trace: Trace, sc: Scenario, gap: np.ndarray):
     return np.where(gap < np.inf, gap, zone_extent(v)), v * DESIRED_THW_S
 
 
+def _front(trace: Trace, ego: int, steps) -> np.ndarray:
+    """The column of ``_zones``' front vehicle at each of ``steps`` (a slice
+    or an array of steps), or -1, gathered alone: the nearest other vehicle
+    on the ego's lane with dx >= 0 within the zone extent, the lowest id on
+    equal distance."""
+    x = trace.x[steps]
+    dx = x - x[:, ego, None]
+    near = (trace.lane[steps] == trace.lane[steps, ego][:, None]) & (dx >= 0)
+    near &= dx <= zone_extent(trace.v[steps, ego])[:, None]
+    near[:, ego] = False
+    dist = np.where(near, dx, np.inf)
+    j = dist.argmin(axis=1)
+    return np.where(dist[np.arange(len(x)), j] < np.inf, j, -1)
+
+
 def _cut_in(trace: Trace, sc: Scenario) -> bool:
     """Whether, after the window's first step, the front-zone vehicle was
-    on another lane than the ego's one step earlier. The zones go THW_BLOCK
-    steps at a time, which bounds the temporaries."""
+    on another lane than the ego's one step earlier."""
     ego = sc.ego_id - 1
-    for lo in range(sc.t_start + 1, sc.t_end + 1, THW_BLOCK):
-        t = np.arange(lo, min(lo + THW_BLOCK, sc.t_end + 1))
-        front = _zones(trace, ego, t)["front"][0]
-        t, front = t[front >= 0], front[front >= 0]
-        if np.any(trace.lane[t - 1, front] != trace.lane[t, ego]):
-            return True
-    return False
+    front = _front(trace, ego, slice(sc.t_start + 1, sc.t_end + 1))
+    t = sc.t_start + 1 + np.flatnonzero(front >= 0)
+    return bool(np.any(trace.lane[t - 1, front[front >= 0]] != trace.lane[t, ego]))
 
 
 def _features(sc: Scenario, trace: Trace, gap: np.ndarray) -> tuple:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,9 @@ class RoadConfig:
             raise SimConfigError("speed limit must be positive")
         if self.d_il_max <= 0:
             raise SimConfigError("d_il_max must be positive")
+        for name in ("lane_width", "speed_limit", "d_il_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise SimConfigError(f"{name} must be finite, got {getattr(self, name)}")
 
     def lane_center(self, lane: int) -> float:
         return (lane - 0.5) * self.lane_width

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ..dataset import ParseError, read_json, require_keys
-from .config import RoadConfig, SimConfigError
+from .config import RoadConfig, SimConfigError, SimParams
 from .engine import CHANNELS, Trace, lane_overflow
 
 __all__ = ["save_trace", "load_trace", "meta_path", "trace_path", "trace_paths"]
@@ -78,10 +78,11 @@ def load_trace(path) -> Trace:
 
     Raises ParseError naming the sidecar, with a key path or the line of
     invalid JSON, for a missing, mistyped (a bool is never a number) or
-    out-of-range value; and naming the raw file for a size other than the
-    sidecar's, a NaN or infinite x, y, v, a or psi, or a lane outside
-    [1, n_l] (both ``path: step t, vehicle i: ...``), or a lane over n_vpl
-    vehicles.
+    out-of-range value (a ``dt`` outside the simulator's (0, 0.1] and a
+    road the simulator would refuse among them); and naming the raw file
+    for a size other than the sidecar's, a NaN or infinite x, y, v, a or
+    psi, or a lane outside [1, n_l] (both ``path: step t, vehicle i:
+    ...``), or a lane over n_vpl vehicles.
     """
     path, sidecar = Path(path), meta_path(path)
     meta = read_json(sidecar)
@@ -89,6 +90,10 @@ def load_trace(path) -> Trace:
     require_keys(meta["road"], ROAD_KEYS, sidecar, "road.")
     if type(meta["dt"]) not in (int, float) or not meta["dt"] > 0:
         raise ParseError(f"{sidecar}: dt: {meta['dt']!r} is not a positive number")
+    try:
+        SimParams(dt=meta["dt"])  # the simulator's range of dt
+    except SimConfigError as exc:
+        raise ParseError(f"{sidecar}: dt: {exc}") from None
     for key in ("n_vehicles", "n_ts"):
         if type(meta[key]) is not int or meta[key] < 1:
             raise ParseError(f"{sidecar}: {key}: {meta[key]!r} is not an integer >= 1")
@@ -106,7 +111,8 @@ def load_trace(path) -> Trace:
     lc_starts = _events(meta, "lane_change_starts", {"t": steps, "id": ids, "target_lane": (1, road.n_l)}, sidecar)
     size, n = path.stat().st_size, n_ts * n_v
     if size != n * STEP_BYTES:  # checked before anything is allocated
-        raise ParseError(f"{path}: {size} bytes, the sidecar's n_ts={n_ts} and n_vehicles={n_v} make {n * STEP_BYTES}")
+        raise ParseError(f"{path}: {size} bytes, the sidecar's n_ts={n_ts} and n_vehicles={n_v} make {n * STEP_BYTES},"
+                         f" so this file or {sidecar} is damaged")
     with open(path, "rb") as fh:
         channels = {name: np.fromfile(fh, FLOAT, count=n).reshape(n_ts, n_v) for name in CHANNELS}
         lane = np.fromfile(fh, LANE, count=n).reshape(n_ts, n_v).astype(np.int64)

@@ -12,12 +12,13 @@ the nodes of every tree.
 The pairwise proximity exploits that two root-to-leaf paths share exactly
 their common prefix. All rows go down a tree together, one tree level per
 pass, to their leaves (``xmurf.tree.route``, the classifier's router
-too). In preorder, the shared prefix of two leaves is the least depth of
-the node that follows each leaf from the first up to the one before the
-second, and a row goes left where the paths part exactly when its leaf
-comes first. So one table over the tree's leaves
-gives every pair's Jaccard term, and the M x M accumulation runs a block of
-rows at a time with no walk over the nodes.
+too): every row steps while more than half of them still move, a row at
+a leaf staying put, and only the moving rows after that. In preorder, the
+shared prefix of two leaves is the least depth of the node that follows
+each leaf from the first up to the one before the second, and a row goes
+left where the paths part exactly when its leaf comes first. So one table
+over the tree's leaves gives every pair's Jaccard term, and the M x M
+accumulation runs a block of rows at a time with no walk over the nodes.
 """
 
 from __future__ import annotations

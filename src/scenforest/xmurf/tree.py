@@ -236,35 +236,47 @@ def read_nodes(nodes, q: int, columns: dict, path, where: str) -> np.ndarray:
     """
     if not isinstance(nodes, list) or not nodes:
         raise ParseError(f"{path}: {where}nodes: expected a non-empty list")
-    size, records, parent = len(nodes), [], {}
+    size, records, parent = len(nodes), [], [None] * len(nodes)
     keys = ["id", *(name for name, _ in SPLIT_FIELDS), *columns]
+    key_set = set(keys)
+    own_columns = [(name, valid, want, codes) for name, (_, valid, want, codes) in columns.items()]
+
+    def at(i: int) -> str:  # the key path of node i, built only for a message
+        return f"{where}nodes[{i}]."
+
     for i, n in enumerate(nodes):
-        at = f"{where}nodes[{i}]."
-        require_keys(n, keys, path, at)
+        if not isinstance(n, dict) or not key_set <= n.keys():
+            require_keys(n, keys, path, at(i))
         if n["id"] != i:
-            raise ParseError(f"{path}: {at}id: {n['id']!r} is not its preorder position {i}")
-        for name, (_, valid, want, _) in columns.items():
+            raise ParseError(f"{path}: {at(i)}id: {n['id']!r} is not its preorder position {i}")
+        own = []
+        for name, valid, want, codes in own_columns:
             if not valid(n[name]):
-                raise ParseError(f"{path}: {at}{name}: expected {want}")
-        own = [n[name] if codes is None else codes.index(n[name]) for name, (*_, codes) in columns.items()]
-        if n["feature"] is None:
+                raise ParseError(f"{path}: {at(i)}{name}: expected {want}")
+            own.append(n[name] if codes is None else codes.index(n[name]))
+        feature = n["feature"]
+        if feature is None:
             records.append((-1, 0.0, i, i, *own))
             continue
-        if type(n["feature"]) is not int or not 0 <= n["feature"] < q:
-            raise ParseError(f"{path}: {at}feature: {n['feature']!r} is not a feature index below Q={q}")
+        if type(feature) is not int or not 0 <= feature < q:
+            raise ParseError(f"{path}: {at(i)}feature: {feature!r} is not a feature index below Q={q}")
         if type(n["threshold"]) not in (int, float):
-            raise ParseError(f"{path}: {at}threshold: {n['threshold']!r} is not a number")
+            raise ParseError(f"{path}: {at(i)}threshold: {n['threshold']!r} is not a number")
         for side in ("left", "right"):
-            if type(n[side]) is not int or not i < n[side] < size:
-                raise ParseError(f"{path}: {at}{side}: {n[side]!r} is not a node id in ({i}, {size})")
-            if n[side] in parent:
-                raise ParseError(f"{path}: {at}{side}: node {n[side]} is already the child of node {parent[n[side]]}")
-            parent[n[side]] = i
+            child = n[side]
+            if type(child) is not int or not i < child < size:
+                raise ParseError(f"{path}: {at(i)}{side}: {child!r} is not a node id in ({i}, {size})")
+            if parent[child] is not None:
+                raise ParseError(f"{path}: {at(i)}{side}: node {child} is already the child of node {parent[child]}")
+            parent[child] = i
         if n["left"] != i + 1:
-            raise ParseError(f"{path}: {at}left: {n['left']} is not the next node id {i + 1}")
-        records.append((n["feature"], n["threshold"], n["left"], n["right"], *own))
-    orphan = next((j for j in range(1, size) if j not in parent), None)
-    if orphan is not None:
+            raise ParseError(f"{path}: {at(i)}left: {n['left']} is not the next node id {i + 1}")
+        records.append((feature, n["threshold"], n["left"], n["right"], *own))
+    try:
+        orphan = parent.index(None, 1)
+    except ValueError:  # every node but the root has a parent
+        pass
+    else:
         raise ParseError(f"{path}: {where}nodes[{orphan}]: not the child of any node")
     try:
         return np.array(records, dtype=_dtype(columns))
@@ -274,12 +286,25 @@ def read_nodes(nodes, q: int, columns: dict, path, where: str) -> np.ndarray:
 
 def route(feature, threshold, left, right, x: np.ndarray, rows: np.ndarray, node: np.ndarray) -> np.ndarray:
     """The leaf of every (row, start node) pair: row x[rows[p]] moved down
-    from node[p] of the node arrays, every pair not yet at a leaf one level
-    per pass. ``node`` is updated in place and returned."""
-    live = np.flatnonzero(left[node] != node)
+    from node[p] of the node arrays, one level per pass (predicated
+    traversal, Asadi, Lin & de Vries 2014). ``node`` is updated in place
+    and returned.
+
+    A split cell is read from the flat row block, ``x.ravel()[rows[p] * Q +
+    feature]`` (``ravel`` copies an ``x`` that is not C-contiguous). While
+    more than half of the pairs still move, every pair steps: a leaf points
+    at itself, so a pair at a leaf stays put, and its feature -1 reads a
+    valid cell whose result is ignored. Then only the moving pairs step,
+    compacted after each pass. No pair means no pass."""
+    cells, start = x.ravel(), rows * x.shape[1]
+    to_left = left[node]
+    while 2 * np.count_nonzero(to_left != node) > len(node):
+        node[:] = np.where(cells[start + feature[node]] <= threshold[node], to_left, right[node])
+        to_left = left[node]
+    live = np.flatnonzero(to_left != node)
     while live.size:
         at = node[live]
-        at = np.where(x[rows[live], feature[at]] <= threshold[at], left[at], right[at])
+        at = np.where(cells[start[live] + feature[at]] <= threshold[at], left[at], right[at])
         node[live] = at
         live = live[left[at] != at]
     return node

@@ -24,7 +24,7 @@ from scenforest.classify import (
 )
 from scenforest.dataset import Dataset, LabeledDataset, ParseError
 from scenforest.xmurf.forest import Forest
-from scenforest.xmurf.tree import Tree, first_max, read_nodes
+from scenforest.xmurf.tree import Tree, first_max, read_nodes, route
 
 
 def walk_vote(tree, x):
@@ -271,15 +271,20 @@ def test_model_round_trip(tmp_path):
 GRID = [-1.0, -0.5, 0.0, 0.5, 1.0]
 
 
-def assert_votes_match_walk(f, x):
-    votes = classify._count_votes(f, x)
+def assert_votes_match_walk(f, x, voting=None):
+    """_count_votes, over all rows at once and over each row alone, equals
+    the walk of the trees that vote: those of the (N, B) mask ``voting``,
+    or every tree."""
+    votes = classify._count_votes(f, x, voting)
     assert votes.shape == (x.shape[0], len(f.labels))
     for i in range(x.shape[0]):
         expected = np.zeros(len(f.labels), dtype=np.int64)
-        for tree in f.trees:
-            expected[walk_vote(tree, x[i])] += 1
+        for b, tree in enumerate(f.trees):
+            if voting is None or voting[i, b]:
+                expected[walk_vote(tree, x[i])] += 1
         np.testing.assert_array_equal(votes[i], expected)
-        np.testing.assert_array_equal(classify._count_votes(f, x[i : i + 1])[0], expected)
+        one = None if voting is None else voting[i : i + 1]
+        np.testing.assert_array_equal(classify._count_votes(f, x[i : i + 1], one)[0], expected)
 
 
 @st.composite
@@ -338,7 +343,8 @@ def test_votes_equal_hand_walk_on_fitted_forests(m, q, b, seed, data):
     assert_votes_match_walk(f, np.vstack([base.values, rows]))
 
 
-def test_batch_across_blocks_equals_hand_walk_and_predict_detail():
+def test_batch_across_blocks_equals_hand_walk_and_predict_detail(monkeypatch):
+    monkeypatch.setattr(classify, "_BLOCK_PAIRS", 1024)
     rng = np.random.default_rng(10)
     d = blobs(rng, n=20, sep=2.0)
     f = fit_classifier(d, 16, seed=4)
@@ -346,6 +352,23 @@ def test_batch_across_blocks_equals_hand_walk_and_predict_detail():
     x = rng.normal(1.0, 2.0, (300, 2))  # 4800 (row, tree) pairs: more than one routing block
     assert_votes_match_walk(f, x)
     assert predict_batch(f, th, x, 0.75) == [predict_batch(f, th, x[i : i + 1], 0.75)[0] for i in range(300)]
+
+
+def test_router_edges():
+    """No pair at all, blocks in which the voting mask leaves no pair, and
+    trees that are one leaf: the router makes no pass and every count holds."""
+    d = blobs(np.random.default_rng(11), n=10)
+    f = fit_classifier(d, 8, seed=6)
+    x = d.base.values
+    no_pair = np.zeros(0, dtype=np.int64)
+    assert route(*classify._flatten(f)[:4], x, no_pair, no_pair.copy()).size == 0
+    assert_votes_match_walk(f, x[:0])
+    voting = np.random.default_rng(12).random((len(x), f.n_trees)) < 0.5
+    voting[:3] = False  # each of these rows alone is a block with no pair
+    assert_votes_match_walk(f, x, voting)
+    assert not classify._count_votes(f, x, np.zeros_like(voting)).any()
+    stumps = Forest(trees=[leaf_tree(k % 3 // 2, [0]) for k in range(5)], labels=["A", "B"], q=2, seed=0)
+    assert_votes_match_walk(stumps, x)
 
 
 def loop_best_split_supervised(x, y, rows, features, n_classes):

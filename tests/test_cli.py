@@ -397,12 +397,19 @@ def assert_exits_2_located(argv, where, message, capsys):
         (edit_meta(lambda meta: meta[:-3]), ".meta.json:1", "invalid JSON"),
         (edit_meta(lambda meta: meta.replace('"n_ts"', '"steps"')), ".meta.json", "n_ts: missing key"),
         (edit_meta(lambda meta: meta.replace('"n_l": 2', '"n_l": 5')), ".meta.json", "road: lane count must be 2 or 3"),
+        (set_meta("n_vehicles", 4), ".raw", "n_vehicles=4 make 16400, so this file or "),
+        (set_meta("n_ts", 99), ".raw", "/trace_0.meta.json is damaged"),
+        (set_meta("dt", math.inf), ".meta.json", "dt: dt must be in (0, 0.1], got inf"),
+        (set_meta("dt", 1e308), ".meta.json", "dt: dt must be in (0, 0.1], got 1e+308"),
+        (edit_meta(lambda meta: meta.replace('"lane_width": 3.5', '"lane_width": Infinity')), ".meta.json",
+         "road: lane_width must be finite, got inf"),
     ],
     ids=[
         "short-by-one-byte", "extra-byte", "step-count", "lane-out-of-range", "lane-over-capacity",
         "x-nan", "v-inf", "psi-minus-inf",
         "id-out-of-range", "collision-step-out-of-range", "collision-not-a-triple", "lane-change-start-bad-lane",
-        "meta-invalid-json", "meta-missing-key", "meta-bad-road",
+        "meta-invalid-json", "meta-missing-key", "meta-bad-road", "sidecar-n-vehicles", "sidecar-n-ts", "dt-infinity",
+        "dt-1e308", "lane-width-infinity",
     ],
 )
 def test_extract_rejects_malformed_trace(small_trace, tmp_path, capsys, corrupt, where, message):

@@ -22,6 +22,7 @@ from scenforest.scenarios import (
     Scenario,
     _cut_in,
     _detect,
+    _front,
     _gap_curves,
     _leader_gaps,
     _thw_all,
@@ -521,6 +522,7 @@ def test_array_extraction_equals_vehicle_loops(trace, data):
         np.testing.assert_array_equal(thw[:, ego_id - 1], loop_thw_series(trace, ego_id))
         for t in range(trace.n_ts):
             zones = _zones(trace, ego_id - 1, [t])
+            assert _front(trace, ego_id - 1, np.array([t])).tolist() == zones["front"][0].tolist()
             for z, slot in loop_assign_zones(trace, ego_id, t).items():
                 j, d, relv = (a[0] for a in zones[z])
                 assert slot == (None if j < 0 else (j + 1, d, relv))
