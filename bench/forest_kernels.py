@@ -20,12 +20,15 @@ and B = 100, the classify-batch workload's model, which it fits and saves
 untimed, and records the model's bytes. It times
 ``classify.predict_batch`` (ns per row × tree) of that model on N = 6000
 rows that ``rows`` seeds, with its fitted thresholds and the ratio 0.75,
-and hashes the vote counts of every row. Two memory cases, at M = 2000
-and 5000 with B = 10, read the interpreter's peak resident set
-(``ru_maxrss``): ``memory.cluster`` over ``xmurf.proximity_matrix`` and
-``save_matrix`` of a fitted forest, and ``memory.order`` over the CLI's
-``order`` stage on the ``proximity.raw`` that a ``memory.cluster`` child
-leaves in a directory it is given as a fourth argument. Each case runs in
+and hashes the vote counts of every row. The memory cases read the
+interpreter's peak resident set (``ru_maxrss``): ``memory.cluster`` over
+``xmurf.proximity_matrix`` and ``save_matrix`` of a fitted forest, at
+M = 2000 and 5000 with B = 10; ``memory.cluster_stage`` over the CLI's
+``cluster`` stage, fit and forest save included, on the rows as
+``save_dataset`` writes them, at M = 5000 and B = 100; and
+``memory.order`` over the CLI's ``order`` stage on the ``proximity.raw``
+that a ``memory.cluster`` child leaves in a directory it is given as a
+fourth argument, at all three sizes. Each case runs in
 a fresh interpreter (``python bench/forest_kernels.py KERNEL M B`` prints
 its reading as JSON; B is 0 for the reader), so no reading depends on the
 cases run before it. Each run appends one entry to ``BENCH_forest.json``
@@ -71,7 +74,8 @@ KERNELS = {  # kernel -> (unit, sizes)
     "classify.load_model": ("us", [(400, 100)]),
     "classify.predict_batch": ("ns", [(6000, 100)]),  # N rows to classify
     "memory.cluster": ("MiB", [(2000, 10), (5000, 10)]),
-    "memory.order": ("MiB", [(2000, 10), (5000, 10)]),
+    "memory.cluster_stage": ("MiB", [(5000, 100)]),
+    "memory.order": ("MiB", [(2000, 10), (5000, 10), (5000, 100)]),
 }
 ROUNDS = 5
 MODEL_ROWS = 400  # the labeled rows of the model that classify.load_model and classify.predict_batch use
@@ -122,6 +126,13 @@ def measure_memory(kernel: str, m: int, b: int, workdir: str | None) -> dict:
             before = peak_mib()
             dataset.save_matrix(xmurf.proximity_matrix(forest, data), out / "proximity.raw")
             made = ["proximity.raw"]
+        elif kernel == "memory.cluster_stage":
+            dataset.save_dataset(rows(m).base, out / "scenarios.csv")
+            before = peak_mib()
+            with contextlib.redirect_stdout(io.StringIO()):
+                if cli.main(["--seed", str(FOREST_SEED), "--out", str(out), "cluster", "--b-trees", str(b)]) != 0:
+                    raise RuntimeError(f"cluster failed in {out}")
+            made = ["proximity.raw", "forest.json"]
         else:
             subprocess.run([sys.executable, __file__, "memory.cluster", str(m), str(b), str(out)], check=True,
                            stdout=subprocess.DEVNULL)

@@ -199,19 +199,25 @@ def cmd_cluster(cfg: dict, args) -> int:
 
 
 def cmd_order(cfg: dict, args) -> int:
+    """Seriate the proximity matrix at about one M x M float64 array: the
+    linkage runs on d = 1 - P made in the loaded matrix's own buffer, and
+    the matrix is read again for the leaf order and the heatmap, which is
+    rendered through the permutation a row block at a time."""
     out = _workdir(cfg, args)
     in_path = args.input or out / "proximity.raw"
     matrix = load_matrix(in_path)
     if matrix.size < 2:
         raise ParseError(f"{in_path}: need at least 2 scenarios to order, got {matrix.size}")
-    dend = ordering.linkage(matrix, method=cfg["ordering"]["linkage"])
+    dend = ordering._agglomerate(np.subtract(1.0, matrix.values, out=matrix.values), cfg["ordering"]["linkage"])
+    del matrix  # its buffer is the linkage's spent working matrix: free it before P is read again
+    matrix = load_matrix(in_path)
     if cfg["ordering"]["optimal_leaf_order"]:
         perm = ordering.optimal_leaf_order(dend, matrix)
     else:
         perm = ordering.leaf_order(dend)
     ordering.save_dendrogram(dend, out / "dendrogram.json")
     ordering.save_permutation(perm, out / "permutation.json")
-    ordering.render_heatmap(ordering.reorder(matrix, perm), out / "heatmap.ppm")
+    ordering.render_heatmap(matrix, out / "heatmap.ppm", perm)
     print(f"seriation done for M={matrix.size}")
     return EXIT_OK
 

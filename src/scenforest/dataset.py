@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 LABEL_COLUMN = "label"
+PROXIMITY_BLOCK = 1 << 16  # entries per row block of a pass over an M x M matrix
 
 
 class ParseError(ValueError):
@@ -152,10 +153,15 @@ class ProximityMatrix:
         m = len(self.ids)
         if self.values.shape != (m, m):
             raise ValueError(f"matrix shape {self.values.shape} does not match {m} ids")
-        bad = np.argwhere(self.values != self.values.T)
-        if bad.size:
-            i, j = bad[0]
-            raise ValueError(f"asymmetric at ({i}, {j}): {self.values[i, j]} != {self.values[j, i]}")
+        # a row block at a time against its column block, from the block's
+        # first row on: the first row-major (i, j) of an asymmetric pair lies
+        # there, and no M x M temporary is made
+        step = max(1, PROXIMITY_BLOCK // max(m, 1))
+        for r0 in range(0, m, step):
+            bad = np.argwhere(self.values[r0 : r0 + step, r0:] != self.values[r0:, r0 : r0 + step].T)
+            if bad.size:
+                i, j = bad[0] + r0
+                raise ValueError(f"asymmetric at ({i}, {j}): {self.values[i, j]} != {self.values[j, i]}")
         diag = np.diagonal(self.values)
         if m and not np.all(diag == 1.0):
             i = int(np.argwhere(diag != 1.0)[0][0])

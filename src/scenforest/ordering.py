@@ -18,8 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, LabeledDataset, ParseError, ProximityMatrix, read_json, require_keys
-from .xmurf.forest import PROXIMITY_BLOCK
+from .dataset import PROXIMITY_BLOCK, Dataset, LabeledDataset, ParseError, ProximityMatrix, read_json, require_keys
 
 __all__ = [
     "Dendrogram",
@@ -70,6 +69,14 @@ def linkage(p: ProximityMatrix, method: str = "average") -> Dendrogram:
     Each step merges the globally closest pair of active clusters; the
     merged cluster keeps the lower slot, so recorded left/right children are
     ordered by slot. Average linkage weights by cluster sizes (UPGMA).
+    ``p`` is left as it is: this runs ``_agglomerate`` on a new 1 - P.
+    """
+    return _agglomerate(1.0 - p.values, method)
+
+
+def _agglomerate(d: np.ndarray, method: str) -> Dendrogram:
+    """``linkage`` of the M x M dissimilarity ``d``, which it overwrites as
+    its working matrix, so that the merges hold no second M x M array.
 
     Row k caches the minimum of d[k, k+1:] and the lowest column at it
     (Müllner's generic algorithm, arXiv:1109.2378), so the lowest row at the
@@ -81,10 +88,9 @@ def linkage(p: ProximityMatrix, method: str = "average") -> Dendrogram:
     """
     if method not in LINKAGE_METHODS:
         raise ValueError(f"unknown linkage method {method!r}")
-    m = p.size
+    m = len(d)
     if m < 2:
         raise ValueError("need at least 2 rows to cluster")
-    d = 1.0 - p.values
     np.fill_diagonal(d, np.inf)  # retired rows and columns are inf too
     sizes = np.ones(m, dtype=np.int64)
     cluster_id = np.arange(m)
@@ -229,12 +235,14 @@ def _colormap() -> np.ndarray:
     return np.round(lut).astype(np.uint8)
 
 
-def render_heatmap(p: ProximityMatrix, path) -> None:
-    """Write the matrix as a binary PPM (P6), one pixel per entry.
+def render_heatmap(p: ProximityMatrix, path, perm=None) -> None:
+    """Write the matrix, or its seriation ``reorder(p, perm)`` when ``perm``
+    is given, as a binary PPM (P6), one pixel per entry.
 
     [0, 1] maps linearly onto the colormap; 0 hits the first entry and 1 the
     last (dark blue = low similarity, yellow = high). It holds no M x M array: PROXIMITY_BLOCK // M
-    rows at a time are scaled, rounded and clipped in one reused buffer, looked up and written.
+    rows at a time are gathered through ``perm``, scaled, rounded and clipped, looked up and written.
+    Takes a ``perm`` that ``check_permutation`` has passed for ``p.size``.
     """
     lut = _colormap()
     m = p.size
@@ -243,8 +251,9 @@ def render_heatmap(p: ProximityMatrix, path) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P6\n{m} {m}\n255\n".encode("ascii"))
         for r0 in range(0, m, step):
-            block = np.multiply(p.values[r0 : r0 + step], 255.0, out=buf[: m - r0])
-            fh.write(lut[np.clip(np.round(block, out=block), 0, 255, out=block).astype(np.intp)].tobytes())
+            rows = p.values[r0 : r0 + step] if perm is None else p.values[perm[r0 : r0 + step]][:, perm]
+            block = np.multiply(rows, 255.0, out=buf[: len(rows)])
+            fh.write(lut[np.clip(np.round(block, out=block), 0, 255, out=block).astype(np.uint8)].tobytes())
 
 
 def load_cluster_ranges(path) -> list[ClusterRange]:

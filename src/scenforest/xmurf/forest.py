@@ -16,9 +16,11 @@ too): every row steps while more than half of them still move, a row at
 a leaf staying put, and only the moving rows after that. In preorder, the
 shared prefix of two leaves is the least depth of the node that follows
 each leaf from the first up to the one before the second, and a row goes
-left where the paths part exactly when its leaf comes first. So one table
+left where the paths part exactly when its leaf comes first. So a table
 over the tree's leaves gives every pair's Jaccard term, and the M x M
-accumulation runs a block of rows at a time with no walk over the nodes.
+accumulation runs a block of rows at a time with no walk over the nodes,
+building only the table rows of the block's leaves. The forest JSON is
+written a tree at a time, in the bytes ``json.dumps`` gives the whole.
 """
 
 from __future__ import annotations
@@ -27,17 +29,15 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from ..dataset import Dataset, ParseError, ProximityMatrix, read_json, require_keys
+from ..dataset import PROXIMITY_BLOCK, Dataset, ParseError, ProximityMatrix, read_json, require_keys
 from .tree import NOISE_COLUMNS, NoiseRule, Tree, _dtype, node_dicts, read_nodes, route
 
 __all__ = ["Forest", "tree_rng", "grow_forest", "fit", "proximity_matrix", "forest_to_dict", "save_forest",
            "read_forest", "load_forest"]
 
-PROXIMITY_BLOCK = 1 << 16  # pairs per block of the proximity accumulation
 SEARCH_ROWS = 1 << 10  # node rows per split search, which bounds its temporaries
 
 
@@ -213,7 +213,7 @@ def _is_leaf(tree: Tree) -> np.ndarray:
     return left == np.arange(len(left))
 
 
-def _tree_proximity(tree: Tree, x: np.ndarray, diverging: np.ndarray, same_leaf: np.ndarray, tables: tuple) -> None:
+def _tree_proximity(tree: Tree, x: np.ndarray, diverging: np.ndarray, same_leaf: np.ndarray) -> None:
     """Add one tree's pairwise Jaccard terms to the accumulators.
 
     ``diverging[i, j]`` receives the term of every pair whose leaves differ
@@ -226,9 +226,8 @@ def _tree_proximity(tree: Tree, x: np.ndarray, diverging: np.ndarray, same_leaf:
     so the shared prefix of u and v, in nodes, is the least depth of the
     node after each leaf from u up to the one before v. The rows go down the
     tree one level per pass; the accumulation runs PROXIMITY_BLOCK // M rows
-    at a time, which bounds the temporaries. The L x L leaf-pair tables of
-    a tree of L leaves are the top-left corners of ``tables``, a bool and
-    two float64 square arrays at least that large, which every tree reuses.
+    at a time and builds, per block, only the rows of the leaf-pair table
+    that its rows' leaves index, which bounds the temporaries.
     """
     feature, threshold, left, right = (tree.nodes[name] for name in ("feature", "threshold", "left", "right"))
     depth = _depths(left, right)
@@ -236,26 +235,29 @@ def _tree_proximity(tree: Tree, x: np.ndarray, diverging: np.ndarray, same_leaf:
     node = route(feature, threshold, left, right, x, np.arange(m), np.zeros(m, dtype=np.int64))
     is_leaf = _is_leaf(tree)
     leaves = np.flatnonzero(is_leaf)
-    length = depth[leaves] + 1.0  # nodes on the path to each leaf
-    # term[u, v]: the Jaccard term of leaves u < v, 0 where u >= v. Every
-    # count is a small integer, so each term is the division of the same two
-    # exact doubles as a per-pair form would make.
-    after = np.concatenate([[0.0], depth[leaves[:-1] + 1]])
-    upper, shared, term = (table[: len(leaves), : len(leaves)] for table in tables)
-    np.greater(np.arange(len(leaves)), np.arange(len(leaves))[:, None], out=upper)
-    shared[...] = len(left)
-    np.copyto(shared, after, where=upper)
-    np.minimum.accumulate(shared, axis=1, out=shared)
-    shared *= upper
-    np.add.outer(length, length, out=term)
-    term -= shared
-    np.divide(shared, term, out=term)
+    cols = np.arange(len(leaves))
+    # every count below is a small integer: each term is the division of the
+    # same two exact doubles as a per-pair form would make, and the counts
+    # take the least unsigned type that holds twice the longest path
+    count = np.min_scalar_type(2 * (int(depth.max()) + 1))
+    length = (depth[leaves] + 1).astype(count)  # nodes on the path to each leaf
+    after = np.concatenate([[0], depth[leaves[:-1] + 1]]).astype(count)
     rank = (np.cumsum(is_leaf) - 1)[node]  # each row's leaf, as its place among the leaves
     step = max(1, PROXIMITY_BLOCK // m)
     for r0 in range(0, m, step):
         rows = slice(r0, r0 + step)
-        diverging[rows] += np.take(term[rank[rows]], rank, axis=1)
-        same_leaf[rows] += rank[rows, None] == rank
+        u = rank[rows]
+        # term[k, v]: the Jaccard term of leaves u[k] < v, 0 where u[k] >= v;
+        # the fill, the longest path, exceeds every depth
+        upper = cols > u[:, None]
+        shared = np.where(upper, after, length.max())
+        np.minimum.accumulate(shared, axis=1, out=shared)
+        shared *= upper
+        union = length[u][:, None] + length
+        union -= shared
+        term = np.divide(shared, union)
+        diverging[rows] += np.take(term, rank, axis=1)
+        same_leaf[rows] += u[:, None] == rank
 
 
 def _fold(diverging: np.ndarray, same_leaf: np.ndarray, b_trees: int) -> np.ndarray:
@@ -277,36 +279,39 @@ def proximity_matrix(forest: Forest, data: Dataset) -> ProximityMatrix:
     Every row of the dataset (in-bag or not) is routed through every tree.
     The result is exactly symmetric with unit diagonal and entries in (0, 1].
     It holds one M x M float64 accumulator, which becomes the result, one
-    M x M leaf-sharing count (a byte each below 256 trees) and one set of
-    leaf-pair tables, sized once for the tree with the most leaves.
+    M x M leaf-sharing count (a byte each below 256 trees) and one block of
+    rows at a time of each temporary: about 1.13 float64 matrices in all.
     """
     if data.values.shape[1] != forest.q:
         raise ValueError(f"dataset has {data.values.shape[1]} features, forest expects {forest.q}")
     m = data.values.shape[0]
     diverging = np.zeros((m, m))
     same_leaf = np.zeros((m, m), dtype=np.min_scalar_type(forest.n_trees))  # a count, exact as a double
-    n = max(np.count_nonzero(_is_leaf(t)) for t in forest.trees)
-    tables = (np.empty((n, n), dtype=bool), np.empty((n, n)), np.empty((n, n)))
     for tree in forest.trees:
-        _tree_proximity(tree, data.values, diverging, same_leaf, tables)
-    del tables  # before the symmetry check's M x M temporary
+        _tree_proximity(tree, data.values, diverging, same_leaf)
     return ProximityMatrix(values=_fold(diverging, same_leaf, forest.n_trees), ids=list(data.ids))
+
+
+def _forest_head(forest: Forest) -> dict:
+    """A forest JSON object's keys before ``trees``."""
+    return {"seed": forest.seed, "B": forest.n_trees, "Q": forest.q, "feature_names": forest.feature_names}
 
 
 def forest_to_dict(forest: Forest, columns: dict = NOISE_COLUMNS) -> dict:
     """The JSON object of a forest whose nodes carry ``columns``, without a
     classifier's own keys (see ``read_forest``)."""
-    return {
-        "seed": forest.seed,
-        "B": forest.n_trees,
-        "Q": forest.q,
-        "feature_names": forest.feature_names,
-        "trees": [{"nodes": node_dicts(t.nodes, columns)} for t in forest.trees],
-    }
+    return {**_forest_head(forest), "trees": [{"nodes": node_dicts(t.nodes, columns)} for t in forest.trees]}
 
 
 def save_forest(forest: Forest, path) -> None:
-    Path(path).write_text(json.dumps(forest_to_dict(forest)) + "\n")
+    """Write ``json.dumps(forest_to_dict(forest))`` and a line end, one
+    tree's node dicts at a time: the text is joined as ``json.dumps`` joins
+    it, and no more than one tree's dicts are alive at once."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(_forest_head(forest))[:-1] + ', "trees": [')
+        for k, tree in enumerate(forest.trees):
+            fh.write((", " if k else "") + json.dumps({"nodes": node_dicts(tree.nodes, NOISE_COLUMNS)}))
+        fh.write("]}\n")
 
 
 def read_forest(d, columns: dict, path) -> Forest:

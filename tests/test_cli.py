@@ -15,6 +15,7 @@ import pytest
 from scenforest import cli
 from scenforest.classify import UNASSIGNED, fit_classifier, load_model, oob_thresholds, predict_batch, save_model
 from scenforest.dataset import Dataset, LabeledDataset, load_dataset, load_matrix, save_dataset
+from scenforest.ordering import linkage, optimal_leaf_order, render_heatmap, reorder
 from scenforest.scenarios import FEATURE_NAMES
 from scenforest.sim import CHANNELS
 
@@ -153,6 +154,27 @@ def test_order_outputs(pipeline):
     assert (out / "dendrogram.json").exists()
 
 
+def test_order_heatmap_is_the_reordered_matrix(pipeline, tmp_path):
+    # order renders through the permutation; the heatmap is not pinned
+    _, out, _, _ = pipeline
+    p = load_matrix(out / "proximity.raw")
+    perm = json.loads((out / "permutation.json").read_text())
+    render_heatmap(reorder(p, perm), tmp_path / "heatmap.ppm")
+    assert (out / "heatmap.ppm").read_bytes() == (tmp_path / "heatmap.ppm").read_bytes()
+
+
+def test_order_optimal_leaf_order_equals_in_process(pipeline, tmp_path):
+    # the branch runs on the matrix read again after the in-place linkage
+    _, out, _, _ = pipeline
+    cfg = write_config(tmp_path, {"ordering": {"optimal_leaf_order": True}})
+    code = cli.main(["--config", str(cfg), "--out", str(tmp_path), "order", "--input", str(out / "proximity.raw")])
+    assert code == 0
+    p = load_matrix(out / "proximity.raw")
+    want = optimal_leaf_order(linkage(p), p)
+    assert json.loads((tmp_path / "permutation.json").read_text()) == want.tolist()
+    assert (tmp_path / "dendrogram.json").read_bytes() == (out / "dendrogram.json").read_bytes()
+
+
 @pytest.mark.parametrize("stage", ["cluster", "order", "label", "train", "classify"])
 def test_rerun_alone_leaves_every_file_byte_identical(pipeline, stage):
     root, _, base, rp = pipeline
@@ -179,19 +201,46 @@ for stage in (["simulate"], ["extract"], ["cluster"], ["order"], ["label", "--ra
 """
 
 
+def run_pipeline_script(root, rp, out, **env):
+    """PIPELINE_SCRIPT in a fresh interpreter, writing to ``out``, with
+    ``env`` added to the environment."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", PIPELINE_SCRIPT, str(root / "config.json"), str(out), str(rp)],
+                   env=env, check=True, capture_output=True)
+
+
+def differing_files(a, b) -> list:
+    """The names of the files of directory ``a`` whose bytes differ in
+    ``b``; every name must be in both."""
+    names = sorted(p.name for p in a.iterdir())
+    assert "predictions.csv" in names and names == sorted(p.name for p in b.iterdir())
+    return [n for n in names if (a / n).read_bytes() != (b / n).read_bytes()]
+
+
 def test_pipeline_bytes_do_not_depend_on_thread_count(pipeline, tmp_path):
     root, _, _, rp = pipeline
-    src = str(Path(cli.__file__).resolve().parents[1])
     outs = []
     for threads in ("1", "2"):
-        env = {**os.environ, "OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads, "MKL_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         outs.append(tmp_path / f"threads-{threads}")
-        subprocess.run([sys.executable, "-c", PIPELINE_SCRIPT, str(root / "config.json"), str(outs[-1]), str(rp)],
-                       env=env, check=True, capture_output=True)
-    names = sorted(p.name for p in outs[0].iterdir())
-    assert "predictions.csv" in names and names == sorted(p.name for p in outs[1].iterdir())
-    assert [n for n in names if (outs[0] / n).read_bytes() != (outs[1] / n).read_bytes()] == []
+        run_pipeline_script(root, rp, outs[-1], OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                            MKL_NUM_THREADS=threads)
+    assert differing_files(*outs) == []
+
+
+def test_pipeline_bytes_do_not_depend_on_numpy_cpu_dispatch(pipeline, tmp_path):
+    """Every file of a run with each of numpy's run-time dispatch targets
+    disabled equals a default run's. numpy picks some float64 kernels, exp
+    among them, by CPU feature, and they can differ in the last bit; the
+    pipeline's bytes must not. This covers numpy's dispatch only: the
+    ``math`` functions of the C library are not switched here."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+
+    root, _, _, rp = pipeline
+    outs = [tmp_path / "default", tmp_path / "dispatch-off"]
+    run_pipeline_script(root, rp, outs[0])
+    run_pipeline_script(root, rp, outs[1], NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__))
+    assert differing_files(*outs) == []
 
 
 def test_label_full_cover_and_verbatim_labels(pipeline, tmp_path):

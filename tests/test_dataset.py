@@ -114,6 +114,20 @@ def test_matrix_validation_reports_cell():
         ProximityMatrix(bad, ["a", "b"])
 
 
+@pytest.mark.parametrize("cells", [[(250, 280)], [(280, 250)], [(260, 260)], [(299, 10), (250, 290)]])
+def test_asymmetry_past_the_first_row_block_names_the_first_cell(cells):
+    # M = 300 checks 218 rows a block; the message names the first (i, j) in
+    # row-major order that differs from its mirror, as a whole-matrix compare
+    # finds it
+    v = np.full((300, 300), 0.5)
+    np.fill_diagonal(v, 1.0)
+    for i, j in cells:
+        v[i, j] = 0.25 if i != j else np.nan
+    i, j = np.argwhere(v != v.T)[0]
+    with pytest.raises(ValueError, match=rf"^asymmetric at \({i}, {j}\): {v[i, j]} != {v[j, i]}$"):
+        ProximityMatrix(v, [f"s{k}" for k in range(300)])
+
+
 EDGE_VALUES = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324, float(np.nextafter(1.0, 0.0)), 0.1]
 
 

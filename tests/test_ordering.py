@@ -247,6 +247,29 @@ def test_heatmap_in_row_blocks_equals_whole_matrix_lookup(tmp_path, monkeypatch,
     assert (tmp_path / "h.ppm").read_bytes() == b"P6\n13 13\n255\n" + lookup.tobytes()
 
 
+@pytest.mark.parametrize("block", [1, 52, 1 << 16])
+def test_heatmap_through_a_permutation_equals_heatmap_of_the_reordered_matrix(tmp_path, monkeypatch, block):
+    rng = np.random.default_rng(5)
+    v = rng.random((13, 13)) * 0.998 + 0.001
+    v = np.triu(v, 1) + np.triu(v, 1).T
+    np.fill_diagonal(v, 1.0)
+    perm = rng.permutation(13)
+    render_heatmap(reorder(matrix(v), perm), tmp_path / "want.ppm")
+    monkeypatch.setattr(ordering, "PROXIMITY_BLOCK", block)
+    render_heatmap(matrix(v), tmp_path / "got.ppm", perm)
+    assert (tmp_path / "got.ppm").read_bytes() == (tmp_path / "want.ppm").read_bytes()
+
+
+def test_linkage_leaves_its_matrix_as_it_was():
+    rng = np.random.default_rng(8)
+    v = rng.random((9, 9)) * 0.9 + 0.05
+    v = np.triu(v, 1) + np.triu(v, 1).T
+    np.fill_diagonal(v, 1.0)
+    p = matrix(v.copy())
+    linkage(p)
+    assert p.values.tobytes() == v.tobytes()
+
+
 def dataset(m=6):
     return Dataset(["f"], [f"r{i}" for i in range(m)], np.arange(m, dtype=float)[:, None])
 

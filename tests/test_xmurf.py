@@ -651,6 +651,8 @@ def test_fit_deterministic_and_forest_json_round_trips(d, b, seed):
         save_forest(f1, first)
         save_forest(load_forest(first), second)
         assert first.read_bytes() == second.read_bytes()
+        # written a tree at a time, joined as json.dumps joins the whole
+        assert first.read_text() == json.dumps(forest_to_dict(f1)) + "\n"
 
 
 def assert_same_trees(got, want):
