@@ -10,25 +10,30 @@ sits in, and its name keeps it out of the tier-1 run:
 It times ``xmurf.fit`` (µs per node), ``xmurf.proximity_matrix`` (ns per
 M²·B, M rows and B trees) and ``classify.fit_classifier`` (µs per node), at
 M = 91, B = 100 (the default pipeline's forests) and at M = 1000, B = 10
-(the cluster-large workload's). It times ``ordering.linkage`` (ns per
-M²·(M − 1), M² per merge) at M = 1000 and 2000 on the proximity of a
-B = 10 forest, which it fits and computes untimed. It times
-``dataset.load_dataset`` (ns per value cell, M·47) at M = 1000 and 6000 on
-the rows as ``save_dataset`` writes them. It times ``classify.load_model``
-(µs per node) on the model that ``train`` writes for M = 400 labeled rows
-and B = 100, the classify-batch workload's model, which it fits and saves
-untimed, and records the model's bytes. It times
-``classify.predict_batch`` (ns per row × tree) of that model on N = 6000
-rows that ``rows`` seeds, with its fitted thresholds and the ratio 0.75,
-and hashes the vote counts of every row. The memory cases read the
-interpreter's peak resident set (``ru_maxrss``): ``memory.cluster`` over
-``xmurf.proximity_matrix`` and ``save_matrix`` of a fitted forest, at
-M = 2000 and 5000 with B = 10; ``memory.cluster_stage`` over the CLI's
-``cluster`` stage, fit and forest save included, on the rows as
-``save_dataset`` writes them, at M = 5000 and B = 100; and
-``memory.order`` over the CLI's ``order`` stage on the ``proximity.raw``
-that a ``memory.cluster`` child leaves in a directory it is given as a
-fourth argument, at all three sizes. Each case runs in
+(the cluster-large workload's). The classifier cases draw their labeled
+rows as the classify-batch workload does, from
+``perfbench.workloads.scenario_rows`` with the latent group as the label:
+its overlapping groups grow deep trees, where the four far-apart groups
+of ``rows`` give a classifier a few nodes a tree. It times
+``ordering.linkage`` (ns per M²·(M − 1), M² per merge) at M = 1000 and
+2000 on the proximity of a B = 10 forest, which it fits and computes
+untimed. It times ``dataset.load_dataset`` (ns per value cell, M·47) at
+M = 1000 and 6000 on the rows as ``save_dataset`` writes them. It times
+``classify.load_model`` (µs per node) on the model that ``train`` writes
+for M = 400 labeled rows and B = 100, the classify-batch workload's
+model, which it fits and saves untimed, and records the model's bytes.
+It times ``classify.predict_batch`` (ns per row × tree) of that model on
+N = 6000 new rows of the same groups, drawn with the next seed, with its
+fitted thresholds and the ratio 0.75, and hashes the vote counts of every
+row.
+The memory cases read the interpreter's peak resident set
+(``ru_maxrss``): ``memory.cluster`` over ``xmurf.proximity_matrix`` and
+``save_matrix`` of a fitted forest, at M = 2000 and 5000 with B = 10;
+``memory.cluster_stage`` over the CLI's ``cluster`` stage, fit and forest
+save included, on the rows as ``save_dataset`` writes them, at M = 5000
+and B = 100; and ``memory.order`` over the CLI's ``order`` stage on the
+``proximity.raw`` that a ``memory.cluster`` child leaves in a directory
+it is given as a fourth argument, at all three sizes. Each case runs in
 a fresh interpreter (``python bench/forest_kernels.py KERNEL M B`` prints
 its reading as JSON; B is 0 for the reader), so no reading depends on the
 cases run before it. Each run appends one entry to ``BENCH_forest.json``
@@ -80,6 +85,7 @@ KERNELS = {  # kernel -> (unit, sizes)
 ROUNDS = 5
 MODEL_ROWS = 400  # the labeled rows of the model that classify.load_model and classify.predict_batch use
 ROWS_NAME = {"classify.predict_batch": "N"}  # the size's name in a case name, when it is not M
+CLASSIFIER_KERNELS = ("classify.fit_classifier", "classify.load_model", "classify.predict_batch")
 ROW_SEED, FOREST_SEED = 2004, 7
 
 
@@ -95,6 +101,17 @@ def rows(m: int):
     values[:, ::2] = np.round(values[:, ::2], 1)
     base = Dataset([f"f{k}" for k in range(47)], [f"r{i}" for i in range(m)], values)
     return LabeledDataset(base, [f"g{g}" for g in group])
+
+
+def scenario_rows(m: int, seed: int = ROW_SEED):
+    """M labeled rows of the scenario layout from
+    ``perfbench.workloads.scenario_rows``, the latent group as the class
+    label, as the classify-batch workload trains on them."""
+    from perfbench.workloads import FEATURE_NAMES, scenario_rows as draw
+    from scenforest.dataset import Dataset, LabeledDataset
+
+    values, group = draw(np.random.default_rng(seed), m)
+    return LabeledDataset(Dataset(list(FEATURE_NAMES), [f"r{i}" for i in range(m)], values), [f"g{g}" for g in group])
 
 
 def sha256(data: bytes) -> str:
@@ -151,7 +168,10 @@ def measure(kernel: str, m: int, b: int) -> dict:
     """One case's reading, timed in this interpreter."""
     from scenforest import classify, dataset, ordering, xmurf
 
-    data = rows(m)
+    if kernel == "classify.predict_batch":
+        data = scenario_rows(m, ROW_SEED + 1)  # new rows of the model's groups
+    else:
+        data = scenario_rows(m) if kernel in CLASSIFIER_KERNELS else rows(m)
     forest = xmurf.fit(data.base, b, FOREST_SEED) if kernel in ("xmurf.proximity_matrix", "ordering.linkage") else None
     p = xmurf.proximity_matrix(forest, data.base) if kernel == "ordering.linkage" else None
     extra = {}
@@ -160,7 +180,7 @@ def measure(kernel: str, m: int, b: int) -> dict:
         if kernel == "dataset.load_dataset":
             dataset.save_dataset(data.base, csv_path)
         if kernel in ("classify.load_model", "classify.predict_batch"):
-            train = rows(MODEL_ROWS)
+            train = scenario_rows(MODEL_ROWS)
             model = classify.fit_classifier(train, b, FOREST_SEED)
             thresholds = classify.oob_thresholds(model, train)
             classify.save_model(model, thresholds, made_path)
@@ -191,7 +211,7 @@ def measure(kernel: str, m: int, b: int) -> dict:
             if kernel == "xmurf.fit":
                 xmurf.save_forest(made, made_path)
             elif kernel == "classify.fit_classifier":
-                classify.save_model(made, None, made_path)
+                classify.save_model(made, classify.oob_thresholds(made, data), made_path)
             else:
                 ordering.save_dendrogram(made, made_path)
             digest = sha256(made_path.read_bytes())
@@ -232,7 +252,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(SRC))
+    sys.path[:0] = [str(SRC), str(ROOT)]
     if len(sys.argv) in (4, 5) and sys.argv[1].startswith("memory."):
         workdir = sys.argv[4] if len(sys.argv) == 5 else None
         print(json.dumps(measure_memory(sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), workdir)))

@@ -19,32 +19,32 @@ falls below an adjustable ratio of that threshold.
 
 The classifier is an ``xmurf.forest.Forest`` with its sorted label set in
 ``labels`` and a ``class_counts`` node column, grown by the same loop as
-the unsupervised forest (with ``_CartRule``) and written and read by the
-same JSON forest codec. Each vote count concatenates the forest's node
-arrays into one, with each tree's child ids shifted by its root offset;
-nothing is cached on the forest. Leaves point at themselves, so the batch
-router that the proximity uses too (``xmurf.tree.route``) moves a block of
-(row, tree) pairs down all trees at once, one level per pass, until every
-pair sits at a leaf, whose vote is ``argmax(class_counts)``: every pair of
-the block steps, reading its split cell from the block's flat rows, while
-more than half of them still move, and only the moving ones after that.
+the unsupervised forest (with ``_CartRule``). Its model file is written
+by the writer of ``forest.json`` (``xmurf.forest.write_forest``, a tree
+at a time) and read by its reader (``read_forest``). Each vote count
+concatenates the forest's node arrays into one, with each tree's child
+ids shifted by its root offset; nothing is cached on the forest. Leaves
+point at themselves, so the batch router that the proximity uses too
+(``xmurf.tree.route``) moves a block of (row, tree) pairs down all trees
+at once, one level per pass, until every pair sits at a leaf, whose vote
+is ``argmax(class_counts)``: every pair of the block steps, reading its
+split cell from the block's flat rows, while more than half of them
+still move, and only the moving ones after that.
 Votes are counted block by block, so no rows x trees matrix of votes is
 ever built. Votes, prediction and the OOB thresholds all go through it.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .dataset import LabeledDataset, ParseError, read_json, require_keys
-from .xmurf.forest import Forest, forest_to_dict, grow_forest, read_forest
-from .xmurf.tree import Candidates, chosen_splits, route, split_candidates, value_codes
+from .xmurf.forest import Forest, grow_forest, read_forest, write_forest
+from .xmurf.tree import Candidates, route, split_candidates, value_codes
 
 __all__ = [
     "UNASSIGNED",
@@ -52,7 +52,6 @@ __all__ = [
     "ClassThresholds",
     "fit_classifier",
     "oob_thresholds",
-    "predict_with_threshold",
     "predict_detail",
     "predict_batch",
     "save_model",
@@ -137,10 +136,9 @@ class _CartRule:
     def split_own(self, own: tuple, draws) -> tuple:
         return own
 
-    def search(self, rows: list, sizes: np.ndarray, owns: list, draws: list) -> tuple:
-        """``chosen_splits`` of the nodes, and the data row at each flat position."""
-        features, c, gains, sorted_rows = self.scores(rows, sizes, owns, draws)
-        return (*chosen_splits(features, c, gains, gains > 0.0), sorted_rows)
+    def accepts(self, gains: np.ndarray) -> np.ndarray:
+        """Only a positive gain splits."""
+        return gains > 0.0
 
     def scores(self, rows: list, sizes: np.ndarray, owns: list, draws: list) -> tuple:
         """(sorted features, Candidates, gains, data row at each flat
@@ -250,52 +248,34 @@ def predict_detail(f: Forest, th: ClassThresholds, x: np.ndarray, ratio: float):
     return predict_batch(f, th, np.asarray(x)[None, :], ratio)[0]
 
 
-def predict_with_threshold(f: Forest, th: ClassThresholds, x: np.ndarray, ratio: float):
-    """Plurality label over all trees, or None when the vote fraction falls
-    below ratio * kappa_bar of the winning class (assignment withdrawn)."""
-    return predict_detail(f, th, x, ratio)[0]
-
-
-def _model_dict(f: Forest, th: ClassThresholds | None) -> dict:
-    """The ``forest_to_dict`` object with the classifier's own keys in their
-    places: ``labels`` after ``Q`` and the thresholds before ``trees``."""
-    d = forest_to_dict(f, _class_columns(len(f.labels)))
-    names, trees = d.pop("feature_names"), d.pop("trees")
-    return {
-        **d,
-        "labels": f.labels,
-        "feature_names": names,
-        "kappa_bar": None if th is None else th.kappa_bar,
-        "trees": trees,
-    }
-
-
-def save_model(f: Forest, th: ClassThresholds | None, path) -> None:
-    Path(path).write_text(json.dumps(_model_dict(f, th)) + "\n")
+def save_model(f: Forest, th: ClassThresholds, path) -> None:
+    """Write the classifier's JSON: the forest's ``seed``, ``B`` and ``Q``,
+    its ``labels``, ``feature_names``, the thresholds ``kappa_bar`` and the
+    trees (``xmurf.forest.write_forest``)."""
+    head = {"seed": f.seed, "B": f.n_trees, "Q": f.q, "labels": f.labels, "feature_names": f.feature_names,
+            "kappa_bar": th.kappa_bar}
+    write_forest(path, head, f.trees, _class_columns(len(f.labels)))
 
 
 def load_model(path):
-    """Load (forest, thresholds-or-None) from a model JSON.
+    """Load (forest, thresholds) from a model JSON.
 
     The parts a model shares with a forest JSON are checked by
     ``xmurf.forest.read_forest``; keys it does not read, such as the
     ``bag`` of a tree or the ``kappas`` of an older model, are ignored.
-    kappa_bar, when not null, must hold a number in [0, 1] (a mean vote
-    fraction) for every label. Raises ParseError naming the file and the
-    key path of the first entry that is missing or malformed.
+    kappa_bar must hold a number in [0, 1] (a mean vote fraction) for every
+    label. Raises ParseError naming the file and the key path of the first
+    entry that is missing or malformed.
     """
     d = read_json(path)
-    require_keys(d, ("labels",), path, "")
+    require_keys(d, ("labels", "kappa_bar"), path, "")
     labels = d["labels"]
     if not isinstance(labels, list) or len(labels) < 2 or not all(isinstance(c, str) for c in labels):
         raise ParseError(f"{path}: labels: expected a list of at least 2 label strings")
     forest = read_forest(d, _class_columns(len(labels)), path)
     forest.labels = labels
-    th = None
-    kappa_bar = d.get("kappa_bar")
-    if kappa_bar is not None:
-        values = [kappa_bar.get(c) for c in labels] if isinstance(kappa_bar, dict) else [None]
-        if not all(type(k) in (int, float) and 0 <= k <= 1 for k in values):
-            raise ParseError(f"{path}: kappa_bar: expected a number for every label, in [0, 1]")
-        th = ClassThresholds(kappa_bar=kappa_bar)
-    return forest, th
+    kappa_bar = d["kappa_bar"]
+    values = [kappa_bar.get(c) for c in labels] if isinstance(kappa_bar, dict) else [None]
+    if not all(type(k) in (int, float) and 0 <= k <= 1 for k in values):
+        raise ParseError(f"{path}: kappa_bar: expected a number for every label, in [0, 1]")
+    return forest, ClassThresholds(kappa_bar=kappa_bar)

@@ -293,8 +293,6 @@ def cmd_classify(cfg: dict, args) -> int:
     out = _workdir(cfg, args)
     model_path = args.model or out / "model.json"
     forest, thresholds = clf.load_model(model_path)
-    if thresholds is None:
-        raise ParseError(f"{model_path}: kappa_bar: the model carries no thresholds; retrain first")
     in_path = args.input or out / "scenarios.csv"
     dataset = load_dataset(in_path)
     _check_features(in_path, dataset.feature_names, forest, model_path)

@@ -330,14 +330,16 @@ def apply_cluster_ranges(data: Dataset, perm, ranges: list[ClusterRange]) -> Lab
 def range_report(p: ProximityMatrix, perm, ranges: list[ClusterRange]) -> list[dict]:
     """Mean off-diagonal similarity of each range's block of the seriated
     matrix, gathered from the unpermuted ``p``: seriated position i is row
-    perm[i]. Takes a permutation and ranges that ``check_permutation`` and
+    perm[i]. A range of R rows is summed PROXIMITY_BLOCK // R rows at a
+    time, so no R x R copy is made, and its diagonal, R ones, is taken off
+    the sum. Takes a permutation and ranges that ``check_permutation`` and
     ``check_ranges`` have passed for ``p.size``."""
     report = []
     for r in ranges:
         rows = perm[r.start : r.end + 1]
-        block = p.values[np.ix_(rows, rows)]
-        n = block.shape[0]
-        mean = 1.0 if n < 2 else float((block.sum() - np.trace(block)) / (n * (n - 1)))
+        n, step = len(rows), max(1, PROXIMITY_BLOCK // len(rows))
+        total = sum(float(p.values[np.ix_(rows[i : i + step], rows)].sum()) for i in range(0, n, step))
+        mean = 1.0 if n < 2 else (total - n) / (n * (n - 1))
         report.append({"label": r.label, "start": r.start, "end": r.end, "size": n, "mean_similarity": mean})
     return report
 

@@ -12,7 +12,6 @@ from .tree import Tree, path, path_proximity_tree
 from .forest import (
     Forest,
     fit,
-    forest_to_dict,
     load_forest,
     proximity_matrix,
     save_forest,
@@ -31,7 +30,6 @@ __all__ = [
     "path_proximity_tree",
     "Forest",
     "fit",
-    "forest_to_dict",
     "load_forest",
     "proximity_matrix",
     "save_forest",

@@ -7,7 +7,8 @@ randomness comes from counter-based seed substreams
 (SeedSequence(master, spawn_key=(tree_index,))), so a fitted forest is
 identical regardless of evaluation order. ``grow_forest`` grows all trees
 in lock-step: one node per live tree per step, with one split search over
-the nodes of every tree.
+the nodes of every tree, each tree packing its node records into its own
+buffer.
 
 The pairwise proximity exploits that two root-to-leaf paths share exactly
 their common prefix. All rows go down a tree together, one tree level per
@@ -19,26 +20,30 @@ each leaf from the first up to the one before the second, and a row goes
 left where the paths part exactly when its leaf comes first. So a table
 over the tree's leaves gives every pair's Jaccard term, and the M x M
 accumulation runs a block of rows at a time with no walk over the nodes,
-building only the table rows of the block's leaves. The forest JSON is
-written a tree at a time, in the bytes ``json.dumps`` gives the whole.
+building only the table rows of the block's leaves. One writer,
+``write_forest``, writes both forest files, ``forest.json`` and the
+classifier's ``model.json``, a tree at a time, in the bytes ``json.dumps``
+gives the whole; one reader, ``read_forest``, reads both.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import struct
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..dataset import PROXIMITY_BLOCK, Dataset, ParseError, ProximityMatrix, read_json, require_keys
-from .tree import NOISE_COLUMNS, NoiseRule, Tree, _dtype, node_dicts, read_nodes, route
+from .tree import NOISE_COLUMNS, NoiseRule, Tree, _dtype, chosen_splits, node_dicts, read_nodes, route
 
-__all__ = ["Forest", "tree_rng", "grow_forest", "fit", "proximity_matrix", "forest_to_dict", "save_forest",
+__all__ = ["Forest", "tree_rng", "grow_forest", "fit", "proximity_matrix", "write_forest", "save_forest",
            "read_forest", "load_forest"]
 
 SEARCH_ROWS = 1 << 10  # node rows per split search, which bounds its temporaries
+_INT = struct.Struct("=q")  # a node's child id, patched in place
 
 
 @dataclass
@@ -68,91 +73,83 @@ def grow_forest(x: np.ndarray, b_trees: int, seed: int, rule) -> list[Tree]:
     pops nodes until one is to be searched (``rule.leaves`` says which; the
     others become leaves at once and draw nothing), and makes that node's
     draws; the trees draw in tree order, and no tree draws from another's
-    rng, so interleaving them changes no tree. ``rule.search`` then scores
-    the popped nodes of all trees at once (SEARCH_ROWS rows at a time), and
-    each split's children are the rows its sorted segment holds at or below
-    the threshold and above it. A split that leaves a side empty makes the
+    rng, so interleaving them changes no tree. ``rule.scores`` then scores
+    the candidates of the popped nodes of all trees at once (SEARCH_ROWS
+    rows at a time), a node splits on its first greatest gain
+    (``xmurf.tree.chosen_splits``) when ``rule.accepts`` it, and each
+    split's children are the rows its sorted segment holds at or below the
+    threshold and above it. A split that leaves a side empty makes the
     node a leaf: a midpoint of two adjacent doubles can round up to the node
     maximum, and the child holding every row would split there forever.
-    Node ids are preorder positions and a left child is its parent's id + 1.
+    Each tree packs its nodes into its own buffer of records as they are
+    made, and that buffer becomes its node array with no copy: a node's id
+    is its record's index there, its preorder position, and a left child
+    is its parent's id + 1.
 
     ``rule`` gives: ``columns``, the forest's own node columns;
     ``leaves(rows)``, per node's rows its own columns as a leaf and whether
     it is searched; ``draw(rng)``, a searched node's draws;
-    ``search(rows, sizes, owns, draws)``, the nodes that split with their
-    feature, threshold, segment start and left count, and the data row at
-    each sorted position; and ``split_own(own, draws)``, a split node's own
-    columns.
+    ``scores(rows, sizes, owns, draws)``, the nodes' sorted features, their
+    ``xmurf.tree.Candidates``, the gain of each candidate and the data row
+    at each sorted position; ``accepts(gains)``, which gains may split a
+    node; and ``split_own(own, draws)``, a split node's own columns.
     """
     if b_trees < 1:
         raise ValueError("need at least one tree")
     if not np.isfinite(x).all():
         raise ValueError("rows hold a non-finite value")
-    from array import array  # here, not at module level: only the forest stages load the extension
 
     m = x.shape[0]
     rngs = [tree_rng(seed, b) for b in range(b_trees)]
     bags = [rng.integers(0, m, size=m) for rng in rngs]
     dtype = _dtype(rule.columns)
-    width = 4 + sum(math.prod(dtype[name].shape) for name in rule.columns)
-    # every node of every tree, in the order made: at ints[k * width:] its
-    # tree, feature, left, right and own columns, at thresholds[k] its
-    # threshold; one compact pair of arrays, as all trees grow at once
-    ints, thresholds = array("q"), array("d")
-    n_nodes = [0] * b_trees
-    # a stack entry: (rows, record of the parent whose right child it is or -1, own columns as a leaf, searched)
+    record, right = _record(dtype), dtype.fields["right"][1]
+    # each tree's nodes, in preorder: node i is the record at stores[b][i * record.size:]
+    stores = [bytearray() for _ in bags]
+    # a stack entry: (rows, id of the parent whose right child it is or -1, own columns as a leaf, searched)
     stacks = [[(bag, -1, *root)] for bag, root in zip(bags, rule.leaves(bags))]
     live = range(b_trees)
     while live:
-        popped = []  # (tree, record, rows, own, draws) of each node searched at this step
+        popped = []  # (tree, id, rows, own, draws) of each node searched at this step
         for b in live:
-            stack = stacks[b]
+            stack, store = stacks[b], stores[b]
             while stack:
                 rows, right_of, own, searched = stack.pop()
-                i, n_nodes[b] = n_nodes[b], n_nodes[b] + 1
+                i = len(store) // record.size
                 if right_of >= 0:
-                    ints[right_of * width + 3] = i
-                ints.extend((b, -1, i, i, *own))
-                thresholds.append(0.0)
+                    _INT.pack_into(store, right_of * record.size + right, i)
+                store += record.pack(-1, 0.0, i, i, *own)
                 if searched:
-                    popped.append((b, len(thresholds) - 1, rows, own, rule.draw(rngs[b])))
+                    popped.append((b, i, rows, own, rule.draw(rngs[b])))
                     break
         live = [entry[0] for entry in popped]
         group, n_rows = [], 0  # nodes searched in one call: at most SEARCH_ROWS rows, unless one node has more
         for entry in popped:
             if group and n_rows + len(entry[2]) > SEARCH_ROWS:
-                _split(rule, group, stacks, ints, thresholds, width)
+                _split(rule, group, stacks, stores, record)
                 group, n_rows = [], 0
             group.append(entry)
             n_rows += len(entry[2])
         if group:
-            _split(rule, group, stacks, ints, thresholds, width)
-    fields = np.frombuffer(ints, dtype=np.int64).reshape(len(thresholds), width)
-    order = np.argsort(fields[:, 0], kind="stable")  # each tree's nodes, in preorder
-    fields, values = fields[order], np.frombuffer(thresholds)[order]
-    trees, first = [], 0
-    for bag, size in zip(bags, n_nodes):
-        at = slice(first, first + size)
-        nodes = np.empty(size, dtype)
-        nodes["feature"], nodes["left"], nodes["right"] = fields[at, 1], fields[at, 2], fields[at, 3]
-        nodes["threshold"] = values[at]
-        k = 4
-        for name in rule.columns:
-            shape = dtype[name].shape
-            nodes[name] = fields[at, k : k + math.prod(shape)].reshape(size, *shape)
-            k += math.prod(shape)
-        trees.append(Tree(nodes=nodes, bag=bag))
-        first += size
-    return trees
+            _split(rule, group, stacks, stores, record)
+    return [Tree(nodes=np.frombuffer(store, dtype), bag=bag) for bag, store in zip(bags, stores)]
 
 
-def _split(rule, popped: list, stacks: list, ints, thresholds, width: int) -> None:
+def _record(dtype: np.dtype) -> struct.Struct:
+    """The packing of one record of a node dtype, whose fields are int64,
+    float64 and int8 values and arrays of them."""
+    codes = {np.dtype(np.int64): "q", np.dtype(np.float64): "d", np.dtype(np.int8): "b"}
+    return struct.Struct("=" + "".join(codes[dtype[name].base] * math.prod(dtype[name].shape) for name in dtype.names))
+
+
+def _split(rule, popped: list, stacks: list, stores: list, record: struct.Struct) -> None:
     """Search the popped nodes at once, write the split of each node that
-    splits into its record, and push its children onto its tree's stack."""
+    splits into its tree's record, and push its children onto its tree's stack."""
     rows = [entry[2] for entry in popped]
     sizes = np.array([len(r) for r in rows])
-    node, feature, threshold, start, n_left, sorted_rows = rule.search(
+    features, c, gains, sorted_rows = rule.scores(
         rows, sizes, [entry[3] for entry in popped], [entry[4] for entry in popped])
+    node, feature, threshold, start, n_left = chosen_splits(features, c, gains, rule.accepts(gains))
     # a threshold of two finite values is finite unless their sum overflows:
     # an infinite one would send every row to one side
     applied = (n_left < sizes[node]) & np.isfinite(threshold)
@@ -167,12 +164,10 @@ def _split(rule, popped: list, stacks: list, ints, thresholds, width: int) -> No
         kids += [sorted_rows[first:mid].copy(), sorted_rows[mid:end].copy()]
     kid_leaves = rule.leaves(kids)
     for j, (n, f, t) in enumerate(zip(node.tolist(), feature.tolist(), threshold.tolist())):
-        b, k, _, own, draws = popped[n]
-        i = ints[k * width + 2]
-        ints[k * width + 1 : (k + 1) * width] = type(ints)("q", (f, i + 1, -1, *rule.split_own(own, draws)))
-        thresholds[k] = t
+        b, i, _, own, draws = popped[n]
+        record.pack_into(stores[b], i * record.size, f, t, i + 1, -1, *rule.split_own(own, draws))
         # push right first so the left child is created (and numbered) first
-        stacks[b].append((kids[2 * j + 1], k, *kid_leaves[2 * j + 1]))
+        stacks[b].append((kids[2 * j + 1], i, *kid_leaves[2 * j + 1]))
         stacks[b].append((kids[2 * j], -1, *kid_leaves[2 * j]))
 
 
@@ -292,26 +287,24 @@ def proximity_matrix(forest: Forest, data: Dataset) -> ProximityMatrix:
     return ProximityMatrix(values=_fold(diverging, same_leaf, forest.n_trees), ids=list(data.ids))
 
 
-def _forest_head(forest: Forest) -> dict:
-    """A forest JSON object's keys before ``trees``."""
-    return {"seed": forest.seed, "B": forest.n_trees, "Q": forest.q, "feature_names": forest.feature_names}
-
-
-def forest_to_dict(forest: Forest, columns: dict = NOISE_COLUMNS) -> dict:
-    """The JSON object of a forest whose nodes carry ``columns``, without a
-    classifier's own keys (see ``read_forest``)."""
-    return {**_forest_head(forest), "trees": [{"nodes": node_dicts(t.nodes, columns)} for t in forest.trees]}
+def write_forest(path, head: dict, trees: list[Tree], columns: dict) -> None:
+    """Write ``json.dumps({**head, "trees": [{"nodes": node_dicts(t.nodes,
+    columns)} for t in trees]})`` and a line end, one tree's node dicts at a
+    time: the text is joined as ``json.dumps`` joins the whole, and no more
+    than one tree's dicts are alive at once. ``head`` holds at least one
+    key. Both forest files are written here (see ``read_forest``)."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(head)[:-1] + ', "trees": [')
+        for k, tree in enumerate(trees):
+            fh.write((", " if k else "") + json.dumps({"nodes": node_dicts(tree.nodes, columns)}))
+        fh.write("]}\n")
 
 
 def save_forest(forest: Forest, path) -> None:
-    """Write ``json.dumps(forest_to_dict(forest))`` and a line end, one
-    tree's node dicts at a time: the text is joined as ``json.dumps`` joins
-    it, and no more than one tree's dicts are alive at once."""
-    with open(path, "w") as fh:
-        fh.write(json.dumps(_forest_head(forest))[:-1] + ', "trees": [')
-        for k, tree in enumerate(forest.trees):
-            fh.write((", " if k else "") + json.dumps({"nodes": node_dicts(tree.nodes, NOISE_COLUMNS)}))
-        fh.write("]}\n")
+    """Write the unsupervised forest's JSON: its ``seed``, ``B``, ``Q``,
+    ``feature_names`` and trees (``write_forest``)."""
+    head = {"seed": forest.seed, "B": forest.n_trees, "Q": forest.q, "feature_names": forest.feature_names}
+    write_forest(path, head, forest.trees, NOISE_COLUMNS)
 
 
 def read_forest(d, columns: dict, path) -> Forest:

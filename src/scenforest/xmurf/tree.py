@@ -185,10 +185,9 @@ class NoiseRule:
     def split_own(self, own: tuple, draws: tuple) -> tuple:
         return own[0], int(draws[0]) + 1  # the code of the drawn kind in NOISE_CODES
 
-    def search(self, rows: list, sizes: np.ndarray, owns: list, draws: list) -> tuple:
-        """``chosen_splits`` of the nodes, and the data row at each flat position."""
-        features, c, gains, sorted_rows = self.scores(rows, sizes, owns, draws)
-        return (*chosen_splits(features, c, gains, ~(gains < 0.0)), sorted_rows)
+    def accepts(self, gains: np.ndarray) -> np.ndarray:
+        """Every gain but a negative one splits; a NaN gain splits too."""
+        return ~(gains < 0.0)
 
     def scores(self, rows: list, sizes: np.ndarray, owns: list, draws: list) -> tuple:
         """(sorted features, Candidates, gains, data row at each flat

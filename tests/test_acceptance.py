@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from scenforest import cli, ordering, xmurf
-from scenforest.classify import fit_classifier, oob_thresholds, predict_with_threshold
+from scenforest.classify import fit_classifier, oob_thresholds, predict_detail
 from scenforest.dataset import Dataset, LabeledDataset, load_dataset, load_matrix
 from scenforest.scenarios import THW_KEEP, THW_TRIGGER, find_trigger_windows
 from scenforest.sim import (
@@ -202,10 +202,11 @@ def test_criterion_4_blob_recovery(blob_recovery):
     report(4, f"10-seed ARI min {min(aris):.3f} (all >= 0.9) in {elapsed:.1f} s")
 
 
-def test_criterion_5_small_instance_oracle(small_instance):
+def test_criterion_5_small_instance_oracle(small_instance, tmp_path):
     t0 = time.time()
     data, forest, prox = small_instance
-    tree_dict = xmurf.forest_to_dict(forest)["trees"][0]
+    xmurf.save_forest(forest, tmp_path / "forest.json")
+    tree_dict = json.loads((tmp_path / "forest.json").read_text())["trees"][0]
     nodes = {n["id"]: n for n in tree_dict["nodes"]}
 
     def walk(value):
@@ -240,7 +241,7 @@ def test_criterion_6_classifier_monotonicity():
     thresholds = oob_thresholds(forest, labeled)
     ratios = [0.0, 0.25, 0.5, 0.75, 1.0]
     assigned = {
-        r: {i for i in range(120) if predict_with_threshold(forest, thresholds, x[i], r) is not None}
+        r: {i for i in range(120) if predict_detail(forest, thresholds, x[i], r)[0] is not None}
         for r in ratios
     }
     assert len(assigned[0.0]) == 120  # ratio 0 assigns 100%

@@ -19,12 +19,21 @@ from scenforest.classify import (
     load_model,
     oob_thresholds,
     predict_batch,
-    predict_with_threshold,
+    predict_detail,
     save_model,
 )
 from scenforest.dataset import Dataset, LabeledDataset, ParseError
 from scenforest.xmurf.forest import Forest
 from scenforest.xmurf.tree import Tree, first_max, read_nodes, route
+
+
+def model_json(f) -> str:
+    """The text ``save_model`` writes for ``f`` with the threshold 0.5 for
+    every label."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(f, ClassThresholds(kappa_bar=dict.fromkeys(f.labels, 0.5)), path)
+        return path.read_text()
 
 
 def walk_vote(tree, x):
@@ -193,7 +202,7 @@ def test_withdraw_rule_cases():
     assert label_hi is None and threshold_hi > 1.0
     for ratio in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="ratio must be a finite number >= 0"):
-            predict_with_threshold(f, th, x, ratio=ratio)
+            predict_detail(f, th, x, ratio=ratio)[0]
 
 
 def test_withdraw_boundary_arithmetic():
@@ -225,7 +234,7 @@ def test_monotone_assignment_and_subset():
     assigned_sets = []
     for r in ratios:
         assigned = {
-            i for i in range(80) if predict_with_threshold(f, th, x[i], r) is not None
+            i for i in range(80) if predict_detail(f, th, x[i], r)[0] is not None
         }
         assigned_sets.append(assigned)
     assert len(assigned_sets[0]) == 80  # ratio 0 assigns everything
@@ -246,7 +255,7 @@ def test_threshold_never_changes_winner():
     for i in range(60):
         plurality = f.labels[int(np.argmax(classify._count_votes(f, x[i : i + 1])[0]))]
         for r in (0.25, 0.75, 1.0):
-            got = predict_with_threshold(f, th, x[i], r)
+            got = predict_detail(f, th, x[i], r)[0]
             assert got in (None, plurality)
 
 
@@ -448,7 +457,7 @@ def test_fit_with_loop_oracle_gives_same_model():
     labels = [f"c{k}" for k in rng.integers(0, 4, size=80)]
     d = LabeledDataset(Dataset([f"f{k}" for k in range(9)], [f"r{i}" for i in range(80)], values), labels)
     want = forest_oracle.fit_classifier(d, 6, seed=3, search=loop_best_split_supervised)
-    assert classify._model_dict(fit_classifier(d, 6, seed=3), None) == classify._model_dict(want, None)
+    assert model_json(fit_classifier(d, 6, seed=3)) == model_json(want)
 
 
 @pytest.fixture()
@@ -477,8 +486,8 @@ def assert_load_rejects(model, path, match):
 
 def test_load_model_rejects_missing_top_level_key(model_dict):
     model, path = model_dict
-    del model["labels"]
-    assert_load_rejects(model, path, r"model\.json: labels: missing key")
+    for key in ("labels", "kappa_bar"):
+        assert_load_rejects({k: v for k, v in model.items() if k != key}, path, rf"model\.json: {key}: missing key")
 
 
 def test_load_model_rejects_missing_node_key(model_dict):
@@ -525,8 +534,10 @@ def test_load_model_rejects_left_equal_to_right(model_dict):
         ("seed", False, r"model\.json: seed: False is not an integer"),
         ("B", 99, r"model\.json: B: 99 is not the number of trees, 8"),
         ("kappa_bar", {"A": True, "B": False}, r"model\.json: kappa_bar: expected a number for every label"),
+        ("kappa_bar", None, r"model\.json: kappa_bar: expected a number for every label"),
     ],
-    ids=["feature-names-not-a-list", "seed-string", "seed-bool", "b-not-tree-count", "kappa-bar-bools"],
+    ids=["feature-names-not-a-list", "seed-string", "seed-bool", "b-not-tree-count", "kappa-bar-bools",
+         "kappa-bar-null"],
 )
 def test_load_model_rejects_top_level_value(model_dict, key, value, match):
     model, path = model_dict
@@ -559,16 +570,21 @@ def tie_heavy_labeled(draw):
 @given(tie_heavy_labeled(), st.integers(1, 6), st.integers(0, 2**32 - 1))
 def test_fit_classifier_deterministic_and_model_json_round_trips(d, b, seed):
     f = fit_classifier(d, b, seed=seed)
-    assert classify._model_dict(f, None) == classify._model_dict(fit_classifier(d, b, seed=seed), None)
-    try:
-        th = oob_thresholds(f, d)
-    except ValueError:  # a class without out-of-bag rows: save the forest alone
-        th = None
+    assert model_json(f) == model_json(fit_classifier(d, b, seed=seed))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # rows never out of bag
+        try:
+            th = oob_thresholds(f, d)
+        except ValueError:  # a class without out-of-bag rows has no threshold, and a model always has one
+            assume(False)
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "a.json", Path(tmp) / "b.json"
         save_model(f, th, first)
         save_model(*load_model(first), second)
         assert first.read_bytes() == second.read_bytes()
+        # written a tree at a time, joined as json.dumps joins the whole
+        text = first.read_text()
+        assert text == json.dumps(json.loads(text)) + "\n"
 
 
 @settings(max_examples=60, deadline=None)

@@ -556,7 +556,7 @@ def one_feature_model(kappa_bar_a=None) -> str:
          "need at least 2 scenarios to cluster, got 1"),
         ({"labeled.csv": "id,f,label\na,1,A\nb,2,A\n"}, ["--out", ".", "train"], "labeled.csv", "need at least 2 classes"),
         ({"model.json": json.dumps({**json.loads(one_feature_model()), "kappa_bar": None}), "scenarios.csv": "id,f\na,1\n"},
-         ["--out", ".", "classify"], "model.json", "kappa_bar: the model carries no thresholds"),
+         ["--out", ".", "classify"], "model.json", "kappa_bar: expected a number for every label, in [0, 1]"),
     ],
     ids=[
         "raw-sidecar-invalid-json", "raw-sidecar-missing-M", "raw-sidecar-M-not-int", "raw-sidecar-ids-not-strings",

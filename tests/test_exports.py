@@ -1,11 +1,15 @@
 """Public names: every module's ``__all__`` resolves, and a package's
 re-export of a name is the very object the defining module holds, so code
 that finds a function by identity (a profiler patching it in every module
-that holds it, say) sees every path to it."""
+that holds it, say) sees every path to it. Every function the benchmark's
+tracer wraps by name exists."""
 
 import importlib
+import importlib.util
 import inspect
 import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -37,3 +41,19 @@ def test_reexports_are_the_defining_objects(package):
         assert obj is getattr(importlib.import_module(owners[n][0]), n), f"{package}.{n}"
         if inspect.isfunction(obj) or inspect.isclass(obj):
             assert obj.__module__ == owners[n][0], f"{package}.{n} is defined in {obj.__module__}"
+
+
+def test_benchmark_tracer_targets_resolve(monkeypatch):
+    # perfbench/tracer.py finds its targets by module and function name, and
+    # a target that is gone only drops its metrics from a traced run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # its dataclasses look their module up there
+    spec.loader.exec_module(tracer)
+    t = tracer.Tracer()
+    try:
+        t.install()
+    finally:
+        t.uninstall()
+    assert t.missing == []

@@ -333,6 +333,25 @@ def test_load_ranges_and_report(tmp_path):
     assert got[0]["mean_similarity"] != range_report(p, np.arange(9), ranges)[0]["mean_similarity"]
 
 
+@pytest.mark.parametrize("block", [1, 52, 1 << 16])
+def test_range_report_in_row_blocks_equals_the_whole_block(monkeypatch, block):
+    # PROXIMITY_BLOCK // R rows a block of the 9-row range: one row, five
+    # rows with a short last block, and the whole range at once
+    rng = np.random.default_rng(6)
+    v = rng.uniform(0.05, 1.0, size=(13, 13))
+    p = matrix(np.triu(v, 1) + np.triu(v, 1).T + np.eye(13))
+    perm = rng.permutation(13)
+    ranges = [ClusterRange(0, 8, "a"), ClusterRange(9, 9, "b"), ClusterRange(10, 12, "c")]
+    want = []
+    for r in ranges:
+        cells = p.values[np.ix_(perm[r.start : r.end + 1], perm[r.start : r.end + 1])]
+        n = len(cells)
+        want.append(1.0 if n < 2 else (cells.sum() - np.trace(cells)) / (n * (n - 1)))
+    monkeypatch.setattr(ordering, "PROXIMITY_BLOCK", block)
+    got = [r["mean_similarity"] for r in range_report(p, perm, ranges)]
+    assert got == pytest.approx(want, rel=1e-15)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

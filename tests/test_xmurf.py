@@ -22,7 +22,6 @@ from scenforest.xmurf import (
     Tree,
     estimate_noise_children,
     fit,
-    forest_to_dict,
     gini,
     gini_gain,
     load_forest,
@@ -44,6 +43,14 @@ def make_dataset(values, names=None):
         ids=[f"r{i}" for i in range(values.shape[0])],
         values=values,
     )
+
+
+def forest_json(f) -> str:
+    """The text ``save_forest`` writes for ``f``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "forest.json"
+        save_forest(f, path)
+        return path.read_text()
 
 
 def is_leaf(tree):
@@ -179,9 +186,9 @@ def test_fit_deterministic():
     d = make_dataset(rng.normal(size=(30, 4)))
     f1 = fit(d, 10, seed=99)
     f2 = fit(d, 10, seed=99)
-    assert forest_to_dict(f1) == forest_to_dict(f2)
+    assert forest_json(f1) == forest_json(f2)
     f3 = fit(d, 10, seed=100)
-    assert forest_to_dict(f1) != forest_to_dict(f3)
+    assert forest_json(f1) != forest_json(f3)
 
 
 def test_fit_degenerate_dataset_warns():
@@ -344,7 +351,7 @@ def test_fit_with_loop_oracle_gives_same_forest():
     rng = np.random.default_rng(8)
     d = make_dataset(np.round(rng.normal(size=(60, 9)), 1))  # one decimal: many tied values
     want = forest_oracle.fit(d, 4, seed=7, search=loop_best_split)
-    assert forest_to_dict(fit(d, 4, seed=7)) == forest_to_dict(want)
+    assert forest_json(fit(d, 4, seed=7)) == forest_json(want)
 
 
 def test_separated_blobs_split_apart_at_root():
@@ -500,8 +507,7 @@ def test_small_instance_oracle_equivalence():
     x = np.array([[0.1], [0.9], [0.35], [0.6], [0.2], [0.75]])
     d = make_dataset(x)
     f = fit(d, 1, seed=2024)
-    blob = forest_to_dict(f)
-    tree_dict = blob["trees"][0]
+    tree_dict = json.loads(forest_json(f))["trees"][0]
     m = d.n_rows
     expected = np.zeros((m, m))
     for i in range(m):
@@ -643,7 +649,7 @@ def test_proximity_invariants_on_tie_heavy_data(d, b, seed):
 def test_fit_deterministic_and_forest_json_round_trips(d, b, seed):
     with np.errstate(invalid="ignore", divide="ignore"):
         f1, f2 = fit(d, b, seed=seed), fit(d, b, seed=seed)
-    assert forest_to_dict(f1) == forest_to_dict(f2)
+    assert forest_json(f1) == forest_json(f2)
     for t1, t2 in zip(f1.trees, f2.trees):
         np.testing.assert_array_equal(t1.bag, t2.bag)
     with tempfile.TemporaryDirectory() as tmp:
@@ -652,7 +658,8 @@ def test_fit_deterministic_and_forest_json_round_trips(d, b, seed):
         save_forest(load_forest(first), second)
         assert first.read_bytes() == second.read_bytes()
         # written a tree at a time, joined as json.dumps joins the whole
-        assert first.read_text() == json.dumps(forest_to_dict(f1)) + "\n"
+        text = first.read_text()
+        assert text == json.dumps(json.loads(text)) + "\n"
 
 
 def assert_same_trees(got, want):
