@@ -7,9 +7,10 @@ all grown in lock-step by ``xmurf.forest.grow_forest``. One split search
 scores every candidate of every sampled feature of the nodes popped at a
 step, of all trees: the candidates in the ``xmurf.tree.split_candidates``
 layout (nodes in order, then features ascending, then thresholds
-ascending), class counts from one cumulative count over it, and one
-argmax per node, so ties go to the lowest feature and then the lowest
-threshold.
+ascending), class counts from one cumulative integer count over it (only
+the counts at the candidates become float64, exactly), and one argmax per
+node, so ties go to the lowest feature and then the lowest threshold. The
+features of each node come from ``xmurf.tree.NodeSamples``, in bulk.
 Each tree keeps its bootstrap bag in memory, for ``oob_thresholds`` only:
 the OOB vote fraction for the true class gives a per-point confidence whose
 class-wise mean is the assignment threshold. The model file holds the trees,
@@ -44,7 +45,7 @@ import numpy as np
 
 from .dataset import LabeledDataset, ParseError, read_json, require_keys
 from .xmurf.forest import Forest, grow_forest, read_forest, write_forest
-from .xmurf.tree import Candidates, route, split_candidates, value_codes
+from .xmurf.tree import Candidates, NodeSamples, route, split_candidates, value_codes
 
 __all__ = [
     "UNASSIGNED",
@@ -108,7 +109,7 @@ class _CartRule:
     """The supervised forest's split rule, for ``xmurf.forest.grow_forest``.
 
     Per impure node of two or more rows the rng draws ``q_split`` distinct
-    features (no noise draw here). The candidates of
+    features (``sample``; no noise draw here). The candidates of
     ``xmurf.tree.split_candidates`` are scored by the class counts of the
     rows each sends left, the partition the grow loop applies; a candidate
     that sends every row left is passed over, and a node splits on its
@@ -118,7 +119,7 @@ class _CartRule:
     def __init__(self, x: np.ndarray, y: np.ndarray, n_classes: int, q_split: int):
         self.codes, self.values = value_codes(x)
         self.y, self.n_classes = y, n_classes
-        self.q, self.k = x.shape[1], min(q_split, x.shape[1])
+        self.sample = NodeSamples(x.shape[1], min(q_split, x.shape[1]))
         self.columns = _class_columns(n_classes)
 
     def leaves(self, rows: list) -> list:
@@ -130,9 +131,6 @@ class _CartRule:
         searched = (sizes >= 2) & (np.count_nonzero(counts, axis=1) >= 2)
         return list(zip(map(tuple, counts.tolist()), searched.tolist()))
 
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.choice(self.q, size=self.k, replace=False)
-
     def split_own(self, own: tuple, draws) -> tuple:
         return own
 
@@ -141,16 +139,19 @@ class _CartRule:
         return gains > 0.0
 
     def scores(self, rows: list, sizes: np.ndarray, owns: list, draws: list) -> tuple:
-        """(sorted features, Candidates, gains, data row at each flat
-        position) of the nodes' split candidates that leave both sides
-        nonempty."""
-        features = np.sort(np.array(draws), axis=1)
+        """(features, Candidates, gains, data row at each flat position) of
+        the split candidates that leave both sides nonempty, of the nodes
+        whose draws are sorted features."""
+        features = np.array(draws)
         c, _, sorted_rows = split_candidates(self.codes, self.values, rows, sizes, features)
         c = Candidates(*(a[c.n_left < sizes[c.node]] for a in c))  # both sides nonempty
+        # cum[p]: the class counts of the flat positions before p, in integers
+        n = len(sorted_rows)
+        cum = np.zeros((n + 1, self.n_classes), dtype=np.int32 if n < 2**31 else np.int64)
+        cum[np.arange(1, n + 1), self.y[sorted_rows]] = 1
+        np.cumsum(cum, axis=0, out=cum)
+        left_counts = (cum[c.start + c.n_left] - cum[c.start]).astype(np.float64)
         counts = np.array(owns, dtype=np.float64)
-        cum = np.zeros((len(sorted_rows) + 1, self.n_classes))
-        np.cumsum(self.y[sorted_rows][:, None] == np.arange(self.n_classes), axis=0, out=cum[1:])
-        left_counts = cum[c.start + c.n_left] - cum[c.start]
         right_counts = counts[c.node] - left_counts
         m = sizes[c.node]
         gini_left, gini_right = _gini_from_counts(left_counts), _gini_from_counts(right_counts)

@@ -68,14 +68,15 @@ def grow_forest(x: np.ndarray, b_trees: int, seed: int, rule) -> list[Tree]:
     """Grow ``b_trees`` fully-grown trees on the rows of ``x``, in lock-step.
 
     Tree b draws from ``tree_rng(seed, b)`` its bootstrap bag of all M rows
-    first, and then ``rule.draw(rng)`` once per searched node, in preorder.
-    Each tree keeps its own preorder stack. At each step every live tree
-    pops nodes until one is to be searched (``rule.leaves`` says which; the
-    others become leaves at once and draw nothing), and makes that node's
-    draws; the trees draw in tree order, and no tree draws from another's
-    rng, so interleaving them changes no tree. ``rule.scores`` then scores
-    the candidates of the popped nodes of all trees at once (SEARCH_ROWS
-    rows at a time), a node splits on its first greatest gain
+    first, and then one sample of ``rule.sample`` per searched node, in
+    preorder: ``rule.sample.stream(rng)`` draws them in bulk, as one call
+    per node would. Each tree keeps its own preorder stack. At each step
+    every live tree pops nodes until one is to be searched (``rule.leaves``
+    says which; the others become leaves at once and draw nothing), and
+    takes that node's draws from its own stream; no tree draws from
+    another's rng, so interleaving them changes no tree. ``rule.scores``
+    then scores the candidates of the popped nodes of all trees at once
+    (SEARCH_ROWS rows at a time), a node splits on its first greatest gain
     (``xmurf.tree.chosen_splits``) when ``rule.accepts`` it, and each
     split's children are the rows its sorted segment holds at or below the
     threshold and above it. A split that leaves a side empty makes the
@@ -88,11 +89,12 @@ def grow_forest(x: np.ndarray, b_trees: int, seed: int, rule) -> list[Tree]:
 
     ``rule`` gives: ``columns``, the forest's own node columns;
     ``leaves(rows)``, per node's rows its own columns as a leaf and whether
-    it is searched; ``draw(rng)``, a searched node's draws;
-    ``scores(rows, sizes, owns, draws)``, the nodes' sorted features, their
-    ``xmurf.tree.Candidates``, the gain of each candidate and the data row
-    at each sorted position; ``accepts(gains)``, which gains may split a
-    node; and ``split_own(own, draws)``, a split node's own columns.
+    it is searched; ``sample``, the ``xmurf.tree.NodeSamples`` of a
+    searched node's draws; ``scores(rows, sizes, owns, draws)``, the
+    nodes' features, their ``xmurf.tree.Candidates``, the gain of each
+    candidate and the data row at each sorted position; ``accepts(gains)``,
+    which gains may split a node; and ``split_own(own, draws)``, a split
+    node's own columns.
     """
     if b_trees < 1:
         raise ValueError("need at least one tree")
@@ -102,6 +104,7 @@ def grow_forest(x: np.ndarray, b_trees: int, seed: int, rule) -> list[Tree]:
     m = x.shape[0]
     rngs = [tree_rng(seed, b) for b in range(b_trees)]
     bags = [rng.integers(0, m, size=m) for rng in rngs]
+    draws = [rule.sample.stream(rng) for rng in rngs]
     dtype = _dtype(rule.columns)
     record, right = _record(dtype), dtype.fields["right"][1]
     # each tree's nodes, in preorder: node i is the record at stores[b][i * record.size:]
@@ -120,7 +123,7 @@ def grow_forest(x: np.ndarray, b_trees: int, seed: int, rule) -> list[Tree]:
                     _INT.pack_into(store, right_of * record.size + right, i)
                 store += record.pack(-1, 0.0, i, i, *own)
                 if searched:
-                    popped.append((b, i, rows, own, rule.draw(rngs[b])))
+                    popped.append((b, i, rows, own, next(draws[b])))
                     break
         live = [entry[0] for entry in popped]
         group, n_rows = [], 0  # nodes searched in one call: at most SEARCH_ROWS rows, unless one node has more

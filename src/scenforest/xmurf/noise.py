@@ -82,12 +82,14 @@ def _normal_cdf(z):
     return 1.0 / (1.0 + np.exp(-_SQRT_PI * poly))
 
 
+# The plain sum of two shifted normal CDFs spans [P(-3), P(3)] ~ [0.5, 1.5]
+# on [-3, 3]; _renormalize maps it onto [0, 1], so the result is a valid CDF.
+_BIMODAL_LO = _normal_cdf(-6.0) + _normal_cdf(0.0)
+_BIMODAL_SPAN = _normal_cdf(0.0) + _normal_cdf(6.0) - _BIMODAL_LO
+
+
 def _renormalize(raw):
-    # The plain sum of two shifted normal CDFs spans [P(-3), P(3)] ~ [0.5, 1.5];
-    # renormalize so the result is a valid CDF on [-3, 3].
-    lo = _normal_cdf(-6.0) + _normal_cdf(0.0)
-    hi = _normal_cdf(0.0) + _normal_cdf(6.0)
-    return (raw - lo) / (hi - lo)
+    return (raw - _BIMODAL_LO) / _BIMODAL_SPAN
 
 
 def _bimodal_cdf(z):

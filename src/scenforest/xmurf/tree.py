@@ -20,11 +20,18 @@ one pass, and one segmented argmax (``first_max``) takes each node's first
 greatest gain, so ties go to the lowest feature and then the lowest
 threshold. ``NoiseRule`` is the unsupervised forest's rule; the
 classifier's is ``classify._CartRule``.
+
+Every searched node of both forests samples floor(sqrt(Q)) features, and
+the unsupervised one a noise CDF too, from its tree's rng, exactly as
+``rng.integers`` and ``rng.choice(Q, k, replace=False)`` would draw them
+one node at a time; ``NodeSamples`` makes those draws for many nodes of a
+tree in one bulk ``rng.integers`` call.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +39,12 @@ import numpy as np
 from ..dataset import ParseError, require_keys
 from .noise import NOISE_KINDS, estimate_noise_children, noise_cdfs, standardize
 
-__all__ = ["Tree", "value_codes", "split_candidates", "first_max", "chosen_splits", "NoiseRule", "node_dicts",
-           "read_nodes", "route", "path", "path_proximity_tree"]
+__all__ = ["Tree", "value_codes", "split_candidates", "first_max", "chosen_splits", "NodeSamples", "NoiseRule",
+           "node_dicts", "read_nodes", "route", "path", "path_proximity_tree"]
 
 SPLIT_FIELDS = [("feature", np.int64), ("threshold", np.float64), ("left", np.int64), ("right", np.int64)]
+
+DRAW_CHUNK = 32  # searched nodes per bulk draw; a tree holds one chunk's draws at a time
 
 NOISE_CODES = (None, *NOISE_KINDS)  # noise_kind is stored as an index into this; a leaf has 0
 
@@ -158,29 +167,68 @@ def chosen_splits(features: np.ndarray, c: Candidates, gains: np.ndarray, accept
     return c.node[best], features.ravel()[c.seg[best]], c.threshold[best], c.start[best], c.n_left[best]
 
 
+class NodeSamples:
+    """The draws of a tree's searched nodes: a noise kind below ``n_kinds``
+    (none when it is 0) and k of the q features, drawn in bulk.
+
+    Per node, numpy's ``rng.integers(n_kinds)`` and then ``rng.choice(q, k,
+    replace=False)`` make these bounded draws (Lemire 2019, *Fast random
+    integer generation in an interval*), in order: one in [0, n_kinds) when
+    n_kinds > 0; one in [0, j] for j = q - k ... q - 1, Floyd's sample
+    (Bentley & Floyd 1987), which takes j when the value drawn is already
+    chosen; and one in [0, i] for i = k - 1 ... 1, the shuffle of
+    ``choice``, whose values no sorted sample reads. One ``rng.integers``
+    call over the bounds of DRAW_CHUNK nodes makes the same draws bit for
+    bit and leaves the rng in the same state. numpy samples by a tail
+    shuffle instead when q > 10000 and k > q // 50, so that domain raises
+    ValueError.
+    """
+
+    def __init__(self, q: int, k: int, n_kinds: int = 0):
+        if q > 10_000 and k > q // 50:
+            raise ValueError(f"{k} of {q} features: numpy's choice would tail-shuffle, not draw a Floyd sample")
+        self.q, self.k, self.n_kinds = q, k, n_kinds
+        bounds = [n_kinds] * bool(n_kinds) + list(range(q - k + 1, q + 1)) + list(range(k, 1, -1))
+        self.bounds = np.tile(bounds, DRAW_CHUNK)
+
+    def stream(self, rng: np.random.Generator) -> Iterator:
+        """Each searched node's draws, in the order they come from ``rng``:
+        its sorted features, or (kind, sorted features) when n_kinds > 0.
+        It draws a chunk ahead of the nodes taken, so nothing else may draw
+        from ``rng`` once the stream has started."""
+        first = int(bool(self.n_kinds))
+        while True:
+            draws = rng.integers(0, self.bounds).reshape(DRAW_CHUNK, -1)
+            features = draws[:, first:first + self.k]
+            for c in range(1, self.k):  # Floyd's rule: j = q - k + c where the draw was taken before
+                features[(features[:, :c] == features[:, c:c + 1]).any(axis=1), c] = self.q - self.k + c
+            features.sort(axis=1)
+            if self.n_kinds:
+                yield from zip(draws[:, 0].tolist(), features)
+            else:
+                yield from features
+
+
 class NoiseRule:
     """The unsupervised forest's split rule, for ``xmurf.forest.grow_forest``.
 
     Per node of two or more rows the rng draws, in order: the noise-CDF
-    kind, then ``n_features_split`` distinct features. A candidate scores
-    the estimated Gini gain against the node's virtual noise. A perfectly
-    balanced candidate scores exactly zero against the balanced noise;
-    trees still split there (fully grown down to singleton or degenerate
-    leaves), and negative gain cannot occur.
+    kind, then ``n_features_split`` distinct features (``sample``). A
+    candidate scores the estimated Gini gain against the node's virtual
+    noise. A perfectly balanced candidate scores exactly zero against the
+    balanced noise; trees still split there (fully grown down to singleton
+    or degenerate leaves), and negative gain cannot occur.
     """
 
     columns = NOISE_COLUMNS
 
     def __init__(self, x: np.ndarray, n_features_split: int):
         self.codes, self.values = value_codes(x)
-        self.q, self.k = x.shape[1], min(n_features_split, x.shape[1])
+        self.sample = NodeSamples(x.shape[1], min(n_features_split, x.shape[1]), len(NOISE_KINDS))
 
     def leaves(self, rows: list) -> list:
         """(own columns as a leaf, whether it is searched) of each node's rows."""
         return [((len(r), 0), len(r) >= 2) for r in rows]
-
-    def draw(self, rng: np.random.Generator) -> tuple:
-        return rng.integers(len(NOISE_KINDS)), rng.choice(self.q, size=self.k, replace=False)
 
     def split_own(self, own: tuple, draws: tuple) -> tuple:
         return own[0], int(draws[0]) + 1  # the code of the drawn kind in NOISE_CODES
@@ -190,9 +238,10 @@ class NoiseRule:
         return ~(gains < 0.0)
 
     def scores(self, rows: list, sizes: np.ndarray, owns: list, draws: list) -> tuple:
-        """(sorted features, Candidates, gains, data row at each flat
-        position) of the nodes' split candidates."""
-        features = np.sort(np.array([f for _, f in draws]), axis=1)
+        """(features, Candidates, gains, data row at each flat position) of
+        the split candidates of the nodes whose draws are (kind, sorted
+        features)."""
+        features = np.array([f for _, f in draws])
         c, v, sorted_rows = split_candidates(self.codes, self.values, rows, sizes, features)
         m = sizes[c.node]
         real_left = c.n_left.astype(np.float64)

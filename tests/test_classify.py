@@ -407,6 +407,11 @@ def loop_best_split_supervised(x, y, rows, features, n_classes):
     return best
 
 
+def test_cart_rule_refuses_numpys_tail_shuffle_domain():
+    with pytest.raises(ValueError, match="tail-shuffle"):
+        classify._CartRule(np.zeros((2, 10001)), np.array([0, 1]), 2, 201)  # 201 > 10001 // 50
+
+
 def production_splits_supervised(x, y, n_classes, nodes):
     """(gain, feature, threshold) of each node's first greatest candidate in
     one batched production search over ``nodes`` [(rows, sorted features)],
@@ -458,6 +463,16 @@ def test_fit_with_loop_oracle_gives_same_model():
     d = LabeledDataset(Dataset([f"f{k}" for k in range(9)], [f"r{i}" for i in range(80)], values), labels)
     want = forest_oracle.fit_classifier(d, 6, seed=3, search=loop_best_split_supervised)
     assert model_json(fit_classifier(d, 6, seed=3)) == model_json(want)
+
+
+def test_fit_with_a_class_of_hundreds_of_rows_in_one_node_gives_the_oracles_model():
+    # root nodes of about 300 rows of one class: a class count that wrapped
+    # at 128 would move a gain
+    rng = np.random.default_rng(24)
+    values = np.round(rng.normal(size=(400, 4)), 1)
+    labels = ["a" if k else "b" for k in rng.random(400) < 0.8]
+    d = LabeledDataset(Dataset([f"f{k}" for k in range(4)], [f"r{i}" for i in range(400)], values), labels)
+    assert model_json(fit_classifier(d, 2, seed=5)) == model_json(forest_oracle.fit_classifier(d, 2, seed=5))
 
 
 @pytest.fixture()

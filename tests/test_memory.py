@@ -2,7 +2,9 @@
 sees numpy's buffers: at most 1.5 float64 matrices at M = 1000. The
 proximity holds its float64 accumulator, a byte-per-pair leaf-sharing count
 and row blocks; ``order`` links in the loaded matrix's own buffer and reads
-the matrix again for the leaf order and the heatmap."""
+the matrix again for the leaf order and the heatmap. The opt-in optimal
+leaf order adds to scipy's own working set (about 3.1 matrices) only its
+condensed d = 1 - P, half a matrix: at most 4 matrices in all."""
 
 import contextlib
 import io
@@ -11,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from scenforest import cli, xmurf
+from scenforest import cli, ordering, xmurf
 from scenforest.dataset import Dataset, save_matrix
 
 M = 1000
@@ -55,3 +57,13 @@ def test_order_holds_at_most_one_and_a_half_matrices(fitted, tmp_path):
 
     peak = traced_peak(order)
     assert peak <= BUDGET, f"{peak / (8 * M * M):.2f} M x M float64 matrices"
+
+
+def test_optimal_leaf_order_holds_at_most_four_matrices(fitted):
+    data, forest = fitted
+    p = xmurf.proximity_matrix(forest, data)
+    dend = ordering.linkage(p)
+    import scipy.cluster.hierarchy  # noqa: F401  (its import is not the step's memory)
+
+    peak = traced_peak(lambda: ordering.optimal_leaf_order(dend, p))
+    assert peak <= 4 * 8 * M * M, f"{peak / (8 * M * M):.2f} M x M float64 matrices"

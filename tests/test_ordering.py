@@ -113,6 +113,17 @@ def test_optimal_leaf_order_not_worse_on_adjacent_similarity():
     assert adjacent_mean(refined) >= adjacent_mean(plain) - 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 13])
+def test_optimal_leaf_order_equals_scipy_on_the_squareform_of_one_minus_p(n):
+    from scipy.cluster import hierarchy
+    from scipy.spatial.distance import squareform
+
+    p = two_block_matrix(np.random.default_rng(n), n=n)
+    d = linkage(p)
+    want = hierarchy.optimal_leaf_ordering(ordering._scipy_linkage_matrix(d), squareform(1.0 - p.values, checks=False))
+    assert optimal_leaf_order(d, p).tolist() == hierarchy.leaves_list(want).tolist()
+
+
 def test_seriation_improves_adjacent_similarity_over_shuffled():
     rng = np.random.default_rng(4)
     p = two_block_matrix(rng)

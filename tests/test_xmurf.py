@@ -15,7 +15,7 @@ from conftest import adjacent_doubles, split_batch, tie_heavy_dataset
 from scenforest.dataset import Dataset, ParseError
 from scenforest.xmurf import forest as forest_module
 from scenforest.xmurf import tree as tree_module
-from scenforest.xmurf.tree import NoiseRule, first_max
+from scenforest.xmurf.tree import DRAW_CHUNK, NodeSamples, NoiseRule, first_max
 from scenforest.xmurf import (
     NOISE_KINDS,
     Forest,
@@ -352,6 +352,51 @@ def test_fit_with_loop_oracle_gives_same_forest():
     d = make_dataset(np.round(rng.normal(size=(60, 9)), 1))  # one decimal: many tied values
     want = forest_oracle.fit(d, 4, seed=7, search=loop_best_split)
     assert forest_json(fit(d, 4, seed=7)) == forest_json(want)
+
+
+def one_node_at_a_time(rng, q, k, n_kinds, n):
+    """n nodes' draws as numpy's own calls make them: the kind (when
+    n_kinds > 0), then the sorted Floyd sample of ``choice``."""
+    out = []
+    for _ in range(n):
+        kind = int(rng.integers(n_kinds)) if n_kinds else None
+        out.append((kind, np.sort(rng.choice(q, size=k, replace=False))))
+    return out
+
+
+def assert_bulk_draws_as_numpy(seed, q, k, n_kinds, chunks):
+    bulk, single = np.random.default_rng(seed), np.random.default_rng(seed)
+    stream = NodeSamples(q, k, n_kinds).stream(bulk)
+    got = [next(stream) for _ in range(chunks * DRAW_CHUNK)]
+    for g, (kind, features) in zip(got, one_node_at_a_time(single, q, k, n_kinds, len(got))):
+        g_kind, g_features = g if n_kinds else (None, g)
+        assert g_kind == kind
+        assert g_features.tolist() == features.tolist()
+    assert bulk.bit_generator.state == single.bit_generator.state
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    qk=st.integers(1, 64).flatmap(lambda q: st.tuples(st.just(q), st.integers(1, q))),
+    n_kinds=st.sampled_from([0, len(NOISE_KINDS)]),
+    chunks=st.integers(1, 2),
+)
+@settings(max_examples=60, deadline=None)
+def test_bulk_draws_equal_numpys_calls_one_node_at_a_time(seed, qk, n_kinds, chunks):
+    assert_bulk_draws_as_numpy(seed, *qk, n_kinds, chunks)
+
+
+@pytest.mark.parametrize("q, k", [(10001, 100), (10001, 200), (20000, 141)])
+def test_bulk_draws_equal_numpys_calls_for_wide_rows(q, k):
+    assert_bulk_draws_as_numpy(11, q, k, len(NOISE_KINDS), 1)
+
+
+def test_bulk_draws_refuse_numpys_tail_shuffle_domain():
+    with pytest.raises(ValueError, match="tail-shuffle"):
+        NodeSamples(20000, 1000)
+    with pytest.raises(ValueError, match="tail-shuffle"):
+        NoiseRule(np.zeros((2, 10001)), 201)  # 201 > 10001 // 50: numpy would tail-shuffle
+    NoiseRule(np.zeros((2, 10001)), 200)
 
 
 def test_separated_blobs_split_apart_at_root():
