@@ -33,7 +33,10 @@ The memory cases read the interpreter's peak resident set
 save included, on the rows as ``save_dataset`` writes them, at M = 5000
 and B = 100; and ``memory.order`` over the CLI's ``order`` stage on the
 ``proximity.raw`` that a ``memory.cluster`` child leaves in a directory
-it is given as a fourth argument, at all three sizes. Each case runs in
+it is given as a fourth argument, at all three sizes; and
+``memory.simulate_stage`` over the CLI's ``simulate`` stage on the
+benchmark's pinned config (``perfbench.workloads.PINNED_CONFIG``, 400 s
+runs) with its seed 4242, at 5 runs. Each case runs in
 a fresh interpreter (``python bench/forest_kernels.py KERNEL M B`` prints
 its reading as JSON; B is 0 for the reader), so no reading depends on the
 cases run before it. Each run appends one entry to ``BENCH_forest.json``
@@ -42,9 +45,9 @@ the imported source, the machine, and per case the median seconds over the
 rounds (after one warm-up round), the time per unit and the sha256 of what
 the kernel made (the forest, model and dendrogram JSON as the CLI writes
 them, the proximity matrix as ``proximity.raw`` holds it, the values
-read). A memory case records the peak before and after the step in MiB
-and what the step added in M x M float64 matrices, with the sha256 of the
-files it wrote. Two entries from one machine compare the kernels, and show
+read). A memory case records the peak before and after the step in MiB,
+with the sha256 of the files it wrote, and a matrix case also what the
+step added in M x M float64 matrices. Two entries from one machine compare the kernels, and show
 whether the artifacts changed.
 """
 
@@ -81,12 +84,13 @@ KERNELS = {  # kernel -> (unit, sizes)
     "memory.cluster": ("MiB", [(2000, 10), (5000, 10)]),
     "memory.cluster_stage": ("MiB", [(5000, 100)]),
     "memory.order": ("MiB", [(2000, 10), (5000, 10), (5000, 100)]),
+    "memory.simulate_stage": ("MiB", [(5, 0)]),  # M: the runs of the pinned config; no trees
 }
 ROUNDS = 5
 MODEL_ROWS = 400  # the labeled rows of the model that classify.load_model and classify.predict_batch use
-ROWS_NAME = {"classify.predict_batch": "N"}  # the size's name in a case name, when it is not M
+ROWS_NAME = {"classify.predict_batch": "N", "memory.simulate_stage": "runs"}  # the size's name in a case name, when it is not M
 CLASSIFIER_KERNELS = ("classify.fit_classifier", "classify.load_model", "classify.predict_batch")
-ROW_SEED, FOREST_SEED = 2004, 7
+ROW_SEED, FOREST_SEED, SIM_SEED = 2004, 7, 4242
 
 
 def rows(m: int):
@@ -132,7 +136,8 @@ def peak_mib() -> float:
 def measure_memory(kernel: str, m: int, b: int, workdir: str | None) -> dict:
     """One memory case's reading: the peak resident set of this interpreter
     before and after its step, which ``memory.cluster`` runs in ``workdir``
-    (a temporary directory when None)."""
+    (a temporary directory when None). For ``memory.simulate_stage``, m is
+    the number of runs."""
     from scenforest import cli, dataset, xmurf
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -150,6 +155,16 @@ def measure_memory(kernel: str, m: int, b: int, workdir: str | None) -> dict:
                 if cli.main(["--seed", str(FOREST_SEED), "--out", str(out), "cluster", "--b-trees", str(b)]) != 0:
                     raise RuntimeError(f"cluster failed in {out}")
             made = ["proximity.raw", "forest.json"]
+        elif kernel == "memory.simulate_stage":
+            from perfbench.workloads import PINNED_CONFIG
+
+            config = out / "config.json"
+            config.write_text(json.dumps({**PINNED_CONFIG, "sim": {**PINNED_CONFIG["sim"], "runs": m}}))
+            before = peak_mib()
+            with contextlib.redirect_stdout(io.StringIO()):
+                if cli.main(["--config", str(config), "--seed", str(SIM_SEED), "--out", str(out), "simulate"]) != 0:
+                    raise RuntimeError(f"simulate failed in {out}")
+            made = [f"trace_{k}{ext}" for k in range(m) for ext in (".raw", ".meta.json")]
         else:
             subprocess.run([sys.executable, __file__, "memory.cluster", str(m), str(b), str(out)], check=True,
                            stdout=subprocess.DEVNULL)
@@ -160,8 +175,10 @@ def measure_memory(kernel: str, m: int, b: int, workdir: str | None) -> dict:
             made = ["dendrogram.json", "permutation.json", "heatmap.ppm"]
         after = peak_mib()
         digest = sha256(b"".join((out / name).read_bytes() for name in made))
-    return {"before_mib": round(before, 1), "maxrss_mib": round(after, 1),
-            "matrices": round((after - before) * 2**20 / (8 * m * m), 2), "sha256": digest}
+    reading = {"before_mib": round(before, 1), "maxrss_mib": round(after, 1)}
+    if kernel != "memory.simulate_stage":
+        reading["matrices"] = round((after - before) * 2**20 / (8 * m * m), 2)
+    return {**reading, "sha256": digest}
 
 
 def measure(kernel: str, m: int, b: int) -> dict:

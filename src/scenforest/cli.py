@@ -35,10 +35,10 @@ from .dataset import (
 from .sim import (
     RoadConfig,
     SimParams,
+    TraceWriter,
     load_trace,
     meta_path,
     run_simulations,
-    save_trace,
     trace_path,
     trace_paths,
 )
@@ -160,10 +160,13 @@ def cmd_simulate(cfg: dict, args) -> int:
             stale.unlink()
             meta_path(stale).unlink(missing_ok=True)
     params = [_sim_params(sim_cfg, stage_seed(master, "sim", k)) for k in range(runs)]
-    # a trace keeps its whole batch alive, so none is held past its save
-    traces = run_simulations(road, params)
-    for k in range(runs):
-        save_trace(next(traces), trace_path(out, k))
+
+    def writer(k: int, dt: float, n_ts: int, n_vehicles: int) -> TraceWriter:
+        return TraceWriter(trace_path(out, k), dt, road, n_ts, n_vehicles)
+
+    # each run's trace goes to its files as it is simulated, never whole in memory
+    for _ in run_simulations(road, params, writer):
+        pass
     print(f"simulated {sim_cfg['runs']} run(s) into {out}")
     return EXIT_OK
 

@@ -9,10 +9,17 @@ place; the run continues.
 
 One lock-step engine advances a batch of runs (run_simulations batches up
 to BATCH_RUNS of them). Run k owns a contiguous block of columns in shared
-(n_ts, sum of n_v) channel arrays, and its own Generator. Each step is
-computed for every vehicle of every run at once:
+channel arrays, and its own Generator. The arrays hold not the whole trace
+but a ring of its last R = max(delay) + 1 + FLUSH_STEPS steps, step t in
+row t % R. Every FLUSH_STEPS steps, when a run ends and when the batch
+ends, the steps finished since the last flush go to the sink of each run
+whose trace holds them, once their lanes are checked for overflow, block
+by block in order. A sink keeps the rows in memory for a Trace, or writes
+them to a trace file as they come (sim.io.TraceWriter), so a batch holds
+whole traces only when its caller asks for Traces. Each step is computed
+for every vehicle of every run at once:
 
-- perception is a gather, channel[max(t - delay_i, 0), peers_i], so row i
+- perception is a gather, channel[max(t - delay_i, 0) % R, peers_i], so row i
   of each (n, largest n_v) view is the world as vehicle i saw it, over the
   vehicles of its own run; a step's work grows with the number of
   vehicles times the largest run, not with the square of the batch;
@@ -43,6 +50,7 @@ Vehicle ids are 1-based: column i of every trace array is vehicle i + 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -58,6 +66,7 @@ from .config import (
     VehicleState,
 )
 from .dynamics import (
+    _math,
     follower_accel,
     gompertz_leader_accel,
     lateral_control,
@@ -99,7 +108,8 @@ V_TARGET_MIN = 5.0
 
 CHANNELS = ("x", "y", "v", "a", "psi")  # the float channels of a Trace; lane is the int one
 BATCH_FIELDS = ("a_m", "b", "c", "a_dec_max", "v_target")  # profile fields the laws read, one array each
-BATCH_RUNS = 8  # runs per lock-step batch: the batch's traces stay in memory together
+BATCH_RUNS = 8  # runs per lock-step batch
+FLUSH_STEPS = 256  # ring rows beyond the longest reaction delay: finished rows go to the sinks this many at a time
 
 
 @dataclass
@@ -107,8 +117,8 @@ class Trace:
     """Full record of one run: one (n_ts, n_v) array per channel, row t
     holding timestep t and column i vehicle i + 1 (x, y, v, a and psi as
     float64, lane as int64), plus the collision and lane-change start events.
-    A simulated trace's arrays are its run's column block of the batch
-    arrays, so they need not be contiguous."""
+    A simulated trace's arrays are contiguous blocks of its batch's buffers,
+    one buffer per channel."""
 
     dt: float
     road: RoadConfig
@@ -222,8 +232,8 @@ def init_scene(road: RoadConfig, seed: int, spawn_span: float | None = None):
 class Perception:
     """What every vehicle of a batch perceives at one step.
 
-    Vehicle i sees the trace as it was at step ``seen[i]`` (its reaction
-    delay back), and only the vehicles of its own run: ``peers[i]`` lists
+    Vehicle i sees row ``seen[i]`` of the channel arrays, the step its
+    reaction delay back, and only the vehicles of its own run: ``peers[i]`` lists
     their columns in ascending order, padded with i's own column to the
     size of the largest run. Entry p of row i of ``dx`` (the center
     distance from i) and of ``lane`` is the vehicle in column
@@ -241,7 +251,7 @@ class Perception:
         self.look(seen)
 
     def look(self, seen) -> None:
-        """Perceive anew, vehicle i at step seen[i] of the same arrays."""
+        """Perceive anew, vehicle i at row seen[i] of the same arrays."""
         own = seen * self._x.shape[1]  # flat index of each perceived row
         self.at = own[:, None] + self.peers
         own += self.rows
@@ -285,7 +295,7 @@ def gap_accepted(front, rear, overlap, v_rear, v_ego, waiting, profile):
     additionally scales with politeness. A change never starts into a
     longitudinal overlap. (The lane capacity is checked by the caller.)
     """
-    decay = LC_ACCEPT_FLOOR + (1.0 - LC_ACCEPT_FLOOR) * np.exp(-waiting / (10.0 + 40.0 * profile.patience))
+    decay = LC_ACCEPT_FLOOR + (1.0 - LC_ACCEPT_FLOOR) * _math(math.exp, -waiting / (10.0 + 40.0 * profile.patience))
     accept = (1.0 - profile.risk) * decay
     req_front = accept * (LC_MIN_GAP + LC_THW * v_ego)
     req_rear = accept * (LC_MIN_GAP + LC_THW * v_rear) * (0.5 + profile.politeness)
@@ -335,11 +345,47 @@ def lane_overflow(lane: np.ndarray, road: RoadConfig):
     return (over[0][0], over[0][1] + 1, int(counts[tuple(over[0])])) if over else None
 
 
-def _run_batch(road: RoadConfig, scenes: list) -> list:
-    """Run prepared scenes, each (params, states0, profiles, rng), in lock-step."""
+def _steps(params: SimParams) -> int:
+    """The rows of a run's trace: its initial state, then one per step."""
+    return max(1, round(params.duration / params.dt))
+
+
+class _ArraySink:
+    """A run's rows kept in memory, as the arrays of its Trace."""
+
+    def __init__(self, dt: float, road: RoadConfig, arrays: list):
+        self.dt, self.road, self.arrays = dt, road, arrays
+
+    def write(self, t0: int, block: list) -> None:
+        for array, rows in zip(self.arrays, block):
+            array[t0:t0 + len(rows)] = rows
+
+    def close(self, collisions: list, lane_change_starts: list) -> Trace:
+        return Trace(self.dt, self.road, *self.arrays, collisions, lane_change_starts)
+
+
+def _array_sinks(road: RoadConfig, runs: list) -> list:
+    """Sinks that keep each run of ``runs``, (dt, n_ts, n_v) each, in
+    memory: its arrays are one contiguous block of a batch-wide buffer per
+    channel (float64, lane int64)."""
+    ends = np.cumsum([0] + [n_ts * n_v for _, n_ts, n_v in runs]).tolist()
+    buffers = [np.empty(ends[-1]) for _ in CHANNELS] + [np.empty(ends[-1], dtype=np.int64)]
+    return [_ArraySink(dt, road, [buffer[lo:hi].reshape(n_ts, n_v) for buffer in buffers])
+            for (dt, n_ts, n_v), lo, hi in zip(runs, ends, ends[1:])]
+
+
+def _run_batch(road: RoadConfig, scenes: list, sinks: list | None = None) -> list:
+    """Run prepared scenes, each (params, states0, profiles, rng), in
+    lock-step. Run k's rows go to ``sinks[k]`` a block at a time, through
+    its write(t0, block) with block the rows of x, y, v, a, psi and lane
+    from step t0 on, one (rows, n_v) array each; the result is each sink's
+    close(collisions, lane_change_starts), in run order. By default the
+    sinks keep the rows in memory and close to each run's Trace."""
     bounds = np.cumsum([0] + [len(states0) for _, states0, _, _ in scenes]).tolist()
     n_runs, n = len(scenes), bounds[-1]
-    n_ts = [max(1, round(params.duration / params.dt)) for params, *_ in scenes]
+    n_ts = [_steps(params) for params, *_ in scenes]
+    if sinks is None:
+        sinks = _array_sinks(road, [(params.dt, n_ts[k], bounds[k + 1] - bounds[k]) for k, (params, *_) in enumerate(scenes)])
     states0 = [s for _, run_states, _, _ in scenes for s in run_states]
     profiles = [p for _, _, run_profiles, _ in scenes for p in run_profiles]
     for i, s in enumerate(states0):
@@ -372,13 +418,33 @@ def _run_batch(road: RoadConfig, scenes: list) -> list:
     run_dt = [params.dt for params, *_ in scenes]
     run_rng = [rng for *_, rng in scenes]
 
-    channels = {name: np.empty((max(n_ts), n)) for name in CHANNELS}
-    lane = np.empty((max(n_ts), n), dtype=np.int64)
+    ring = int(delay.max()) + 1 + FLUSH_STEPS  # step t is row t % ring: every row perceived or not yet flushed
+    channels = {name: np.empty((ring, n)) for name in CHANNELS}
+    lane = np.empty((ring, n), dtype=np.int64)
     for name, column in channels.items():
         column[0] = [getattr(s, name) for s in states0]
     lane[0] = [s.lane for s in states0]
     x, y, v, a, psi = (channels[name] for name in CHANNELS)
     view = Perception(np.zeros(n, dtype=np.int64), x, v, a, lane, peers)
+    ends = set(n_ts)
+    flushed = 0  # the steps before it are in the sinks
+
+    def flush(upto: int) -> None:
+        """Hand the steps from ``flushed`` to ``upto`` (exclusive) to the
+        sink of each run not yet ended, once the block's lanes are checked.
+        A flush comes when any run ends, so no block passes a run's end."""
+        nonlocal flushed
+        at = np.arange(flushed, upto) % ring
+        rows = [channels[name][at] for name in CHANNELS] + [lane[at]]
+        for k, sink in enumerate(sinks):
+            if flushed < n_ts[k]:
+                columns = slice(bounds[k], bounds[k + 1])
+                overflow = lane_overflow(rows[-1][:, columns], road)
+                if overflow:
+                    t, lane_k, count = overflow
+                    raise RuntimeError(f"lane {lane_k} over capacity at step {flushed + t}: {count} vehicles")
+                sink.write(flushed, [channel[:, columns] for channel in rows])
+        flushed = upto
 
     def wanted(i: int) -> int:
         """The lane waiting vehicle i wants, its perceived lane plus its
@@ -431,17 +497,20 @@ def _run_batch(road: RoadConfig, scenes: list) -> list:
                 act(k, i, rng)
 
     for t in range(max(n_ts) - 1):
+        if t + 1 - flushed == FLUSH_STEPS or t + 1 in ends:
+            flush(t + 1)
+        now, nxt = t % ring, (t + 1) % ring
         live = [t < n_ts[k] - 1 for k in range(n_runs)]
-        view.look(np.maximum(t - delay, 0))
+        view.look(np.maximum(t - delay, 0) % ring)
 
         # the decisions: first, per run and lane, the vehicles on it and the
         # reservations of active changes (of the lane they are not on), and
         # the gaps of every changing vehicle and of every waiting one whose
         # lane has room (a start only adds reservations)
-        lane_now, target_now, desired_now = lane[t].tolist(), lc.target.tolist(), lc.desired.tolist()
+        lane_now, target_now, desired_now = lane[now].tolist(), lc.target.tolist(), lc.desired.tolist()
         own_lane, own_v, frozen_now = view.own_lane.tolist(), view.own_v.tolist(), frozen.tolist()
         busy = (lc.target | lc.desired).nonzero()[0].tolist()
-        occupancy = np.bincount(slot_array + lane[t], minlength=n_runs * slots).tolist()
+        occupancy = np.bincount(slot_array + lane[now], minlength=n_runs * slots).tolist()
         egos = [i for i in busy if target_now[i]]
         lanes = [target_now[i] for i in egos]
         for i in egos:
@@ -459,20 +528,20 @@ def _run_batch(road: RoadConfig, scenes: list) -> list:
         # a leader is sought on the perceived own lane, and on the target
         # lane while changing (lane 0, which no perceived vehicle is on, otherwise)
         lead_lanes = (view.lane == view.own_lane[:, None]) | (view.lane == lc.target[:, None])
-        a_cmd = _longitudinal(view, lead_lanes, v[t], tau, batch, road)
-        cur = VehicleState(x=x[t], y=y[t], v=v[t], a=a[t], psi=psi[t], delta=None, lane=lane[t])
-        steer = road.lane_center(np.where(lc.target > 0, lc.target, lane[t]))
-        new = one_track_step(cur, lateral_control(cur, steer, v[t]), a_cmd, dt)
-        x[t + 1], y[t + 1], v[t + 1], a[t + 1], psi[t + 1] = new.x, new.y, new.v, new.a, new.psi
+        a_cmd = _longitudinal(view, lead_lanes, v[now], tau, batch, road)
+        cur = VehicleState(x=x[now], y=y[now], v=v[now], a=a[now], psi=psi[now], delta=None, lane=lane[now])
+        steer = road.lane_center(np.where(lc.target > 0, lc.target, lane[now]))
+        new = one_track_step(cur, lateral_control(cur, steer, v[now]), a_cmd, dt)
+        x[nxt], y[nxt], v[nxt], a[nxt], psi[nxt] = new.x, new.y, new.v, new.a, new.psi
         # frozen vehicles stay in place
         for channel in (x, y, psi):
-            np.copyto(channel[t + 1], channel[t], where=frozen)
+            np.copyto(channel[nxt], channel[now], where=frozen)
         for channel in (v, a):
-            np.copyto(channel[t + 1], 0.0, where=frozen)
-        lane[t + 1] = road.lane_of(y[t + 1])
+            np.copyto(channel[nxt], 0.0, where=frozen)
+        lane[nxt] = road.lane_of(y[nxt])
         # collision sweep on the fresh positions, pairs in row-major order;
         # involved vehicles freeze
-        nx, ny = x[t + 1], y[t + 1]
+        nx, ny = x[nxt], y[nxt]
         hits = (np.abs(nx[pair_i] - nx[pair_j]) < VEHICLE_LENGTH) & (np.abs(ny[pair_i] - ny[pair_j]) < VEHICLE_WIDTH)
         for p in hits.nonzero()[0].tolist():
             i, j = int(pair_i[p]), int(pair_j[p])
@@ -484,28 +553,14 @@ def _run_batch(road: RoadConfig, scenes: list) -> list:
                 if not frozen[m]:
                     frozen[m] = True
                     lc.reset(m)
-                    v[t + 1, m] = a[t + 1, m] = 0.0
+                    v[nxt, m] = a[nxt, m] = 0.0
         # a change is done once on its target lane's center, heading straight
-        done = (lc.target > 0) & (np.abs(ny - steer) < LC_DONE_Y) & (np.abs(psi[t + 1]) < LC_DONE_PSI)
+        done = (lc.target > 0) & (np.abs(ny - steer) < LC_DONE_Y) & (np.abs(psi[nxt]) < LC_DONE_PSI)
         for i in done.nonzero()[0].tolist():
             lc.reset(i)
 
-    traces = []
-    for k, (params, *_) in enumerate(scenes):
-        block = (slice(0, n_ts[k]), slice(bounds[k], bounds[k + 1]))
-        overflow = lane_overflow(lane[block], road)
-        if overflow:
-            t, lane_k, count = overflow
-            raise RuntimeError(f"lane {lane_k} over capacity at step {t}: {count} vehicles")
-        traces.append(Trace(
-            dt=params.dt,
-            road=road,
-            **{name: channels[name][block] for name in CHANNELS},
-            lane=lane[block],
-            collisions=collisions[k],
-            lane_change_starts=lc_starts[k],
-        ))
-    return traces
+    flush(max(n_ts))
+    return [sink.close(collisions[k], lc_starts[k]) for k, sink in enumerate(sinks)]
 
 
 def run_scene(road: RoadConfig, params: SimParams, states0: list, profiles: list, rng: np.random.Generator | None = None) -> Trace:
@@ -515,18 +570,33 @@ def run_scene(road: RoadConfig, params: SimParams, states0: list, profiles: list
     return _run_batch(road, [(params, states0, profiles, _run_rng(params.seed) if rng is None else rng)])[0]
 
 
-def run_simulations(road: RoadConfig, runs: list):
+def run_simulations(road: RoadConfig, runs: list, sink=None):
     """Yield each run's trace, in order: each run's scene is drawn from its
     own seed, and up to BATCH_RUNS runs at a time go through one lock-step
     batch. Identical (config, seed) pairs produce bit-identical traces, in
-    any batch. Each trace is a view of its batch's arrays, which stay alive
-    while any of its traces does."""
+    any batch. A batch's traces share one buffer per channel, which stays
+    alive while any of them does.
+
+    With ``sink``, run k's rows go instead, a block at a time, to the sink
+    ``sink(k, dt, n_ts, n_vehicles)`` opens for it once its scene is drawn
+    (sim.io.TraceWriter is one), and what the sink's close(collisions,
+    lane_change_starts) returns is yielded in place of the trace. When a
+    batch raises, each sink it opened is discarded first."""
     for lo in range(0, len(runs), BATCH_RUNS):
         scenes = []
         for params in runs[lo:lo + BATCH_RUNS]:
             rng = _run_rng(params.seed)
             scenes.append((params, *_init_scene(road, rng, params.spawn_span), rng))
-        yield from _run_batch(road, scenes)
+        opened = []
+        try:
+            for j, (params, states0, *_) in enumerate(scenes if sink else ()):
+                opened.append(sink(lo + j, params.dt, _steps(params), len(states0)))
+            results = _run_batch(road, scenes, opened or None)
+        except BaseException:
+            for s in opened:
+                s.discard()
+            raise
+        yield from results
 
 
 def run_simulation(road: RoadConfig, params: SimParams) -> Trace:

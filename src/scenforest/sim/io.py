@@ -7,6 +7,12 @@ sidecar ``trace_<k>.meta.json`` holds dt, n_vehicles, n_ts, the road that
 the lanes are checked against on load, ``collisions`` as [[t, id_a, id_b],
 ...] and ``lane_change_starts`` as [[t, id, target_lane], ...]. A saved
 trace reloads bit-identically.
+
+One writer makes both files: a TraceWriter writes each block of rows it is
+given at its offsets in the raw file, whose size is known from the start,
+and the sidecar when it is closed. The simulate stage streams each run
+through one as the engine flushes its rows; save_trace feeds one a whole
+trace as a single block, so both give the same bytes.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from ..dataset import ParseError, read_json, require_keys
 from .config import RoadConfig, SimConfigError, SimParams
 from .engine import CHANNELS, Trace, lane_overflow
 
-__all__ = ["save_trace", "load_trace", "meta_path", "trace_path", "trace_paths"]
+__all__ = ["TraceWriter", "save_trace", "load_trace", "meta_path", "trace_path", "trace_paths"]
 
 FLOAT, LANE = np.dtype("<f8"), np.dtype("i1")
 STEP_BYTES = len(CHANNELS) * FLOAT.itemsize + LANE.itemsize  # per vehicle and step
@@ -42,21 +48,53 @@ def meta_path(trace_path) -> Path:
     return Path(trace_path).with_suffix(".meta.json")
 
 
+class TraceWriter:
+    """The files of one trace of n_ts steps of n_vehicles, written a block
+    of rows at a time (a sink of ``run_simulations``). Opening it removes
+    an older sidecar at ``path``, so a raw file being written never stands
+    beside one; close writes the sidecar, and discard removes both files."""
+
+    def __init__(self, path, dt: float, road: RoadConfig, n_ts: int, n_vehicles: int):
+        self.path, self.n_ts, self.n_vehicles = Path(path), n_ts, n_vehicles
+        self.meta = {"dt": dt, "n_vehicles": n_vehicles, "n_ts": n_ts,
+                     "road": {key: getattr(road, key) for key in ROAD_KEYS}}
+        meta_path(self.path).unlink(missing_ok=True)
+        self.fh = open(self.path, "wb")
+
+    def write(self, t0: int, block: list) -> None:
+        """Steps t0 on of x, y, v, a, psi and lane, one (rows, n_vehicles)
+        array each, at their offsets in the raw file."""
+        size = self.n_ts * self.n_vehicles * FLOAT.itemsize  # of one float channel
+        for c, rows in enumerate(block):
+            dtype = FLOAT if c < len(CHANNELS) else LANE
+            self.fh.seek(c * size + t0 * self.n_vehicles * dtype.itemsize)
+            np.ascontiguousarray(rows, dtype=dtype).tofile(self.fh)
+
+    def close(self, collisions: list, lane_change_starts: list) -> None:
+        self.fh.close()
+        meta = {
+            **self.meta,
+            "collisions": [[t, a, b] for t, (a, b) in collisions],
+            "lane_change_starts": [list(event) for event in lane_change_starts],
+        }
+        meta_path(self.path).write_text(json.dumps(meta) + "\n")
+
+    def discard(self) -> None:
+        self.fh.close()
+        self.path.unlink(missing_ok=True)
+        meta_path(self.path).unlink(missing_ok=True)
+
+
 def save_trace(trace: Trace, path) -> None:
-    path = Path(path)
-    with open(path, "wb") as fh:
-        for name in CHANNELS:
-            np.ascontiguousarray(getattr(trace, name), dtype=FLOAT).tofile(fh)
-        trace.lane.astype(LANE).tofile(fh)
-    meta = {
-        "dt": trace.dt,
-        "n_vehicles": trace.n_vehicles,
-        "n_ts": trace.n_ts,
-        "road": {key: getattr(trace.road, key) for key in ROAD_KEYS},
-        "collisions": [[t, a, b] for t, (a, b) in trace.collisions],
-        "lane_change_starts": [list(event) for event in trace.lane_change_starts],
-    }
-    meta_path(path).write_text(json.dumps(meta) + "\n")
+    """Write a trace's raw file and sidecar: a TraceWriter fed the whole
+    trace as one block."""
+    writer = TraceWriter(path, trace.dt, trace.road, trace.n_ts, trace.n_vehicles)
+    try:
+        writer.write(0, [getattr(trace, name) for name in (*CHANNELS, "lane")])
+    except BaseException:
+        writer.discard()
+        raise
+    writer.close(trace.collisions, trace.lane_change_starts)
 
 
 def _events(meta: dict, key: str, fields: dict, path: Path) -> list:

@@ -241,9 +241,7 @@ def loop_lane_change_decision(
     front_gap, rear_gap, overlap, v_rear = _target_lane_gaps(ego, snapshot, target)
     if overlap:
         return "keep"
-    decay = LC_ACCEPT_FLOOR + (1.0 - LC_ACCEPT_FLOOR) * float(
-        np.exp(-lc.waiting_time / (10.0 + 40.0 * profile.patience))
-    )
+    decay = LC_ACCEPT_FLOOR + (1.0 - LC_ACCEPT_FLOOR) * math.exp(-lc.waiting_time / (10.0 + 40.0 * profile.patience))
     accept = (1.0 - profile.risk) * decay
     req_front = accept * (LC_MIN_GAP + LC_THW * ego_state.v)
     req_rear = accept * (LC_MIN_GAP + LC_THW * v_rear) * (0.5 + profile.politeness)

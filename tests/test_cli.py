@@ -17,7 +17,8 @@ from scenforest.classify import UNASSIGNED, fit_classifier, load_model, oob_thre
 from scenforest.dataset import Dataset, LabeledDataset, load_dataset, load_matrix, save_dataset
 from scenforest.ordering import linkage, optimal_leaf_order, render_heatmap, reorder
 from scenforest.scenarios import FEATURE_NAMES
-from scenforest.sim import CHANNELS
+from scenforest.sim import CHANNELS, engine
+from scenforest.sim.engine import lane_overflow
 
 FAST_SIM = {"sim": {"duration": 120.0, "runs": 2}, "xmurf": {"b_trees": 20}}
 
@@ -80,6 +81,35 @@ def test_simulate_removes_traces_beyond_runs(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["--out", str(out), "extract"]) == 0
     assert "from 2 trace(s)" in capsys.readouterr().out
+
+
+def test_simulate_failing_mid_batch_leaves_no_file_of_its_runs(tmp_path, monkeypatch, capsys):
+    # one run a batch; the second batch raises after its first flushed
+    # block: the first batch's trace stands, and of the second run neither
+    # the half-written raw file nor its older sidecar is left, nor anything else
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, {"sim": {"duration": 30.0, "runs": 2}})
+    argv = ["--config", str(cfg), "--seed", "11", "--out", str(out), "simulate"]
+    assert cli.main(argv) == 0  # the older traces of both runs
+    monkeypatch.setattr(engine, "BATCH_RUNS", 1)
+    blocks = []
+
+    def check_then_fail(lane, road):
+        blocks.append(len(lane))
+        if len(blocks) == 5:  # 600 steps flush in 3 blocks; the second run's first is in its file
+            assert (out / "trace_1.raw").stat().st_size > 0
+            assert not (out / "trace_1.meta.json").exists()
+            raise RuntimeError("engine failure")
+        return lane_overflow(lane, road)
+
+    monkeypatch.setattr(engine, "lane_overflow", check_then_fail)
+    with pytest.raises(RuntimeError, match="engine failure"):
+        cli.main(argv)
+    assert blocks == [256, 256, 88, 256, 256]
+    assert sorted(p.name for p in out.iterdir()) == ["trace_0.meta.json", "trace_0.raw"]
+    capsys.readouterr()
+    assert cli.main(["--out", str(out), "extract"]) == 0
+    assert "from 1 trace(s)" in capsys.readouterr().out
 
 
 def test_invalid_lane_count_exits_2(tmp_path):

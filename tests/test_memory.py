@@ -1,13 +1,19 @@
-"""Memory budgets of the stages that hold an M x M matrix, as tracemalloc
-sees numpy's buffers: at most 1.5 float64 matrices at M = 1000. The
-proximity holds its float64 accumulator, a byte-per-pair leaf-sharing count
-and row blocks; ``order`` links in the loaded matrix's own buffer and reads
-the matrix again for the leaf order and the heatmap. The opt-in optimal
-leaf order adds to scipy's own working set (about 3.1 matrices) only its
-condensed d = 1 - P, half a matrix: at most 4 matrices in all."""
+"""Memory budgets, as tracemalloc sees numpy's buffers.
+
+The stages that hold an M x M matrix hold at most 1.5 float64 matrices at
+M = 1000. The proximity holds its float64 accumulator, a byte-per-pair
+leaf-sharing count and row blocks; ``order`` links in the loaded matrix's
+own buffer and reads the matrix again for the leaf order and the heatmap.
+The opt-in optimal leaf order adds to scipy's own working set (about 3.1
+matrices) only its condensed d = 1 - P, half a matrix: at most 4 matrices
+in all.
+
+The ``simulate`` stage holds a ring of recent steps and streams each run's
+trace to its files, so its peak does not grow with the duration."""
 
 import contextlib
 import io
+import json
 import tracemalloc
 
 import numpy as np
@@ -67,3 +73,20 @@ def test_optimal_leaf_order_holds_at_most_four_matrices(fitted):
 
     peak = traced_peak(lambda: ordering.optimal_leaf_order(dend, p))
     assert peak <= 4 * 8 * M * M, f"{peak / (8 * M * M):.2f} M x M float64 matrices"
+
+
+def test_simulate_peak_does_not_grow_with_duration(tmp_path):
+    # two runs of 400 s peak at most 1.2 times as high as two runs of 100 s,
+    # once a 1 s run has made the stage's one-off allocations untraced (dt =
+    # 0.1 s halves the traced time; the ring still holds under 300 of the
+    # 1000 steps of the shorter runs)
+    def simulate(duration):
+        cfg = tmp_path / f"sim_{duration:.0f}.json"
+        cfg.write_text(json.dumps({"sim": {"dt": 0.1, "duration": duration, "runs": 2}}))
+        with contextlib.redirect_stdout(io.StringIO()):
+            argv = ["--config", str(cfg), "--seed", "4242", "--out", str(tmp_path / f"o_{duration:.0f}"), "simulate"]
+            assert cli.main(argv) == 0
+
+    simulate(1.0)
+    short, long = (traced_peak(lambda: simulate(duration)) for duration in (100.0, 400.0))
+    assert long <= 1.2 * short, f"{long} bytes at 400 s, {short} at 100 s"

@@ -18,6 +18,7 @@ from scenforest.sim import (
     SimParams,
     VehicleState,
     braking_decel,
+    engine,
     gap_accepted,
     gompertz_follower_accel,
     gompertz_leader_accel,
@@ -321,6 +322,21 @@ def test_run_scene_rejects_lane_over_capacity():
         for k in range(3)
     ]
     with pytest.raises(RuntimeError, match="lane 1 over capacity at step 0: 3 vehicles"):
+        run_scene(road, SimParams(duration=1.0), states0, [profile() for _ in states0])
+
+
+@pytest.mark.parametrize("flush_steps", [1, engine.FLUSH_STEPS])
+def test_run_scene_names_the_step_of_an_overflow_in_a_later_block(monkeypatch, flush_steps):
+    # vehicle 3 starts counted on lane 2 but on lane 1's center, where the
+    # step re-lanes it: lane 1 holds 3 vehicles from step 1 on, which with
+    # one step a block is the second flushed block's first row
+    monkeypatch.setattr(engine, "FLUSH_STEPS", flush_steps)
+    road = RoadConfig(n_l=2, n_vpl=2)
+    states0 = [
+        VehicleState(x=20.0 * k, y=road.lane_center(1), v=10.0, a=0.0, psi=0.0, delta=0.0, lane=min(k + 1, 2))
+        for k in range(3)
+    ]
+    with pytest.raises(RuntimeError, match="lane 1 over capacity at step 1: 3 vehicles"):
         run_scene(road, SimParams(duration=1.0), states0, [profile() for _ in states0])
 
 

@@ -1,10 +1,27 @@
-"""Trace file layout and bit-exact reload."""
+"""Trace file layout, bit-exact reload, and traces streamed as they are
+simulated."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
+import pytest
 
-from scenforest.sim import CHANNELS, RoadConfig, SimParams, load_trace, meta_path, run_simulations, save_trace
+from scenforest import cli
+from scenforest.sim import (
+    CHANNELS,
+    RoadConfig,
+    SimParams,
+    TraceWriter,
+    engine,
+    init_scene,
+    load_trace,
+    meta_path,
+    run_simulations,
+    save_trace,
+    trace_path,
+)
 
 
 def test_trace_round_trip_bit_exact(tmp_path):
@@ -51,3 +68,63 @@ def test_trace_line_schema(tmp_path):
     # a sidecar that still carries the dropped ay_warning_steps key loads as before
     (tmp_path / "trace.meta.json").write_text(json.dumps({**meta, "ay_warning_steps": 0}) + "\n")
     assert load_trace(path).x.tobytes() == trace.x.tobytes()
+
+
+def saved_and_streamed(road, runs, workdir):
+    """The files that save_trace writes for each run's in-memory trace, and
+    those its TraceWriter sink writes as the engine flushes, by name."""
+    saved, streamed = workdir / "saved", workdir / "streamed"
+    saved.mkdir(parents=True)
+    streamed.mkdir()
+    for k, trace in enumerate(run_simulations(road, runs)):
+        save_trace(trace, trace_path(saved, k))
+
+    def writer(k, dt, n_ts, n_vehicles):
+        return TraceWriter(trace_path(streamed, k), dt, road, n_ts, n_vehicles)
+
+    assert list(run_simulations(road, runs, writer)) == [None] * len(runs)
+    return ({p.name: p.read_bytes() for p in sorted(saved.iterdir())},
+            {p.name: p.read_bytes() for p in sorted(streamed.iterdir())})
+
+
+@pytest.mark.parametrize("flush_steps", [engine.FLUSH_STEPS, 7])
+@pytest.mark.parametrize("case", ["steps not a multiple", "delay beyond a flush", "runs of different durations"])
+def test_streamed_trace_equals_saved_trace(tmp_path, monkeypatch, case, flush_steps):
+    # every flushed block lands at its offsets: the streamed files equal
+    # save_trace's byte for byte, with the default flush and with one that
+    # wraps a small ring many times, and both equal the files of a ring
+    # that never wraps, which holds each trace whole as one block
+    road = RoadConfig(n_l=3, n_vpl=4)
+    runs = {
+        "steps not a multiple": [SimParams(dt=0.05, duration=40.0, seed=17)],
+        "delay beyond a flush": [SimParams(dt=0.002, duration=3.0, seed=5)],
+        "runs of different durations": [SimParams(duration=d, seed=s) for s, d in ((3, 20.0), (4, 33.35), (5, 12.0))],
+    }[case]
+    n_ts = [engine._steps(p) for p in runs]
+    if case == "steps not a multiple":
+        assert n_ts[0] % flush_steps
+    if case == "delay beyond a flush":
+        _, profiles = init_scene(road, runs[0].seed)
+        assert max(round(p.reaction_time / runs[0].dt) for p in profiles) > flush_steps
+    if case == "runs of different durations":
+        assert len(set(n_ts)) == len(n_ts)
+    monkeypatch.setattr(engine, "FLUSH_STEPS", max(n_ts))
+    whole, _ = saved_and_streamed(road, runs, tmp_path / "whole")
+    assert len(whole) == 2 * len(runs)
+    monkeypatch.setattr(engine, "FLUSH_STEPS", flush_steps)
+    saved, streamed = saved_and_streamed(road, runs, tmp_path / "ring")
+    assert saved == whole
+    assert streamed == whole
+
+
+def test_simulate_stage_streams_the_saved_traces(tmp_path):
+    # the CLI stage's files equal save_trace's of the same runs in memory
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"sim": {"duration": 30.0, "runs": 2}}))
+    out = tmp_path / "o"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["--config", str(cfg), "--seed", "11", "--out", str(out), "simulate"]) == 0
+    config = cli.load_config(str(cfg))
+    runs = [cli._sim_params(config["sim"], cli.stage_seed(11, "sim", k)) for k in range(2)]
+    saved, _ = saved_and_streamed(RoadConfig(**config["road"]), runs, tmp_path / "library")
+    assert {p.name: p.read_bytes() for p in sorted(out.iterdir())} == saved
