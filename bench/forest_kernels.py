@@ -36,7 +36,18 @@ and B = 100; and ``memory.order`` over the CLI's ``order`` stage on the
 it is given as a fourth argument, at all three sizes; and
 ``memory.simulate_stage`` over the CLI's ``simulate`` stage on the
 benchmark's pinned config (``perfbench.workloads.PINNED_CONFIG``, 400 s
-runs) with its seed 4242, at 5 runs. Each case runs in
+runs) with its seed 4242, at 5 runs; and ``memory.extract_stage`` over the
+CLI's ``extract`` stage on the traces that a ``memory.simulate_stage``
+child leaves in its directory, at 5 runs.
+The pipeline cases run on that pinned config and seed too: ``sim.run_simulations``
+streams its runs through ``sim.io.TraceWriter`` as the ``simulate`` stage
+does, at 5 runs (µs per vehicle-step) and on the smallest of them alone,
+by vehicles (µs per step, the fixed cost of a step), with the median CPU
+seconds beside the wall and the sha256 of the files written; and
+``scenarios.scenarios_to_dataset`` extracts the 5 runs' saved traces,
+which it simulates untimed, through the ``extract`` stage's reader (ns
+per trace-step × vehicle), with the sha256 of the scenario CSV and the
+metadata as the stage writes them. Each case runs in
 a fresh interpreter (``python bench/forest_kernels.py KERNEL M B`` prints
 its reading as JSON; B is 0 for the reader), so no reading depends on the
 cases run before it. Each run appends one entry to ``BENCH_forest.json``
@@ -85,10 +96,15 @@ KERNELS = {  # kernel -> (unit, sizes)
     "memory.cluster_stage": ("MiB", [(5000, 100)]),
     "memory.order": ("MiB", [(2000, 10), (5000, 10), (5000, 100)]),
     "memory.simulate_stage": ("MiB", [(5, 0)]),  # M: the runs of the pinned config; no trees
+    "memory.extract_stage": ("MiB", [(5, 0)]),
+    "sim.run_simulations": ("us", [(5, 0), (1, 0)]),  # 1: the smallest of the 5 runs alone
+    "scenarios.scenarios_to_dataset": ("ns", [(5, 0)]),
 }
 ROUNDS = 5
 MODEL_ROWS = 400  # the labeled rows of the model that classify.load_model and classify.predict_batch use
-ROWS_NAME = {"classify.predict_batch": "N", "memory.simulate_stage": "runs"}  # the size's name in a case name, when it is not M
+PIPELINE_KERNELS = ("sim.run_simulations", "scenarios.scenarios_to_dataset")
+ROWS_NAME = {"classify.predict_batch": "N", "memory.simulate_stage": "runs", "memory.extract_stage": "runs",
+             **dict.fromkeys(PIPELINE_KERNELS, "runs")}  # the size's name in a case name, when it is not M
 CLASSIFIER_KERNELS = ("classify.fit_classifier", "classify.load_model", "classify.predict_batch")
 ROW_SEED, FOREST_SEED, SIM_SEED = 2004, 7, 4242
 
@@ -156,15 +172,20 @@ def measure_memory(kernel: str, m: int, b: int, workdir: str | None) -> dict:
                     raise RuntimeError(f"cluster failed in {out}")
             made = ["proximity.raw", "forest.json"]
         elif kernel == "memory.simulate_stage":
-            from perfbench.workloads import PINNED_CONFIG
-
-            config = out / "config.json"
-            config.write_text(json.dumps({**PINNED_CONFIG, "sim": {**PINNED_CONFIG["sim"], "runs": m}}))
+            config = pinned_config(out, m)
             before = peak_mib()
             with contextlib.redirect_stdout(io.StringIO()):
                 if cli.main(["--config", str(config), "--seed", str(SIM_SEED), "--out", str(out), "simulate"]) != 0:
                     raise RuntimeError(f"simulate failed in {out}")
             made = [f"trace_{k}{ext}" for k in range(m) for ext in (".raw", ".meta.json")]
+        elif kernel == "memory.extract_stage":
+            subprocess.run([sys.executable, __file__, "memory.simulate_stage", str(m), "0", str(out)], check=True,
+                           stdout=subprocess.DEVNULL)
+            before = peak_mib()
+            with contextlib.redirect_stdout(io.StringIO()):
+                if cli.main(["--out", str(out), "extract"]) != 0:
+                    raise RuntimeError(f"extract failed in {out}")
+            made = ["scenarios.csv", "scenarios_meta.json"]
         else:
             subprocess.run([sys.executable, __file__, "memory.cluster", str(m), str(b), str(out)], check=True,
                            stdout=subprocess.DEVNULL)
@@ -176,9 +197,74 @@ def measure_memory(kernel: str, m: int, b: int, workdir: str | None) -> dict:
         after = peak_mib()
         digest = sha256(b"".join((out / name).read_bytes() for name in made))
     reading = {"before_mib": round(before, 1), "maxrss_mib": round(after, 1)}
-    if kernel != "memory.simulate_stage":
+    if kernel not in ("memory.simulate_stage", "memory.extract_stage"):
         reading["matrices"] = round((after - before) * 2**20 / (8 * m * m), 2)
     return {**reading, "sha256": digest}
+
+
+def pinned_config(out: Path, runs: int) -> Path:
+    """The benchmark's pinned config with ``runs`` runs, written into ``out``."""
+    from perfbench.workloads import PINNED_CONFIG
+
+    config = out / "config.json"
+    config.write_text(json.dumps({**PINNED_CONFIG, "sim": {**PINNED_CONFIG["sim"], "runs": runs}}))
+    return config
+
+
+def measure_pipeline(kernel: str, runs: int) -> dict:
+    """One pipeline case's reading on the pinned config and seed, timed in
+    this interpreter: the wall and CPU seconds of each round."""
+    from scenforest import cli, scenarios, sim
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        config = cli.load_config(str(pinned_config(out, 5)))
+        road = sim.RoadConfig(**config["road"])
+        params = [cli._sim_params(config["sim"], cli.stage_seed(SIM_SEED, "sim", k)) for k in range(5)]
+        if kernel == "sim.run_simulations":
+            if runs == 1:  # the run of the fewest vehicles, the first of them on a tie
+                params = [min(params, key=lambda p: len(sim.init_scene(road, p.seed)[1]))]
+
+            def run():
+                def writer(k, dt, n_ts, n_vehicles):
+                    return sim.TraceWriter(sim.trace_path(out, k), dt, road, n_ts, n_vehicles)
+                for _ in sim.run_simulations(road, params, writer):
+                    pass
+        else:
+            with contextlib.redirect_stdout(io.StringIO()):
+                if cli.main(["--config", str(out / "config.json"), "--seed", str(SIM_SEED), "--out", str(out),
+                             "simulate"]) != 0:
+                    raise RuntimeError(f"simulate failed in {out}")
+            paths = sim.trace_paths(out)
+            reader = getattr(sim, "TraceReader", sim.load_trace)  # the extract stage's (load_trace in older trees)
+
+            def run():
+                return scenarios.scenarios_to_dataset((p.stem, reader(p)) for p in paths)
+        seconds, cpu = [], []
+        for _ in range(1 + ROUNDS):  # the first is the warm-up
+            start, start_cpu = time.perf_counter(), time.process_time()
+            made = run()
+            seconds.append(time.perf_counter() - start)
+            cpu.append(time.process_time() - start_cpu)
+        metas = [json.loads(sim.meta_path(p).read_text()) for p in sim.trace_paths(out)]
+        vehicle_steps = sum(meta["n_ts"] * meta["n_vehicles"] for meta in metas)
+        if kernel == "sim.run_simulations":
+            units, scale = (vehicle_steps, 1e6) if runs > 1 else (metas[0]["n_ts"], 1e6)
+            digest = sha256(b"".join(p.read_bytes() for path in sim.trace_paths(out) for p in (path, sim.meta_path(path))))
+        else:
+            units, scale = vehicle_steps, 1e9
+            dataset, meta = made
+            cli.save_dataset(dataset, out / "scenarios.csv")
+            digest = sha256((out / "scenarios.csv").read_bytes() + (json.dumps(meta) + "\n").encode())
+    median = statistics.median(seconds[1:])
+    return {
+        "median_s": round(median, 6),
+        "median_cpu_s": round(statistics.median(cpu[1:]), 6),
+        f"{KERNELS[kernel][0]}_per_unit": float(f"{median / units * scale:.5g}"),
+        "units": units,
+        "rounds": ROUNDS,
+        "sha256": digest,
+    }
 
 
 def measure(kernel: str, m: int, b: int) -> dict:
@@ -273,6 +359,8 @@ if __name__ == "__main__":
     if len(sys.argv) in (4, 5) and sys.argv[1].startswith("memory."):
         workdir = sys.argv[4] if len(sys.argv) == 5 else None
         print(json.dumps(measure_memory(sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), workdir)))
+    elif len(sys.argv) == 4 and sys.argv[1] in PIPELINE_KERNELS:
+        print(json.dumps(measure_pipeline(sys.argv[1], int(sys.argv[2]))))
     elif len(sys.argv) == 4:
         print(json.dumps(measure(sys.argv[1], int(sys.argv[2]), int(sys.argv[3]))))
     else:

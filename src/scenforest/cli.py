@@ -35,8 +35,8 @@ from .dataset import (
 from .sim import (
     RoadConfig,
     SimParams,
+    TraceReader,
     TraceWriter,
-    load_trace,
     meta_path,
     run_simulations,
     trace_path,
@@ -174,8 +174,8 @@ def cmd_simulate(cfg: dict, args) -> int:
 def cmd_extract(cfg: dict, args) -> int:
     out = _workdir(cfg, args)
     paths = trace_paths(out)
-    # one trace in memory at a time
-    dataset, meta = scenarios.scenarios_to_dataset((p.stem, load_trace(p)) for p in paths)
+    # each trace is checked as it is opened, then read a block of steps at a time
+    dataset, meta = scenarios.scenarios_to_dataset((p.stem, TraceReader(p)) for p in paths)
     if dataset.n_rows == 0:
         print("no scenarios found", file=sys.stderr)
         return EXIT_EMPTY

@@ -12,8 +12,15 @@ plus scalar descriptors of the whole window. The six zones of the three
 instants come from one gather of the trace; the DTW distance between the
 actual and the desired gap curve, the costliest descriptor, is computed
 for all scenarios of a dataset in one batched sweep (dtw_distances).
-Detection runs on whole traces; extract_features is the one-scenario
-form of the features, for a hand-built window.
+
+A trace is read a block of THW_BLOCK steps at a time, from its files (a
+``sim.io.TraceReader``) or from memory (a ``Trace``), in two sweeps. The
+first fills the leader gaps and the THW of every vehicle and step, the
+only whole-run state; detection then runs on the THW. The second reads the
+steps that the scenarios cover once more and serves every scenario that
+overlaps each block: the ego's speed and lanes, the rows of the three
+instants, and the cut-in scan. extract_features is that second sweep over
+one scenario, for a hand-built window.
 """
 
 from __future__ import annotations
@@ -54,7 +61,8 @@ ZONE_MIN_M = 20.0      # m
 ZONE_MAX_M = 120.0     # m
 DESIRED_THW_S = 1.8    # s, administrative rule-of-thumb gap for the DTW feature
 DTW_MAX_SAMPLES = 128  # gap curves are resampled to at most this length
-THW_BLOCK = 512        # steps per block of the all-vehicle leader scan
+THW_BLOCK = 512        # steps per block of extraction's two sweeps over a trace
+SWEPT = ("x", "v", "lane")  # the arrays of a trace that the sweeps read
 
 ZONES = ("front", "rear", "left_front", "left_rear", "right_front", "right_rear")
 _INSTANTS = ("start", "changepoint", "end")
@@ -110,41 +118,68 @@ def zone_extent(v_ego):
     return np.clip(v_ego * ZONE_HORIZON_S, ZONE_MIN_M, ZONE_MAX_M)
 
 
-def _leader_gaps(trace: Trace, steps: slice) -> np.ndarray:
-    """The bumper gap of every vehicle to its leader at each of ``steps``,
-    as one (steps, n_v) array; inf without a leader.
+def _block_gaps(block: Trace, out: np.ndarray) -> None:
+    """Write the bumper gap of every vehicle to its leader at each step of
+    ``block`` into ``out``, a (steps, n_v) array; inf without a leader.
 
     The leader is the nearest other vehicle on the lane with dx > 0, the
     lowest id on equal distance. Each step is sorted by (lane, x, id), a
     stable order; the leader of a vehicle is then the first of the next
-    group of equal (lane, x), when that group is on its lane. Steps go
-    THW_BLOCK at a time, which bounds the temporaries.
+    group of equal (lane, x), when that group is on its lane. Each
+    temporary goes once it is read, which bounds the sweep's peak.
     """
-    lo, hi, _ = steps.indices(trace.n_ts)
-    out = np.empty((hi - lo, trace.x.shape[1]))
-    n_v = out.shape[1]
+    x0, lane0, n_v = block.x, block.lane, block.n_vehicles
+    order = np.lexsort((x0, lane0))
+    x, lane = np.take_along_axis(x0, order, axis=1), np.take_along_axis(lane0, order, axis=1)
+    new = (lane[:, 1:] != lane[:, :-1]) | (x[:, 1:] != x[:, :-1])  # sorted position p + 1 starts a group
+    del x
+    # per sorted position p: the first position q > p that starts a group (n_v: none)
+    after = np.full_like(order, n_v)
+    np.minimum.accumulate(np.where(new, np.arange(1, n_v), n_v)[:, ::-1], axis=1, out=after[:, -2::-1])
+    del new
+    found = after < n_v
+    nearest = np.minimum(after, n_v - 1, out=after)
+    found &= np.take_along_axis(lane, nearest, axis=1) == lane
+    del lane
+    ahead = np.take_along_axis(order, nearest, axis=1)  # per sorted position, the leader's column
+    ahead[~found] = -1
+    del nearest, found
+    leader = np.empty_like(order)
+    np.put_along_axis(leader, order, ahead, axis=1)
+    del order, ahead
+    dx = np.take_along_axis(x0, leader, axis=1)
+    dx -= x0
+    dx[leader < 0] = np.inf
+    dx -= VEHICLE_LENGTH
+    np.maximum(dx, 0.0, out=out)
+
+
+def _gaps_and_thw(source, steps: slice) -> tuple:
+    """The first sweep: the leader gaps (``_block_gaps``) and the THW of
+    every vehicle at each of ``steps`` of ``source`` (a Trace or a
+    TraceReader), as two (steps, n_v) arrays filled a block of THW_BLOCK
+    steps at a time. Each step's values come from its own row alone, so
+    the blocks do not change a bit."""
+    lo, hi, _ = steps.indices(source.n_ts)
+    gaps, thw = np.empty((2, hi - lo, source.n_vehicles))
     for a in range(lo, hi, THW_BLOCK):
-        block = slice(a, min(a + THW_BLOCK, hi))
-        x0, lane0 = trace.x[block], trace.lane[block]
-        order = np.lexsort((x0, lane0))
-        x, lane = np.take_along_axis(x0, order, axis=1), np.take_along_axis(lane0, order, axis=1)
-        # per sorted position p: the first position q > p that starts a group (n_v: none)
-        starts = np.where((lane[:, 1:] != lane[:, :-1]) | (x[:, 1:] != x[:, :-1]), np.arange(1, n_v), n_v)
-        after = np.concatenate([np.minimum.accumulate(starts[:, ::-1], axis=1)[:, ::-1], np.full((len(x), 1), n_v)], axis=1)
-        nearest = np.minimum(after, n_v - 1)
-        found = (after < n_v) & (np.take_along_axis(lane, nearest, axis=1) == lane)
-        leader = np.empty_like(order)
-        np.put_along_axis(leader, order, np.where(found, np.take_along_axis(order, nearest, axis=1), -1), axis=1)
-        dx = np.where(leader >= 0, np.take_along_axis(x0, leader, axis=1) - x0, np.inf)
-        out[a - lo : block.stop - lo] = np.maximum(dx - VEHICLE_LENGTH, 0.0)
-    return out
+        block = source.rows(a, min(a + THW_BLOCK, hi), SWEPT)
+        at = slice(a - lo, a - lo + block.n_ts)
+        _block_gaps(block, gaps[at])
+        thw[at] = compute_thw(gaps[at], block.v)
+    return gaps, thw
+
+
+def _leader_gaps(source, steps: slice) -> np.ndarray:
+    """_gaps_and_thw's gaps."""
+    return _gaps_and_thw(source, steps)[0]
 
 
 def _thw_all(trace: Trace) -> np.ndarray:
     """The per-step THW of every vehicle to its current leader (inf without
     one: the gap to no leader is inf), as the columns of one (n_ts, n_v)
     array."""
-    return compute_thw(_leader_gaps(trace, slice(None)), trace.v)
+    return _gaps_and_thw(trace, slice(None))[1]
 
 
 def thw_series(trace: Trace, ego_id: int) -> np.ndarray:
@@ -170,13 +205,13 @@ def find_trigger_windows(thw: np.ndarray, dt: float) -> list:
     return [(a, b) for a, b in merged if float(np.min(thw[a : b + 1])) <= THW_KEEP]
 
 
-def _detect(trace: Trace, thw: np.ndarray) -> list:
-    """All kept scenarios of a trace, every vehicle serving as ego, from the
-    trace's ``_thw_all``."""
+def _detect(source, thw: np.ndarray) -> list:
+    """All kept scenarios of a trace (a Trace or a TraceReader), every
+    vehicle serving as ego, from the trace's ``_thw_all``."""
     out = []
-    for ego_id in range(1, trace.n_vehicles + 1):
+    for ego_id in range(1, source.n_vehicles + 1):
         series = thw[:, ego_id - 1]
-        for t0, t1 in find_trigger_windows(series, trace.dt):
+        for t0, t1 in find_trigger_windows(series, source.dt):
             window = series[t0 : t1 + 1]
             out.append(Scenario(ego_id, t0, t1, float(np.min(window)), t0 + int(np.argmin(window))))
     return out
@@ -267,12 +302,16 @@ def _resample(series: np.ndarray, n: int) -> np.ndarray:
     return np.interp(grid, np.arange(len(series)), series)
 
 
-def _gap_curves(trace: Trace, sc: Scenario, gap: np.ndarray):
+def _curves(gap: np.ndarray, v: np.ndarray) -> tuple:
     """The bumper gap to the leader (the zone extent without one) and the
-    desired gap, over the scenario window, from the ego's ``_leader_gaps``
-    at each step of the window."""
-    v = trace.v[sc.t_start : sc.t_end + 1, sc.ego_id - 1]
+    desired gap, from the ego's ``_leader_gaps`` and speed at each step of
+    a scenario window."""
     return np.where(gap < np.inf, gap, zone_extent(v)), v * DESIRED_THW_S
+
+
+def _gap_curves(trace: Trace, sc: Scenario, gap: np.ndarray):
+    """_curves over the scenario window of an in-memory trace."""
+    return _curves(gap, trace.v[sc.t_start : sc.t_end + 1, sc.ego_id - 1])
 
 
 def _front(trace: Trace, ego: int, steps) -> np.ndarray:
@@ -290,83 +329,145 @@ def _front(trace: Trace, ego: int, steps) -> np.ndarray:
     return np.where(dist[np.arange(len(x)), j] < np.inf, j, -1)
 
 
+class _Window:
+    """What the second sweep gathers of one scenario from the blocks that
+    overlap it: the ego's speed and lane series, copied (a view would keep
+    its whole block alive); the rows of the three instants (start,
+    changepoint, end) as a 3-step Trace of the SWEPT arrays; and whether a
+    vehicle cut in: after the window's first step, the front-zone vehicle
+    was on another lane than the ego's one step earlier."""
+
+    def __init__(self, sc: Scenario, source):
+        n_v = source.n_vehicles
+        self.sc, self.v, self.lane, self.cut_in = sc, [], [], False
+        self.instants = Trace(source.dt, source.road, x=np.empty((3, n_v)), y=None, v=np.empty((3, n_v)), a=None,
+                              psi=None, lane=np.empty((3, n_v), dtype=np.int64), collisions=[])
+
+    def feed(self, block: Trace, a: int, before: np.ndarray) -> None:
+        """Take steps [a, a + block.n_ts) of the trace, where the window
+        overlaps them; row t of ``before`` holds the lanes of step a + t - 1."""
+        sc, ego = self.sc, self.sc.ego_id - 1
+        lo, hi = max(sc.t_start - a, 0), min(sc.t_end + 1 - a, block.n_ts)
+        self.v.append(block.v[lo:hi, ego].copy())
+        self.lane.append(block.lane[lo:hi, ego].copy())
+        for k, t in enumerate((sc.t_start, sc.t_changepoint, sc.t_end)):
+            if lo <= t - a < hi:
+                for name in SWEPT:
+                    getattr(self.instants, name)[k] = getattr(block, name)[t - a]
+        first = max(lo, sc.t_start + 1 - a)
+        if not self.cut_in and first < hi:
+            front = _front(block, ego, slice(first, hi))
+            t = first + np.flatnonzero(front >= 0)
+            self.cut_in = bool(np.any(before[t, front[front >= 0]] != block.lane[t, ego]))
+
+    def features(self, gap: np.ndarray, source) -> tuple:
+        """The 47 features of the scenario with dtw_gap_desired left at 0.0,
+        and the resampled (actual, desired) gap curves it is computed from;
+        ``gap`` is the ego's ``_leader_gaps`` over the window, and ``source``
+        the trace. Drops what the window gathered."""
+        sc, ego, at = self.sc, self.sc.ego_id - 1, self.instants
+        ceiling = zone_extent(at.v[:, ego])
+        dists, relvs = [], []
+        for j, dist, relv in _zones(at, ego, slice(None)).values():
+            dists += np.where(j >= 0, dist, ceiling).tolist()
+            relvs += np.where(j >= 0, relv, 0.0).tolist()
+        actual, desired = _curves(gap, np.concatenate(self.v))
+        ego_lanes = np.concatenate(self.lane)
+        self.v = self.lane = self.instants = None
+        collision = float(
+            any(sc.t_start <= t <= sc.t_end and sc.ego_id in pair for t, pair in source.collisions)
+        )
+        features = (
+            dists
+            + relvs
+            + [
+                sc.thw_min,
+                (sc.t_end - sc.t_start) * source.dt,
+                0.0,
+                ego_lanes[0],
+                at.lane[1, ego],
+                ego_lanes[-1],
+                source.road.n_l,
+                np.count_nonzero(np.diff(ego_lanes)),
+                float(self.cut_in),
+                collision,
+                at.v[1, ego],
+            ]
+        )
+        return np.array(features, dtype=np.float64), (_resample(actual, DTW_MAX_SAMPLES), _resample(desired, DTW_MAX_SAMPLES))
+
+
+def _serve(source, windows):
+    """The second sweep: read the steps that ``windows`` cover from
+    ``source`` (a Trace or a TraceReader), THW_BLOCK steps at a time, and
+    feed each block to every window that overlaps it; yield each window
+    after its last step. Steps that no window covers are not read. A
+    window reads the step before a block's first only from its own second
+    step on, so it was fed the block before, whose last lane row is carried."""
+    pending = sorted(windows, key=lambda w: w.sc.t_start, reverse=True)
+    open_, a, carry = [], 0, None
+    while pending or open_:
+        if not open_:
+            a = max(a, pending[-1].sc.t_start)
+        block = source.rows(a, min(a + THW_BLOCK, source.n_ts), SWEPT)
+        b = a + block.n_ts
+        while pending and pending[-1].sc.t_start < b:
+            open_.append(pending.pop())
+        before = np.concatenate([block.lane[:1] if carry is None else carry, block.lane[:-1]])
+        carry = block.lane[-1:].copy()
+        for w in open_:
+            w.feed(block, a, before)
+        yield from (w for w in open_ if w.sc.t_end < b)
+        open_ = [w for w in open_ if w.sc.t_end >= b]
+        a = b
+
+
 def _cut_in(trace: Trace, sc: Scenario) -> bool:
-    """Whether, after the window's first step, the front-zone vehicle was
-    on another lane than the ego's one step earlier."""
-    ego = sc.ego_id - 1
-    front = _front(trace, ego, slice(sc.t_start + 1, sc.t_end + 1))
-    t = sc.t_start + 1 + np.flatnonzero(front >= 0)
-    return bool(np.any(trace.lane[t - 1, front[front >= 0]] != trace.lane[t, ego]))
-
-
-def _features(sc: Scenario, trace: Trace, gap: np.ndarray) -> tuple:
-    """The 47 features of one scenario with dtw_gap_desired left at 0.0, and
-    the resampled (actual, desired) gap curves it is computed from; ``gap``
-    is the ego's ``_leader_gaps`` over the window."""
-    ego = sc.ego_id - 1
-    instants = [sc.t_start, sc.t_changepoint, sc.t_end]
-    ceiling = zone_extent(trace.v[instants, ego])
-    dists, relvs = [], []
-    for j, dist, relv in _zones(trace, ego, instants).values():
-        dists += np.where(j >= 0, dist, ceiling).tolist()
-        relvs += np.where(j >= 0, relv, 0.0).tolist()
-    actual, desired = _gap_curves(trace, sc, gap)
-    ego_lanes = trace.lane[sc.t_start : sc.t_end + 1, ego]
-    collision = float(
-        any(sc.t_start <= t <= sc.t_end and sc.ego_id in pair for t, pair in trace.collisions)
-    )
-    features = (
-        dists
-        + relvs
-        + [
-            sc.thw_min,
-            (sc.t_end - sc.t_start) * trace.dt,
-            0.0,
-            ego_lanes[0],
-            trace.lane[sc.t_changepoint, ego],
-            ego_lanes[-1],
-            trace.road.n_l,
-            np.count_nonzero(np.diff(ego_lanes)),
-            float(_cut_in(trace, sc)),
-            collision,
-            trace.v[sc.t_changepoint, ego],
-        ]
-    )
-    return np.array(features, dtype=np.float64), (_resample(actual, DTW_MAX_SAMPLES), _resample(desired, DTW_MAX_SAMPLES))
+    """The second sweep's cut-in flag of one scenario."""
+    (window,) = _serve(trace, [_Window(sc, trace)])
+    return window.cut_in
 
 
 def extract_features(sc: Scenario, trace: Trace) -> np.ndarray:
-    """The canonical 47-feature vector of one scenario (see FEATURE_NAMES).
+    """The canonical 47-feature vector of one scenario (see FEATURE_NAMES):
+    the second sweep over that scenario alone.
 
     Absent zone neighbors encode as the zone-extent ceiling at that instant
     with zero relative speed; all outputs are finite.
     """
-    row, curves = _features(sc, trace, _leader_gaps(trace, slice(sc.t_start, sc.t_end + 1))[:, sc.ego_id - 1])
+    (window,) = _serve(trace, [_Window(sc, trace)])
+    row, curves = window.features(_leader_gaps(trace, slice(sc.t_start, sc.t_end + 1))[:, sc.ego_id - 1], trace)
     row[DTW_COLUMN] = dtw_distances([curves])[0]
     return row
 
 
 def scenarios_to_dataset(traces_with_names) -> tuple:
-    """Extract all scenarios of several (name, Trace) pairs into a Dataset:
-    each row as extract_features gives it, with the DTW feature of every
-    scenario from one dtw_distances sweep.
+    """Extract all scenarios of several (name, trace) pairs into a Dataset,
+    each trace a Trace or a TraceReader: each row as extract_features gives
+    it, with the DTW feature of every scenario from one dtw_distances sweep.
+    A trace's gaps and THW come from the first sweep, its windows' features
+    from the second.
 
     Ids are '<trace name>_s<k>'; the metadata list mirrors the rows with
     {id, trace, ego_id, t_start, t_end, thw_min}.
     """
     ids, rows, curves, meta = [], [], [], []
-    for name, trace in traces_with_names:
-        # each step's gaps are computed on their own: the trace's, once, serve
-        # every window
-        gaps = _leader_gaps(trace, slice(None))
-        for k, sc in enumerate(_detect(trace, compute_thw(gaps, trace.v))):
-            sid = f"{name}_s{k}"
+    for name, source in traces_with_names:
+        gaps, thw = _gaps_and_thw(source, slice(None))
+        found = _detect(source, thw)
+        del thw
+        windows = [_Window(sc, source) for sc in found]
+        # each window's features as soon as its last step is read
+        made = {w: w.features(gaps[w.sc.t_start : w.sc.t_end + 1, w.sc.ego_id - 1], source)
+                for w in _serve(source, windows)}
+        del gaps  # before the next trace is read
+        for k, w in enumerate(windows):
+            sc, sid = w.sc, f"{name}_s{k}"
             ids.append(sid)
-            row, pair = _features(sc, trace, gaps[sc.t_start : sc.t_end + 1, sc.ego_id - 1])
+            row, pair = made[w]
             rows.append(row)
             curves.append(pair)
             meta.append(dict(id=sid, trace=name, ego_id=sc.ego_id, t_start=sc.t_start, t_end=sc.t_end, thw_min=sc.thw_min))
-        del gaps  # before the next trace is read
     values = np.array(rows, dtype=np.float64).reshape(len(rows), len(FEATURE_NAMES))
     values[:, DTW_COLUMN] = dtw_distances(curves)
     return Dataset(feature_names=list(FEATURE_NAMES), ids=ids, values=values), meta

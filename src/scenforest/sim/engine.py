@@ -75,7 +75,9 @@ from .dynamics import (
 )
 
 __all__ = [
+    "ARRAYS",
     "CHANNELS",
+    "EVENTS",
     "Trace",
     "LaneChangeState",
     "Perception",
@@ -107,6 +109,8 @@ V_TARGET_MIN = 5.0
 
 
 CHANNELS = ("x", "y", "v", "a", "psi")  # the float channels of a Trace; lane is the int one
+ARRAYS = (*CHANNELS, "lane")  # the per-step arrays of a Trace, in the raw file's order
+EVENTS = ("collisions", "lane_change_starts")  # the (step, ...) event lists of a Trace
 BATCH_FIELDS = ("a_m", "b", "c", "a_dec_max", "v_target")  # profile fields the laws read, one array each
 BATCH_RUNS = 8  # runs per lock-step batch
 FLUSH_STEPS = 256  # ring rows beyond the longest reaction delay: finished rows go to the sinks this many at a time
@@ -114,11 +118,13 @@ FLUSH_STEPS = 256  # ring rows beyond the longest reaction delay: finished rows 
 
 @dataclass
 class Trace:
-    """Full record of one run: one (n_ts, n_v) array per channel, row t
-    holding timestep t and column i vehicle i + 1 (x, y, v, a and psi as
-    float64, lane as int64), plus the collision and lane-change start events.
-    A simulated trace's arrays are contiguous blocks of its batch's buffers,
-    one buffer per channel."""
+    """Steps of one run: one (n_ts, n_v) array per channel, row t holding
+    timestep t and column i vehicle i + 1 (x, y, v, a and psi as float64,
+    lane as int64), plus the collision and lane-change start events, each
+    counted from row 0. A simulated trace's arrays are contiguous blocks of
+    its batch's buffers, one buffer per channel. ``rows(a, b)`` gives steps
+    [a, b) as a Trace, as ``sim.io.TraceReader.rows`` does from a trace's
+    files, so extraction reads both a block of steps at a time."""
 
     dt: float
     road: RoadConfig
@@ -138,6 +144,20 @@ class Trace:
     @property
     def n_vehicles(self) -> int:
         return self.x.shape[1]
+
+    def rows(self, a: int, b: int, names=ARRAYS + EVENTS) -> Trace:
+        """Steps [a, b) of the arrays and events in ``names`` (the others
+        None): views of this trace's arrays, and the events of those steps
+        counted from a."""
+        arrays = [getattr(self, name)[a:b] if name in names else None for name in ARRAYS]
+        return Trace(self.dt, self.road, *arrays, *events_between(self, a, b, names))
+
+
+def events_between(trace, a: int, b: int, names) -> list:
+    """The event lists of ``trace`` in ``names`` (the others None), each
+    holding the events of steps [a, b), their steps counted from a."""
+    return [[(t - a, *rest) for t, *rest in getattr(trace, name) if a <= t < b] if name in names else None
+            for name in EVENTS]
 
 
 class LaneChangeState:

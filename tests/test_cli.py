@@ -12,12 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scenforest import cli
+from scenforest import cli, scenarios
 from scenforest.classify import UNASSIGNED, fit_classifier, load_model, oob_thresholds, predict_batch, save_model
 from scenforest.dataset import Dataset, LabeledDataset, load_dataset, load_matrix, save_dataset
 from scenforest.ordering import linkage, optimal_leaf_order, render_heatmap, reorder
 from scenforest.scenarios import FEATURE_NAMES
 from scenforest.sim import CHANNELS, engine
+from scenforest.sim import io as trace_io
 from scenforest.sim.engine import lane_overflow
 
 FAST_SIM = {"sim": {"duration": 120.0, "runs": 2}, "xmurf": {"b_trees": 20}}
@@ -446,6 +447,13 @@ def set_meta(key, value):
     return edit_meta(edit)
 
 
+def both(first, second):
+    """The corruption ``first`` followed by ``second``."""
+    def corrupt(data, meta):
+        return second(*first(data, meta))
+    return corrupt
+
+
 def assert_exits_2_located(argv, where, message, capsys):
     """The CLI exits 2 with one ``error: <where>: ...`` line naming ``message``
     and no traceback."""
@@ -458,7 +466,7 @@ def assert_exits_2_located(argv, where, message, capsys):
     return err
 
 
-@pytest.mark.parametrize(
+MALFORMED_TRACES = pytest.mark.parametrize(
     "corrupt, where, message",
     [
         (lambda data, meta: (data[:-1], meta), ".raw", "12299 bytes, the sidecar's n_ts=100 and n_vehicles=3 make 12300"),
@@ -482,20 +490,42 @@ def assert_exits_2_located(argv, where, message, capsys):
         (set_meta("dt", 1e308), ".meta.json", "dt: dt must be in (0, 0.1], got 1e+308"),
         (edit_meta(lambda meta: meta.replace('"lane_width": 3.5', '"lane_width": Infinity')), ".meta.json",
          "road: lane_width must be finite, got inf"),
+        # the first defect in the order of the checks, whichever block holds it
+        (set_value("v", 50, 2, np.nan), ".raw", "step 50, vehicle 2: v nan is not finite"),
+        (both(set_value("y", 3, 1, np.nan), set_value("x", 60, 3, np.inf)), ".raw",
+         "step 60, vehicle 3: x inf is not finite"),
+        (both(set_lanes(2, lambda n_v: [1] * n_v), set_lanes(80, lambda n_v: [1, 0] + [1] * (n_v - 2))), ".raw",
+         "step 80, vehicle 2: lane 0 is not in [1, 2]"),
     ],
     ids=[
         "short-by-one-byte", "extra-byte", "step-count", "lane-out-of-range", "lane-over-capacity",
         "x-nan", "v-inf", "psi-minus-inf",
         "id-out-of-range", "collision-step-out-of-range", "collision-not-a-triple", "lane-change-start-bad-lane",
         "meta-invalid-json", "meta-missing-key", "meta-bad-road", "sidecar-n-vehicles", "sidecar-n-ts", "dt-infinity",
-        "dt-1e308", "lane-width-infinity",
+        "dt-1e308", "lane-width-infinity", "nan-in-a-later-block", "y-before-x", "range-after-overflow",
     ],
 )
-def test_extract_rejects_malformed_trace(small_trace, tmp_path, capsys, corrupt, where, message):
+
+
+def assert_extract_rejects(small_trace, tmp_path, capsys, corrupt, where, message):
     data, meta = corrupt(*small_trace)
     (tmp_path / "trace_0.raw").write_bytes(data)
     (tmp_path / "trace_0.meta.json").write_text(meta)
     assert_exits_2_located(["--out", str(tmp_path), "extract"], f"{tmp_path / 'trace_0'}{where}", message, capsys)
+
+
+@MALFORMED_TRACES
+def test_extract_rejects_malformed_trace(small_trace, tmp_path, capsys, corrupt, where, message):
+    assert_extract_rejects(small_trace, tmp_path, capsys, corrupt, where, message)
+
+
+@MALFORMED_TRACES
+def test_extract_rejects_malformed_trace_read_in_blocks_of_7(small_trace, tmp_path, capsys, monkeypatch, corrupt,
+                                                             where, message):
+    # the 100 steps in 15 blocks of the reader's check and of the sweeps
+    monkeypatch.setattr(scenarios, "THW_BLOCK", 7)
+    monkeypatch.setattr(trace_io, "CHECK_BLOCK", 7)
+    assert_extract_rejects(small_trace, tmp_path, capsys, corrupt, where, message)
 
 
 MATRIX_2 = np.array([[1.0, 0.5], [0.5, 1.0]]).tobytes()

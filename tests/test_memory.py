@@ -9,7 +9,10 @@ matrices) only its condensed d = 1 - P, half a matrix: at most 4 matrices
 in all.
 
 The ``simulate`` stage holds a ring of recent steps and streams each run's
-trace to its files, so its peak does not grow with the duration."""
+trace to its files, so its peak does not grow with the duration. The
+``extract`` stage reads each trace a block of steps at a time and keeps of
+the whole run only the leader gaps and the THW, 16 bytes per vehicle and
+step against the raw file's 41."""
 
 import contextlib
 import io
@@ -90,3 +93,21 @@ def test_simulate_peak_does_not_grow_with_duration(tmp_path):
     simulate(1.0)
     short, long = (traced_peak(lambda: simulate(duration)) for duration in (100.0, 400.0))
     assert long <= 1.2 * short, f"{long} bytes at 400 s, {short} at 100 s"
+
+
+def test_extract_peak_is_under_three_quarters_of_the_largest_trace(tmp_path):
+    # two 200 s runs, the larger 4.1 MB on disk; a trace held whole would
+    # take 48 bytes per vehicle and step, more than its file's 41
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"sim": {"duration": 200.0, "runs": 2}}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["--config", str(cfg), "--seed", "0", "--out", str(tmp_path), "simulate"]) == 0
+    largest = max(path.stat().st_size for path in tmp_path.glob("trace_*.raw"))
+    assert largest >= 4_000_000
+
+    def extract():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["--out", str(tmp_path), "extract"]) == 0
+
+    peak = traced_peak(extract)
+    assert peak <= 0.75 * largest, f"{peak / largest:.2f} times the largest trace's {largest} bytes"

@@ -1,12 +1,16 @@
 """THW detection against a brute-force oracle, zones, DTW, and features."""
 
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import extract_oracle
 from conftest import build_trace
 from scenforest import scenarios
 from scenforest.scenarios import (
@@ -36,7 +40,8 @@ from scenforest.scenarios import (
     thw_series,
     zone_extent,
 )
-from scenforest.sim import VEHICLE_LENGTH, RoadConfig, Trace
+from scenforest.sim import VEHICLE_LENGTH, RoadConfig, SimParams, Trace, TraceReader, load_trace, run_simulations, save_trace
+from scenforest.sim import io as trace_io
 
 
 # ------------------------------------------------------------------ THW
@@ -607,3 +612,69 @@ def test_window_scans_in_blocks_equal_vehicle_loops(trace, data):
     for got, want in zip(_gap_curves(trace, sc, window), loop_gap_curves(trace, sc)):
         assert got.tolist() == want.tolist()
     assert cut_in == loop_cut_in(trace, sc)
+
+
+# ------------------------------- block sweeps against the whole-trace oracle
+
+def saved_runs(workdir: Path, seeds, duration: float) -> list:
+    """The files of one simulated run per seed (dt = 0.05 s), by path."""
+    params = [SimParams(dt=0.05, duration=duration, seed=seed) for seed in seeds]
+    paths = [workdir / f"trace_{k}.raw" for k in range(len(params))]
+    for path, trace in zip(paths, run_simulations(RoadConfig(), params)):
+        save_trace(trace, path)
+    return paths
+
+
+def assert_same_extraction(got, want):
+    (data, meta), (want_data, want_meta) = got, want
+    assert data.feature_names == want_data.feature_names
+    assert data.ids == want_data.ids
+    assert data.values.tobytes() == want_data.values.tobytes()
+    assert json.dumps(meta) == json.dumps(want_meta)
+
+
+def extract_both_ways(paths) -> list:
+    """The block sweeps over each file (as the CLI reads it) and over each
+    trace in memory give the oracle's bytes; returns the oracle's metadata."""
+    want = extract_oracle.scenarios_to_dataset((p.stem, load_trace(p)) for p in paths)
+    assert_same_extraction(scenarios_to_dataset((p.stem, TraceReader(p)) for p in paths), want)
+    assert_same_extraction(scenarios_to_dataset((p.stem, load_trace(p)) for p in paths), want)
+    return want[1]
+
+
+@pytest.fixture
+def blocks(monkeypatch):
+    """Set the steps per block of the sweeps and of the reader's check."""
+    def set_blocks(steps):
+        monkeypatch.setattr(scenarios, "THW_BLOCK", steps)
+        monkeypatch.setattr(trace_io, "CHECK_BLOCK", steps)
+    return set_blocks
+
+
+@pytest.mark.parametrize("steps", [7, scenarios.THW_BLOCK])
+def test_block_sweeps_equal_whole_trace_oracle(tmp_path, blocks, steps):
+    blocks(steps)
+    paths = saved_runs(tmp_path, range(4), 40.0)
+    n_ts = TraceReader(paths[0]).n_ts
+    meta = extract_both_ways(paths)
+    # the windows at the edges of the sweeps all occur: one from step 0, one
+    # to the last step, one across a block of the first sweep (its blocks
+    # start at multiples of ``steps``), and one longer than a block, which
+    # crosses a block of the second sweep wherever its blocks start
+    assert any(m["t_start"] == 0 for m in meta)
+    assert any(m["t_end"] == n_ts - 1 for m in meta)
+    assert any(m["t_start"] // steps < m["t_end"] // steps for m in meta)
+    assert any(m["t_end"] - m["t_start"] + 1 > steps for m in meta)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 1200), st.sampled_from([7, scenarios.THW_BLOCK]))
+def test_block_sweeps_equal_oracle_over_seed_and_duration(seed, n_steps, steps):
+    # durations from one step to two default blocks and more
+    block, check = scenarios.THW_BLOCK, trace_io.CHECK_BLOCK
+    scenarios.THW_BLOCK = trace_io.CHECK_BLOCK = steps
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            extract_both_ways(saved_runs(Path(tmp), [seed], n_steps * 0.05))
+    finally:
+        scenarios.THW_BLOCK, trace_io.CHECK_BLOCK = block, check

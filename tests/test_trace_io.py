@@ -10,9 +10,12 @@ import pytest
 
 from scenforest import cli
 from scenforest.sim import (
+    ARRAYS,
     CHANNELS,
+    EVENTS,
     RoadConfig,
     SimParams,
+    TraceReader,
     TraceWriter,
     engine,
     init_scene,
@@ -45,6 +48,36 @@ def test_trace_round_trip_bit_exact(tmp_path):
         save_trace(loaded, again)
         assert path.read_bytes() == again.read_bytes()
         assert meta_path(path).read_bytes() == meta_path(again).read_bytes()
+
+
+def test_reader_rows_equal_trace_rows(tmp_path):
+    # any steps [a, b) read from the files equal the same steps of the trace
+    # in memory: the arrays bit for bit, the events of those steps counted
+    # from a; the fields not named are None on both sides
+    trace = next(run_simulations(RoadConfig(n_l=2, n_vpl=5), [SimParams(dt=0.05, duration=40.0, seed=17)]))
+    path = tmp_path / "trace_0.raw"
+    save_trace(trace, path)
+    reader = TraceReader(path)
+    assert (reader.dt, reader.road, reader.n_ts, reader.n_vehicles) == (trace.dt, trace.road, trace.n_ts, trace.n_vehicles)
+    assert (reader.collisions, reader.lane_change_starts) == (trace.collisions, trace.lane_change_starts)
+    t_lc = trace.lane_change_starts[len(trace.lane_change_starts) // 2][0]
+    for (a, b), names in [((0, trace.n_ts), ARRAYS + EVENTS), ((t_lc, t_lc + 1), ARRAYS + EVENTS),
+                          ((t_lc - 5, trace.n_ts), ("x", "lane", "lane_change_starts")), ((3, 10), ())]:
+        got, want = reader.rows(a, b, names), trace.rows(a, b, names)
+        assert (got.dt, got.road) == (trace.dt, trace.road)
+        for name in ARRAYS:
+            if name in names:
+                assert getattr(got, name).dtype == getattr(want, name).dtype
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes() == getattr(trace, name)[a:b].tobytes()
+            else:
+                assert getattr(got, name) is None and getattr(want, name) is None
+        for name in EVENTS:
+            if name in names:
+                events = [(t - a, *rest) for t, *rest in getattr(trace, name) if a <= t < b]
+                assert getattr(got, name) == getattr(want, name) == events
+            else:
+                assert getattr(got, name) is None and getattr(want, name) is None
+    assert reader.rows(t_lc, t_lc + 1).lane_change_starts[0][0] == 0
 
 
 def test_trace_line_schema(tmp_path):
