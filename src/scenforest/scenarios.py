@@ -9,18 +9,17 @@ the merged window may briefly exceed the trigger inside the fused gap.
 Features are sampled at three instants (window start, the changepoint of
 minimum THW, window end) from the six-zone neighborhood around the ego,
 plus scalar descriptors of the whole window. The six zones of the three
-instants come from one gather of the trace; the DTW distance between the
+instants come from one gather of their rows; the DTW distance between the
 actual and the desired gap curve, the costliest descriptor, is computed
 for all scenarios of a dataset in one batched sweep (dtw_distances).
 
 A trace is read a block of THW_BLOCK steps at a time, from its files (a
-``sim.io.TraceReader``) or from memory (a ``Trace``), in two sweeps. The
-first fills the leader gaps and the THW of every vehicle and step, the
-only whole-run state; detection then runs on the THW. The second reads the
-steps that the scenarios cover once more and serves every scenario that
-overlaps each block: the ego's speed and lanes, the rows of the three
-instants, and the cut-in scan. extract_features is that second sweep over
-one scenario, for a hand-built window.
+``sim.io.TraceReader``) or from memory (a ``Trace``), in one sweep. It
+fills the leader gaps and the speeds of every vehicle and step, the only
+whole-run state, and lists the lane crossings and the cut-ins; detection
+then takes the THW of one ego at a time. Each scenario reads the rows of
+its three instants once more, and nothing else. extract_features runs the
+same sweep over the window of one hand-built scenario.
 """
 
 from __future__ import annotations
@@ -61,8 +60,8 @@ ZONE_MIN_M = 20.0      # m
 ZONE_MAX_M = 120.0     # m
 DESIRED_THW_S = 1.8    # s, administrative rule-of-thumb gap for the DTW feature
 DTW_MAX_SAMPLES = 128  # gap curves are resampled to at most this length
-THW_BLOCK = 512        # steps per block of extraction's two sweeps over a trace
-SWEPT = ("x", "v", "lane")  # the arrays of a trace that the sweeps read
+THW_BLOCK = 512        # steps per block of extraction's sweep over a trace
+SWEPT = ("x", "v", "lane")  # the arrays of a trace that extraction reads
 
 ZONES = ("front", "rear", "left_front", "left_rear", "right_front", "right_rear")
 _INSTANTS = ("start", "changepoint", "end")
@@ -154,37 +153,54 @@ def _block_gaps(block: Trace, out: np.ndarray) -> None:
     np.maximum(dx, 0.0, out=out)
 
 
-def _gaps_and_thw(source, steps: slice) -> tuple:
-    """The first sweep: the leader gaps (``_block_gaps``) and the THW of
-    every vehicle at each of ``steps`` of ``source`` (a Trace or a
-    TraceReader), as two (steps, n_v) arrays filled a block of THW_BLOCK
-    steps at a time. Each step's values come from its own row alone, so
-    the blocks do not change a bit."""
+def _fronts(trace: Trace, t: int) -> np.ndarray:
+    """The column of ``_zones``' front vehicle of every ego (a row) at step
+    ``t``, or -1, gathered alone: the nearest other vehicle on the ego's
+    lane with dx >= 0 within the zone extent, the lowest id on equal
+    distance."""
+    x = trace.x[t]
+    dx = x - x[:, None]
+    near = (trace.lane[t] == trace.lane[t][:, None]) & (dx >= 0)
+    near &= dx <= zone_extent(trace.v[t])[:, None]
+    np.fill_diagonal(near, False)
+    dist = np.where(near, dx, np.inf)
+    j = dist.argmin(axis=1)
+    return np.where(dist[np.arange(len(x)), j] < np.inf, j, -1)
+
+
+def _sweep(source, steps: slice) -> tuple:
+    """One pass over ``steps`` of ``source`` (a Trace or a TraceReader),
+    THW_BLOCK steps at a time: the leader gaps (``_block_gaps``) and the
+    speeds of every vehicle at each step, as two (steps, n_v) arrays, and
+    two (events, 2) arrays of (step, column) rows, ordered by step: the
+    lane crossings, where a vehicle's lane differs from the step before,
+    and the cut-ins, where the ego's ``_fronts`` vehicle is one that
+    crossed at that step. Steps count from the trace's first. One lane row
+    is carried from block to block; the sweep's first step has none before
+    it, so it holds no event. Each step's values come from its own row (and
+    the row before) alone, so the blocks do not change a bit."""
     lo, hi, _ = steps.indices(source.n_ts)
-    gaps, thw = np.empty((2, hi - lo, source.n_vehicles))
+    gaps, v = np.empty((2, hi - lo, source.n_vehicles))
+    crossings, cut_ins, carry = [], [], None
     for a in range(lo, hi, THW_BLOCK):
         block = source.rows(a, min(a + THW_BLOCK, hi), SWEPT)
         at = slice(a - lo, a - lo + block.n_ts)
         _block_gaps(block, gaps[at])
-        thw[at] = compute_thw(gaps[at], block.v)
-    return gaps, thw
-
-
-def _leader_gaps(source, steps: slice) -> np.ndarray:
-    """_gaps_and_thw's gaps."""
-    return _gaps_and_thw(source, steps)[0]
-
-
-def _thw_all(trace: Trace) -> np.ndarray:
-    """The per-step THW of every vehicle to its current leader (inf without
-    one: the gap to no leader is inf), as the columns of one (n_ts, n_v)
-    array."""
-    return _gaps_and_thw(trace, slice(None))[1]
+        v[at] = block.v
+        crossed = block.lane != np.concatenate([block.lane[:1] if carry is None else carry, block.lane[:-1]])
+        carry = block.lane[-1:].copy()
+        for t in np.flatnonzero(crossed.any(axis=1)).tolist():
+            front = _fronts(block, t)
+            crossings += [(a + t, j) for j in np.flatnonzero(crossed[t]).tolist()]
+            cut_ins += [(a + t, ego) for ego in np.flatnonzero((front >= 0) & crossed[t, front]).tolist()]
+    return gaps, v, np.array(crossings, dtype=np.int64).reshape(-1, 2), np.array(cut_ins, dtype=np.int64).reshape(-1, 2)
 
 
 def thw_series(trace: Trace, ego_id: int) -> np.ndarray:
-    """_thw_all's column of one ego."""
-    return _thw_all(trace)[:, ego_id - 1]
+    """The per-step THW of one ego to its current leader (inf without one:
+    the gap to no leader is inf)."""
+    gaps, v, _, _ = _sweep(trace, slice(None))
+    return compute_thw(gaps[:, ego_id - 1], v[:, ego_id - 1])
 
 
 def find_trigger_windows(thw: np.ndarray, dt: float) -> list:
@@ -205,12 +221,13 @@ def find_trigger_windows(thw: np.ndarray, dt: float) -> list:
     return [(a, b) for a, b in merged if float(np.min(thw[a : b + 1])) <= THW_KEEP]
 
 
-def _detect(source, thw: np.ndarray) -> list:
+def _detect(source, gaps: np.ndarray, v: np.ndarray) -> list:
     """All kept scenarios of a trace (a Trace or a TraceReader), every
-    vehicle serving as ego, from the trace's ``_thw_all``."""
+    vehicle serving as ego, from the whole run's ``_sweep`` gaps and speeds;
+    the THW of one ego at a time."""
     out = []
     for ego_id in range(1, source.n_vehicles + 1):
-        series = thw[:, ego_id - 1]
+        series = compute_thw(gaps[:, ego_id - 1], v[:, ego_id - 1])
         for t0, t1 in find_trigger_windows(series, source.dt):
             window = series[t0 : t1 + 1]
             out.append(Scenario(ego_id, t0, t1, float(np.min(window)), t0 + int(np.argmin(window))))
@@ -304,139 +321,69 @@ def _resample(series: np.ndarray, n: int) -> np.ndarray:
 
 def _curves(gap: np.ndarray, v: np.ndarray) -> tuple:
     """The bumper gap to the leader (the zone extent without one) and the
-    desired gap, from the ego's ``_leader_gaps`` and speed at each step of
-    a scenario window."""
+    desired gap, from the ego's ``_sweep`` gaps and speeds at each step of a
+    scenario window."""
     return np.where(gap < np.inf, gap, zone_extent(v)), v * DESIRED_THW_S
 
 
-def _gap_curves(trace: Trace, sc: Scenario, gap: np.ndarray):
-    """_curves over the scenario window of an in-memory trace."""
-    return _curves(gap, trace.v[sc.t_start : sc.t_end + 1, sc.ego_id - 1])
+def _features(sc: Scenario, source, swept: tuple, lo: int) -> tuple:
+    """The 47 features of a scenario with dtw_gap_desired left at 0.0, and
+    the resampled (actual, desired) gap curves it is computed from.
+    ``swept`` is what ``_sweep`` returned over steps that start at ``lo``,
+    at or before the window's first step, and cover the window. The
+    gap curves come from the ego's gaps and speeds over the window; the
+    zones and the instant lanes and speed from the rows of the three
+    instants (start, changepoint, end) alone. The ego's lane changes are
+    its crossings after the window's first step, and a vehicle cut in iff
+    a cut-in of the ego falls there."""
+    ego = sc.ego_id - 1
+    gaps, v, crossings, cut_ins = swept
+    rows = [source.rows(t, t + 1, SWEPT) for t in (sc.t_start, sc.t_changepoint, sc.t_end)]
+    x, speeds, lane = (np.concatenate([getattr(r, name) for r in rows]) for name in SWEPT)
+    at = Trace(source.dt, source.road, x=x, y=None, v=speeds, a=None, psi=None, lane=lane, collisions=[])
+    ceiling = zone_extent(at.v[:, ego])
+    dists, relvs = [], []
+    for j, dist, relv in _zones(at, ego, slice(None)).values():
+        dists += np.where(j >= 0, dist, ceiling).tolist()
+        relvs += np.where(j >= 0, relv, 0.0).tolist()
+    window = slice(sc.t_start - lo, sc.t_end + 1 - lo)
+    actual, desired = _curves(gaps[window, ego], v[window, ego])
 
+    def count(events):
+        t, j = events.T
+        return np.count_nonzero((j == ego) & (sc.t_start < t) & (t <= sc.t_end))
 
-def _front(trace: Trace, ego: int, steps) -> np.ndarray:
-    """The column of ``_zones``' front vehicle at each of ``steps`` (a slice
-    or an array of steps), or -1, gathered alone: the nearest other vehicle
-    on the ego's lane with dx >= 0 within the zone extent, the lowest id on
-    equal distance."""
-    x = trace.x[steps]
-    dx = x - x[:, ego, None]
-    near = (trace.lane[steps] == trace.lane[steps, ego][:, None]) & (dx >= 0)
-    near &= dx <= zone_extent(trace.v[steps, ego])[:, None]
-    near[:, ego] = False
-    dist = np.where(near, dx, np.inf)
-    j = dist.argmin(axis=1)
-    return np.where(dist[np.arange(len(x)), j] < np.inf, j, -1)
-
-
-class _Window:
-    """What the second sweep gathers of one scenario from the blocks that
-    overlap it: the ego's speed and lane series, copied (a view would keep
-    its whole block alive); the rows of the three instants (start,
-    changepoint, end) as a 3-step Trace of the SWEPT arrays; and whether a
-    vehicle cut in: after the window's first step, the front-zone vehicle
-    was on another lane than the ego's one step earlier."""
-
-    def __init__(self, sc: Scenario, source):
-        n_v = source.n_vehicles
-        self.sc, self.v, self.lane, self.cut_in = sc, [], [], False
-        self.instants = Trace(source.dt, source.road, x=np.empty((3, n_v)), y=None, v=np.empty((3, n_v)), a=None,
-                              psi=None, lane=np.empty((3, n_v), dtype=np.int64), collisions=[])
-
-    def feed(self, block: Trace, a: int, before: np.ndarray) -> None:
-        """Take steps [a, a + block.n_ts) of the trace, where the window
-        overlaps them; row t of ``before`` holds the lanes of step a + t - 1."""
-        sc, ego = self.sc, self.sc.ego_id - 1
-        lo, hi = max(sc.t_start - a, 0), min(sc.t_end + 1 - a, block.n_ts)
-        self.v.append(block.v[lo:hi, ego].copy())
-        self.lane.append(block.lane[lo:hi, ego].copy())
-        for k, t in enumerate((sc.t_start, sc.t_changepoint, sc.t_end)):
-            if lo <= t - a < hi:
-                for name in SWEPT:
-                    getattr(self.instants, name)[k] = getattr(block, name)[t - a]
-        first = max(lo, sc.t_start + 1 - a)
-        if not self.cut_in and first < hi:
-            front = _front(block, ego, slice(first, hi))
-            t = first + np.flatnonzero(front >= 0)
-            self.cut_in = bool(np.any(before[t, front[front >= 0]] != block.lane[t, ego]))
-
-    def features(self, gap: np.ndarray, source) -> tuple:
-        """The 47 features of the scenario with dtw_gap_desired left at 0.0,
-        and the resampled (actual, desired) gap curves it is computed from;
-        ``gap`` is the ego's ``_leader_gaps`` over the window, and ``source``
-        the trace. Drops what the window gathered."""
-        sc, ego, at = self.sc, self.sc.ego_id - 1, self.instants
-        ceiling = zone_extent(at.v[:, ego])
-        dists, relvs = [], []
-        for j, dist, relv in _zones(at, ego, slice(None)).values():
-            dists += np.where(j >= 0, dist, ceiling).tolist()
-            relvs += np.where(j >= 0, relv, 0.0).tolist()
-        actual, desired = _curves(gap, np.concatenate(self.v))
-        ego_lanes = np.concatenate(self.lane)
-        self.v = self.lane = self.instants = None
-        collision = float(
-            any(sc.t_start <= t <= sc.t_end and sc.ego_id in pair for t, pair in source.collisions)
-        )
-        features = (
-            dists
-            + relvs
-            + [
-                sc.thw_min,
-                (sc.t_end - sc.t_start) * source.dt,
-                0.0,
-                ego_lanes[0],
-                at.lane[1, ego],
-                ego_lanes[-1],
-                source.road.n_l,
-                np.count_nonzero(np.diff(ego_lanes)),
-                float(self.cut_in),
-                collision,
-                at.v[1, ego],
-            ]
-        )
-        return np.array(features, dtype=np.float64), (_resample(actual, DTW_MAX_SAMPLES), _resample(desired, DTW_MAX_SAMPLES))
-
-
-def _serve(source, windows):
-    """The second sweep: read the steps that ``windows`` cover from
-    ``source`` (a Trace or a TraceReader), THW_BLOCK steps at a time, and
-    feed each block to every window that overlaps it; yield each window
-    after its last step. Steps that no window covers are not read. A
-    window reads the step before a block's first only from its own second
-    step on, so it was fed the block before, whose last lane row is carried."""
-    pending = sorted(windows, key=lambda w: w.sc.t_start, reverse=True)
-    open_, a, carry = [], 0, None
-    while pending or open_:
-        if not open_:
-            a = max(a, pending[-1].sc.t_start)
-        block = source.rows(a, min(a + THW_BLOCK, source.n_ts), SWEPT)
-        b = a + block.n_ts
-        while pending and pending[-1].sc.t_start < b:
-            open_.append(pending.pop())
-        before = np.concatenate([block.lane[:1] if carry is None else carry, block.lane[:-1]])
-        carry = block.lane[-1:].copy()
-        for w in open_:
-            w.feed(block, a, before)
-        yield from (w for w in open_ if w.sc.t_end < b)
-        open_ = [w for w in open_ if w.sc.t_end >= b]
-        a = b
-
-
-def _cut_in(trace: Trace, sc: Scenario) -> bool:
-    """The second sweep's cut-in flag of one scenario."""
-    (window,) = _serve(trace, [_Window(sc, trace)])
-    return window.cut_in
+    collision = float(
+        any(sc.t_start <= t <= sc.t_end and sc.ego_id in pair for t, pair in source.collisions)
+    )
+    features = (
+        dists
+        + relvs
+        + [
+            sc.thw_min,
+            (sc.t_end - sc.t_start) * source.dt,
+            0.0,
+            at.lane[0, ego],
+            at.lane[1, ego],
+            at.lane[2, ego],
+            source.road.n_l,
+            count(crossings),
+            float(count(cut_ins) > 0),
+            collision,
+            at.v[1, ego],
+        ]
+    )
+    return np.array(features, dtype=np.float64), (_resample(actual, DTW_MAX_SAMPLES), _resample(desired, DTW_MAX_SAMPLES))
 
 
 def extract_features(sc: Scenario, trace: Trace) -> np.ndarray:
     """The canonical 47-feature vector of one scenario (see FEATURE_NAMES):
-    the second sweep over that scenario alone.
+    a ``_sweep`` over the scenario's window and its ``_features``.
 
     Absent zone neighbors encode as the zone-extent ceiling at that instant
     with zero relative speed; all outputs are finite.
     """
-    (window,) = _serve(trace, [_Window(sc, trace)])
-    row, curves = window.features(_leader_gaps(trace, slice(sc.t_start, sc.t_end + 1))[:, sc.ego_id - 1], trace)
+    row, curves = _features(sc, trace, _sweep(trace, slice(sc.t_start, sc.t_end + 1)), sc.t_start)
     row[DTW_COLUMN] = dtw_distances([curves])[0]
     return row
 
@@ -445,29 +392,23 @@ def scenarios_to_dataset(traces_with_names) -> tuple:
     """Extract all scenarios of several (name, trace) pairs into a Dataset,
     each trace a Trace or a TraceReader: each row as extract_features gives
     it, with the DTW feature of every scenario from one dtw_distances sweep.
-    A trace's gaps and THW come from the first sweep, its windows' features
-    from the second.
+    Each trace is swept once, and each scenario then reads the rows of its
+    three instants.
 
     Ids are '<trace name>_s<k>'; the metadata list mirrors the rows with
     {id, trace, ego_id, t_start, t_end, thw_min}.
     """
     ids, rows, curves, meta = [], [], [], []
     for name, source in traces_with_names:
-        gaps, thw = _gaps_and_thw(source, slice(None))
-        found = _detect(source, thw)
-        del thw
-        windows = [_Window(sc, source) for sc in found]
-        # each window's features as soon as its last step is read
-        made = {w: w.features(gaps[w.sc.t_start : w.sc.t_end + 1, w.sc.ego_id - 1], source)
-                for w in _serve(source, windows)}
-        del gaps  # before the next trace is read
-        for k, w in enumerate(windows):
-            sc, sid = w.sc, f"{name}_s{k}"
+        swept = _sweep(source, slice(None))
+        for k, sc in enumerate(_detect(source, *swept[:2])):
+            sid = f"{name}_s{k}"
             ids.append(sid)
-            row, pair = made[w]
+            row, pair = _features(sc, source, swept, 0)
             rows.append(row)
             curves.append(pair)
             meta.append(dict(id=sid, trace=name, ego_id=sc.ego_id, t_start=sc.t_start, t_end=sc.t_end, thw_min=sc.thw_min))
+        del swept  # before the next trace is read
     values = np.array(rows, dtype=np.float64).reshape(len(rows), len(FEATURE_NAMES))
     values[:, DTW_COLUMN] = dtw_distances(curves)
     return Dataset(feature_names=list(FEATURE_NAMES), ids=ids, values=values), meta

@@ -124,7 +124,8 @@ class Trace:
     counted from row 0. A simulated trace's arrays are contiguous blocks of
     its batch's buffers, one buffer per channel. ``rows(a, b)`` gives steps
     [a, b) as a Trace, as ``sim.io.TraceReader.rows`` does from a trace's
-    files, so extraction reads both a block of steps at a time."""
+    files, so extraction reads both alike: in one sweep of blocks of steps,
+    then the rows of each scenario's three instants."""
 
     dt: float
     road: RoadConfig

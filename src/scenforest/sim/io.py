@@ -16,8 +16,9 @@ trace as a single block, so both give the same bytes.
 
 One reader reads them back: a TraceReader checks the sidecar and every
 value of the raw file a block of steps at a time, then reads any steps
-[a, b) from their offsets. The extract stage reads each trace through one
-a block at a time; load_trace reads every step through one.
+[a, b) from their offsets. The extract stage reads each trace through one,
+in one sweep a block of steps at a time and then the rows of each
+scenario's three instants; load_trace reads every step through one.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
-"""The whole-trace extraction that production replaces with two block sweeps,
-kept as it was but for the names: each trace is held whole, its leader gaps
-are computed for every step at once, and every window's features are read
-from the whole arrays. Production's rows and metadata must equal this
-one's byte for byte.
+"""The whole-trace extraction that production replaces with one block sweep
+per trace, kept as it was but for the names: each trace is held whole, its
+leader gaps are computed for every step at once, every window's features
+are read from the whole arrays, and each window scans its own steps for a
+cut-in with the per-ego front gather that production turned on its side.
+Production's rows and metadata must equal this one's byte for byte.
 """
 
 import numpy as np
@@ -14,10 +15,8 @@ from scenforest.scenarios import (
     DTW_MAX_SAMPLES,
     FEATURE_NAMES,
     _detect,
-    _front,
     _resample,
     _zones,
-    compute_thw,
     dtw_distances,
     zone_extent,
 )
@@ -45,11 +44,26 @@ def gap_curves(trace, sc, gap):
     return np.where(gap < np.inf, gap, zone_extent(v)), v * DESIRED_THW_S
 
 
+def front(trace, ego: int, steps) -> np.ndarray:
+    """The column of ``_zones``' front vehicle at each of ``steps`` (a slice
+    or an array of steps), or -1, gathered alone: the nearest other vehicle
+    on the ego's lane with dx >= 0 within the zone extent, the lowest id on
+    equal distance."""
+    x = trace.x[steps]
+    dx = x - x[:, ego, None]
+    near = (trace.lane[steps] == trace.lane[steps, ego][:, None]) & (dx >= 0)
+    near &= dx <= zone_extent(trace.v[steps, ego])[:, None]
+    near[:, ego] = False
+    dist = np.where(near, dx, np.inf)
+    j = dist.argmin(axis=1)
+    return np.where(dist[np.arange(len(x)), j] < np.inf, j, -1)
+
+
 def cut_in(trace, sc) -> bool:
     ego = sc.ego_id - 1
-    front = _front(trace, ego, slice(sc.t_start + 1, sc.t_end + 1))
-    t = sc.t_start + 1 + np.flatnonzero(front >= 0)
-    return bool(np.any(trace.lane[t - 1, front[front >= 0]] != trace.lane[t, ego]))
+    ahead = front(trace, ego, slice(sc.t_start + 1, sc.t_end + 1))
+    t = sc.t_start + 1 + np.flatnonzero(ahead >= 0)
+    return bool(np.any(trace.lane[t - 1, ahead[ahead >= 0]] != trace.lane[t, ego]))
 
 
 def features(sc, trace, gap) -> tuple:
@@ -90,7 +104,7 @@ def scenarios_to_dataset(traces_with_names) -> tuple:
     ids, rows, curves, meta = [], [], [], []
     for name, trace in traces_with_names:
         gaps = leader_gaps(trace)
-        for k, sc in enumerate(_detect(trace, compute_thw(gaps, trace.v))):
+        for k, sc in enumerate(_detect(trace, gaps, trace.v)):
             sid = f"{name}_s{k}"
             ids.append(sid)
             row, pair = features(sc, trace, gaps[sc.t_start : sc.t_end + 1, sc.ego_id - 1])

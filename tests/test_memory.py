@@ -10,9 +10,9 @@ in all.
 
 The ``simulate`` stage holds a ring of recent steps and streams each run's
 trace to its files, so its peak does not grow with the duration. The
-``extract`` stage reads each trace a block of steps at a time and keeps of
-the whole run only the leader gaps and the THW, 16 bytes per vehicle and
-step against the raw file's 41."""
+``extract`` stage reads each trace in one sweep, a block of steps at a
+time, and keeps of the whole run only the leader gaps and the speeds, 16
+bytes per vehicle and step against the raw file's 41."""
 
 import contextlib
 import io

@@ -24,12 +24,11 @@ from scenforest.scenarios import (
     ZONE_MIN_M,
     ZONES,
     Scenario,
-    _cut_in,
+    _curves,
     _detect,
-    _front,
-    _gap_curves,
-    _leader_gaps,
-    _thw_all,
+    _features,
+    _fronts,
+    _sweep,
     _zones,
     compute_thw,
     dtw_distance,
@@ -45,6 +44,18 @@ from scenforest.sim import io as trace_io
 
 
 # ------------------------------------------------------------------ THW
+
+def thw_all(trace):
+    """The THW of every vehicle at every step, from one ``_sweep``."""
+    gaps, v, _, _ = _sweep(trace, slice(None))
+    return compute_thw(gaps, v)
+
+
+def detect(trace):
+    """_detect over the whole run's ``_sweep``."""
+    gaps, v, _, _ = _sweep(trace, slice(None))
+    return _detect(trace, gaps, v)
+
 
 def test_compute_thw_values():
     assert compute_thw(20.0, 20.0) == 1.0
@@ -120,12 +131,12 @@ def test_thw_series_and_detection_on_trace(trace_builder):
     gaps = np.full(80, 30.0)
     gaps[20:50] = 14.0  # THW 0.7 s
     trace = follower_trace(trace_builder, gaps, v=v)
-    thw = _thw_all(trace)
+    thw = thw_all(trace)
     series = thw[:, 0]
     np.testing.assert_allclose(series[:20], 1.5)
     np.testing.assert_allclose(series[20:50], 0.7)
     np.testing.assert_array_equal(thw_series(trace, 1), series)
-    scenarios = _detect(trace, thw)
+    scenarios = detect(trace)
     assert len(scenarios) == 1
     sc = scenarios[0]
     assert sc.ego_id == 1
@@ -140,7 +151,7 @@ def test_detection_merges_same_ego_windows(trace_builder):
     gaps = np.full(100, 14.0)
     gaps[40:45] = 40.0  # 0.5 s above trigger at dt=0.1
     trace = follower_trace(trace_builder, gaps)
-    scenarios = _detect(trace, _thw_all(trace))
+    scenarios = detect(trace)
     assert len(scenarios) == 1
     assert (scenarios[0].t_start, scenarios[0].t_end) == (0, 99)
 
@@ -363,7 +374,7 @@ def test_features_thw_min_duration_and_purity(trace_builder):
     gaps = np.full(60, 30.0)
     gaps[10:40] = 12.0
     trace = follower_trace(trace_builder, gaps, v=20.0)
-    sc = _detect(trace, _thw_all(trace))[0]
+    sc = detect(trace)[0]
     f1 = extract_features(sc, trace)
     f2 = extract_features(sc, trace)
     np.testing.assert_array_equal(f1, f2)  # pure function
@@ -519,26 +530,40 @@ def tie_heavy_trace(draw):
     return build_trace(grid(TIE_X), grid(TIE_V), grid(list(range(1, n_l + 1))), road=RoadConfig(n_l=n_l, n_vpl=8))
 
 
+def gap_curves(trace, sc):
+    """_curves over a scenario window, from a ``_sweep`` over it."""
+    gaps, v, _, _ = _sweep(trace, slice(sc.t_start, sc.t_end + 1))
+    return _curves(gaps[:, sc.ego_id - 1], v[:, sc.ego_id - 1])
+
+
+def cut_in(trace, sc) -> bool:
+    """extract_features' cut-in flag."""
+    return bool(extract_features(sc, trace)[FEATURE_NAMES.index("cut_in")])
+
+
+def window_draw(trace, data) -> Scenario:
+    """A drawn window of a drawn ego of ``trace``."""
+    t_start = data.draw(st.integers(0, trace.n_ts - 1))
+    t_end = data.draw(st.integers(t_start, trace.n_ts - 1))
+    return Scenario(data.draw(st.integers(1, trace.n_vehicles)), t_start, t_end, 0.0, t_start)
+
+
 @settings(max_examples=300, deadline=None)
 @given(tie_heavy_trace(), st.data())
 def test_array_extraction_equals_vehicle_loops(trace, data):
-    thw = _thw_all(trace)
+    thw = thw_all(trace)
     for ego_id in range(1, trace.n_vehicles + 1):
         np.testing.assert_array_equal(thw[:, ego_id - 1], loop_thw_series(trace, ego_id))
         for t in range(trace.n_ts):
             zones = _zones(trace, ego_id - 1, [t])
-            assert _front(trace, ego_id - 1, np.array([t])).tolist() == zones["front"][0].tolist()
+            assert _fronts(trace, t)[ego_id - 1] == zones["front"][0][0]
             for z, slot in loop_assign_zones(trace, ego_id, t).items():
                 j, d, relv = (a[0] for a in zones[z])
                 assert slot == (None if j < 0 else (j + 1, d, relv))
-    t_start = data.draw(st.integers(0, trace.n_ts - 1))
-    t_end = data.draw(st.integers(t_start, trace.n_ts - 1))
-    ego_id = data.draw(st.integers(1, trace.n_vehicles))
-    sc = Scenario(ego_id, t_start, t_end, 0.0, t_start)
-    gap = _leader_gaps(trace, slice(t_start, t_end + 1))[:, ego_id - 1]
-    for got, want in zip(_gap_curves(trace, sc, gap), loop_gap_curves(trace, sc)):
+    sc = window_draw(trace, data)
+    for got, want in zip(gap_curves(trace, sc), loop_gap_curves(trace, sc)):
         assert got.tolist() == want.tolist()
-    assert _cut_in(trace, sc) == loop_cut_in(trace, sc)
+    assert cut_in(trace, sc) == loop_cut_in(trace, sc)
 
 
 _SIDES = {"ahead": np.greater, "front": np.greater_equal, "rear": np.less}
@@ -586,7 +611,7 @@ def test_thw_in_blocks_equals_vehicle_loop(trace):
     # blocks of two steps, so that block edges fall inside the trace
     block, scenarios.THW_BLOCK = scenarios.THW_BLOCK, 2
     try:
-        got = _thw_all(trace)
+        got = thw_all(trace)
     finally:
         scenarios.THW_BLOCK = block
     for ego_id in range(1, trace.n_vehicles + 1):
@@ -597,21 +622,112 @@ def test_thw_in_blocks_equals_vehicle_loop(trace):
 @given(tie_heavy_trace(), st.data())
 def test_window_scans_in_blocks_equal_vehicle_loops(trace, data):
     # blocks of two steps, so that block edges fall inside the window
-    t_start = data.draw(st.integers(0, trace.n_ts - 1))
-    t_end = data.draw(st.integers(t_start, trace.n_ts - 1))
-    sc = Scenario(data.draw(st.integers(1, trace.n_vehicles)), t_start, t_end, 0.0, t_start)
+    sc = window_draw(trace, data)
+    window = np.s_[sc.t_start : sc.t_end + 1, sc.ego_id - 1]
     block, scenarios.THW_BLOCK = scenarios.THW_BLOCK, 2
     try:
-        window = _leader_gaps(trace, slice(t_start, t_end + 1))[:, sc.ego_id - 1]
-        # extraction computes each trace's gaps once and slices every window from them
-        whole = _leader_gaps(trace, slice(None))[t_start : t_end + 1, sc.ego_id - 1]
-        cut_in = _cut_in(trace, sc)
+        gaps = _sweep(trace, slice(sc.t_start, sc.t_end + 1))[0][:, sc.ego_id - 1]
+        # extraction sweeps each trace once and slices every window from it
+        whole = _sweep(trace, slice(None))[0][window]
+        curves = gap_curves(trace, sc)
+        flag = cut_in(trace, sc)
     finally:
         scenarios.THW_BLOCK = block
-    assert whole.tolist() == window.tolist()
-    for got, want in zip(_gap_curves(trace, sc, window), loop_gap_curves(trace, sc)):
+    assert whole.tolist() == gaps.tolist()
+    for got, want in zip(curves, loop_gap_curves(trace, sc)):
         assert got.tolist() == want.tolist()
-    assert cut_in == loop_cut_in(trace, sc)
+    assert flag == loop_cut_in(trace, sc)
+
+
+# ------------------------------------------ the sweep's lane-crossing events
+
+def loop_events(trace, lo, hi) -> tuple:
+    """The lane crossings and cut-ins at steps (lo, hi) of a trace, as a
+    sweep over steps [lo, hi) lists them, one vehicle and one ego at a time."""
+    crossings, cut_ins = [], []
+    for t in range(lo + 1, hi):
+        crossings += [(t, j) for j in range(trace.n_vehicles) if trace.lane[t, j] != trace.lane[t - 1, j]]
+        for ego in range(trace.n_vehicles):
+            front = loop_assign_zones(trace, ego + 1, t)["front"]
+            if front is not None and trace.lane[t - 1, front[0] - 1] != trace.lane[t, ego]:
+                cut_ins.append((t, ego))
+    return crossings, cut_ins
+
+
+def events(array) -> list:
+    """A sweep's (events, 2) array as a list of (step, column) pairs."""
+    return [tuple(e) for e in array.tolist()]
+
+
+def window_events(trace, sc) -> tuple:
+    """(ego_lane_changes, cut_in) of a window, as extract_features gives
+    them and as ``_features`` gives them from a sweep over the whole run
+    (which lists the events before and at the window's first step too)."""
+    rows = extract_features(sc, trace), _features(sc, trace, _sweep(trace, slice(None)), 0)[0]
+    got = {tuple(row[FEATURE_NAMES.index(name)] for name in ("ego_lane_changes", "cut_in")) for row in rows}
+    assert len(got) == 1, got
+    return got.pop()
+
+
+def loop_window_events(trace, sc) -> tuple:
+    lanes = trace.lane[sc.t_start : sc.t_end + 1, sc.ego_id - 1]
+    return float(np.count_nonzero(np.diff(lanes))), float(loop_cut_in(trace, sc))
+
+
+@pytest.mark.parametrize("steps", [2, 7])
+@settings(max_examples=100, deadline=None)
+@given(trace=tie_heavy_trace(), data=st.data())
+def test_sweep_events_equal_vehicle_loops(steps, trace, data):
+    sc = window_draw(trace, data)
+    lo = data.draw(st.integers(0, trace.n_ts - 1))
+    hi = data.draw(st.integers(lo + 1, trace.n_ts))
+    block, scenarios.THW_BLOCK = scenarios.THW_BLOCK, steps
+    try:
+        _, _, crossings, cut_ins = _sweep(trace, slice(lo, hi))
+        got = window_events(trace, sc)
+    finally:
+        scenarios.THW_BLOCK = block
+    assert (events(crossings), events(cut_ins)) == loop_events(trace, lo, hi)
+    assert got == loop_window_events(trace, sc)
+
+
+def column_trace(build, before, after, at: int):
+    """The ego (vehicle 1) and two vehicles 12 m and 30 m ahead of it, all at
+    20 m/s (a 40 m zone extent), on the lanes ``before`` up to step ``at``
+    and ``after`` from it on, for 3 * ``at`` steps."""
+    n = 3 * at
+    x = np.arange(n)[:, None] * 2.0 + np.array([0.0, 12.0, 30.0])
+    return build(x, np.full((n, 3), 20.0), np.array([before] * at + [after] * (n - at)))
+
+
+# (lanes before, lanes after, the window's first step: 0 or the crossing's
+# step, and the window's (ego_lane_changes, cut_in))
+EDGE_CASES = {
+    "front crosses at a block's first step": ([1, 2, 3], [1, 1, 3], 0, (0.0, 1.0)),
+    "crossings at the window's first step": ([2, 2, 1], [1, 1, 2], "at", (0.0, 0.0)),
+    "two vehicles cross at one step": ([1, 2, 1], [1, 1, 2], 0, (0.0, 1.0)),
+    "two cross, neither ahead of the ego": ([1, 1, 3], [1, 2, 2], 0, (0.0, 0.0)),
+    "ego crosses with its cut-in": ([2, 2, 3], [1, 1, 3], 0, (1.0, 1.0)),
+    "ego crosses behind one that stays": ([2, 1, 3], [1, 1, 3], 0, (1.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("steps", [2, 7])
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_sweep_events_at_block_and_window_edges(trace_builder, monkeypatch, steps, case):
+    # the lanes change at step ``steps``, the first step of the sweep's
+    # second block when it starts at step 0, where only the carried lane
+    # row tells that a vehicle crossed
+    before, after, t_start, want = EDGE_CASES[case]
+    monkeypatch.setattr(scenarios, "THW_BLOCK", steps)
+    trace = column_trace(trace_builder, before, after, steps)
+    sc = Scenario(1, steps if t_start == "at" else t_start, trace.n_ts - 1, 0.0, trace.n_ts - 1)
+    assert window_events(trace, sc) == loop_window_events(trace, sc) == want
+    _, _, crossings, cut_ins = _sweep(trace, slice(None))
+    assert events(crossings) == [(steps, j) for j in range(3) if before[j] != after[j]]
+    assert (events(crossings), events(cut_ins)) == loop_events(trace, 0, trace.n_ts)
+    _, _, crossings, cut_ins = _sweep(trace, slice(steps, None))
+    assert crossings.size == cut_ins.size == 0  # no row before the sweep's first step
 
 
 # ------------------------------- block sweeps against the whole-trace oracle
@@ -634,8 +750,8 @@ def assert_same_extraction(got, want):
 
 
 def extract_both_ways(paths) -> list:
-    """The block sweeps over each file (as the CLI reads it) and over each
-    trace in memory give the oracle's bytes; returns the oracle's metadata."""
+    """The block sweep over each file (as the CLI reads it) and over each
+    trace in memory gives the oracle's bytes; returns the oracle's metadata."""
     want = extract_oracle.scenarios_to_dataset((p.stem, load_trace(p)) for p in paths)
     assert_same_extraction(scenarios_to_dataset((p.stem, TraceReader(p)) for p in paths), want)
     assert_same_extraction(scenarios_to_dataset((p.stem, load_trace(p)) for p in paths), want)
@@ -657,10 +773,10 @@ def test_block_sweeps_equal_whole_trace_oracle(tmp_path, blocks, steps):
     paths = saved_runs(tmp_path, range(4), 40.0)
     n_ts = TraceReader(paths[0]).n_ts
     meta = extract_both_ways(paths)
-    # the windows at the edges of the sweeps all occur: one from step 0, one
-    # to the last step, one across a block of the first sweep (its blocks
-    # start at multiples of ``steps``), and one longer than a block, which
-    # crosses a block of the second sweep wherever its blocks start
+    # the windows at the edges of the sweep all occur: one from step 0, one
+    # to the last step, one across a block edge of the sweep (its blocks
+    # start at multiples of ``steps``), and one longer than a block, whose
+    # gaps, speeds and lane crossings come from more than one block
     assert any(m["t_start"] == 0 for m in meta)
     assert any(m["t_end"] == n_ts - 1 for m in meta)
     assert any(m["t_start"] // steps < m["t_end"] // steps for m in meta)
