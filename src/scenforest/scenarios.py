@@ -17,9 +17,10 @@ A trace is read a block of THW_BLOCK steps at a time, from its files (a
 ``sim.io.TraceReader``) or from memory (a ``Trace``), in one sweep. It
 fills the leader gaps and the speeds of every vehicle and step, the only
 whole-run state, and lists the lane crossings and the cut-ins; detection
-then takes the THW of one ego at a time. Each scenario reads the rows of
-its three instants once more, and nothing else. extract_features runs the
-same sweep over the window of one hand-built scenario.
+then takes the THW of one ego at a time. The rows of every scenario's
+three instants are then read once more, in one call per trace, and nothing
+else. extract_features runs the same sweep over the window of one
+hand-built scenario.
 """
 
 from __future__ import annotations
@@ -172,8 +173,8 @@ def _sweep(source, steps: slice) -> tuple:
     """One pass over ``steps`` of ``source`` (a Trace or a TraceReader),
     THW_BLOCK steps at a time: the leader gaps (``_block_gaps``) and the
     speeds of every vehicle at each step, as two (steps, n_v) arrays, and
-    two (events, 2) arrays of (step, column) rows, ordered by step: the
-    lane crossings, where a vehicle's lane differs from the step before,
+    two (2, events) arrays, a row of steps in order and a row of columns:
+    the lane crossings, where a vehicle's lane differs from the step before,
     and the cut-ins, where the ego's ``_fronts`` vehicle is one that
     crossed at that step. Steps count from the trace's first. One lane row
     is carried from block to block; the sweep's first step has none before
@@ -193,7 +194,7 @@ def _sweep(source, steps: slice) -> tuple:
             front = _fronts(block, t)
             crossings += [(a + t, j) for j in np.flatnonzero(crossed[t]).tolist()]
             cut_ins += [(a + t, ego) for ego in np.flatnonzero((front >= 0) & crossed[t, front]).tolist()]
-    return gaps, v, np.array(crossings, dtype=np.int64).reshape(-1, 2), np.array(cut_ins, dtype=np.int64).reshape(-1, 2)
+    return gaps, v, *(np.array(pairs, dtype=np.int64).reshape(-1, 2).T.copy() for pairs in (crossings, cut_ins))
 
 
 def thw_series(trace: Trace, ego_id: int) -> np.ndarray:
@@ -326,21 +327,18 @@ def _curves(gap: np.ndarray, v: np.ndarray) -> tuple:
     return np.where(gap < np.inf, gap, zone_extent(v)), v * DESIRED_THW_S
 
 
-def _features(sc: Scenario, source, swept: tuple, lo: int) -> tuple:
+def _features(sc: Scenario, source, at: Trace, swept: tuple, lo: int) -> tuple:
     """The 47 features of a scenario with dtw_gap_desired left at 0.0, and
-    the resampled (actual, desired) gap curves it is computed from.
+    the resampled (actual, desired) gap curves it is computed from. ``at``
+    holds the rows of its three instants (start, changepoint, end), and
     ``swept`` is what ``_sweep`` returned over steps that start at ``lo``,
-    at or before the window's first step, and cover the window. The
-    gap curves come from the ego's gaps and speeds over the window; the
-    zones and the instant lanes and speed from the rows of the three
-    instants (start, changepoint, end) alone. The ego's lane changes are
-    its crossings after the window's first step, and a vehicle cut in iff
-    a cut-in of the ego falls there."""
+    at or before the window's first step, and cover the window. The gap
+    curves come from the ego's gaps and speeds over the window; the zones
+    and the instant lanes and speed from the three rows alone. The ego's
+    lane changes are its crossings after the window's first step, and a
+    vehicle cut in iff a cut-in of the ego falls there."""
     ego = sc.ego_id - 1
     gaps, v, crossings, cut_ins = swept
-    rows = [source.rows(t, t + 1, SWEPT) for t in (sc.t_start, sc.t_changepoint, sc.t_end)]
-    x, speeds, lane = (np.concatenate([getattr(r, name) for r in rows]) for name in SWEPT)
-    at = Trace(source.dt, source.road, x=x, y=None, v=speeds, a=None, psi=None, lane=lane, collisions=[])
     ceiling = zone_extent(at.v[:, ego])
     dists, relvs = [], []
     for j, dist, relv in _zones(at, ego, slice(None)).values():
@@ -350,8 +348,8 @@ def _features(sc: Scenario, source, swept: tuple, lo: int) -> tuple:
     actual, desired = _curves(gaps[window, ego], v[window, ego])
 
     def count(events):
-        t, j = events.T
-        return np.count_nonzero((j == ego) & (sc.t_start < t) & (t <= sc.t_end))
+        a, b = np.searchsorted(events[0], (sc.t_start, sc.t_end), side="right")
+        return np.count_nonzero(events[1, a:b] == ego)
 
     collision = float(
         any(sc.t_start <= t <= sc.t_end and sc.ego_id in pair for t, pair in source.collisions)
@@ -383,7 +381,8 @@ def extract_features(sc: Scenario, trace: Trace) -> np.ndarray:
     Absent zone neighbors encode as the zone-extent ceiling at that instant
     with zero relative speed; all outputs are finite.
     """
-    row, curves = _features(sc, trace, _sweep(trace, slice(sc.t_start, sc.t_end + 1)), sc.t_start)
+    swept = _sweep(trace, slice(sc.t_start, sc.t_end + 1))
+    row, curves = _features(sc, trace, trace.at([sc.t_start, sc.t_changepoint, sc.t_end], SWEPT), swept, sc.t_start)
     row[DTW_COLUMN] = dtw_distances([curves])[0]
     return row
 
@@ -392,8 +391,8 @@ def scenarios_to_dataset(traces_with_names) -> tuple:
     """Extract all scenarios of several (name, trace) pairs into a Dataset,
     each trace a Trace or a TraceReader: each row as extract_features gives
     it, with the DTW feature of every scenario from one dtw_distances sweep.
-    Each trace is swept once, and each scenario then reads the rows of its
-    three instants.
+    Each trace is swept once, and the rows of its scenarios' instants are
+    then read in one call.
 
     Ids are '<trace name>_s<k>'; the metadata list mirrors the rows with
     {id, trace, ego_id, t_start, t_end, thw_min}.
@@ -401,14 +400,16 @@ def scenarios_to_dataset(traces_with_names) -> tuple:
     ids, rows, curves, meta = [], [], [], []
     for name, source in traces_with_names:
         swept = _sweep(source, slice(None))
-        for k, sc in enumerate(_detect(source, *swept[:2])):
+        found = _detect(source, *swept[:2])
+        at = source.at([t for sc in found for t in (sc.t_start, sc.t_changepoint, sc.t_end)], SWEPT)
+        for k, sc in enumerate(found):
             sid = f"{name}_s{k}"
             ids.append(sid)
-            row, pair = _features(sc, source, swept, 0)
+            row, pair = _features(sc, source, at.rows(3 * k, 3 * k + 3, SWEPT), swept, 0)
             rows.append(row)
             curves.append(pair)
             meta.append(dict(id=sid, trace=name, ego_id=sc.ego_id, t_start=sc.t_start, t_end=sc.t_end, thw_min=sc.thw_min))
-        del swept  # before the next trace is read
+        del swept, at  # before the next trace is read
     values = np.array(rows, dtype=np.float64).reshape(len(rows), len(FEATURE_NAMES))
     values[:, DTW_COLUMN] = dtw_distances(curves)
     return Dataset(feature_names=list(FEATURE_NAMES), ids=ids, values=values), meta

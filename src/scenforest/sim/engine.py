@@ -125,7 +125,8 @@ class Trace:
     its batch's buffers, one buffer per channel. ``rows(a, b)`` gives steps
     [a, b) as a Trace, as ``sim.io.TraceReader.rows`` does from a trace's
     files, so extraction reads both alike: in one sweep of blocks of steps,
-    then the rows of each scenario's three instants."""
+    then the rows of every scenario's three instants (``at(steps)``, as
+    ``TraceReader.at`` does)."""
 
     dt: float
     road: RoadConfig
@@ -152,6 +153,11 @@ class Trace:
         counted from a."""
         arrays = [getattr(self, name)[a:b] if name in names else None for name in ARRAYS]
         return Trace(self.dt, self.road, *arrays, *events_between(self, a, b, names))
+
+    def at(self, steps: list, names=ARRAYS) -> Trace:
+        """The rows of ``steps`` (a list of steps, in any order) of the
+        arrays in ``names`` (the others None), as copies, and no events."""
+        return Trace(self.dt, self.road, *[getattr(self, name)[steps] if name in names else None for name in ARRAYS], None, None)
 
 
 def events_between(trace, a: int, b: int, names) -> list:

@@ -17,8 +17,9 @@ trace as a single block, so both give the same bytes.
 One reader reads them back: a TraceReader checks the sidecar and every
 value of the raw file a block of steps at a time, then reads any steps
 [a, b) from their offsets. The extract stage reads each trace through one,
-in one sweep a block of steps at a time and then the rows of each
-scenario's three instants; load_trace reads every step through one.
+in one sweep a block of steps at a time and then, through one open of the
+raw file, the rows of every scenario's three instants (``at``); load_trace
+reads every step through one.
 """
 
 from __future__ import annotations
@@ -171,10 +172,14 @@ class TraceReader:
         self._check()
 
     def _read(self, fh, c: int, a: int, b: int) -> np.ndarray:
-        """Steps [a, b) of the array c of ARRAYS, as stored."""
+        """Steps [a, b) of the array c of ARRAYS, as a Trace holds them (the
+        lanes as int64)."""
         dtype = FLOAT if c < len(CHANNELS) else LANE
+        out = np.empty((b - a, self.n_vehicles), dtype)
         fh.seek(c * self.n_ts * self.n_vehicles * FLOAT.itemsize + a * self.n_vehicles * dtype.itemsize)
-        return np.fromfile(fh, dtype, count=(b - a) * self.n_vehicles).reshape(b - a, self.n_vehicles)
+        if fh.readinto(out) != out.nbytes:
+            raise ParseError(f"{self.path}: ends before step {b} of {ARRAYS[c]}")
+        return out if dtype is FLOAT else out.astype(np.int64)
 
     def _check(self) -> None:
         """Every value of the raw file, in the order the class docstring gives."""
@@ -207,9 +212,16 @@ class TraceReader:
         in the raw file."""
         with open(self.path, "rb") as fh:
             arrays = [self._read(fh, c, a, b) if name in names else None for c, name in enumerate(ARRAYS)]
-        if arrays[-1] is not None:
-            arrays[-1] = arrays[-1].astype(np.int64)
         return Trace(self.dt, self.road, *arrays, *events_between(self, a, b, names))
+
+    def at(self, steps: list, names=ARRAYS) -> Trace:
+        """The rows of ``steps`` of the arrays in ``names`` (the others
+        None), as ``Trace.at`` gives them: one open of the raw file, and
+        one read per row."""
+        with open(self.path, "rb") as fh:  # no steps: the zero rows from step 0
+            arrays = [np.concatenate([self._read(fh, c, t, t + 1) for t in steps] or [self._read(fh, c, 0, 0)])
+                      if name in names else None for c, name in enumerate(ARRAYS)]
+        return Trace(self.dt, self.road, *arrays, None, None)
 
 
 def load_trace(path) -> Trace:

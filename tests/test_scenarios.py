@@ -17,6 +17,7 @@ from scenforest.scenarios import (
     DESIRED_THW_S,
     FEATURE_NAMES,
     NO_THREAT,
+    SWEPT,
     THW_KEEP,
     THW_TRIGGER,
     ZONE_HORIZON_S,
@@ -541,6 +542,25 @@ def cut_in(trace, sc) -> bool:
     return bool(extract_features(sc, trace)[FEATURE_NAMES.index("cut_in")])
 
 
+def window_events(trace, sc) -> tuple:
+    """(ego_lane_changes, cut_in) of a window, as extract_features gives
+    them and as ``_features`` gives them from a whole-run sweep (which lists
+    the events before and at the window's first step too) and the rows of
+    the window's three instants."""
+    at = trace.at([sc.t_start, sc.t_changepoint, sc.t_end], SWEPT)
+    rows = extract_features(sc, trace), _features(sc, trace, at, _sweep(trace, slice(None)), 0)[0]
+    got = {tuple(row[FEATURE_NAMES.index(name)] for name in ("ego_lane_changes", "cut_in")) for row in rows}
+    assert len(got) == 1, got
+    return got.pop()
+
+
+def loop_window_events(trace, sc) -> tuple:
+    """(ego_lane_changes, cut_in) of a window from its lanes' np.diff and
+    loop_cut_in."""
+    lanes = trace.lane[sc.t_start : sc.t_end + 1, sc.ego_id - 1]
+    return float(np.count_nonzero(np.diff(lanes))), float(loop_cut_in(trace, sc))
+
+
 def window_draw(trace, data) -> Scenario:
     """A drawn window of a drawn ego of ``trace``."""
     t_start = data.draw(st.integers(0, trace.n_ts - 1))
@@ -621,22 +641,24 @@ def test_thw_in_blocks_equals_vehicle_loop(trace):
 @settings(max_examples=100, deadline=None)
 @given(tie_heavy_trace(), st.data())
 def test_window_scans_in_blocks_equal_vehicle_loops(trace, data):
-    # blocks of two steps, so that block edges fall inside the window
+    # blocks of two steps, so that block edges fall inside the window and on
+    # its first step, and of seven, one block of these short traces
     sc = window_draw(trace, data)
     window = np.s_[sc.t_start : sc.t_end + 1, sc.ego_id - 1]
-    block, scenarios.THW_BLOCK = scenarios.THW_BLOCK, 2
-    try:
-        gaps = _sweep(trace, slice(sc.t_start, sc.t_end + 1))[0][:, sc.ego_id - 1]
-        # extraction sweeps each trace once and slices every window from it
-        whole = _sweep(trace, slice(None))[0][window]
-        curves = gap_curves(trace, sc)
-        flag = cut_in(trace, sc)
-    finally:
-        scenarios.THW_BLOCK = block
-    assert whole.tolist() == gaps.tolist()
-    for got, want in zip(curves, loop_gap_curves(trace, sc)):
-        assert got.tolist() == want.tolist()
-    assert flag == loop_cut_in(trace, sc)
+    for steps in (2, 7):
+        block, scenarios.THW_BLOCK = scenarios.THW_BLOCK, steps
+        try:
+            gaps = _sweep(trace, slice(sc.t_start, sc.t_end + 1))[0][:, sc.ego_id - 1]
+            # extraction sweeps each trace once and slices every window from it
+            whole = _sweep(trace, slice(None))[0][window]
+            curves = gap_curves(trace, sc)
+            got = window_events(trace, sc)
+        finally:
+            scenarios.THW_BLOCK = block
+        assert whole.tolist() == gaps.tolist()
+        for curve, want in zip(curves, loop_gap_curves(trace, sc)):
+            assert curve.tolist() == want.tolist()
+        assert got == loop_window_events(trace, sc)
 
 
 # ------------------------------------------ the sweep's lane-crossing events
@@ -655,40 +677,22 @@ def loop_events(trace, lo, hi) -> tuple:
 
 
 def events(array) -> list:
-    """A sweep's (events, 2) array as a list of (step, column) pairs."""
-    return [tuple(e) for e in array.tolist()]
-
-
-def window_events(trace, sc) -> tuple:
-    """(ego_lane_changes, cut_in) of a window, as extract_features gives
-    them and as ``_features`` gives them from a sweep over the whole run
-    (which lists the events before and at the window's first step too)."""
-    rows = extract_features(sc, trace), _features(sc, trace, _sweep(trace, slice(None)), 0)[0]
-    got = {tuple(row[FEATURE_NAMES.index(name)] for name in ("ego_lane_changes", "cut_in")) for row in rows}
-    assert len(got) == 1, got
-    return got.pop()
-
-
-def loop_window_events(trace, sc) -> tuple:
-    lanes = trace.lane[sc.t_start : sc.t_end + 1, sc.ego_id - 1]
-    return float(np.count_nonzero(np.diff(lanes))), float(loop_cut_in(trace, sc))
+    """A sweep's (2, events) array as a list of (step, column) pairs."""
+    return list(zip(*array.tolist()))
 
 
 @pytest.mark.parametrize("steps", [2, 7])
 @settings(max_examples=100, deadline=None)
 @given(trace=tie_heavy_trace(), data=st.data())
 def test_sweep_events_equal_vehicle_loops(steps, trace, data):
-    sc = window_draw(trace, data)
     lo = data.draw(st.integers(0, trace.n_ts - 1))
     hi = data.draw(st.integers(lo + 1, trace.n_ts))
     block, scenarios.THW_BLOCK = scenarios.THW_BLOCK, steps
     try:
         _, _, crossings, cut_ins = _sweep(trace, slice(lo, hi))
-        got = window_events(trace, sc)
     finally:
         scenarios.THW_BLOCK = block
     assert (events(crossings), events(cut_ins)) == loop_events(trace, lo, hi)
-    assert got == loop_window_events(trace, sc)
 
 
 def column_trace(build, before, after, at: int):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from scenforest import cli
+from scenforest.dataset import ParseError
 from scenforest.sim import (
     ARRAYS,
     CHANNELS,
@@ -78,6 +79,46 @@ def test_reader_rows_equal_trace_rows(tmp_path):
             else:
                 assert getattr(got, name) is None and getattr(want, name) is None
     assert reader.rows(t_lc, t_lc + 1).lane_change_starts[0][0] == 0
+
+
+def test_reader_at_equals_trace_at(tmp_path):
+    # any list of steps (repeated, out of order, at the ends or none) read
+    # from the files gives the trace's rows of those steps in that order,
+    # as the trace in memory does: bit for bit and dtype included; no
+    # events, and the arrays not named are None
+    trace = next(run_simulations(RoadConfig(n_l=2, n_vpl=5), [SimParams(dt=0.05, duration=10.0, seed=17)]))
+    path = tmp_path / "trace_0.raw"
+    save_trace(trace, path)
+    reader = TraceReader(path)
+    last = trace.n_ts - 1
+    for steps, names in [([0, last, 5, 5, 2], ARRAYS), ([last], ("x", "v", "lane")), ([], ARRAYS), ([3, 1], ())]:
+        got, want = reader.at(steps, names), trace.at(steps, names)
+        assert (got.dt, got.road) == (trace.dt, trace.road)
+        assert got.collisions is got.lane_change_starts is want.collisions is want.lane_change_starts is None
+        for name in ARRAYS:
+            if name in names:
+                whole = getattr(trace, name)
+                for rows in (getattr(got, name), getattr(want, name)):
+                    assert rows.dtype == whole.dtype and rows.shape == (len(steps), trace.n_vehicles)
+                    assert [row.tobytes() for row in rows] == [whole[t].tobytes() for t in steps]
+            else:
+                assert getattr(got, name) is None and getattr(want, name) is None
+
+
+def test_reader_reads_of_a_file_cut_after_the_check(tmp_path):
+    # a raw file cut short after the reader checked it fails each read that
+    # reaches past its end, naming the file; reads before the cut still work
+    trace = next(run_simulations(RoadConfig(n_l=2, n_vpl=5), [SimParams(dt=0.1, duration=2.0, seed=3)]))
+    path = tmp_path / "trace_0.raw"
+    save_trace(trace, path)
+    reader = TraceReader(path)
+    path.write_bytes(path.read_bytes()[:-1])  # the last vehicle's lane at the last step
+    last = trace.n_ts - 1
+    assert reader.at([0, last], ("x", "psi")).psi.tobytes() == trace.psi[[0, last]].tobytes()
+    for read in (lambda: reader.rows(0, trace.n_ts), lambda: reader.at([0, last])):
+        with pytest.raises(ParseError, match=f"ends before step {trace.n_ts} of lane") as err:
+            read()
+        assert str(err.value).startswith(f"{path}: ")
 
 
 def test_trace_line_schema(tmp_path):
