@@ -30,6 +30,7 @@ __all__ = [
     "braking_decel",
     "regulate_speed",
     "follower_accel",
+    "longitudinal_accel",
     "lateral_control",
     "one_track_step",
 ]
@@ -73,8 +74,20 @@ def _math(f, x):
 # equals the float result bit for bit.
 
 
+def gompertz(u, a_m, neg_b, neg_c):
+    """The Gompertz profile a_m * exp(-b * exp(-c * u)) of every law here,
+    given neg_b = -b and neg_c = -c (negation is exact, so a batch negates
+    its shapes once)."""
+    return a_m * _math(math.exp, neg_b * _math(math.exp, neg_c * u))
+
+
 def _gompertz(u, profile: BehaviorProfile):
-    return profile.a_m * _math(math.exp, -profile.b * _math(math.exp, -profile.c * u))
+    return gompertz(u, profile.a_m, -profile.b, -profile.c)
+
+
+def _signed(mag, dv):
+    """The regulation magnitude mag with the sign of the speed error dv, 0.0 at dv == 0."""
+    return np.where(dv != 0.0, np.copysign(mag, dv), 0.0)[()]
 
 
 def gompertz_follower_accel(d_fl, profile: BehaviorProfile):
@@ -110,8 +123,7 @@ def braking_decel(d_fl, v_f, v_l, profile: BehaviorProfile):
 def regulate_speed(v, v_target, profile: BehaviorProfile, road: RoadConfig):
     """Signed Gompertz regulation toward the target speed."""
     dv = v_target - v
-    mag = _gompertz(abs(dv), profile)  # gompertz_leader_accel(|dv|, 0.0): the velocity branch
-    return np.where(dv != 0.0, np.copysign(mag, dv), 0.0)[()]
+    return _signed(_gompertz(abs(dv), profile), dv)  # gompertz_leader_accel(|dv|, 0.0): the velocity branch
 
 
 def follower_accel(d_fl, v_f, v_l, profile: BehaviorProfile, road: RoadConfig):
@@ -124,12 +136,24 @@ def follower_accel(d_fl, v_f, v_l, profile: BehaviorProfile, road: RoadConfig):
     hold. Gentle approaches keep a positive net command on purpose: gaps
     are allowed to shrink below a comfortable headway.
     """
-    a_gap = gompertz_follower_accel(py_max(d_fl, 0.0), profile)
-    a_reg = regulate_speed(v_f, profile.v_target, profile, road)
-    drive = py_min(a_gap, a_reg)
+    return longitudinal_accel(d_fl, v_f, v_l, np.inf, profile, road, -profile.b, -profile.c)
+
+
+def longitudinal_accel(d_fl, v_f, v_l, d_il, profile, road: RoadConfig, neg_b, neg_c):
+    """Every vehicle's command in one Gompertz pass (neg_b = -profile.b,
+    neg_c = -profile.c): follower_accel at gap d_fl, whose gap response
+    and speed regulation are the pass's two rows; but where no leader is
+    seen (d_fl inf) and the traffic ahead lies beyond d_il_max (d_il
+    finite), the close-up response gompertz_leader_accel(., d_il), which
+    takes the gap row's place (it lies in [0, a_m], inside the clamp)."""
+    close = (d_fl == np.inf) & (d_il > road.d_il_max) & (d_il < np.inf)
+    dv = profile.v_target - v_f
+    u = np.where(close, d_il, py_max(d_fl, 0.0)), abs(dv)  # the pass's rows, of one shape even beside floats
+    g = gompertz(np.array(u if np.shape(u[0]) == np.shape(u[1]) else np.broadcast_arrays(*u)), profile.a_m, neg_b, neg_c)
+    drive = py_min(g[0], _signed(g[1], dv))
     brake = braking_decel(d_fl, v_f, v_l, profile)
     drive = np.where(-brake >= BRAKE_ENGAGE, py_min(drive, 0.0), drive)
-    return py_min(py_max(drive + brake, -profile.a_dec_max), profile.a_m)
+    return np.where(close, g[0], np.minimum(py_max(drive + brake, -profile.a_dec_max), profile.a_m))[()]
 
 
 def lateral_control(state: VehicleState, target_lane_center, v):

@@ -8,26 +8,35 @@ steps ago. Collisions are recorded and the involved vehicles freeze in
 place; the run continues.
 
 One lock-step engine advances a batch of runs (run_simulations batches up
-to BATCH_RUNS of them). Run k owns a contiguous block of columns in shared
-channel arrays, and its own Generator. The arrays hold not the whole trace
-but a ring of its last R = max(delay) + 1 + FLUSH_STEPS steps, step t in
-row t % R. Every FLUSH_STEPS steps, when a run ends and when the batch
-ends, the steps finished since the last flush go to the sink of each run
-whose trace holds them, once their lanes are checked for overflow, block
-by block in order. A sink keeps the rows in memory for a Trace, or writes
-them to a trace file as they come (sim.io.TraceWriter), so a batch holds
-whole traces only when its caller asks for Traces. Each step is computed
-for every vehicle of every run at once:
+to BATCH_RUNS of them). Run k owns a contiguous block of columns, and its
+own Generator. The engine holds not the whole trace but a ring of its last
+R = max(delay) + 1 + FLUSH_STEPS steps, step t in row t % R: one
+(R, 5, n) float block of x, y, v, a and psi, so that a step's new row, the
+flush's gather and a perceived vehicle's own values are each one call,
+and an (R, n) int block of lanes. Every FLUSH_STEPS steps, when a run ends
+and when the batch ends, the steps finished since the last flush go to the
+sink of each run whose trace holds them, once their lanes are checked for
+overflow, block by block in order. A sink keeps the rows in memory for a
+Trace, or writes them to a trace file as they come (sim.io.TraceWriter), so
+a batch holds whole traces only when its caller asks for Traces.
 
-- perception is a gather, channel[max(t - delay_i, 0) % R, peers_i], so row i
-  of each (n, largest n_v) view is the world as vehicle i saw it, over the
-  vehicles of its own run; a step's work grows with the number of
+Only the moving vehicles, those of runs not yet ended that no collision
+froze, perceive, decide and run the laws, one row each in column order; the
+row set is rebuilt when a run ends or a vehicle freezes. A frozen vehicle
+keeps its row of the ring from step to step (at v = a = 0), and stays in
+every other vehicle's view as an obstacle. Each step is computed for every
+moving vehicle of every run at once:
+
+- perception is a gather, ring[max(t - delay_r, 0) % R, peers_r], so row r
+  of each (moving, largest n_v) view is the world as its vehicle saw it,
+  over the vehicles of its own run; a step's work grows with the number of
   vehicles times the largest run, not with the square of the batch;
 - the leader on each lane, the nearest vehicle ahead on any lane, the
-  target-lane gaps and the collision sweep (the pairs of one run, in
-  row-major order) are computed on these views;
+  target-lane gaps and the collision sweep (the pairs of one run that are
+  not both frozen, in row-major order) are computed on these views;
 - the control laws and the one-track model of ``dynamics`` run
-  elementwise.
+  elementwise; the gap response, the speed regulation and the close-up of
+  every vehicle are one Gompertz pass (``dynamics.longitudinal_accel``).
 
 The lane-change decisions keep the order of the per-vehicle loop: one
 vehicle at a time, run by run, in id order. First, the lane occupancy and,
@@ -67,9 +76,8 @@ from .config import (
 )
 from .dynamics import (
     _math,
-    follower_accel,
-    gompertz_leader_accel,
     lateral_control,
+    longitudinal_accel,
     one_track_step,
     py_max,
 )
@@ -257,34 +265,38 @@ def init_scene(road: RoadConfig, seed: int, spawn_span: float | None = None):
 
 
 class Perception:
-    """What every vehicle of a batch perceives at one step.
+    """What the moving vehicles of a batch perceive at one step.
 
-    Vehicle i sees row ``seen[i]`` of the channel arrays, the step its
-    reaction delay back, and only the vehicles of its own run: ``peers[i]`` lists
-    their columns in ascending order, padded with i's own column to the
-    size of the largest run. Entry p of row i of ``dx`` (the center
-    distance from i) and of ``lane`` is the vehicle in column
-    ``peers[i, p]``, whose flat index into the channel arrays is
-    ``at[i, p]``; ``others`` masks each row to the other vehicles.
-    ``own_lane``, ``own_v`` and ``own_a`` are each vehicle's perceived own
-    lane, speed and acceleration. ``look`` perceives the next step from the
-    same arrays.
+    Row r is the vehicle in column ``columns[r]``. It sees row ``seen[r]``
+    of the ring of steps, the step its reaction delay back, and only the
+    vehicles of its own run: ``peers[r]`` lists their columns in ascending
+    order, padded with its own column to the size of the largest run.
+    Entry p of row r of ``dx`` (the center distance from the vehicle) and
+    of ``lane`` is the vehicle in column ``peers[r, p]``; ``at[r, p]`` is
+    that vehicle's flat index into the ring's x, and into ``v`` and ``a``,
+    the same ring flattened from its speed and acceleration channel on.
+    ``others`` masks each row to the other vehicles. ``own_lane``,
+    ``own_v`` and ``own_a`` are each row's perceived own lane, speed and
+    acceleration. ``look`` perceives the next step from the same ring.
     """
 
-    def __init__(self, seen, x, v, a, lane, peers):
-        self._x, self._lane, self.v, self.a, self.peers = x, lane, v, a, peers
+    def __init__(self, state, lane, peers, columns):
+        n = self._n = state.shape[2]
+        self._x, self._lane, self._stride = state.reshape(-1), lane.reshape(-1), state.shape[1] * n
+        self.v, self.a = self._x[CHANNELS.index("v") * n:], self._x[CHANNELS.index("a") * n:]
+        self.peers, self.columns = peers, columns
         self.rows = np.arange(len(peers))
-        self.others = peers != self.rows[:, None]
-        self.look(seen)
+        self.others = peers != columns[:, None]
 
     def look(self, seen) -> None:
-        """Perceive anew, vehicle i at row seen[i] of the same arrays."""
-        own = seen * self._x.shape[1]  # flat index of each perceived row
+        """Perceive anew, row r at ring row seen[r]."""
+        own = seen * self._stride  # flat index of each perceived row's x
         self.at = own[:, None] + self.peers
-        own += self.rows
+        own += self.columns
         self.dx = self._x.take(self.at) - self._x.take(own)[:, None]
-        self.lane = self._lane.take(self.at)
-        self.own_lane, self.own_v, self.own_a = self._lane.take(own), self.v.take(own), self.a.take(own)
+        seen = seen * self._n  # flat index of each perceived row's lane
+        self.lane = self._lane.take(seen[:, None] + self.peers)
+        self.own_lane, self.own_v, self.own_a = self._lane.take(seen + self.columns), self.v.take(own), self.a.take(own)
 
     def gaps(self, egos, lanes) -> tuple:
         """Bumper to bumper, the (front gap, rear gap, overlap flag, rear
@@ -353,15 +365,9 @@ def _longitudinal(view: Perception, lead_lanes, v_now, tau, profile, road: RoadC
     rel_acc = view.own_a - lead_a
     d_est = py_max(d_fl - closing * tau - 0.5 * rel_acc * tau * tau, 0.0)
     v_l_est = py_max(lead_v + lead_a * tau, 0.0)
-    a_cmd = follower_accel(d_est, v_now, v_l_est, profile, road)
-    # ... unless it closes up on the traffic ahead beyond d_il_max (a
-    # Gompertz response lies in [0, a_m], inside the clamp)
+    # ... unless it closes up on the traffic ahead beyond d_il_max
     d_il = gap_ahead[rows, ahead] - VEHICLE_LENGTH
-    close_up = ((d_fl == np.inf) & (d_il > road.d_il_max) & (d_il < np.inf)).nonzero()[0]
-    if close_up.size:
-        shape = SimpleNamespace(a_m=profile.a_m[close_up], b=profile.b[close_up], c=profile.c[close_up])
-        a_cmd[close_up] = gompertz_leader_accel(0.0, d_il[close_up], shape, road)
-    return a_cmd
+    return longitudinal_accel(d_est, v_now, v_l_est, d_il, profile, road, profile.neg_b, profile.neg_c)
 
 
 def lane_overflow(lane: np.ndarray, road: RoadConfig):
@@ -423,7 +429,9 @@ def _run_batch(road: RoadConfig, scenes: list, sinks: list | None = None) -> lis
     dt = np.array([params.dt for params, *_ in scenes])[run_of]
     delay = np.array([round(p.reaction_time / d) for p, d in zip(profiles, dt.tolist())], dtype=np.int64)
     tau = delay * dt
-    batch = SimpleNamespace(**{key: np.array([getattr(p, key) for p in profiles]) for key in BATCH_FIELDS})
+    batch = {key: np.array([getattr(p, key) for p in profiles]) for key in BATCH_FIELDS}
+    batch["neg_b"], batch["neg_c"] = -batch.pop("b"), -batch.pop("c")  # the Gompertz shapes, negated once
+    v_target = batch["v_target"]  # redrawn in place
     rate = [p.lc_rate * d for p, d in zip(profiles, dt.tolist())]  # the motivation probability per step
     next_redraw = [
         float(rng.exponential(params.target_resample_mean)) for params, run_states, _, rng in scenes for _ in run_states
@@ -433,10 +441,11 @@ def _run_batch(road: RoadConfig, scenes: list, sinks: list | None = None) -> lis
     at = np.arange(sizes.max())
     peers = np.where(at < sizes[run_of][:, None], np.array(bounds[:-1])[run_of][:, None] + at, column)
     pair_i, pair_at = np.nonzero(peers > column)  # row-major, as the sweep visits them
-    pair_j = peers[pair_i, pair_at]
+    pairs = pair_i, peers[pair_i, pair_at]
     slots = road.n_l + 2  # occupancy slots per run: lanes 0 .. n_l + 1, every lane a start can name
     slot_array = run_of * slots
     slot = slot_array.tolist()
+    n_l, n_vpl = road.n_l, road.n_vpl
 
     lc = LaneChangeState(n)
     frozen = np.zeros(n, dtype=bool)  # by a collision: it stays in place, draws nothing, wants no lane
@@ -446,13 +455,10 @@ def _run_batch(road: RoadConfig, scenes: list, sinks: list | None = None) -> lis
     run_rng = [rng for *_, rng in scenes]
 
     ring = int(delay.max()) + 1 + FLUSH_STEPS  # step t is row t % ring: every row perceived or not yet flushed
-    channels = {name: np.empty((ring, n)) for name in CHANNELS}
+    state = np.empty((ring, len(CHANNELS), n))  # x, y, v, a and psi of step t in state[t % ring]
     lane = np.empty((ring, n), dtype=np.int64)
-    for name, column in channels.items():
-        column[0] = [getattr(s, name) for s in states0]
+    state[0] = [[getattr(s, name) for s in states0] for name in CHANNELS]
     lane[0] = [s.lane for s in states0]
-    x, y, v, a, psi = (channels[name] for name in CHANNELS)
-    view = Perception(np.zeros(n, dtype=np.int64), x, v, a, lane, peers)
     ends = set(n_ts)
     flushed = 0  # the steps before it are in the sinks
 
@@ -462,129 +468,141 @@ def _run_batch(road: RoadConfig, scenes: list, sinks: list | None = None) -> lis
         A flush comes when any run ends, so no block passes a run's end."""
         nonlocal flushed
         at = np.arange(flushed, upto) % ring
-        rows = [channels[name][at] for name in CHANNELS] + [lane[at]]
+        rows, lanes = state[at], lane[at]
         for k, sink in enumerate(sinks):
             if flushed < n_ts[k]:
                 columns = slice(bounds[k], bounds[k + 1])
-                overflow = lane_overflow(rows[-1][:, columns], road)
+                overflow = lane_overflow(lanes[:, columns], road)
                 if overflow:
                     t, lane_k, count = overflow
                     raise RuntimeError(f"lane {lane_k} over capacity at step {flushed + t}: {count} vehicles")
-                sink.write(flushed, [channel[:, columns] for channel in rows])
+                sink.write(flushed, [*rows[:, :, columns].transpose(1, 0, 2), lanes[:, columns]])
         flushed = upto
 
-    def wanted(i: int) -> int:
-        """The lane waiting vehicle i wants, its perceived lane plus its
-        direction; 0 when that is off the road."""
-        lane_i = own_lane[i] + desired_now[i]
-        return lane_i if 1 <= lane_i <= road.n_l else 0
-
-    def act(k: int, i: int, rng) -> None:
-        """Vehicle i's lane-change step once it changes lanes, waits or is
-        motivated: an active change may abort, a waiting vehicle may start,
-        and a motivated one draws its direction and may start."""
+    def act(k: int, r: int, i: int, rng) -> None:
+        """Vehicle i's (row r's) lane-change step once it changes lanes,
+        waits or is motivated: an active change may abort, a waiting vehicle
+        may start, and a motivated one draws its direction and may start."""
         if target_now[i]:
-            front, rear, overlap, _ = gaps[i]
-            if gap_lost(front, rear, overlap, own_v[i]):
+            front, rear, overlap, _ = gaps[r]
+            if gap_lost(front, rear, overlap, own_v[r]):
                 lc.target[i], lc.origin[i] = lc.origin[i], target_now[i]
             return
         if desired_now[i]:
             lc.waiting[i] += run_dt[k]
         else:  # motivated: a direction from the perceived lane, and a wait for a gap
-            if 1 < own_lane[i] < road.n_l:
+            if 1 < own_lane[r] < n_l:
                 desired_now[i] = (1, -1)[int(rng.integers(2))]
             else:
-                desired_now[i] = 1 if own_lane[i] < road.n_l else -1
+                desired_now[i] = 1 if own_lane[r] < n_l else -1
             lc.desired[i], lc.waiting[i] = desired_now[i], 0.0
-        lane_i = wanted(i)
-        if not lane_i:  # no lane that way: wait no more
+        lane_i = own_lane[r] + desired_now[i]  # the lane it waits for
+        if not 1 <= lane_i <= n_l:  # no lane that way: wait no more
             lc.desired[i] = 0
             return
-        if occupancy[slot[i] + lane_i] >= road.n_vpl:
+        if occupancy[slot[i] + lane_i] >= n_vpl:
             return
-        if i not in gaps:  # motivated at this step
-            gaps[i] = [g[0] for g in view.gaps(np.array([i]), np.array([lane_i]))]
-        if gap_accepted(*gaps[i], own_v[i], lc.waiting[i], profiles[i]):
+        if r not in gaps:  # motivated at this step
+            gaps[r] = [g[0] for g in view.gaps(np.array([r]), np.array([lane_i]))]
+        if gap_accepted(*gaps[r], own_v[r], lc.waiting[i], profiles[i]):
             target = lane_now[i] + desired_now[i]
             lc.origin[i], lc.target[i], lc.desired[i], lc.waiting[i] = lane_now[i], target, 0, 0.0
             lc_starts[k].append((t, i - bounds[k] + 1, target))
             occupancy[slot[i] + target] += 1
 
-    def decide(k: int) -> None:
-        """Run k's lane-change steps at step t, one vehicle at a time in id
-        order (see the module docstring)."""
-        rng, now = run_rng[k], t * run_dt[k]
-        for i in range(bounds[k], bounds[k + 1]):
-            if frozen_now[i]:
-                continue
-            while next_redraw[i] <= now:
-                batch.v_target[i] = _draw_v_target(rng, road)
-                next_redraw[i] += float(rng.exponential(scenes[k][0].target_resample_mean))
-            if target_now[i] or desired_now[i] or rng.random() < rate[i]:
-                act(k, i, rng)
-
+    regroup = True
     for t in range(max(n_ts) - 1):
         if t + 1 - flushed == FLUSH_STEPS or t + 1 in ends:
             flush(t + 1)
+            regroup |= t + 1 in ends
+        if regroup:
+            # the vehicles that move from step t on, one row each in column
+            # order: those of the runs not yet ended that no collision froze;
+            # an ended run's changes are dropped, so every busy vehicle moves
+            regroup = False
+            live = np.repeat([t < end - 1 for end in n_ts], sizes)
+            lc.target[~live] = lc.desired[~live] = 0
+            cols = (live & ~frozen).nonzero()[0]
+            held = cols.size < n  # columns that keep the previous step's row
+            take = cols if held else slice(None)
+            cols_list = cols.tolist()
+            row_of = dict(zip(cols_list, range(cols.size)))
+            row_bounds = np.searchsorted(cols, bounds).tolist()
+            deciding = [(k, run_rng[k], scenes[k][0].target_resample_mean, [(r, cols_list[r], rate[cols_list[r]]) for r in range(lo, hi)])
+                        for k, (lo, hi) in enumerate(zip(row_bounds, row_bounds[1:])) if lo < hi]
+            view = Perception(state, lane, peers[cols], cols)
+            row_delay, row_tau, row_dt = delay[take], tau[take], dt[take]
+            law = SimpleNamespace(**{key: values[take] for key, values in batch.items()})
+            # the collision sweep's pairs: of runs not yet ended, not both frozen
+            keep = live[pairs[0]] & ~(frozen[pairs[0]] & frozen[pairs[1]])
+            pair_i, pair_j = pairs[0][keep], pairs[1][keep]
         now, nxt = t % ring, (t + 1) % ring
-        live = [t < n_ts[k] - 1 for k in range(n_runs)]
-        view.look(np.maximum(t - delay, 0) % ring)
+        view.look(np.maximum(t - row_delay, 0) % ring)
 
         # the decisions: first, per run and lane, the vehicles on it and the
         # reservations of active changes (of the lane they are not on), and
         # the gaps of every changing vehicle and of every waiting one whose
         # lane has room (a start only adds reservations)
         lane_now, target_now, desired_now = lane[now].tolist(), lc.target.tolist(), lc.desired.tolist()
-        own_lane, own_v, frozen_now = view.own_lane.tolist(), view.own_v.tolist(), frozen.tolist()
+        own_lane, own_v = view.own_lane.tolist(), view.own_v.tolist()
         busy = (lc.target | lc.desired).nonzero()[0].tolist()
         occupancy = np.bincount(slot_array + lane[now], minlength=n_runs * slots).tolist()
-        egos = [i for i in busy if target_now[i]]
-        lanes = [target_now[i] for i in egos]
-        for i in egos:
-            occupancy[slot[i] + (target_now[i] if target_now[i] != lane_now[i] else lc.origin[i])] += 1
+        egos, lanes = [], []
         for i in busy:
-            lane_i = not target_now[i] and wanted(i)
-            if lane_i and occupancy[slot[i] + lane_i] < road.n_vpl:
-                egos.append(i)
-                lanes.append(lane_i)
+            if target_now[i]:
+                occupancy[slot[i] + (target_now[i] if target_now[i] != lane_now[i] else lc.origin[i])] += 1
+                egos.append(row_of[i])
+                lanes.append(target_now[i])
+        for i in busy:
+            if not target_now[i]:
+                r = row_of[i]
+                lane_i = own_lane[r] + desired_now[i]
+                if 1 <= lane_i <= n_l and occupancy[slot[i] + lane_i] < n_vpl:
+                    egos.append(r)
+                    lanes.append(lane_i)
         gaps = dict(zip(egos, zip(*(g.tolist() for g in view.gaps(np.array(egos, dtype=np.int64), np.array(lanes, dtype=np.int64))))))
-        for k in range(n_runs):
-            if live[k]:
-                decide(k)
+        # each run's moving vehicles in id order (see the module docstring)
+        for k, rng, mean, rows in deciding:
+            clock, draw = t * run_dt[k], rng.random
+            for r, i, p in rows:
+                while next_redraw[i] <= clock:
+                    v_target[i] = law.v_target[r] = _draw_v_target(rng, road)
+                    next_redraw[i] += float(rng.exponential(mean))
+                if target_now[i] or desired_now[i] or draw() < p:
+                    act(k, r, i, rng)
 
         # a leader is sought on the perceived own lane, and on the target
         # lane while changing (lane 0, which no perceived vehicle is on, otherwise)
-        lead_lanes = (view.lane == view.own_lane[:, None]) | (view.lane == lc.target[:, None])
-        a_cmd = _longitudinal(view, lead_lanes, v[now], tau, batch, road)
-        cur = VehicleState(x=x[now], y=y[now], v=v[now], a=a[now], psi=psi[now], delta=None, lane=lane[now])
-        steer = road.lane_center(np.where(lc.target > 0, lc.target, lane[now]))
-        new = one_track_step(cur, lateral_control(cur, steer, v[now]), a_cmd, dt)
-        x[nxt], y[nxt], v[nxt], a[nxt], psi[nxt] = new.x, new.y, new.v, new.a, new.psi
-        # frozen vehicles stay in place
-        for channel in (x, y, psi):
-            np.copyto(channel[nxt], channel[now], where=frozen)
-        for channel in (v, a):
-            np.copyto(channel[nxt], 0.0, where=frozen)
-        lane[nxt] = road.lane_of(y[nxt])
+        target = lc.target[take]
+        lead_lanes = (view.lane == view.own_lane[:, None]) | (view.lane == target[:, None])
+        cur = VehicleState(*state[now][:, take], delta=None, lane=None)
+        a_cmd = _longitudinal(view, lead_lanes, cur.v, row_tau, law, road)
+        steer = road.lane_center(np.where(target > 0, target, lane[now, take]))
+        new = one_track_step(cur, lateral_control(cur, steer, cur.v), a_cmd, row_dt)
+        if held:  # frozen vehicles stay in place, at v = a = 0 since their collision
+            state[nxt] = state[now]
+        state[nxt][:, take] = new.x, new.y, new.v, new.a, new.psi
+        lane[nxt] = road.lane_of(state[nxt, 1])
         # collision sweep on the fresh positions, pairs in row-major order;
         # involved vehicles freeze
-        nx, ny = x[nxt], y[nxt]
+        nx, ny = state[nxt, 0], state[nxt, 1]
         hits = (np.abs(nx[pair_i] - nx[pair_j]) < VEHICLE_LENGTH) & (np.abs(ny[pair_i] - ny[pair_j]) < VEHICLE_WIDTH)
         for p in hits.nonzero()[0].tolist():
             i, j = int(pair_i[p]), int(pair_j[p])
-            k = run_list[i]
-            if (frozen[i] and frozen[j]) or not live[k]:
+            if frozen[i] and frozen[j]:
                 continue
+            k = run_list[i]
             collisions[k].append((t + 1, (i - bounds[k] + 1, j - bounds[k] + 1)))
             for m in (i, j):
                 if not frozen[m]:
-                    frozen[m] = True
+                    frozen[m] = regroup = True
                     lc.reset(m)
-                    v[nxt, m] = a[nxt, m] = 0.0
+                    state[nxt, 2:4, m] = 0.0
         # a change is done once on its target lane's center, heading straight
-        done = (lc.target > 0) & (np.abs(ny - steer) < LC_DONE_Y) & (np.abs(psi[nxt]) < LC_DONE_PSI)
-        for i in done.nonzero()[0].tolist():
-            lc.reset(i)
+        # (a vehicle frozen above is reset already, and again changes nothing)
+        done = (target > 0) & (np.abs(new.y - steer) < LC_DONE_Y) & (np.abs(new.psi) < LC_DONE_PSI)
+        for r in done.nonzero()[0].tolist():
+            lc.reset(cols_list[r])
 
     flush(max(n_ts))
     return [sink.close(collisions[k], lc_starts[k]) for k, sink in enumerate(sinks)]

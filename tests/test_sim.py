@@ -232,8 +232,11 @@ def lc_snapshot(ego_y=1.75, others=()):
             VehicleState(x=x, y=(lane - 0.5) * 3.5, v=20.0, a=0, psi=0, delta=0, lane=lane)
         )
     n = len(states)
-    step = {name: np.array([[getattr(s, name) for s in states]]) for name in ("x", "v", "a", "lane")}
-    return Perception(np.zeros(n, dtype=np.int64), **step, peers=np.tile(np.arange(n), (n, 1)))
+    state = np.array([[[getattr(s, name) for s in states] for name in CHANNELS]])  # a ring of one step
+    lane = np.array([[s.lane for s in states]])
+    view = Perception(state, lane, peers=np.tile(np.arange(n), (n, 1)), columns=np.arange(n))
+    view.look(np.zeros(n, dtype=np.int64))
+    return view
 
 
 def test_lane_change_never_into_overlap():

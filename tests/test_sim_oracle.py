@@ -344,3 +344,72 @@ def test_motivated_draws_in_id_order_equal_vehicle_loop(monkeypatch):
             redrawn = False
     assert both > 0
     assert drawn_after_fire > 0
+
+
+def first_collisions(trace: Trace) -> dict:
+    """Vehicle column -> the step of its first collision, from which it is frozen."""
+    first = {}
+    for step, pair in trace.collisions:
+        for i in pair:
+            first.setdefault(i - 1, step)
+    return first
+
+
+def crash_scene(road: RoadConfig, shift: float):
+    """A hand scene on lane 2: an overlapping pair at x = 100 + shift, which
+    collides at step 1; vehicle 3 at 25 m/s, 40 m behind it, with weak
+    brakes, motivated at once and taking any gap; vehicle 4, a follower far
+    behind, that never wants another lane."""
+    def vehicle(x, v, **behavior):
+        profile = BehaviorProfile(**{**dict(a_m=2.0, b=4.0, c=0.08, v_target=v, reaction_time=0.5, lc_rate=0.0), **behavior})
+        return VehicleState(x=x + shift, y=road.lane_center(2), v=v, a=0.0, psi=0.0, delta=0.0, lane=2), profile
+
+    vehicles = [vehicle(100.0, 0.0), vehicle(102.0, 0.0), vehicle(60.0, 25.0, a_dec_max=0.5, risk=1.0, lc_rate=20.0),
+                vehicle(-40.0, 15.0)]
+    return [s for s, _ in vehicles], [p for _, p in vehicles]
+
+
+def test_lockstep_engine_equals_vehicle_loop_with_frozen_vehicles():
+    # frozen vehicles do not move, but stay in every other vehicle's view: a
+    # batch of two hand scenes of different lengths (the batch's moving
+    # vehicles change when a run ends as well as when one freezes) and a
+    # tight seeded run; each trace equals the loop's, and the case takes the
+    # paths it is meant to cover
+    road = RoadConfig(n_l=3, n_vpl=4)
+    params = [SimParams(duration=20.0, seed=1, target_resample_mean=1e9), SimParams(duration=12.0, seed=2, target_resample_mean=1e9),
+              SimParams(duration=16.0, seed=24, spawn_span=7 * VEHICLE_LENGTH + 1.0, target_resample_mean=2.0)]
+    seeded = _run_rng(params[2].seed)
+    scenes = [(params[0], *crash_scene(road, 0.0), _run_rng(params[0].seed)),
+              (params[1], *crash_scene(road, 7.0), _run_rng(params[1].seed)),
+              (params[2], *_init_scene(road, seeded, params[2].spawn_span), seeded)]
+    loops = [sim_loop.loop_run_scene(road, p, s, deepcopy(f), deepcopy(rng)) for p, s, f, rng in scenes]
+    traces = engine._run_batch(road, [(p, s, deepcopy(f), rng) for p, s, f, rng in scenes])
+    for got, want in zip(traces, loops):
+        assert_same_trace(got, want)
+
+    hand = traces[:2]
+    for trace in hand:
+        first = first_collisions(trace)
+        assert first[0] == first[1] == 1
+        # vehicle 3 hits the pair, frozen since step 1, while it changes
+        # lanes: it has left lane 2's center, is not on lane 1's, and no
+        # step since its start completed the change
+        (start, _, target), = trace.lane_change_starts
+        step = first[2]
+        assert step > start + 1 and (step, (1, 3)) in trace.collisions
+        done = (np.abs(trace.y[start + 1:step, 2] - road.lane_center(target)) < engine.LC_DONE_Y) & (
+            np.abs(trace.psi[start + 1:step, 2]) < engine.LC_DONE_PSI)
+        assert not done.any()
+        assert min(abs(trace.y[step - 1, 2] - road.lane_center(lane)) for lane in (2, target)) >= engine.LC_DONE_Y
+        # vehicle 4, still moving, perceives a frozen vehicle as its leader:
+        # the nearest vehicle ahead on its lane, in the step it sees
+        delay = round(0.5 / params[0].dt)
+        led = []
+        for t in range(first.get(3, trace.n_ts - 1)):
+            seen = max(t - delay, 0)
+            dx = trace.x[seen] - trace.x[seen, 3]
+            ahead = np.where((trace.lane[seen] == trace.lane[seen, 3]) & (dx > 0.0), dx, np.inf)
+            leader = int(ahead.argmin())
+            led.append(ahead[leader] < np.inf and first.get(leader, trace.n_ts) <= seen)
+        assert sum(led) > 50
+    assert traces[2].collisions
