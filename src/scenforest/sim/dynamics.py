@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from ..libm import exp
 from .config import (
     GRAVITY,
     MAX_STEER,
@@ -57,10 +58,12 @@ def py_min(a, b):
 
 
 def _math(f, x):
-    """The math-module function f over a float or elementwise over an array.
-    numpy's exp, tan and arctan differ from math's in the last bit on some
-    inputs; math's are the reference the traces were made with. (np.sin and
-    np.cos agree with math's; 8 M inputs checked.)"""
+    """The math-module function f (tan or atan) over a float or elementwise
+    over an array. numpy's tan and arctan differ from math's in the last bit
+    on some inputs, and so do their complex forms (on about 40 % of the
+    inputs these laws give them); math's are the reference the traces were
+    made with. (np.sin and np.cos agree with math's; 8 M inputs checked.
+    exp goes through libm.exp, one numpy call per array.)"""
     if isinstance(x, np.ndarray):
         if x.ndim == 1:
             return np.fromiter(map(f, x.tolist()), np.float64, x.size)
@@ -78,7 +81,7 @@ def gompertz(u, a_m, neg_b, neg_c):
     """The Gompertz profile a_m * exp(-b * exp(-c * u)) of every law here,
     given neg_b = -b and neg_c = -c (negation is exact, so a batch negates
     its shapes once)."""
-    return a_m * _math(math.exp, neg_b * _math(math.exp, neg_c * u))
+    return a_m * exp(neg_b * exp(neg_c * u))
 
 
 def _gompertz(u, profile: BehaviorProfile):

@@ -59,12 +59,12 @@ Vehicle ids are 1-based: column i of every trace array is vehicle i + 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
 
+from ..libm import exp
 from .config import (
     VEHICLE_LENGTH,
     VEHICLE_WIDTH,
@@ -75,7 +75,6 @@ from .config import (
     VehicleState,
 )
 from .dynamics import (
-    _math,
     lateral_control,
     longitudinal_accel,
     one_track_step,
@@ -334,7 +333,7 @@ def gap_accepted(front, rear, overlap, v_rear, v_ego, waiting, profile):
     additionally scales with politeness. A change never starts into a
     longitudinal overlap. (The lane capacity is checked by the caller.)
     """
-    decay = LC_ACCEPT_FLOOR + (1.0 - LC_ACCEPT_FLOOR) * _math(math.exp, -waiting / (10.0 + 40.0 * profile.patience))
+    decay = LC_ACCEPT_FLOOR + (1.0 - LC_ACCEPT_FLOOR) * exp(-waiting / (10.0 + 40.0 * profile.patience))
     accept = (1.0 - profile.risk) * decay
     req_front = accept * (LC_MIN_GAP + LC_THW * v_ego)
     req_rear = accept * (LC_MIN_GAP + LC_THW * v_rear) * (0.5 + profile.politeness)

@@ -14,6 +14,8 @@ import warnings
 
 import numpy as np
 
+from ..libm import exp
+
 __all__ = [
     "NOISE_KINDS",
     "gini",
@@ -77,9 +79,15 @@ def standardize(tau, node_min, node_max):
 
 
 def _normal_cdf(z):
-    # valid well beyond [-3, 3]; the bimodal form evaluates it at z -+ 3
-    poly = _BETA1 * z**5 + _BETA2 * z**3 + _BETA3 * z
-    return 1.0 / (1.0 + np.exp(-_SQRT_PI * poly))
+    """The logistic approximation at z, valid well beyond [-3, 3]; the
+    bimodal form evaluates it at z -+ 3. The powers are the C library's
+    pow (``np.float_power``, which numpy does not dispatch by CPU feature,
+    unlike ``**`` on an array) and the exp is libm.exp, so a float and an
+    array entry take the same functions and agree bit for bit, and no bit
+    depends on numpy's CPU dispatch. (Products in place of the powers are
+    faster but round differently, and change some forests.)"""
+    poly = _BETA1 * np.float_power(z, 5.0) + _BETA2 * np.float_power(z, 3.0) + _BETA3 * z
+    return 1.0 / (1.0 + exp(-_SQRT_PI * poly))
 
 
 # The plain sum of two shifted normal CDFs spans [P(-3), P(3)] ~ [0.5, 1.5]

@@ -261,10 +261,13 @@ def test_pipeline_bytes_do_not_depend_on_thread_count(pipeline, tmp_path):
 
 def test_pipeline_bytes_do_not_depend_on_numpy_cpu_dispatch(pipeline, tmp_path):
     """Every file of a run with each of numpy's run-time dispatch targets
-    disabled equals a default run's. numpy picks some float64 kernels, exp
-    among them, by CPU feature, and they can differ in the last bit; the
-    pipeline's bytes must not. This covers numpy's dispatch only: the
-    ``math`` functions of the C library are not switched here."""
+    disabled equals a default run's. numpy picks some float64 kernels by
+    CPU feature (its real exp and power among them), and they can differ in
+    the last bit; the pipeline's bytes must not. Its exps are the C
+    library's (``scenforest.libm.exp``) and its powers are the C library's
+    pow (``np.float_power``), so none of them runs a dispatched kernel. This
+    covers numpy's dispatch only: the C library's ``math`` functions are
+    not switched here."""
     from numpy._core._multiarray_umath import __cpu_dispatch__
 
     root, _, _, rp = pipeline
