@@ -1,19 +1,19 @@
 """Two checkouts' kernels in one interpreter, alternating round by round, so
 that the drift of a shared machine falls on both sides alike.
 
-    python bench/ab.py TREE_A TREE_B [--rounds N]
+    python bench/ab.py TREE_A TREE_B
 
 It imports the ``src`` tree of each checkout (TREE_A and TREE_B are their
 roots) and times two cases on both, in CPU seconds:
 - ``sim``: ``sim.run_simulations`` over the benchmark's pinned config
   (``perfbench.workloads.PINNED_CONFIG``, 5 runs of 400 s) with its seed
   4242, streaming each run through ``sim.TraceWriter`` as the ``simulate``
-  stage does;
+  stage does (``bench/forest_kernels.py``'s ``sim_batch``);
 - ``fit``: ``xmurf.fit`` at M = 1000, B = 10 on the rows of
   ``bench/forest_kernels.py``.
 
-Each round runs every case once on each side, the side that goes first
-alternating from round to round, after one warm-up round. Per case and
+Each of ROUNDS rounds runs every case once on each side, the side that goes
+first alternating from round to round, after one warm-up round. Per case and
 side it prints the median CPU seconds, the quartiles and the minimum; then
 the median over the rounds of B's CPU over A's in the same round (the two
 run back to back, so the drift cancels), and the rounds in which B took
@@ -27,7 +27,6 @@ tier-1 run.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import importlib
 import statistics
 import sys
@@ -38,6 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = "scenforest"
 FIT_M, FIT_B = 1000, 10
+ROUNDS = 16
 
 
 def load(tree: Path) -> dict:
@@ -68,43 +68,30 @@ def activate(modules: dict) -> None:
     sys.modules.update(modules)
 
 
-def digest(paths) -> str:
-    h = hashlib.sha256()
-    for p in paths:
-        h.update(p.read_bytes())
-    return h.hexdigest()
+def sim_case(out: Path):
+    """A function that runs the pinned 5-run batch of the active side into
+    ``out`` and returns the sha256 of the traces and sidecars written."""
+    from forest_kernels import sim_batch, trace_digest
 
-
-def sim_case(modules: dict, out: Path):
-    """A function that runs the pinned 5-run batch into ``out`` and returns
-    the sha256 of the traces and sidecars written."""
-    from forest_kernels import SIM_SEED, pinned_config
-
-    cli, sim = modules[f"{PACKAGE}.cli"], modules[f"{PACKAGE}.sim"]
-    config = cli.load_config(str(pinned_config(out, 5)))
-    road = sim.RoadConfig(**config["road"])
-    params = [cli._sim_params(config["sim"], cli.stage_seed(SIM_SEED, "sim", k)) for k in range(5)]
+    batch = sim_batch(out, 5)
 
     def run() -> str:
-        def writer(k, dt, n_ts, n_vehicles):
-            return sim.TraceWriter(sim.trace_path(out, k), dt, road, n_ts, n_vehicles)
-        for _ in sim.run_simulations(road, params, writer):
-            pass
-        return digest(p for path in sim.trace_paths(out) for p in (path, sim.meta_path(path)))
+        batch()
+        return trace_digest(out)
     return run
 
 
-def fit_case(modules: dict, out: Path):
-    """A function that fits the M = 1000, B = 10 forest and returns the
-    sha256 of its ``save_forest`` bytes."""
-    from forest_kernels import FOREST_SEED, rows
+def fit_case(out: Path):
+    """A function that fits the active side's M = 1000, B = 10 forest and
+    returns the sha256 of its ``save_forest`` bytes."""
+    from forest_kernels import FOREST_SEED, rows, sha256
+    from scenforest import xmurf
 
-    xmurf = modules[f"{PACKAGE}.xmurf"]
     data = rows(FIT_M).base
 
     def run() -> str:
         xmurf.save_forest(xmurf.fit(data, FIT_B, FOREST_SEED), out / "forest.json")
-        return digest([out / "forest.json"])
+        return sha256((out / "forest.json").read_bytes())
     return run
 
 
@@ -120,10 +107,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("tree_a", type=Path)
     ap.add_argument("tree_b", type=Path)
-    ap.add_argument("--rounds", type=int, default=16, help="timed rounds, at least 2 (default: 16)")
     args = ap.parse_args(argv)
-    if args.rounds < 2:
-        ap.error("--rounds must be at least 2")
     sys.path[:0] = [str(ROOT / "bench"), str(ROOT)]  # forest_kernels and perfbench
     trees = {"A": args.tree_a.resolve(), "B": args.tree_b.resolve()}
     modules = {side: load(tree) for side, tree in trees.items()}
@@ -135,10 +119,10 @@ def main(argv=None) -> int:
                 out = Path(tmp) / case / side
                 out.mkdir(parents=True)
                 activate(modules[side])
-                runs[case, side] = CASES[case](modules[side], out)
+                runs[case, side] = CASES[case](out)
         cpu = {key: [] for key in runs}
         made = {}
-        for r in range(1 + args.rounds):  # the first is the warm-up
+        for r in range(1 + ROUNDS):  # the first is the warm-up
             for case in CASES:
                 for side in ("A", "B") if r % 2 else ("B", "A"):
                     activate(modules[side])
@@ -148,7 +132,7 @@ def main(argv=None) -> int:
                         cpu[case, side].append(time.process_time() - start_cpu)
         for case in CASES:
             a, b = cpu[case, "A"], cpu[case, "B"]
-            print(f"{case}: {args.rounds} rounds")
+            print(f"{case}: {ROUNDS} rounds")
             for side in trees:
                 print(f"  {side} {trees[side]}: {summary(cpu[case, side])}")
             wins = sum(y < x for x, y in zip(a, b))

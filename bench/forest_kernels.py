@@ -211,6 +211,35 @@ def pinned_config(out: Path, runs: int) -> Path:
     return config
 
 
+def sim_batch(out: Path, runs: int):
+    """A function that runs the pinned config's 5-run batch on SIM_SEED,
+    or with ``runs`` 1 its run of the fewest vehicles (the first of them on
+    a tie), streaming each run's trace into ``out`` through
+    ``sim.TraceWriter`` as the ``simulate`` stage does. It takes the
+    ``scenforest`` that is importable when it is built."""
+    from scenforest import cli, sim
+
+    config = cli.load_config(str(pinned_config(out, 5)))
+    road = sim.RoadConfig(**config["road"])
+    params = [cli._sim_params(config["sim"], cli.stage_seed(SIM_SEED, "sim", k)) for k in range(5)]
+    if runs == 1:
+        params = [min(params, key=lambda p: len(sim.init_scene(road, p.seed)[1]))]
+
+    def run():
+        def writer(k, dt, n_ts, n_vehicles):
+            return sim.TraceWriter(sim.trace_path(out, k), dt, road, n_ts, n_vehicles)
+        for _ in sim.run_simulations(road, params, writer):
+            pass
+    return run
+
+
+def trace_digest(out: Path) -> str:
+    """The sha256 of the traces in ``out`` and their sidecars."""
+    from scenforest import sim
+
+    return sha256(b"".join(p.read_bytes() for path in sim.trace_paths(out) for p in (path, sim.meta_path(path))))
+
+
 def measure_pipeline(kernel: str, runs: int) -> dict:
     """One pipeline case's reading on the pinned config and seed, timed in
     this interpreter: the wall and CPU seconds of each round."""
@@ -218,21 +247,11 @@ def measure_pipeline(kernel: str, runs: int) -> dict:
 
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        config = cli.load_config(str(pinned_config(out, 5)))
-        road = sim.RoadConfig(**config["road"])
-        params = [cli._sim_params(config["sim"], cli.stage_seed(SIM_SEED, "sim", k)) for k in range(5)]
         if kernel == "sim.run_simulations":
-            if runs == 1:  # the run of the fewest vehicles, the first of them on a tie
-                params = [min(params, key=lambda p: len(sim.init_scene(road, p.seed)[1]))]
-
-            def run():
-                def writer(k, dt, n_ts, n_vehicles):
-                    return sim.TraceWriter(sim.trace_path(out, k), dt, road, n_ts, n_vehicles)
-                for _ in sim.run_simulations(road, params, writer):
-                    pass
+            run = sim_batch(out, runs)
         else:
             with contextlib.redirect_stdout(io.StringIO()):
-                if cli.main(["--config", str(out / "config.json"), "--seed", str(SIM_SEED), "--out", str(out),
+                if cli.main(["--config", str(pinned_config(out, 5)), "--seed", str(SIM_SEED), "--out", str(out),
                              "simulate"]) != 0:
                     raise RuntimeError(f"simulate failed in {out}")
             paths = sim.trace_paths(out)
@@ -250,7 +269,7 @@ def measure_pipeline(kernel: str, runs: int) -> dict:
         vehicle_steps = sum(meta["n_ts"] * meta["n_vehicles"] for meta in metas)
         if kernel == "sim.run_simulations":
             units, scale = (vehicle_steps, 1e6) if runs > 1 else (metas[0]["n_ts"], 1e6)
-            digest = sha256(b"".join(p.read_bytes() for path in sim.trace_paths(out) for p in (path, sim.meta_path(path))))
+            digest = trace_digest(out)
         else:
             units, scale = vehicle_steps, 1e9
             dataset, meta = made

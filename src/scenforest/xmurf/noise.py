@@ -107,19 +107,18 @@ def _bimodal_cdf(z):
 _CDFS = {"uniform": lambda z: z / 6.0 + 0.5, "normal": _normal_cdf, "bimodal": _bimodal_cdf}
 
 
-def noise_cdfs(kind: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """noise_cdf of each element of a z array already in [-3, 3], under the
-    kind ``NOISE_KINDS[kind[i]]``; the normal CDF of every normal and
-    bimodal element in one evaluation, each element as noise_cdf computes
-    it."""
-    uniform, normal, bimodal = (np.flatnonzero(kind == k) for k in range(len(NOISE_KINDS)))
-    zb = z[bimodal]
-    shifted = _normal_cdf(np.concatenate([z[normal], zb - 3.0, zb + 3.0]))
-    out = np.empty_like(z)
-    out[uniform] = _CDFS["uniform"](z[uniform])
-    out[normal] = shifted[: len(normal)]
-    out[bimodal] = _renormalize(shifted[len(normal) : len(normal) + len(zb)] + shifted[len(normal) + len(zb) :])
-    return np.clip(out, 0.0, 1.0)
+def noise_cdfs(z: np.ndarray, normal: int, bimodal: int) -> np.ndarray:
+    """noise_cdf of each element of a z array already in [-3, 3], whose
+    elements run by kind: uniform up to index ``normal``, normal up to
+    index ``bimodal``, bimodal from there on. The normal CDF of every normal
+    and bimodal element is one evaluation, and each element is as
+    noise_cdf computes it."""
+    n_normal, zb = bimodal - normal, z[bimodal:]
+    shifted = _normal_cdf(np.concatenate([z[normal:bimodal], zb - 3.0, zb + 3.0]))
+    bimodal_cdf = _renormalize(shifted[n_normal : n_normal + len(zb)] + shifted[n_normal + len(zb) :])
+    out = np.concatenate([_CDFS["uniform"](z[:normal]), shifted[:n_normal], bimodal_cdf])
+    # np.clip's values (no element is -0.0), without the checks it makes in Python
+    return np.minimum(np.maximum(out, 0.0), 1.0)
 
 
 def noise_cdf(kind: str, z):

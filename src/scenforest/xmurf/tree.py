@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dataset import ParseError, require_keys
-from .noise import NOISE_KINDS, estimate_noise_children, noise_cdfs, standardize
+from .noise import NOISE_KINDS, noise_cdfs, standardize
 
 __all__ = ["Tree", "value_codes", "split_candidates", "first_max", "chosen_splits", "NodeSamples", "NoiseRule",
            "node_dicts", "read_nodes", "route", "path", "path_proximity_tree"]
@@ -116,7 +116,7 @@ def split_candidates(codes: np.ndarray, values: np.ndarray, rows: list, sizes: n
     boundary = seg_code[1:] != seg_code[:-1]
     seg_end = np.cumsum(np.repeat(sizes, k))
     boundary[seg_end[:-1] - 1] = False  # a segment's last position
-    p = np.flatnonzero(boundary)
+    p = boundary.nonzero()[0]
     v = values[seg_code & ((1 << code_bits) - 1)]
     cseg = seg_code[p] >> code_bits
     above = v[p + 1]
@@ -124,7 +124,7 @@ def split_candidates(codes: np.ndarray, values: np.ndarray, rows: list, sizes: n
     cnode = cseg // k
     start = seg_end[cseg] - sizes[cnode]
     n_left = p + 1 - start
-    up = np.flatnonzero(threshold == above)
+    up = (threshold == above).nonzero()[0]
     if up.size:
         after = np.minimum(up + 1, len(p) - 1)
         nxt = np.where((up + 1 < len(p)) & (cseg[after] == cseg[up]), p[after], seg_end[cseg[up]] - 1)
@@ -134,16 +134,16 @@ def split_candidates(codes: np.ndarray, values: np.ndarray, rows: list, sizes: n
 
 def first_max(gains: np.ndarray, node: np.ndarray, seg: np.ndarray) -> np.ndarray:
     """The index of each node's first greatest gain, for the nodes in
-    ``node`` (ascending, one entry per candidate), so ties go to the lowest
-    feature and then the lowest threshold. A NaN counts as greatest. A gain
-    is 0/0 when a midpoint rounds up to the feature's maximum (an empty
-    right side) or a subnormal width's sixth is 0; only the node's first
-    feature keeps such a gain, and any later feature holding one is passed
-    over whole."""
+    ``node`` (one entry per candidate, each node's entries contiguous and
+    ``seg`` ascending), so ties go to the lowest feature and then the lowest
+    threshold. A NaN counts as greatest. A gain is 0/0 when a midpoint
+    rounds up to the feature's maximum (an empty right side) or a subnormal
+    width's sixth is 0; only the node's first feature keeps such a gain,
+    and any later feature holding one is passed over whole."""
     if not gains.size:
         return np.zeros(0, dtype=np.int64)
     new = np.concatenate(([True], node[1:] != node[:-1]))
-    starts, rank = np.flatnonzero(new), np.cumsum(new) - 1
+    starts, rank = new.nonzero()[0], np.cumsum(new) - 1
     top = np.maximum.reduceat(gains, starts)
     hit = gains == top[rank]
     nan = np.isnan(gains) if np.isnan(top).any() else None
@@ -240,14 +240,25 @@ class NoiseRule:
     def scores(self, rows: list, sizes: np.ndarray, owns: list, draws: list) -> tuple:
         """(features, Candidates, gains, data row at each flat position) of
         the split candidates of the nodes whose draws are (kind, sorted
-        features)."""
-        features = np.array([f for _, f in draws])
-        c, v, sorted_rows = split_candidates(self.codes, self.values, rows, sizes, features)
+        features). The nodes are laid out by noise kind, in their order
+        within a kind, so that each kind's candidates are one run of the
+        flat layout; ``node`` still indexes ``rows``."""
+        kinds = [d for d, _ in draws]
+        order = sorted(range(len(draws)), key=kinds.__getitem__)
+        features, order_of = np.array([draws[j][1] for j in order]), np.array(order)
+        c, v, sorted_rows = split_candidates(self.codes, self.values, [rows[j] for j in order], sizes[order_of],
+                                             features)
+        normal, bimodal = c.node.searchsorted((kinds.count(0), len(kinds) - kinds.count(2))).tolist()
+        c = c._replace(node=order_of[c.node])
         m = sizes[c.node]
         real_left = c.n_left.astype(np.float64)
         real_right = m - real_left
-        z = np.clip(standardize(c.threshold, v[c.start], v[c.start + m - 1]), -3.0, 3.0)
-        noise_left, noise_right = estimate_noise_children(m, noise_cdfs(np.array([d for d, _ in draws])[c.node], z))
+        # np.clip's values, without the checks it makes in Python
+        z = np.minimum(np.maximum(standardize(c.threshold, v[c.start], v[c.start + m - 1]), -3.0), 3.0)
+        # estimate_noise_children's split, whose checks hold here: m >= 2 and
+        # noise_cdfs clips to [0, 1]
+        noise_left = m * noise_cdfs(z, normal, bimodal)
+        noise_right = m - noise_left
         # parent impurity is exactly 0.5: the assumed noise mass equals the
         # real count, so the node is perfectly balanced before the split
         total_left = real_left + noise_left

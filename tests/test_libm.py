@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from scenforest import libm
 from scenforest.sim.dynamics import gompertz
-from scenforest.xmurf.noise import _BETA1, _BETA2, _BETA3, _SQRT_PI, _normal_cdf, noise_cdfs
+from scenforest.xmurf.noise import NOISE_KINDS, _BETA1, _BETA2, _BETA3, _SQRT_PI, _normal_cdf, noise_cdf, noise_cdfs
 
 TINY = 5e-324  # the least subnormal
 # -inf, both zeros, subnormals and the normal boundary; exp gives 0.0 below about -745
@@ -70,6 +70,18 @@ def test_normal_cdf_of_an_array_equals_its_float_form(z):
     assert bits(_normal_cdf(z)) == bits(elementwise(c_library_normal_cdf, z))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-3.0, 3.0), max_size=3).flatmap(lambda first: st.tuples(*(
+    st.lists(st.one_of(st.sampled_from([-3.0, 0.0, -0.0, 3.0] + first), st.floats(-3.0, 3.0)), max_size=30)
+    for _ in NOISE_KINDS))))
+def test_noise_cdfs_of_a_kind_ordered_array_equal_noise_cdf_of_each_element(by_kind):
+    # the split search lays its candidates out by kind: uniform, normal, bimodal
+    z = np.array([v for values in by_kind for v in values], dtype=np.float64)
+    normal, bimodal = len(by_kind[0]), len(by_kind[0]) + len(by_kind[1])
+    want = [noise_cdf(kind, v) for kind, values in zip(NOISE_KINDS, by_kind) for v in values]
+    assert bits(noise_cdfs(z, normal, bimodal)) == bits(want)
+
+
 def c_library_normal_cdf(v: float) -> float:
     """The noise CDF as the forests were grown with it: the C library's pow
     and exp, which a Python float's ** and math.exp call."""
@@ -90,8 +102,8 @@ x = np.concatenate([rng.uniform(-800.0, 12.0, 20000), tiny, [-np.inf, 0.0, -0.0,
 n = 500
 u = np.concatenate([rng.uniform(0.0, 400.0, (2, n)), [[np.inf], [0.0]]], axis=1)
 a_m, b, c = rng.uniform(1.5, 4.0, n + 1), rng.uniform(2.0, 6.0, n + 1), rng.uniform(0.03, 0.15, n + 1)
-kind, z = rng.integers(0, 3, 20000), rng.uniform(-3.0, 3.0, 20000)
-for out in (libm.exp(x), gompertz(u, a_m, -b, -c), noise_cdfs(kind, z)):
+z = rng.uniform(-3.0, 3.0, 20000)
+for out in (libm.exp(x), gompertz(u, a_m, -b, -c), noise_cdfs(z, 6000, 13000)):
     print(np.ascontiguousarray(out).tobytes().hex())
 """
 
