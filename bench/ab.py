@@ -17,11 +17,10 @@ first alternating from round to round, after one warm-up round. Per case and
 side it prints the median CPU seconds, the quartiles and the minimum; then
 the median over the rounds of B's CPU over A's in the same round (the two
 run back to back, so the drift cancels), and the rounds in which B took
-less CPU than A; then
-the sha256 of what each side made (the traces and sidecars, or the forest
-as ``save_forest`` writes it), which must be equal. It exits 1 when they
-differ. Like ``bench/forest_kernels.py``, its name keeps it out of the
-tier-1 run.
+less CPU than A; then the sha256 of what each side made (the traces and
+sidecars, or the forest as ``save_forest`` writes it), which must be equal.
+It exits 1 when they differ. Like ``bench/forest_kernels.py``, its name
+keeps it out of the tier-1 run.
 """
 
 from __future__ import annotations
